@@ -42,11 +42,13 @@ bench:
 # once, then gates the engine and suite numbers against the committed
 # baseline (2x tolerance absorbs runner noise; the gate catches hot-loop
 # regressions, not wobbles). The ZeroAlloc pass pins the observability
-# layer's disabled path (and the enabled Emit itself) at 0 allocs/op.
+# layer's disabled path (and the enabled Emit itself) and the model
+# checker's canonicalizer at 0 allocs/op.
 bench-smoke: compare-smoke
 	$(GO) test -bench=. -benchtime=1x ./internal/sim/... ./internal/network/... ./internal/obs/...
+	$(GO) test -run '^$$' -bench 'Canonical|Successors' -benchtime=1x ./internal/mcheck/
 	$(GO) test -run ZeroAlloc -count=1 ./internal/sim/... ./internal/network/... \
-		./internal/addrtab/... ./internal/obs/...
+		./internal/addrtab/... ./internal/obs/... ./internal/mcheck/...
 	$(GO) run ./cmd/pccperf -check BENCH_pr2.json
 	$(GO) run ./cmd/pccperf -check-shards BENCH_pr8.json
 	$(GO) run ./cmd/pccperf -check-mcheck BENCH_pr9.json

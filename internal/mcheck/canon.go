@@ -1,5 +1,10 @@
 package mcheck
 
+import (
+	"bytes"
+	"sync"
+)
+
 // Canonical state encoding: a compact, hash-friendly byte serialization of
 // the full model state — per-line node records, per-line directory, issue
 // budgets, channel contents, litmus bookkeeping — that round-trips through
@@ -10,14 +15,24 @@ package mcheck
 // home (node 0) behaves identically in the generic model, and all lines
 // are identically configured and homed at node 0, so the symmetry group is
 // Sym(nodes 1..N-1) × Sym(lines). A state's canonical form is the
-// lexicographically smallest encoding over that group, computed by
-// encoding under each permutation directly — ids, masks and channel
-// indices are renamed on the fly, no permuted State is ever materialized.
+// lexicographically smallest encoding over that group.
+//
+// The group is built once per (nodes, lines, identity) shape, memoised and
+// shared read-only by every worker, TraceTo and CanonicalKey. Each node
+// permutation carries its inverse (new → old, so the encoder walks the
+// state in new-index order by direct lookup) and a 256-entry table that
+// renames a node bitmask in one load; each line permutation carries its
+// inverse. No permuted State is ever materialized.
+//
+// The minimum is found with early exit: the identity encoding is the first
+// candidate, and every other element encodes one record at a time,
+// comparing each record against the current best. It is abandoned at the
+// first greater byte; once it is known to be smaller it stops comparing
+// and finishes the encoding, which becomes the new best. Encodings of one
+// state have equal length, so this is exactly the lexicographic minimum.
 // The group is tiny at model-checking scale (6 node perms × 2 line perms
-// for the 4-node × 2-line deep configuration), and states in delegated
-// configurations — where one node is distinguished as producer — reject
-// most non-identity permutations within the first few bytes of the
-// comparison.
+// for the 4-node × 2-line deep configuration), and most losing elements
+// are rejected within the first two node records.
 
 // boolByte packs booleans into flag bits.
 func boolByte(v bool, shift uint) byte {
@@ -27,121 +42,254 @@ func boolByte(v bool, shift uint) byte {
 	return 0
 }
 
-// Encode appends the state's identity-permutation encoding to buf and
-// returns the extended slice. The encoding is complete: Decode inverts it.
-func (s *State) Encode(buf []byte) []byte {
-	return encodePerm(buf, s, identityPerm(s.nodes()), identityPerm(len(s.H)))
+// nodePerm is one home-fixing node permutation, precomputed for the
+// encoder.
+type nodePerm struct {
+	to   [8]int8    // old id → new id
+	from [8]int8    // new id → old id
+	mask [256]uint8 // node bitmask → the mask of the renamed nodes
 }
 
-// identityPerms caches small identity permutations.
-var identityPerms = [9][]int{
-	{}, {0}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}, {0, 1, 2, 3, 4},
-	{0, 1, 2, 3, 4, 5}, {0, 1, 2, 3, 4, 5, 6}, {0, 1, 2, 3, 4, 5, 6, 7},
-}
-
-func identityPerm(n int) []int {
-	if n < len(identityPerms) {
-		return identityPerms[n]
+// newNodePerm tabulates the permutation p (old index → new index). Mask
+// bits at or above len(p) are dropped: they name no node.
+func newNodePerm(p []int) *nodePerm {
+	np := &nodePerm{}
+	for old, nw := range p {
+		np.to[old] = int8(nw)
+		np.from[nw] = int8(old)
 	}
-	p := make([]int, n)
+	for m := range np.mask {
+		for old, nw := range p {
+			if m&(1<<old) != 0 {
+				np.mask[m] |= 1 << nw
+			}
+		}
+	}
+	return np
+}
+
+// id renames a node id; negative ids ("none") pass through.
+func (p *nodePerm) id(v int8) int8 {
+	if v < 0 {
+		return v
+	}
+	return p.to[v]
+}
+
+// linePerm is one line permutation; a nil *linePerm is the identity.
+type linePerm struct {
+	to   []int8 // old line → new line
+	from []int8 // new line → old line
+}
+
+// symGroup is the symmetry group of one model shape: the node permutations
+// that fix the home and every line permutation, identity first in both
+// (the identity line permutation is nil). Immutable once built.
+type symGroup struct {
+	nodes []*nodePerm
+	lines []*linePerm
+}
+
+// identityPerms holds the identity node permutation for each node count.
+var identityPerms = func() (out [9]*nodePerm) {
+	for n := range out {
+		out[n] = newNodePerm(permutations(n)[0])
+	}
+	return out
+}()
+
+type groupKey struct {
+	nodes, lines int
+	identity     bool
+}
+
+var (
+	groupsMu sync.RWMutex
+	groups   = map[groupKey]*symGroup{}
+)
+
+// symmetryGroup returns the memoised group for n nodes and `lines` lines.
+// Identity mode (litmus scripts distinguish the nodes, or reduction is
+// off) collapses the group to the identity: canonical == plain encoding.
+func symmetryGroup(n, lines int, identity bool) *symGroup {
+	k := groupKey{n, lines, identity}
+	groupsMu.RLock()
+	g := groups[k]
+	groupsMu.RUnlock()
+	if g != nil {
+		return g
+	}
+	g = &symGroup{nodes: []*nodePerm{identityPerms[n]}, lines: []*linePerm{nil}}
+	if !identity {
+		for _, r := range permutations(n - 1)[1:] {
+			p := make([]int, n)
+			for j, v := range r {
+				p[j+1] = v + 1
+			}
+			g.nodes = append(g.nodes, newNodePerm(p))
+		}
+		for _, r := range permutations(lines)[1:] {
+			lp := &linePerm{to: make([]int8, lines), from: make([]int8, lines)}
+			for old, nw := range r {
+				lp.to[old] = int8(nw)
+				lp.from[nw] = int8(old)
+			}
+			g.lines = append(g.lines, lp)
+		}
+	}
+	groupsMu.Lock()
+	defer groupsMu.Unlock()
+	if prev := groups[k]; prev != nil {
+		return prev
+	}
+	groups[k] = g
+	return g
+}
+
+// permutations enumerates the permutations of 0..k-1 as fresh slices,
+// identity first.
+func permutations(k int) [][]int {
+	p := make([]int, k)
 	for i := range p {
 		p[i] = i
 	}
-	return p
+	var out [][]int
+	var rec func(i int)
+	rec = func(i int) {
+		if i >= k-1 {
+			out = append(out, append([]int(nil), p...))
+			return
+		}
+		for j := i; j < k; j++ {
+			p[i], p[j] = p[j], p[i]
+			rec(i + 1)
+			p[i], p[j] = p[j], p[i]
+		}
+	}
+	rec(0)
+	return out
 }
 
-// encodePerm appends the encoding of s under a node permutation p and line
-// permutation lp (both old-index → new-index; p[0] must be 0) to buf. The
-// encoding walks the state in *new* index order so that two states in the
-// same orbit produce byte-identical output under the right permutations.
-func encodePerm(buf []byte, s *State, p, lp []int) []byte {
-	n := s.nodes()
-	ren := func(id int8) int8 {
-		if id < 0 {
-			return id
-		}
-		return int8(p[id])
-	}
-	renMask := func(m uint8) uint8 {
-		if m == 0 {
-			return 0
-		}
-		var out uint8
-		for i := 0; i < n; i++ {
-			if m&bit(int8(i)) != 0 {
-				out |= bit(int8(p[i]))
-			}
-		}
-		return out
-	}
+// Encode appends the state's identity-permutation encoding to buf and
+// returns the extended slice. The encoding is complete: Decode inverts it.
+func (s *State) Encode(buf []byte) []byte {
+	buf, _ = encode(buf, s, identityPerms[s.nodes()], nil, nil)
+	return buf
+}
 
+// encode appends the encoding of s under node permutation p and line
+// permutation lp (nil: identity) to buf, walking the state in new-index
+// order so that two states in one orbit encode identically under the right
+// elements.
+//
+// With best nil it always encodes in full and reports true. Otherwise best
+// is another encoding of s (hence of equal length), and encode compares
+// record by record against it: it stops with less == false as soon as the
+// output cannot be smaller, leaving buf partial, and once it is known to be
+// smaller it stops comparing and finishes; less == true then means buf is
+// a complete encoding below best.
+func encode(buf []byte, s *State, p *nodePerm, lp *linePerm, best []byte) (_ []byte, less bool) {
+	n := s.nodes()
+	stop := false
 	for nl := range s.H {
 		ol := nl
-		if len(lp) > 1 {
-			ol = lineIndexUnder(lp, nl)
+		if lp != nil {
+			ol = int(lp.from[nl])
 		}
+		row := s.N[ol*n : ol*n+n]
 		for nj := 0; nj < n; nj++ {
-			nd := s.node(ol, nodeIndexUnder(p, nj))
+			start := len(buf)
+			nd := &row[p.from[nj]]
 			buf = append(buf,
 				byte(nd.Cache), byte(nd.Val), byte(nd.Mshr), byte(nd.Acks), byte(nd.MVal),
 				boolByte(nd.MHave, 0)|boolByte(nd.Inv, 1)|boolByte(nd.Hint, 2)|
 					boolByte(nd.RACOk, 3)|boolByte(nd.HasProd, 4)|boolByte(nd.PArmed, 5),
-				byte(ren(nd.HintProd)), byte(nd.RACVal), byte(nd.Txn), byte(nd.GEp),
-				byte(nd.PDir), renMask(nd.PShr), renMask(nd.PUpdSet), byte(nd.PInFlt))
+				byte(p.id(nd.HintProd)), byte(nd.RACVal), byte(nd.Txn), byte(nd.GEp),
+				byte(nd.PDir), p.mask[nd.PShr], p.mask[nd.PUpdSet], byte(nd.PInFlt))
+			if best != nil {
+				if best, stop = lexStep(buf, best, start); stop {
+					return buf, false
+				}
+			}
 		}
+		start := len(buf)
 		h := &s.H[ol]
-		buf = append(buf, byte(h.Dir), renMask(h.Shr), byte(ren(h.Owner)), byte(ren(h.Pend)),
+		buf = append(buf, byte(h.Dir), p.mask[h.Shr], byte(p.id(h.Owner)), byte(p.id(h.Pend)),
 			boolByte(h.PendX, 0)|boolByte(h.DetRd, 1), byte(h.PendFwd), byte(h.MemVal),
-			byte(h.OwnTxn), byte(h.PendTxn), byte(ren(h.DetW)), byte(h.DetRep))
-		buf = append(buf, byte(s.Latest[ol]))
+			byte(h.OwnTxn), byte(h.PendTxn), byte(p.id(h.DetW)), byte(h.DetRep),
+			byte(s.Latest[ol]))
+		if best != nil {
+			if best, stop = lexStep(buf, best, start); stop {
+				return buf, false
+			}
+		}
 	}
+	start := len(buf)
 	for nj := 0; nj < n; nj++ {
-		buf = append(buf, byte(s.Iss[nodeIndexUnder(p, nj)]))
+		buf = append(buf, byte(s.Iss[p.from[nj]]))
 	}
 	buf = append(buf, byte(s.Writes))
+	if best != nil {
+		if best, stop = lexStep(buf, best, start); stop {
+			return buf, false
+		}
+	}
 	for nsrc := 0; nsrc < n; nsrc++ {
-		osrc := nodeIndexUnder(p, nsrc)
+		osrc := int(p.from[nsrc]) * n
 		for ndst := 0; ndst < n; ndst++ {
-			q := s.Ch[osrc*n+nodeIndexUnder(p, ndst)]
+			start := len(buf)
+			q := s.Ch[osrc+int(p.from[ndst])]
 			buf = append(buf, byte(len(q)))
-			for _, m := range q {
+			for i := range q {
+				m := &q[i]
 				val := m.Val
 				if m.Type == MHint {
-					val = ren(val) // Hint reuses Val as a node id
+					val = p.id(val) // Hint reuses Val as a node id
 				}
-				line := int8(m.Line)
-				if len(lp) > 1 {
-					line = int8(lp[m.Line])
+				line := m.Line
+				if lp != nil {
+					line = lp.to[line]
 				}
-				buf = append(buf, byte(m.Type), byte(line), byte(ren(m.Req)), byte(val),
-					byte(m.Acks), renMask(m.Shr), byte(m.Fwd), byte(m.RTxn), byte(m.GEp))
+				buf = append(buf, byte(m.Type), byte(line), byte(p.id(m.Req)), byte(val),
+					byte(m.Acks), p.mask[m.Shr], byte(m.Fwd), byte(m.RTxn), byte(m.GEp))
+			}
+			if best != nil {
+				if best, stop = lexStep(buf, best, start); stop {
+					return buf, false
+				}
 			}
 		}
 	}
 	if s.PC != nil {
+		start := len(buf)
 		for i := range s.PC {
 			buf = append(buf, byte(s.PC[i]), byte(len(s.Obs[i])))
 			for _, o := range s.Obs[i] {
 				buf = append(buf, byte(o))
 			}
 		}
-	}
-	return buf
-}
-
-// nodeIndexUnder returns the old index that permutation p maps to new
-// index nj. Permutations are tiny, so a linear scan beats keeping inverse
-// arrays alongside every permutation.
-func nodeIndexUnder(p []int, nj int) int {
-	for oi, v := range p {
-		if v == nj {
-			return oi
+		if best != nil {
+			if best, stop = lexStep(buf, best, start); stop {
+				return buf, false
+			}
 		}
 	}
-	panic("mcheck: not a permutation")
+	return buf, best == nil
 }
 
-func lineIndexUnder(lp []int, nl int) int { return nodeIndexUnder(lp, nl) }
+// lexStep compares the record buf[start:] with best at the same offsets.
+// It returns best while the two are still equal, nil once buf is known to
+// be smaller (no further comparison is needed), and stop once buf is known
+// to be greater.
+func lexStep(buf, best []byte, start int) (_ []byte, stop bool) {
+	switch bytes.Compare(buf[start:], best[start:len(buf)]) {
+	case -1:
+		return nil, false
+	case 1:
+		return best, true
+	}
+	return best, false
+}
 
 // DecodeState reconstructs a State from its identity encoding. cfg must be
 // the configuration the state was encoded under (it sizes every array and
@@ -242,86 +390,33 @@ func DecodeState(cfg Config, data []byte) *State {
 	return s
 }
 
-// canonicalizer computes canonical encodings. One instance per worker; the
-// scratch buffers are reused across states so the hot path allocates only
-// when an encoding outgrows its buffer.
+// canonicalizer computes canonical encodings against a shared symmetry
+// group. One instance per worker; the scratch buffers are reused across
+// states, so after warm-up the hot path does not allocate.
 type canonicalizer struct {
-	perms  [][]int // node permutations (p[0] = 0), identity first
-	lperms [][]int // line permutations, identity first
-	buf    []byte
-	best   []byte
+	g    *symGroup
+	buf  []byte
+	best []byte
 }
 
-// newCanonicalizer builds the permutation group for n nodes and `lines`
-// lines. Litmus mode (distinguished scripts) collapses the group to the
-// identity: canonical == plain encoding.
-func newCanonicalizer(n, lines int, litmus bool) *canonicalizer {
-	c := &canonicalizer{}
-	if litmus {
-		c.perms = [][]int{identityPerm(n)}
-		c.lperms = [][]int{identityPerm(lines)}
-		return c
-	}
-	c.perms = homeFixedPerms(n)
-	c.lperms = allPerms(lines)
-	return c
-}
-
-// homeFixedPerms enumerates permutations of 0..n-1 that fix 0, identity
-// first.
-func homeFixedPerms(n int) [][]int {
-	rest := allPerms(n - 1)
-	out := make([][]int, len(rest))
-	for i, r := range rest {
-		p := make([]int, n)
-		for j, v := range r {
-			p[j+1] = v + 1
-		}
-		out[i] = p
-	}
-	return out
-}
-
-// allPerms enumerates permutations of 0..n-1, identity first.
-func allPerms(n int) [][]int {
-	if n <= 1 {
-		return [][]int{identityPerm(n)}
-	}
-	var out [][]int
-	p := identityPerm(n)
-	var rec func(k int)
-	rec = func(k int) {
-		if k == n {
-			out = append(out, append([]int(nil), p...))
-			return
-		}
-		for i := k; i < n; i++ {
-			p[k], p[i] = p[i], p[k]
-			rec(k + 1)
-			p[k], p[i] = p[i], p[k]
-		}
-	}
-	rec(0)
-	// The recursion yields identity first by construction (i == k on the
-	// first branch at every level).
-	return out
+// newCanonicalizer returns a canonicalizer over the memoised group for n
+// nodes and `lines` lines (the identity alone in identity mode).
+func newCanonicalizer(n, lines int, identity bool) *canonicalizer {
+	return &canonicalizer{g: symmetryGroup(n, lines, identity)}
 }
 
 // canonical returns the lexicographically smallest encoding of s over the
 // symmetry group. The returned slice is owned by the canonicalizer and
 // valid until the next call.
 func (c *canonicalizer) canonical(s *State) []byte {
-	c.best = encodePerm(c.best[:0], s, c.perms[0], c.lperms[0])
-	if len(c.perms) == 1 && len(c.lperms) == 1 {
-		return c.best
-	}
-	for pi, p := range c.perms {
-		for li, lp := range c.lperms {
+	c.best, _ = encode(c.best[:0], s, c.g.nodes[0], nil, nil)
+	for pi, p := range c.g.nodes {
+		for li, lp := range c.g.lines {
 			if pi == 0 && li == 0 {
 				continue
 			}
-			c.buf = encodePerm(c.buf[:0], s, p, lp)
-			if lexLess(c.buf, c.best) {
+			var less bool
+			if c.buf, less = encode(c.buf[:0], s, p, lp, c.best); less {
 				c.buf, c.best = c.best, c.buf
 			}
 		}
@@ -329,15 +424,17 @@ func (c *canonicalizer) canonical(s *State) []byte {
 	return c.best
 }
 
-// lexLess reports a < b. Encodings of one configuration always have equal
-// length, so the byte compare settles it.
-func lexLess(a, b []byte) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
+// encodedLen is the length of any encoding of s.
+func encodedLen(s *State) int {
+	n := s.nodes()
+	size := len(s.H)*(n*14+12) + n + 1 + n*n
+	for _, q := range s.Ch {
+		size += 9 * len(q)
 	}
-	return false
+	for _, o := range s.Obs {
+		size += 2 + len(o)
+	}
+	return size
 }
 
 // fpOffset is the fingerprint of the all-zero hash, remapped so the

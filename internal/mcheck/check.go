@@ -140,7 +140,7 @@ func ExploreSerial(cfg Config, maxStates int) *Result {
 func TraceTo(cfg Config, target *State) []string {
 	type link struct {
 		parent string
-		rule   string
+		rule   Rule
 	}
 	canon := newCanonicalizer(target.nodes(), len(target.H), target.PC != nil)
 	goal := string(canon.canonical(target))
@@ -163,7 +163,7 @@ func TraceTo(cfg Config, target *State) []string {
 				var path []string
 				for k != init.Key() {
 					l := parents[k]
-					path = append([]string{l.rule}, path...)
+					path = append([]string{l.rule.String()}, path...)
 					k = l.parent
 				}
 				return path

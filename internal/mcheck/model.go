@@ -350,12 +350,19 @@ func (s *State) Key() string { return string(s.Encode(nil)) }
 // of lines are equivalent. The canonical key is the lexicographically
 // smallest encoding over the full permutation group (node counts are tiny,
 // so enumerating it is cheap). Litmus mode has distinguished scripts and
-// must use Key.
+// must use Key. The group is the shared memoised one; a call allocates only
+// its scratch and the key.
 func (s *State) CanonicalKey() string {
 	if s.PC != nil {
 		return s.Key()
 	}
-	c := newCanonicalizer(s.nodes(), len(s.H), false)
+	size := encodedLen(s)
+	scratch := make([]byte, 2*size)
+	c := canonicalizer{
+		g:    symmetryGroup(s.nodes(), len(s.H), false),
+		best: scratch[:0:size],
+		buf:  scratch[size:size],
+	}
 	return string(c.canonical(s))
 }
 

@@ -17,7 +17,7 @@ func applyTrace(t *testing.T, cfg Config, labels []string) *State {
 		}
 		found := false
 		for _, sc := range Successors(cfg, st) {
-			if sc.Rule == want {
+			if sc.Rule.String() == want {
 				st = sc.State
 				found = true
 				break
@@ -26,7 +26,7 @@ func applyTrace(t *testing.T, cfg Config, labels []string) *State {
 		if !found {
 			var avail []string
 			for _, sc := range Successors(cfg, st) {
-				avail = append(avail, sc.Rule)
+				avail = append(avail, sc.Rule.String())
 			}
 			t.Fatalf("step %d: rule %q not enabled in %s\navailable: %v", i, want, st, avail)
 		}
@@ -49,7 +49,7 @@ func drain(t *testing.T, cfg Config, st *State) *State {
 		// system settles.
 		var next *State
 		for _, sc := range Successors(cfg, st) {
-			if isDelivery(sc.Rule) {
+			if sc.Rule.Kind == RuleDeliver {
 				next = sc.State
 				break
 			}
@@ -61,11 +61,6 @@ func drain(t *testing.T, cfg Config, st *State) *State {
 	}
 	t.Fatal("drain did not settle")
 	return nil
-}
-
-func isDelivery(rule string) bool {
-	// Delivery rules look like "1->0.WB"; issue rules like "n1.GetX->0".
-	return rule[0] != 'n'
 }
 
 // Regression: the transaction-number collision in the TransferAck match
@@ -224,7 +219,7 @@ func TestApplyTraceRejectsUnknownRule(t *testing.T) {
 	st := NewState(cfg)
 	found := false
 	for _, sc := range Successors(cfg, st) {
-		if sc.Rule == "n9.Teleport" {
+		if sc.Rule.String() == "n9.Teleport" {
 			found = true
 		}
 	}

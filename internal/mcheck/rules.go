@@ -4,21 +4,86 @@ import "fmt"
 
 // Succ is one labeled successor state.
 type Succ struct {
-	Rule  string
+	Rule  Rule
 	State *State
+}
+
+// RuleKind classifies a transition.
+type RuleKind uint8
+
+const (
+	RuleIssue          RuleKind = iota // n<Node>.<Msg>-><Dst>: a request leaves
+	RuleRACHit                         // n<Node>.RACHit
+	RuleDelegatedWrite                 // n<Node>.DelegatedWrite
+	RuleEvictWB                        // n<Node>.Evict(WB)
+	RuleEvictS                         // n<Node>.EvictS
+	RuleIntervention                   // n<Node>.Intervention: delayed intervention fires
+	RuleLatePush                       // n<Node>.LatePush
+	RuleReadHit                        // n<Node>.ReadHit (litmus)
+	RuleReadRAC                        // n<Node>.ReadRAC (litmus)
+	RuleWriteHit                       // n<Node>.WriteHit (litmus)
+	RuleDeliver                        // <Node>-><Dst>.<Msg>: a channel head is delivered
+)
+
+var ruleNames = [...]string{
+	RuleRACHit: "RACHit", RuleDelegatedWrite: "DelegatedWrite", RuleEvictWB: "Evict(WB)",
+	RuleEvictS: "EvictS", RuleIntervention: "Intervention", RuleLatePush: "LatePush",
+	RuleReadHit: "ReadHit", RuleReadRAC: "ReadRAC", RuleWriteHit: "WriteHit",
+}
+
+// Rule identifies the transition that produced a successor. Successors
+// fills it in without formatting anything; String renders the label that
+// traces, ApplyTrace and the corpus files use.
+type Rule struct {
+	Kind RuleKind
+	// Line is the line the label is prefixed with ("L1:"); -1 renders no
+	// prefix, as in single-line configurations and litmus script steps.
+	Line int8
+	Node int8    // acting node; the source of a delivery
+	Dst  int8    // destination of an issue or a delivery
+	Msg  MsgType // message issued or delivered
+}
+
+// String renders the rule label. Single-line labels are byte-identical to
+// earlier revisions — regression tests and corpus files pin exact label
+// sequences.
+func (r Rule) String() string {
+	var s string
+	switch r.Kind {
+	case RuleIssue:
+		s = fmt.Sprintf("n%d.%s->%d", r.Node, r.Msg, r.Dst)
+	case RuleDeliver:
+		s = fmt.Sprintf("%d->%d.%s", r.Node, r.Dst, r.Msg)
+	default:
+		s = fmt.Sprintf("n%d.%s", r.Node, ruleNames[r.Kind])
+	}
+	if r.Line >= 0 {
+		return fmt.Sprintf("L%d:%s", r.Line, s)
+	}
+	return s
 }
 
 // home is the node whose hub hosts the directory for every modeled line.
 const home = 0
 
-// lbl prefixes a rule label with its line for multi-line configurations.
-// Single-line labels are byte-identical to earlier revisions — regression
-// tests pin exact label sequences.
-func lbl(lines, l int, s string) string {
+// lineTag is Rule.Line for line l: only multi-line configurations prefix
+// labels with their line.
+func lineTag(lines, l int) int8 {
 	if lines > 1 {
-		return fmt.Sprintf("L%d:%s", l, s)
+		return int8(l)
 	}
-	return s
+	return -1
+}
+
+// nodeRule is the Rule for a processor-side transition of node i on line
+// l with no message attached.
+func nodeRule(kind RuleKind, lines, l, i int) Rule {
+	return Rule{Kind: kind, Line: lineTag(lines, l), Node: int8(i)}
+}
+
+// issueRule is the Rule for node i sending request t to dst on line l.
+func issueRule(lines, l, i, dst int, t MsgType) Rule {
+	return Rule{Kind: RuleIssue, Line: lineTag(lines, l), Node: int8(i), Dst: int8(dst), Msg: t}
 }
 
 // Successors enumerates every enabled transition of s: spontaneous
@@ -26,7 +91,7 @@ func lbl(lines, l int, s string) string {
 // and the nondeterministically timed delayed interventions.
 func Successors(cfg Config, s *State) []Succ {
 	var out []Succ
-	add := func(rule string, ns *State) { out = append(out, Succ{rule, ns}) }
+	add := func(rule Rule, ns *State) { out = append(out, Succ{rule, ns}) }
 
 	n := s.nodes()
 	lines := len(s.H)
@@ -51,7 +116,7 @@ func Successors(cfg Config, s *State) []Succ {
 					dst = int(nn.HintProd)
 				}
 				if ns.send(i, dst, Msg{Type: MGetS, Line: int8(l), Req: int8(i), RTxn: nn.Txn}, cfg.QueueDepth) {
-					add(lbl(lines, l, fmt.Sprintf("n%d.GetS->%d", i, dst)), ns)
+					add(issueRule(lines, l, i, dst, MGetS), ns)
 				}
 			}
 
@@ -66,7 +131,7 @@ func Successors(cfg Config, s *State) []Succ {
 				if !nn.HasProd {
 					nn.RACOk = false // victim-cache move; pinned master stays
 				}
-				add(lbl(lines, l, fmt.Sprintf("n%d.RACHit", i)), ns)
+				add(nodeRule(RuleRACHit, lines, l, i), ns)
 			}
 
 			// Issue a write (GetX on invalid, Upgrade on shared), bounded.
@@ -97,7 +162,7 @@ func Successors(cfg Config, s *State) []Succ {
 						if nn.Acks == 0 {
 							completeWrite(cfg, ns, l, i)
 						}
-						add(lbl(lines, l, fmt.Sprintf("n%d.DelegatedWrite", i)), ns)
+						add(nodeRule(RuleDelegatedWrite, lines, l, i), ns)
 					}
 				} else if !node.HasProd {
 					switch node.Cache {
@@ -114,7 +179,7 @@ func Successors(cfg Config, s *State) []Succ {
 							dst = int(nn.HintProd)
 						}
 						if ns.send(i, dst, Msg{Type: MGetX, Line: int8(l), Req: int8(i), RTxn: nn.Txn}, cfg.QueueDepth) {
-							add(lbl(lines, l, fmt.Sprintf("n%d.GetX->%d", i, dst)), ns)
+							add(issueRule(lines, l, i, dst, MGetX), ns)
 						}
 					case CS:
 						ns := s.Clone()
@@ -130,7 +195,7 @@ func Successors(cfg Config, s *State) []Succ {
 							dst = int(nn.HintProd)
 						}
 						if ns.send(i, dst, Msg{Type: MUpg, Line: int8(l), Req: int8(i), RTxn: nn.Txn}, cfg.QueueDepth) {
-							add(lbl(lines, l, fmt.Sprintf("n%d.Upg->%d", i, dst)), ns)
+							add(issueRule(lines, l, i, dst, MUpg), ns)
 						}
 					}
 				}
@@ -144,7 +209,7 @@ func Successors(cfg Config, s *State) []Succ {
 				v := nn.Val
 				nn.Cache = CI
 				if ns.send(i, home, Msg{Type: MWB, Line: int8(l), Req: int8(i), Val: v}, cfg.QueueDepth) {
-					add(lbl(lines, l, fmt.Sprintf("n%d.Evict(WB)", i)), ns)
+					add(nodeRule(RuleEvictWB, lines, l, i), ns)
 				}
 			}
 
@@ -152,7 +217,7 @@ func Successors(cfg Config, s *State) []Succ {
 			if node.Cache == CS && node.Mshr == MNone && !node.HasProd {
 				ns := s.Clone()
 				ns.node(l, i).Cache = CI
-				add(lbl(lines, l, fmt.Sprintf("n%d.EvictS", i)), ns)
+				add(nodeRule(RuleEvictS, lines, l, i), ns)
 			}
 
 			// Delayed intervention fires (§2.4.1); its timing is fully
@@ -174,7 +239,7 @@ func Successors(cfg Config, s *State) []Succ {
 			ns.Ch[ci] = nil
 		}
 		if deliver(cfg, ns, src, dst, m) {
-			add(lbl(lines, int(m.Line), fmt.Sprintf("%d->%d.%s", src, dst, m.Type)), ns)
+			add(Rule{Kind: RuleDeliver, Line: lineTag(lines, int(m.Line)), Node: int8(src), Dst: int8(dst), Msg: m.Type}, ns)
 		}
 	}
 	return out
@@ -248,7 +313,7 @@ func completeRead(s *State, l, i int, v int8) {
 // scripted operation (on line 0) when the node is idle. Local hits complete
 // immediately; misses issue protocol transactions whose completions record
 // the observation.
-func scriptStep(cfg Config, s *State, i int, add func(string, *State)) {
+func scriptStep(cfg Config, s *State, i int, add func(Rule, *State)) {
 	node := s.node(0, i)
 	script := cfg.Scripts[i]
 	// Delayed interventions fire nondeterministically alongside ops.
@@ -263,7 +328,7 @@ func scriptStep(cfg Config, s *State, i int, add func(string, *State)) {
 			ns := s.Clone()
 			ns.PC[i]++
 			ns.Obs[i] = append(ns.Obs[i], ns.node(0, i).Val)
-			add(fmt.Sprintf("n%d.ReadHit", i), ns)
+			add(nodeRule(RuleReadHit, 1, 0, i), ns)
 			return
 		}
 		if node.RACOk {
@@ -276,7 +341,7 @@ func scriptStep(cfg Config, s *State, i int, add func(string, *State)) {
 			}
 			ns.PC[i]++
 			ns.Obs[i] = append(ns.Obs[i], nn.Val)
-			add(fmt.Sprintf("n%d.ReadRAC", i), ns)
+			add(nodeRule(RuleReadRAC, 1, 0, i), ns)
 			return
 		}
 		ns := s.Clone()
@@ -291,7 +356,7 @@ func scriptStep(cfg Config, s *State, i int, add func(string, *State)) {
 			dst = int(nn.HintProd)
 		}
 		if ns.send(i, dst, Msg{Type: MGetS, Req: int8(i), RTxn: nn.Txn}, cfg.QueueDepth) {
-			add(fmt.Sprintf("n%d.GetS->%d", i, dst), ns)
+			add(issueRule(1, 0, i, dst, MGetS), ns)
 		}
 		return
 	}
@@ -303,7 +368,7 @@ func scriptStep(cfg Config, s *State, i int, add func(string, *State)) {
 		ns.Writes++
 		nn.Val = ns.Latest[0]
 		ns.PC[i]++
-		add(fmt.Sprintf("n%d.WriteHit", i), ns)
+		add(nodeRule(RuleWriteHit, 1, 0, i), ns)
 		return
 	}
 	if node.HasProd && node.PDir == DS && node.PInFlt == 0 {
@@ -332,7 +397,7 @@ func scriptStep(cfg Config, s *State, i int, add func(string, *State)) {
 			if nn.Acks == 0 {
 				completeWrite(cfg, ns, 0, i)
 			}
-			add(fmt.Sprintf("n%d.DelegatedWrite", i), ns)
+			add(nodeRule(RuleDelegatedWrite, 1, 0, i), ns)
 		}
 		return
 	}
@@ -356,13 +421,13 @@ func scriptStep(cfg Config, s *State, i int, add func(string, *State)) {
 		dst = int(nn.HintProd)
 	}
 	if ns.send(i, dst, Msg{Type: t, Req: int8(i), RTxn: nn.Txn}, cfg.QueueDepth) {
-		add(fmt.Sprintf("n%d.%s->%d", i, t, dst), ns)
+		add(issueRule(1, 0, i, dst, t), ns)
 	}
 }
 
 // genericTimerStep emits the delayed-intervention transitions for line l
 // (shared by both modes).
-func genericTimerStep(cfg Config, s *State, l, i int, add func(string, *State)) {
+func genericTimerStep(cfg Config, s *State, l, i int, add func(Rule, *State)) {
 	node := s.node(l, i)
 	if !(node.HasProd && node.PArmed && node.Mshr == MNone) {
 		return
@@ -382,7 +447,7 @@ func genericTimerStep(cfg Config, s *State, l, i int, add func(string, *State)) 
 		nn.PDir = DS
 		nn.PShr = targets | bit(int8(i))
 		if pushAll(cfg, ns, l, i, targets, v) {
-			add(lbl(lines, l, fmt.Sprintf("n%d.Intervention", i)), ns)
+			add(nodeRule(RuleIntervention, lines, l, i), ns)
 		}
 	} else {
 		ns := s.Clone()
@@ -392,7 +457,7 @@ func genericTimerStep(cfg Config, s *State, l, i int, add func(string, *State)) 
 		targets := nn.PUpdSet &^ nn.PShr &^ bit(int8(i))
 		nn.PShr |= targets
 		if pushAll(cfg, ns, l, i, targets, v) {
-			add(lbl(lines, l, fmt.Sprintf("n%d.LatePush", i)), ns)
+			add(nodeRule(RuleLatePush, lines, l, i), ns)
 		}
 	}
 }

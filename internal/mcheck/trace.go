@@ -13,7 +13,7 @@ func ApplyTrace(cfg Config, labels []string) (*State, error) {
 	for i, want := range labels {
 		found := false
 		for _, sc := range Successors(cfg, st) {
-			if sc.Rule == want {
+			if sc.Rule.String() == want {
 				st = sc.State
 				found = true
 				break
@@ -22,7 +22,7 @@ func ApplyTrace(cfg Config, labels []string) (*State, error) {
 		if !found {
 			var avail []string
 			for _, sc := range Successors(cfg, st) {
-				avail = append(avail, sc.Rule)
+				avail = append(avail, sc.Rule.String())
 			}
 			return nil, fmt.Errorf("mcheck: trace step %d: rule %q not enabled in %s (available: %v)",
 				i, want, st, avail)
