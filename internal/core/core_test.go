@@ -178,7 +178,7 @@ func TestVersionsPropagate(t *testing.T) {
 }
 
 func TestDetectionAndDelegation(t *testing.T) {
-	cfg := testConfig().WithMechanisms(32*1024, 32, false)
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32))
 	sys := newTestSystem(t, cfg)
 	pcRounds(t, sys, 0x8000, 3, 0, []msg.NodeID{1, 2}, 5)
 	st := sys.Aggregate()
@@ -201,7 +201,7 @@ func TestDetectionAndDelegation(t *testing.T) {
 func TestDelegationConverts3HopTo2Hop(t *testing.T) {
 	// Producer 0, home 3: consumer reads are 3-hop before delegation
 	// (home -> owner intervention), 2-hop after.
-	cfg := testConfig().WithMechanisms(32*1024, 32, false)
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32))
 	sys := newTestSystem(t, cfg)
 	pcRounds(t, sys, 0x9000, 3, 0, []msg.NodeID{1, 2}, 4)
 	st := sys.Aggregate()
@@ -227,7 +227,7 @@ func TestDelegationConverts3HopTo2Hop(t *testing.T) {
 }
 
 func TestSpeculativeUpdatesEliminateRemoteMisses(t *testing.T) {
-	cfg := testConfig().WithMechanisms(32*1024, 32, true)
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 	sys := newTestSystem(t, cfg)
 	pcRounds(t, sys, 0xa000, 3, 0, []msg.NodeID{1, 2}, 4) // detect + delegate
 	// Steady state: producer writes, intervention fires, updates land.
@@ -253,7 +253,7 @@ func TestSpeculativeUpdatesEliminateRemoteMisses(t *testing.T) {
 }
 
 func TestUpdatesPreserveDataValues(t *testing.T) {
-	cfg := testConfig().WithMechanisms(32*1024, 32, true)
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 	sys := newTestSystem(t, cfg)
 	addr := msg.Addr(0xb000)
 	pcRounds(t, sys, addr, 3, 0, []msg.NodeID{1, 2}, 8)
@@ -265,7 +265,7 @@ func TestUpdatesPreserveDataValues(t *testing.T) {
 }
 
 func TestUndelegationOnRemoteWrite(t *testing.T) {
-	cfg := testConfig().WithMechanisms(32*1024, 32, true)
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 	sys := newTestSystem(t, cfg)
 	pcRounds(t, sys, 0xc000, 3, 0, []msg.NodeID{1, 2}, 5)
 	if sys.Hubs[0].prod.Peek(0xc000) == nil {
@@ -288,7 +288,7 @@ func TestUndelegationOnRemoteWrite(t *testing.T) {
 }
 
 func TestUndelegationOnCapacity(t *testing.T) {
-	cfg := testConfig().WithMechanisms(64*1024, 2, false) // 2-entry producer table
+	cfg := testConfig().With(WithRAC(64), WithDelegation(2)) // 2-entry producer table
 	sys := newTestSystem(t, cfg)
 	// Delegate three distinct lines to node 0 (homes at 3, 4, 5).
 	for i, home := range []msg.NodeID{3, 4, 5} {
@@ -393,7 +393,7 @@ func TestReloadFlurry(t *testing.T) {
 }
 
 func TestConsumerTableHintsUsed(t *testing.T) {
-	cfg := testConfig().WithMechanisms(32*1024, 32, false)
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32))
 	sys := newTestSystem(t, cfg)
 	pcRounds(t, sys, 0xf000, 3, 0, []msg.NodeID{1, 2}, 5)
 	// Consumer 1 now has a hint; its next read goes straight to node 0.
@@ -404,7 +404,7 @@ func TestConsumerTableHintsUsed(t *testing.T) {
 }
 
 func TestStaleHintRecovery(t *testing.T) {
-	cfg := testConfig().WithMechanisms(32*1024, 32, false)
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32))
 	sys := newTestSystem(t, cfg)
 	pcRounds(t, sys, 0x11000, 3, 0, []msg.NodeID{1, 2}, 5)
 	access(t, sys, 9, 0x11000, true) // undelegates
@@ -424,7 +424,7 @@ func TestStaleHintRecovery(t *testing.T) {
 func TestDelegationOnlyAblation(t *testing.T) {
 	// With updates disabled, delegated consumer reads are 2-hop (served
 	// by the producer), never local.
-	cfg := testConfig().WithMechanisms(32*1024, 32, false)
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32))
 	sys := newTestSystem(t, cfg)
 	pcRounds(t, sys, 0x12000, 3, 0, []msg.NodeID{1, 2}, 8)
 	st := sys.Aggregate()
@@ -437,7 +437,7 @@ func TestDelegationOnlyAblation(t *testing.T) {
 }
 
 func TestInterventionDelayInfinite(t *testing.T) {
-	cfg := testConfig().WithMechanisms(32*1024, 32, true)
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 	cfg.InterventionDelay = NoIntervention
 	sys := newTestSystem(t, cfg)
 	pcRounds(t, sys, 0x13000, 3, 0, []msg.NodeID{1, 2}, 8)
@@ -449,7 +449,7 @@ func TestInterventionDelayInfinite(t *testing.T) {
 }
 
 func TestTable3ConsumerDistribution(t *testing.T) {
-	cfg := testConfig().WithMechanisms(32*1024, 32, true)
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 	sys := newTestSystem(t, cfg)
 	pcRounds(t, sys, 0x14000, 3, 0, []msg.NodeID{1, 2, 4, 5}, 8)
 	st := sys.Aggregate()
@@ -471,18 +471,16 @@ func TestTable3ConsumerDistribution(t *testing.T) {
 func TestRandomStress(t *testing.T) {
 	for _, mech := range []struct {
 		name string
-		rac  int
-		del  int
-		upd  bool
+		opts []Option
 	}{
-		{"baseline", 0, 0, false},
-		{"rac-only", 32 * 1024, 0, false},
-		{"delegation", 32 * 1024, 32, false},
-		{"updates", 32 * 1024, 32, true},
-		{"tiny-tables", 4 * 1024, 2, true},
+		{"baseline", nil},
+		{"rac-only", []Option{WithRAC(32)}},
+		{"delegation", []Option{WithRAC(32), WithDelegation(32)}},
+		{"updates", []Option{WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0)}},
+		{"tiny-tables", []Option{WithRAC(4), WithDelegation(2), WithSpeculativeUpdates(0)}},
 	} {
 		t.Run(mech.name, func(t *testing.T) {
-			cfg := testConfig().WithMechanisms(mech.rac, mech.del, mech.upd)
+			cfg := testConfig().With(mech.opts...)
 			cfg.Nodes = 8
 			sys := newTestSystem(t, cfg)
 			rng := rand.New(rand.NewSource(12345))
@@ -520,7 +518,7 @@ func TestRandomStressManyLines(t *testing.T) {
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := testConfig().WithMechanisms(2*1024, 8, true)
+			cfg := testConfig().With(WithRAC(2), WithDelegation(8), WithSpeculativeUpdates(0))
 			cfg.Nodes = 4
 			cfg.L2Bytes = 4 * 128
 			cfg.L2Ways = 2
@@ -568,7 +566,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewSystem(bad); err == nil {
 		t.Fatal("updates without delegation accepted")
 	}
-	good := DefaultConfig().WithMechanisms(32*1024, 32, true)
+	good := DefaultConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 	if _, err := NewSystem(good); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}

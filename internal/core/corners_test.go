@@ -14,7 +14,8 @@ import (
 // the delegation cannot be hosted: the write completes and the line is
 // immediately undelegated (§2.3.3 reason 2). The system must stay coherent.
 func TestRACPinExhaustionUndelegates(t *testing.T) {
-	cfg := testConfig().WithMechanisms(4*128, 32, true) // single-set, 4-way RAC
+	cfg := testConfig().With(WithDelegation(32), WithSpeculativeUpdates(0))
+	cfg.RACBytes = 4 * 128 // single-set, 4-way RAC
 	sys := newTestSystem(t, cfg)
 	// Delegate five distinct lines to producer 0 (homes elsewhere); all
 	// five map to the one RAC set, so the fifth pin must fail.
@@ -42,7 +43,7 @@ func TestRACPinExhaustionUndelegates(t *testing.T) {
 // A tiny consumer table thrashes hints; consumers must still reach
 // delegated lines through the home's forwarding path.
 func TestConsumerTableThrash(t *testing.T) {
-	cfg := testConfig().WithMechanisms(32*1024, 32, true)
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 	cfg.ConsumerEntries = 4 // one set, constant eviction
 	sys := newTestSystem(t, cfg)
 	for i := 0; i < 6; i++ {
@@ -76,7 +77,7 @@ func TestConsumerTableThrash(t *testing.T) {
 // cache; correctness is unaffected.
 func TestDirCachePressureLimitsDetection(t *testing.T) {
 	run := func(entries int) *stats.Stats {
-		cfg := testConfig().WithMechanisms(32*1024, 32, true)
+		cfg := testConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 		cfg.DirCacheEntries = entries
 		sys := newTestSystem(t, cfg)
 		// Interleave rounds over many lines homed at node 3 so their
@@ -141,7 +142,7 @@ func TestUpgradeRaceFallsBackToGetExcl(t *testing.T) {
 // consumer read finds the producer still exclusive and forces an immediate
 // downgrade; data must be current.
 func TestInfiniteDelayConsumerForcesDowngrade(t *testing.T) {
-	cfg := testConfig().WithMechanisms(32*1024, 32, true)
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 	cfg.InterventionDelay = NoIntervention
 	sys := newTestSystem(t, cfg)
 	addr := msg.Addr(0x40000)
@@ -165,7 +166,7 @@ func TestInfiniteDelayConsumerForcesDowngrade(t *testing.T) {
 // describes exactly this ownerID + old-sharing-vector mechanism on the
 // directory entry).
 func TestHomeProducerUpdatesWithoutDelegation(t *testing.T) {
-	cfg := testConfig().WithMechanisms(32*1024, 32, true)
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 	sys := newTestSystem(t, cfg)
 	addr := msg.Addr(0x50000)
 	// Producer 0 first-touches: home == producer.
@@ -191,7 +192,7 @@ func TestHomeProducerUpdatesWithoutDelegation(t *testing.T) {
 // RAC entry; consumer reads are served from it and producer rewrites
 // re-acquire it silently.
 func TestDelegatedLineSurvivesL2Eviction(t *testing.T) {
-	cfg := testConfig().WithMechanisms(32*1024, 32, true)
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 	cfg.L2Bytes = 2 * 128 // two-line L2 forces eviction
 	cfg.L2Ways = 1
 	cfg.L1Bytes = 64
@@ -232,7 +233,7 @@ func TestReloadFlurryWithUpdates(t *testing.T) {
 	run := func(mech bool) *stats.Stats {
 		cfg := testConfig()
 		if mech {
-			cfg = cfg.WithMechanisms(32*1024, 32, true)
+			cfg = cfg.With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 		}
 		sys := newTestSystem(t, cfg)
 		addr := msg.Addr(0x70000)
@@ -270,7 +271,7 @@ func TestReloadFlurryWithUpdates(t *testing.T) {
 // via an update must still observe newer versions after the line moves
 // back home and a third node writes.
 func TestVersionsAcrossUndelegation(t *testing.T) {
-	cfg := testConfig().WithMechanisms(32*1024, 32, true)
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 	sys := newTestSystem(t, cfg)
 	addr := msg.Addr(0x80000)
 	pcRounds(t, sys, addr, 3, 0, []msg.NodeID{1, 2}, 6)

@@ -18,7 +18,7 @@ import (
 // draining the event queue, which would let any timer "win".)
 func TestAdaptiveDelayRecoversFromTooLong(t *testing.T) {
 	run := func(adaptive bool) uint64 {
-		cfg := testConfig().WithMechanisms(32*1024, 32, true)
+		cfg := testConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 		cfg.InterventionDelay = 200_000 // hopeless fixed choice
 		cfg.AdaptiveDelay = adaptive
 		sys := newTestSystem(t, cfg)
@@ -72,7 +72,7 @@ func TestAdaptiveDelayRecoversFromTooLong(t *testing.T) {
 // line's delay on immediate rewrites until bursts survive.
 func TestAdaptiveDelayGrowsOnBurstInterruption(t *testing.T) {
 	run := func(adaptive bool) *stats.Stats {
-		cfg := testConfig().WithMechanisms(32*1024, 32, true)
+		cfg := testConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 		cfg.InterventionDelay = 5
 		cfg.AdaptiveDelay = adaptive
 		sys := newTestSystem(t, cfg)
@@ -130,7 +130,7 @@ func TestAdaptiveDelayGrowsOnBurstInterruption(t *testing.T) {
 // pair of producers; the classic detector never does.
 func TestPairDetectorDelegatesAlternatingWriters(t *testing.T) {
 	run := func(writers int) *stats.Stats {
-		cfg := testConfig().WithMechanisms(32*1024, 32, true)
+		cfg := testConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 		cfg.DetectorWriters = writers
 		sys := newTestSystem(t, cfg)
 		addr := msg.Addr(0xa000)
@@ -160,7 +160,7 @@ func TestPairDetectorDelegatesAlternatingWriters(t *testing.T) {
 // detector; the system must stay coherent throughout (every access checked
 // by the runtime invariants).
 func TestPairDetectorUndelegationChurnIsCoherent(t *testing.T) {
-	cfg := testConfig().WithMechanisms(32*1024, 32, true)
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 	cfg.DetectorWriters = 2
 	sys := newTestSystem(t, cfg)
 	addr := msg.Addr(0xb000)
@@ -190,7 +190,7 @@ func TestDetectorWritersValidation(t *testing.T) {
 
 // Adaptive delay under random traffic must not break coherence.
 func TestAdaptiveDelayStress(t *testing.T) {
-	cfg := testConfig().WithMechanisms(4*1024, 8, true)
+	cfg := testConfig().With(WithRAC(4), WithDelegation(8), WithSpeculativeUpdates(0))
 	cfg.Nodes = 6
 	cfg.AdaptiveDelay = true
 	cfg.InterventionDelay = 500

@@ -15,7 +15,7 @@ import (
 // so latency tuning does not churn the golden text; ordering is exact
 // because the simulator is deterministic.)
 func TestGoldenTranscript(t *testing.T) {
-	cfg := testConfig().WithMechanisms(32*1024, 32, true)
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 	cfg.Nodes = 4
 	sys := newTestSystem(t, cfg)
 	var log []string

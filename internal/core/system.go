@@ -91,11 +91,26 @@ type xcall struct {
 	addr msg.Addr
 }
 
-// adaptiveAllowanceCap bounds the adaptive window allowance to this many
-// lookaheads (Config.AdaptiveWindows): ten quiet barriers of doubling
-// reach it. Beyond the cap wider windows stop helping — the remaining
-// barrier rate is set by actual traffic, not by the allowance.
-const adaptiveAllowanceCap = 1024
+// windowAllowanceCap bounds a grown window to this many lookaheads
+// (~200k cycles at the default radix), which dwarfs the longest compute
+// block in the bundled workloads while keeping the interrupt poll at
+// window barriers responsive.
+const windowAllowanceCap = 1024
+
+// windowAllowance is the window policy of a sharded machine: windows
+// grow whenever that is sound, and stay fixed at the lookahead
+// otherwise. Growth is sound when every hand-off between shards is
+// reported through sim.Engine.CutWindow; network messages and barrier
+// completions are. Speculative updates are not: their delivered
+// notifications travel between shards as deferred calls (see
+// deferUpdateDelivered), so machines running them keep fixed windows.
+// Either way the results are identical; only the barrier count differs.
+func windowAllowance(cfg Config, look sim.Time) sim.Time {
+	if cfg.EnableUpdates {
+		return look
+	}
+	return look * windowAllowanceCap
+}
 
 // NewSystem builds a machine from cfg. With cfg.Shards > 1 the machine
 // is partitioned into contiguous node groups, each with a private event
@@ -120,16 +135,7 @@ func NewSystem(cfg Config) (*System, error) {
 			sys.shardOf[i] = i * n / cfg.Nodes
 		}
 		look := network.MinLookahead(cfg.Network, sys.shardOf)
-		sys.grp = sim.NewGroup(n, look, cfg.ShardsParallel)
-		if cfg.AdaptiveWindows && cfg.BarrierLatency >= look-1 && !cfg.EnableUpdates {
-			// Safe to grow: every cross-shard channel then respects the
-			// per-shard deadline bound (see Config.AdaptiveWindows). The
-			// allowance cap only bounds how far a lone straggler shard
-			// runs between barriers; 1024 lookaheads (~200k cycles at the
-			// default radix) dwarfs the longest compute block in the
-			// bundled workloads.
-			sys.grp.SetAdaptive(look * adaptiveAllowanceCap)
-		}
+		sys.grp = sim.NewGroup(n, look, windowAllowance(cfg, look), cfg.ShardsParallel)
 		sys.netStats = make([]*stats.Stats, n)
 		sys.shards = make([]*shardState, n)
 		for i := 0; i < n; i++ {

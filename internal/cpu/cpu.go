@@ -78,12 +78,9 @@ type BarrierSet struct {
 
 	// Sharded mode: engFor maps a core to its shard's engine (nil on a
 	// single engine); mu guards bars and releases between shards.
-	// onComplete, if set, runs inside the arrival that completes a
-	// barrier (see SetOnComplete).
-	engFor     func(msg.NodeID) *sim.Engine
-	mu         sync.Mutex
-	releases   []release
-	onComplete func(core msg.NodeID)
+	engFor   func(msg.NodeID) *sim.Engine
+	mu       sync.Mutex
+	releases []release
 }
 
 type barrier struct {
@@ -118,7 +115,9 @@ func NewBarrierSet(eng *sim.Engine, parties int, latency sim.Time) *BarrierSet {
 // barrier hook). Resumes are scheduled at the latest arrival time plus
 // the release latency — the same instant the single-engine set releases
 // at — ordered by core id, so the serial and parallel schedulers release
-// identically.
+// identically. The completing arrival cuts its shard's window
+// (sim.Engine.CutWindow): the release is handed out at the next window
+// barrier, which a grown window must not skip.
 func NewShardedBarrierSet(engFor func(msg.NodeID) *sim.Engine, parties int, latency sim.Time) *BarrierSet {
 	return &BarrierSet{engFor: engFor, parties: parties, latency: latency, bars: make(map[int]*barrier)}
 }
@@ -145,7 +144,8 @@ func (s *BarrierSet) Arrive(id int, core msg.NodeID, resume func()) {
 		}
 		return
 	}
-	now := s.engFor(core).Now()
+	eng := s.engFor(core)
+	now := eng.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b := s.bars[id]
@@ -163,20 +163,8 @@ func (s *BarrierSet) Arrive(id int, core msg.NodeID, resume func()) {
 	}
 	s.releases = append(s.releases, release{id: id, at: b.maxAt, waiters: b.waiters})
 	b.arrived, b.maxAt, b.waiters = 0, 0, nil
-	if s.onComplete != nil {
-		s.onComplete(core)
-	}
+	eng.CutWindow()
 }
-
-// SetOnComplete registers fn to run, in sharded mode, inside the Arrive
-// call that completes a barrier, with core the last-arriving party. It
-// executes on that core's shard goroutine while s.mu is held, so fn must
-// be cheap and touch only that shard's state. The adaptive scheduler uses
-// it to cut the completing shard's window: the release Flush will
-// schedule lands at the last arrival time plus the barrier latency, and
-// only the shard that executed the completing arrival could run past that
-// instant before the next window barrier.
-func (s *BarrierSet) SetOnComplete(fn func(core msg.NodeID)) { s.onComplete = fn }
 
 // Flush schedules the resumes of every barrier completed during the last
 // window. It must run at a window barrier (no shard executing); a core's

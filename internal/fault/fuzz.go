@@ -47,11 +47,6 @@ type Machine struct {
 	// never omitted from JSON so every committed repro states its mode.
 	Shards   int  `json:"shards"`
 	Parallel bool `json:"parallel,omitempty"`
-	// AdaptiveWindows widens the sharded schedulers' conservative
-	// windows between quiet barriers. Results are identical with it on
-	// or off, but it is still part of the repro so a scheduler bug in
-	// the growth machinery itself replays faithfully.
-	AdaptiveWindows bool `json:"adaptive_windows,omitempty"`
 
 	// InterventionDelay in cycles (0 = the protocol default of 50);
 	// NoIntervention disables the delayed intervention entirely.
@@ -209,7 +204,6 @@ func (c *Case) BuildConfig() core.Config {
 	}
 	cfg.Shards = m.Shards
 	cfg.ShardsParallel = m.Parallel && m.Shards > 1
-	cfg.AdaptiveWindows = m.AdaptiveWindows
 	cfg.CheckInvariants = true
 	cfg.WatchdogSteps = c.watchdogSteps()
 	return cfg
@@ -232,7 +226,7 @@ func (c *Case) TraceTail(n int) []string {
 		n = 64
 	}
 	sink := obs.NewSink(n)
-	c.run(sink)
+	c.run(func(sys *core.System) { sys.AttachObs(sink) })
 	evs := sink.Events()
 	out := make([]string, len(evs))
 	for i := range evs {
@@ -256,7 +250,9 @@ func formatEvent(e *obs.Event) string {
 	}
 }
 
-func (c *Case) run(sink *obs.Sink) (res Result) {
+// run executes the case; prep, if non-nil, sees the system before any
+// event runs.
+func (c *Case) run(prep func(*core.System)) (res Result) {
 	res.Ops = len(c.Ops)
 	if err := c.Validate(); err != nil {
 		res.Failure = "invalid: " + err.Error()
@@ -268,8 +264,8 @@ func (c *Case) run(sink *obs.Sink) (res Result) {
 		res.Failure = "config: " + err.Error()
 		return res
 	}
-	if sink != nil {
-		sys.AttachObs(sink)
+	if prep != nil {
+		prep(sys)
 	}
 	// On a sharded system every shard gets a private injector (shard 0
 	// keeps the case seed, the rest derive theirs), because an injector's

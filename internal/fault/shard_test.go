@@ -1,6 +1,10 @@
 package fault
 
-import "testing"
+import (
+	"testing"
+
+	"pccsim/internal/core"
+)
 
 // TestCorpusReplayAcrossSchedulers replays every committed reproduction
 // on sharded machines. Each case must stay clean at every shard count —
@@ -36,9 +40,9 @@ func TestCorpusReplayAcrossSchedulers(t *testing.T) {
 // the node count raised to 128 — four sharing-vector words wide, past
 // the old uint64 limit. The ops only touch the original low node ids,
 // but homes, directories and invariant sweeps all run at the full width.
-// Serial and parallel must agree, and an adaptive-window replay must
-// return the bit-identical verdict: growth only merges windows, so even
-// the event and perturbation counts may not move.
+// Serial and parallel must agree, and a replay pinned to fixed windows
+// must return the bit-identical verdict: growth only merges windows, so
+// even the event and perturbation counts may not move.
 func TestCorpusReplayWideMachine(t *testing.T) {
 	cases, names, err := LoadCorpus("testdata/corpus")
 	if err != nil {
@@ -64,13 +68,11 @@ func TestCorpusReplayWideMachine(t *testing.T) {
 			t.Errorf("%s at 128 nodes: parallel verdict diverges from serial\nserial:   %+v\nparallel: %+v",
 				names[i], det, pres)
 		}
-		ad := wide
-		ad.Machine.AdaptiveWindows = true
-		ares := ad.Run()
-		ares.Wall = 0
-		if det != ares {
-			t.Errorf("%s at 128 nodes: adaptive-window verdict diverges from fixed\nfixed:    %+v\nadaptive: %+v",
-				names[i], det, ares)
+		fixed := wide.run(func(sys *core.System) { sys.Group().PinWindows() })
+		fixed.Wall = 0
+		if det != fixed {
+			t.Errorf("%s at 128 nodes: default verdict diverges from fixed windows\ndefault: %+v\nfixed:   %+v",
+				names[i], det, fixed)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"text/tabwriter"
 
 	"pccsim/internal/core"
+	"pccsim/internal/protocol"
 	"pccsim/internal/runner"
 	"pccsim/internal/workload"
 )
@@ -109,8 +110,11 @@ func RelatedWork(opts Options) ([]RelatedRow, error) { return NewSession(opts).R
 func (s *Session) RelatedWork() ([]RelatedRow, error) {
 	base := core.DefaultConfig()
 	base.Nodes = s.Opts.Nodes
-	dsiCfg := base
-	dsiCfg.SelfInvalidate = true
+	dsi, err := protocol.Lookup("dsi")
+	if err != nil {
+		return nil, err
+	}
+	dsiCfg := CompareConfig(base, dsi)
 	apps := workload.All()
 
 	var jobs []runner.Job

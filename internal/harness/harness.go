@@ -42,11 +42,6 @@ type Options struct {
 	// is gated to produce identical stats — so it is not part of the
 	// report identity.
 	Deterministic bool `json:"-"`
-	// AdaptiveWindows lets sharded machines widen their conservative
-	// windows while no cross-shard traffic is in flight. It never
-	// changes results — growth is bounded so every event keeps its
-	// timing — so it is not part of the report identity either.
-	AdaptiveWindows bool `json:"-"`
 
 	// Parallel is the scheduler's worker-pool size; 0 means GOMAXPROCS.
 	// It affects only wall time, never results, and is therefore not
@@ -126,8 +121,8 @@ type ConfigSpec struct {
 
 // mech sizes the paper's mechanisms on a config. The harness sweeps raw
 // byte and entry counts (including sub-kilobyte RACs), so it sets the
-// fields directly instead of going through the KB-granular core options;
-// the update-enable rule matches the deprecated Config.WithMechanisms.
+// fields directly instead of going through the KB-granular core options.
+// Updates are enabled only when both a RAC and delegation are sized.
 func mech(c core.Config, racBytes, delegateEntries int, updates bool) core.Config {
 	c.RACBytes = racBytes
 	c.DelegateEntries = delegateEntries
@@ -189,7 +184,6 @@ func MustRun(cfg core.Config, wl *workload.Workload, p workload.Params) *stats.S
 func (s *Session) job(label string, cfg core.Config, wl *workload.Workload) runner.Job {
 	cfg.Shards = s.Opts.Shards
 	cfg.ShardsParallel = s.Opts.Shards > 1 && !s.Opts.Deterministic
-	cfg.AdaptiveWindows = s.Opts.AdaptiveWindows
 	return runner.Job{Label: label, Cfg: cfg, Workload: wl, Params: s.Opts.params()}
 }
 

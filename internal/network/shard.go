@@ -161,6 +161,7 @@ func (n *Network) sendSharded(m *msg.Message) {
 	}
 	if dst := n.shardOf[m.Dst]; dst != src {
 		e.mail[dst] = append(e.mail[dst], mailEntry{at: arrive, m: m})
+		e.eng.CutWindow()
 		return
 	}
 	e.eng.ScheduleMsg(arrive, n, opArrive, m)

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"path"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,21 +116,20 @@ func (j *Job) status() Status {
 // job body and a command line describe the same cell. Delay and Hop are
 // pointers because 0 is a meaningful override (nil = the CLI default).
 type runSpec struct {
-	Kind            string  `json:"kind"`
-	Workload        string  `json:"workload"`
-	Protocol        string  `json:"protocol"`
-	Nodes           int     `json:"nodes"`
-	Scale           int     `json:"scale"`
-	Iters           int     `json:"iters"`
-	RAC             int     `json:"rac"`
-	Deledc          int     `json:"deledc"`
-	Updates         bool    `json:"updates"`
-	Delay           *uint64 `json:"delay"`
-	Hop             *uint64 `json:"hop"`
-	Check           bool    `json:"check"`
-	Shards          int     `json:"shards"`
-	Deterministic   bool    `json:"deterministic"`
-	AdaptiveWindows bool    `json:"adaptive_windows"`
+	Kind          string  `json:"kind"`
+	Workload      string  `json:"workload"`
+	Protocol      string  `json:"protocol"`
+	Nodes         int     `json:"nodes"`
+	Scale         int     `json:"scale"`
+	Iters         int     `json:"iters"`
+	RAC           int     `json:"rac"`
+	Deledc        int     `json:"deledc"`
+	Updates       bool    `json:"updates"`
+	Delay         *uint64 `json:"delay"`
+	Hop           *uint64 `json:"hop"`
+	Check         bool    `json:"check"`
+	Shards        int     `json:"shards"`
+	Deterministic bool    `json:"deterministic"`
 }
 
 // build produces exactly the configuration the pccsim CLI would build for
@@ -168,9 +169,6 @@ func (sp *runSpec) build() (*runCell, error) {
 		cfg = cfg.With(core.WithDeterministicShards(sp.Shards))
 	} else {
 		cfg = cfg.With(core.WithShards(sp.Shards))
-	}
-	if sp.AdaptiveWindows {
-		cfg = cfg.With(core.WithAdaptiveWindows())
 	}
 	// Full config validation here means an unknown protocol name or a
 	// mechanism the protocol can't honor is a 400 at submission, not a
@@ -221,14 +219,13 @@ func (s *Server) execRun(j *Job, sp *runSpec) error {
 // experimentSpec selects one harness experiment; rendered as the same CSV
 // bytes pccbench writes.
 type experimentSpec struct {
-	Kind            string `json:"kind"`
-	Exp             string `json:"exp"`
-	Nodes           int    `json:"nodes"`
-	Scale           int    `json:"scale"`
-	Iters           int    `json:"iters"`
-	Shards          int    `json:"shards"`
-	Deterministic   bool   `json:"deterministic"`
-	AdaptiveWindows bool   `json:"adaptive_windows"`
+	Kind          string `json:"kind"`
+	Exp           string `json:"exp"`
+	Nodes         int    `json:"nodes"`
+	Scale         int    `json:"scale"`
+	Iters         int    `json:"iters"`
+	Shards        int    `json:"shards"`
+	Deterministic bool   `json:"deterministic"`
 }
 
 // execExperiment runs one figure/table through a throwaway Session on the
@@ -246,7 +243,6 @@ func (s *Server) execExperiment(j *Job, sp *experimentSpec) error {
 	sess := harness.NewSessionOn(s.runner, harness.Options{
 		Nodes: sp.Nodes, Scale: sp.Scale, Iters: sp.Iters,
 		Shards: sp.Shards, Deterministic: sp.Deterministic,
-		AdaptiveWindows: sp.AdaptiveWindows,
 	}).WithContext(j.ctx)
 	var buf bytes.Buffer
 	var err error
@@ -383,16 +379,31 @@ type benchSpec struct {
 	Chains      int     `json:"chains"`
 	Parallel    int     `json:"parallel"`
 	Scale       int     `json:"scale"`
-	Check       string  `json:"check"`        // baseline path, e.g. "BENCH_pr2.json"
+	Check       string  `json:"check"`        // baseline name, e.g. "BENCH_pr2.json"
 	Tolerance   float64 `json:"tolerance"`    // gate factor (0 = 2.0)
 	Sweep       bool    `json:"sweep"`        // run the shard sweep instead
 	SweepNodes  []int   `json:"sweep_nodes"`  // sweep grid override
 	SweepShards []int   `json:"sweep_shards"` // sweep grid override
-	CheckShards string  `json:"check_shards"` // reduced-sweep gate baseline path
+	CheckShards string  `json:"check_shards"` // reduced-sweep gate baseline name
+}
+
+// validate accepts only bare committed baseline names (BENCH_*.json, no
+// directory part) for the gates, so a job cannot make the server read
+// an arbitrary path such as /dev/zero.
+func (sp *benchSpec) validate() error {
+	for _, name := range []string{sp.Check, sp.CheckShards} {
+		if name == "" {
+			continue
+		}
+		if ok, _ := path.Match("BENCH_*.json", name); !ok || filepath.Base(name) != name {
+			return fmt.Errorf("baseline %q: want a bare BENCH_*.json file name", name)
+		}
+	}
+	return nil
 }
 
 // benchResult is a bench job's JSON body: the fresh measurement plus the
-// gate verdict when a baseline was named. Baseline paths resolve in the
+// gate verdict when a baseline was named. Baseline names resolve in the
 // server's working directory — the server runs in a repo checkout, so
 // "BENCH_pr2.json" means the committed record.
 type benchResult struct {

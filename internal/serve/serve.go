@@ -9,9 +9,8 @@
 //
 // Determinism is the API contract: a run job's result body is
 // byte-identical to the equivalent pccsim CLI invocation's stdout,
-// including under -shards and -adaptive-windows, because both paths
-// build the same core.Config and render through the same
-// harness.WriteRunReport.
+// including under -shards, because both paths build the same
+// core.Config and render through the same harness.WriteRunReport.
 package serve
 
 import (
@@ -211,6 +210,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				httpError(w, http.StatusBadRequest, "fuzz protocol: %v", err)
 				return
 			}
+		}
+	case *benchSpec:
+		if err := sp.validate(); err != nil {
+			httpError(w, http.StatusBadRequest, "bench: %v", err)
+			return
 		}
 	}
 

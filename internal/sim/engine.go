@@ -100,10 +100,8 @@ type Engine struct {
 	// Engine.NewMsg); capped at MsgPoolCap entries.
 	msgFree []*msg.Message
 
-	// cut, when set by an event body, ends the current RunWindow after
-	// that event (see CutWindow). Adaptive shard windows use it to stop a
-	// shard the instant it completes a machine-wide barrier, before it can
-	// outrun the release it just scheduled.
+	// cut, when set by an event body, records that the shard handed work
+	// to another shard during the current window (see CutWindow).
 	cut bool
 
 	// intr, when armed via SetInterrupt, lets another goroutine ask a
@@ -450,21 +448,16 @@ func (e *Engine) RunWindow(deadline Time, budget uint64) uint64 {
 		}
 		e.Step()
 		n++
-		if e.cut {
-			e.cut = false
-			break
-		}
 	}
 	return n
 }
 
-// CutWindow asks the engine to end the RunWindow in progress after the
-// event currently executing. It must be called from an event body on this
-// engine (equivalently: from the goroutine running the window), so there
-// is no cross-goroutine handoff. Cutting is semantically invisible —
-// events past the cut stay queued and run at the same (at, seq) position
-// in a later window — so callers use it purely to tighten a window that
-// was speculatively opened too wide.
+// CutWindow records, from an event body on this engine, that the event
+// handed work to another shard: a cross-shard message, a completed
+// machine-wide barrier. A shard running a grown window then stops at the
+// end of the current fixed window, where the fixed schedule has the
+// barrier that delivers the work (see NewGroup). It changes no event's
+// order or timing.
 func (e *Engine) CutWindow() { e.cut = true }
 
 // RunUntil executes events with timestamps <= deadline. It reports whether

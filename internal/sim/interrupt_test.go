@@ -71,7 +71,7 @@ func TestEngineInterruptNilKeepsFastPath(t *testing.T) {
 
 func TestGroupInterrupt(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
-		g := NewGroup(2, 8, parallel)
+		g := NewGroup(2, 8, 0, parallel)
 		var flag atomic.Bool
 		g.SetInterrupt(&flag)
 		for s := 0; s < 2; s++ {

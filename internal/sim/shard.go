@@ -13,12 +13,12 @@
 // in its past, and a window's execution on shard B is independent of how
 // far shard A has gotten within the same window.
 //
-// Windows may also be adaptive (SetAdaptive): barriers that inject no
-// cross-shard work widen the next window, bounded per shard by one
-// lookahead past the earliest event still pending on any other shard —
-// the same horizon the fixed window enforces — so the event order, and
-// therefore the simulation, is identical; only the number of barriers
-// changes.
+// A window may also grow (see NewGroup): while one shard holds all the
+// work of the coming fixed windows, it runs those windows back to back
+// without a barrier between them, exactly as the fixed schedule would
+// open them, and stops at the first barrier the fixed schedule would
+// need. The event order, and therefore the simulation, is identical;
+// only the number of barriers changes.
 //
 // Two execution modes share this window structure:
 //
@@ -50,16 +50,12 @@ type Group struct {
 	parallel bool
 	hooks    []func()
 
-	// Adaptive conservative windows (see SetAdaptive). allow is the
-	// current window allowance: it equals look until consecutive quiet
-	// barriers grow it, and snaps back to look whenever a barrier injects
-	// cross-shard work. deads holds the per-shard deadlines of the window
-	// being dispatched, reused across windows.
-	adaptive bool
+	// maxAllow caps how far a grown window reaches past its start (see
+	// NewGroup). jobs holds the per-shard work of the window being
+	// dispatched, reused across windows.
 	maxAllow Time
-	allow    Time
 	windows  uint64
-	deads    []Time
+	jobs     []windowJob
 
 	// Parallel-run machinery, alive only inside RunGuarded.
 	cmds    []chan windowJob
@@ -70,8 +66,12 @@ type Group struct {
 	intr *atomic.Bool
 }
 
+// windowJob is one shard's part of a window: the fixed window ending at
+// deadline and, when horizon is nonzero, further fixed windows opened at
+// the shard's own next event, each ending before horizon (see runShard).
 type windowJob struct {
 	deadline Time
+	horizon  Time
 	budget   uint64
 }
 
@@ -85,17 +85,35 @@ type windowResult struct {
 // given lookahead (clamped up to 1). parallel selects worker-goroutine
 // execution; with one shard or parallel=false the group runs serially on
 // the caller's goroutine.
-func NewGroup(shards int, lookahead Time, parallel bool) *Group {
+//
+// maxAllowance caps window growth: a window may reach at most that many
+// cycles past its start. It is clamped up to the lookahead, which gives
+// fixed windows. Above it, whenever the earliest shard's next events lie
+// more than a lookahead before any other shard's, that shard runs the
+// fixed windows the schedule would open for it alone back to back, with
+// no barrier in between. It stops before a window another shard's work
+// falls into, and after a window in which it handed work to another
+// shard (see Engine.CutWindow), so every barrier the fixed schedule
+// needs still happens, with every shard at the same point. Compute-heavy
+// phases with no coherence traffic then cross in a few barriers instead
+// of one barrier per lookahead. The caller must report every hand-off
+// outside the mailbox protocol through CutWindow, or keep the cap at the
+// lookahead (see core.NewSystem for the conditions).
+func NewGroup(shards int, lookahead, maxAllowance Time, parallel bool) *Group {
 	if shards < 1 {
 		panic("sim: group needs at least one shard")
 	}
 	if lookahead < 1 {
 		lookahead = 1
 	}
+	if maxAllowance < lookahead {
+		maxAllowance = lookahead
+	}
 	g := &Group{
 		engs:     make([]*Engine, shards),
 		look:     lookahead,
 		parallel: parallel && shards > 1,
+		maxAllow: maxAllowance,
 	}
 	for i := range g.engs {
 		g.engs[i] = NewEngine()
@@ -115,9 +133,6 @@ func (g *Group) Lookahead() Time { return g.look }
 // Parallel reports whether windows execute on worker goroutines.
 func (g *Group) Parallel() bool { return g.parallel }
 
-// Adaptive reports whether SetAdaptive has enabled window growth.
-func (g *Group) Adaptive() bool { return g.adaptive }
-
 // OnBarrier registers fn to run at every window barrier, before the next
 // window is chosen. Hooks run on the coordinator goroutine with no shard
 // executing, in registration order; they are where cross-shard mailboxes
@@ -125,32 +140,11 @@ func (g *Group) Adaptive() bool { return g.adaptive }
 // any shard's engine.
 func (g *Group) OnBarrier(fn func()) { g.hooks = append(g.hooks, fn) }
 
-// SetAdaptive enables adaptive conservative windows: whenever a window
-// barrier drains no cross-shard traffic (the hooks inject zero events),
-// the next window's allowance doubles, up to maxAllowance; any injection
-// snaps it back to the base lookahead. Compute-heavy phases with no
-// coherence traffic then cross in O(log) barriers instead of one barrier
-// per lookahead.
-//
-// Growth never admits an event out of order: each shard's deadline is
-// additionally capped one lookahead past the earliest event any other
-// shard could still execute (see computeDeadlines), which is exactly the
-// horizon the base protocol's fixed window guarantees. The caller must
-// ensure every cross-shard interaction outside the mailbox protocol —
-// barrier releases, deferred calls — also respects that horizon, or keep
-// adaptation off (see core.Config.AdaptiveWindows for the gating).
-//
-// Call before RunGuarded; a Group with adaptation enabled still runs
-// serial and parallel schedules identically, because the allowance and
-// deadlines are computed on the coordinator from barrier-time state.
-func (g *Group) SetAdaptive(maxAllowance Time) {
-	if maxAllowance < g.look {
-		maxAllowance = g.look
-	}
-	g.adaptive = true
-	g.maxAllow = maxAllowance
-	g.allow = g.look
-}
+// PinWindows drops the growth cap to the lookahead, so every window is
+// the fixed conservative window. Results are unchanged; only the window
+// count grows back. It is the fixed-window reference that tests and the
+// shard sweep compare grown windows against. Call before Run.
+func (g *Group) PinWindows() { g.maxAllow = g.look }
 
 // SetInterrupt arms the group with a cancellation flag shared with other
 // goroutines: RunGuarded polls it at every window barrier and stops with
@@ -159,9 +153,9 @@ func (g *Group) SetAdaptive(maxAllowance Time) {
 func (g *Group) SetInterrupt(flag *atomic.Bool) { g.intr = flag }
 
 // Windows reports how many conservative windows have been dispatched.
-// With adaptive windows enabled this is the direct measure of barrier
-// overhead saved: fewer windows for the same event count means less
-// coordinator synchronization per simulated cycle.
+// Under window growth this is the direct measure of barrier overhead
+// saved: fewer windows for the same event count means less coordinator
+// synchronization per simulated cycle.
 func (g *Group) Windows() uint64 { return g.windows }
 
 // Now reports the simulation clock: the furthest shard's local time.
@@ -286,23 +280,9 @@ func (g *Group) RunGuarded(maxSteps uint64) (Time, error) {
 	var executed uint64
 	for {
 		// Hooks first: they drain cross-shard mailboxes, so a group
-		// whose engines look empty may still have work in flight. The
-		// pending-count delta across the hooks is the barrier's injected
-		// traffic: zero means every shard is working from its own queue,
-		// which is the adaptive scheduler's cue to widen the window.
-		pend := g.Pending()
+		// whose engines look empty may still have work in flight.
 		for _, fn := range g.hooks {
 			fn()
-		}
-		if g.adaptive {
-			if g.Pending() != pend {
-				g.allow = g.look
-			} else if g.allow < g.maxAllow {
-				g.allow *= 2
-				if g.allow > g.maxAllow {
-					g.allow = g.maxAllow
-				}
-			}
 		}
 		next, ok := g.NextAt()
 		if !ok {
@@ -318,7 +298,7 @@ func (g *Group) RunGuarded(maxSteps uint64) (Time, error) {
 		if maxSteps > 0 {
 			budget = maxSteps - executed
 		}
-		g.computeDeadlines(next)
+		g.planWindow(next)
 		g.windows++
 		// In parallel mode each worker receives the full remaining
 		// budget, so the group can overshoot maxSteps by up to
@@ -329,48 +309,31 @@ func (g *Group) RunGuarded(maxSteps uint64) (Time, error) {
 	}
 }
 
-// setDeadlines gives every shard the same window deadline (the base,
-// non-adaptive schedule).
+// setDeadlines gives every shard the same fixed window.
 func (g *Group) setDeadlines(deadline Time) {
-	if g.deads == nil {
-		g.deads = make([]Time, len(g.engs))
+	if g.jobs == nil {
+		g.jobs = make([]windowJob, len(g.engs))
 	}
-	for i := range g.deads {
-		g.deads[i] = deadline
+	for i := range g.jobs {
+		g.jobs[i] = windowJob{deadline: deadline}
 	}
 }
 
-// computeDeadlines fills g.deads for the window opening at next (the
-// earliest pending timestamp across shards).
+// planWindow fills g.jobs for the window opening at next (the earliest
+// pending timestamp across shards).
 //
-// Base schedule: every shard gets next+look-1, the classic conservative
-// window — no event another shard sends this window can arrive inside it.
+// Every shard gets the fixed window [next, next+look-1]: no event
+// another shard sends this window can arrive inside it.
 //
-// Adaptive schedule (allow > look): shard i's deadline is
-//
-//	min(next+allow-1, minOther(i)+look-1)
-//
-// where minOther(i) is the earliest pending timestamp on any other
-// shard. The second term is what makes any allowance sound: a message
-// another shard j sends is stamped no earlier than j's next event, and
-// arrives no earlier than lookahead later, so events up to
-// minOther(i)+look-1 are beyond interference from every other shard no
-// matter how wide their windows are. A lone busy shard (minOther = none)
-// runs to the full allowance — the straggler case adaptation exists for.
-func (g *Group) computeDeadlines(next Time) {
-	if g.deads == nil {
-		g.deads = make([]Time, len(g.engs))
-	}
+// The window grows when the shard holding next is alone in it: if every
+// other shard's earliest event (min2) lies past the fixed window, the
+// fixed schedule's next barrier would open its next window at that
+// shard's own next event, and so on, for as long as those windows end
+// before min2. The shard can therefore run them itself (runShard), up
+// to the growth cap.
+func (g *Group) planWindow(next Time) {
 	base := next + g.look - 1
-	if !g.adaptive || g.allow <= g.look {
-		for i := range g.deads {
-			g.deads[i] = base
-		}
-		return
-	}
-	// Track the two smallest next-timestamps so minOther(i) is O(1):
-	// it is min1 for every shard except the one holding min1, which
-	// sees min2.
+	g.setDeadlines(base)
 	const none = ^Time(0)
 	min1, min2 := none, none
 	arg1 := -1
@@ -385,20 +348,35 @@ func (g *Group) computeDeadlines(next Time) {
 			min2 = at
 		}
 	}
-	grown := next + g.allow - 1
-	for i := range g.deads {
-		minOther := min1
-		if i == arg1 {
-			minOther = min2
-		}
-		d := grown
-		if minOther != none {
-			if bound := minOther + g.look - 1; bound < d {
-				d = bound
-			}
-		}
-		g.deads[i] = d
+	if min2 > base {
+		g.jobs[arg1].horizon = min(min2, next+g.maxAllow)
 	}
+}
+
+// runShard executes shard engine e's part of a window: the fixed window
+// ending at job.deadline, then — for the shard a window grows on — the
+// fixed windows the schedule would open next, each starting at the
+// shard's own next event. It stops after a window in which the shard
+// handed work to another shard (Engine.CutWindow): the fixed schedule
+// has a barrier there. It also stops before a window that would reach
+// job.horizon — where another shard's work begins, or the growth cap —
+// and once the budget is spent.
+func (g *Group) runShard(e *Engine, job windowJob) uint64 {
+	n := e.RunWindow(job.deadline, job.budget)
+	for job.horizon > 0 && !e.cut && (job.budget == 0 || n < job.budget) {
+		at, ok := e.NextAt()
+		end := at + g.look - 1
+		if !ok || end >= job.horizon {
+			break
+		}
+		var b uint64
+		if job.budget > 0 {
+			b = job.budget - n
+		}
+		n += e.RunWindow(end, b)
+	}
+	e.cut = false
+	return n
 }
 
 func (g *Group) runawayError(executed uint64, next Time) error {
@@ -412,7 +390,7 @@ func (g *Group) runawayError(executed uint64, next Time) error {
 	}
 }
 
-// runWindowSerial executes one window (per-shard deadlines in g.deads)
+// runWindowSerial executes one window (per-shard jobs in g.jobs)
 // round-robin on the calling goroutine, giving each shard at most the
 // remaining budget.
 func (g *Group) runWindowSerial(budget uint64) uint64 {
@@ -421,11 +399,11 @@ func (g *Group) runWindowSerial(budget uint64) uint64 {
 		if budget > 0 && total >= budget {
 			break
 		}
-		var b uint64
+		job := g.jobs[i]
 		if budget > 0 {
-			b = budget - total
+			job.budget = budget - total
 		}
-		total += e.RunWindow(g.deads[i], b)
+		total += g.runShard(e, job)
 	}
 	return total
 }
@@ -444,7 +422,7 @@ func (g *Group) startWorkers() (stop func()) {
 		go func(shard int, e *Engine, cmds <-chan windowJob) {
 			defer wg.Done()
 			for job := range cmds {
-				steps, pan := runWindowCatch(e, job)
+				steps, pan := g.runWindowCatch(e, job)
 				g.results <- windowResult{shard: shard, steps: steps, pan: pan}
 			}
 		}(i, g.engs[i], g.cmds[i])
@@ -462,26 +440,28 @@ func (g *Group) startWorkers() (stop func()) {
 // value so the coordinator can re-raise it after every shard has parked
 // (re-raising immediately would leave sibling workers running over
 // state the panic handler may inspect).
-func runWindowCatch(e *Engine, job windowJob) (steps uint64, pan any) {
+func (g *Group) runWindowCatch(e *Engine, job windowJob) (steps uint64, pan any) {
 	defer func() {
 		if r := recover(); r != nil {
 			pan = r
 		}
 	}()
-	return e.RunWindow(job.deadline, job.budget), nil
+	return g.runShard(e, job), nil
 }
 
-// runWindowParallel dispatches the window (per-shard deadlines in
-// g.deads) to every shard that has work inside it and waits for all of
-// them. If any shard panicked, the lowest-numbered shard's panic is
-// re-raised — a deterministic choice, so a failure reproduces identically
-// under the serial scheduler (which reaches the lowest shard's panic
-// first by construction).
+// runWindowParallel dispatches the window (per-shard jobs in g.jobs) to
+// every shard that has work inside it and waits for all of them. If any
+// shard panicked, the lowest-numbered shard's panic is re-raised — a
+// deterministic choice, so a failure reproduces identically under the
+// serial scheduler (which reaches the lowest shard's panic first by
+// construction).
 func (g *Group) runWindowParallel(budget uint64) uint64 {
 	dispatched := 0
 	for i, e := range g.engs {
-		if at, ok := e.NextAt(); ok && at <= g.deads[i] {
-			g.cmds[i] <- windowJob{deadline: g.deads[i], budget: budget}
+		if at, ok := e.NextAt(); ok && at <= g.jobs[i].deadline {
+			job := g.jobs[i]
+			job.budget = budget
+			g.cmds[i] <- job
 			dispatched++
 		}
 	}

@@ -70,8 +70,10 @@ func newMailbox(g *Group) *mailbox {
 }
 
 // sendFrom schedules fn on dst's engine at the sender's now+look (the
-// minimum legal cross-shard latency), via the barrier lanes.
+// minimum legal cross-shard latency), via the barrier lanes, and reports
+// the hand-off to the sender's engine as the group requires.
 func (mb *mailbox) sendFrom(src, dst int, fn func()) {
+	mb.g.Engine(src).CutWindow()
 	at := mb.g.Engine(src).Now() + mb.look
 	mb.lanes[dst] = append(mb.lanes[dst], mailslot{at: at, fn: fn})
 }
@@ -85,9 +87,27 @@ func (mb *mailbox) drain() {
 	}
 }
 
+// grownCap is the allowance cap the tests grow windows to; pinned
+// groups are built with it and then pinned, so both schedules come from
+// the same constructor call.
+const grownCap = 1024 * 100
+
+// newTestGroup builds a group whose windows grow up to grownCap, or the
+// same group pinned to fixed windows.
+func newTestGroup(shards int, parallel, pinned bool) *Group {
+	g := NewGroup(shards, 100, grownCap, parallel)
+	if pinned {
+		g.PinWindows()
+	}
+	return g
+}
+
 func TestGroupCrossShardPingPong(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		g := NewGroup(2, 100, parallel)
+	for _, sched := range []struct{ parallel, pinned bool }{
+		{false, true}, {true, true}, {false, false}, {true, false},
+	} {
+		parallel := sched.parallel
+		g := newTestGroup(2, parallel, sched.pinned)
 		mb := newMailbox(g)
 		var mu sync.Mutex
 		hops := 0
@@ -115,18 +135,18 @@ func TestGroupCrossShardPingPong(t *testing.T) {
 		if hops != 10 {
 			t.Fatalf("parallel=%v: %d hops, want 10", parallel, hops)
 		}
-		// Each hop adds exactly one lookahead of latency.
+		// Each hop adds exactly one lookahead of latency, grown or not.
 		if want := Time(9 * 100); end != want {
-			t.Fatalf("parallel=%v: finished at %d, want %d", parallel, end, want)
+			t.Fatalf("%+v: finished at %d, want %d", sched, end, want)
 		}
 		if g.Steps() != 10 {
-			t.Fatalf("parallel=%v: Steps = %d, want 10", parallel, g.Steps())
+			t.Fatalf("%+v: Steps = %d, want 10", sched, g.Steps())
 		}
 	}
 }
 
 func TestGroupRunUntilAcrossShards(t *testing.T) {
-	g := NewGroup(2, 50, false)
+	g := NewGroup(2, 50, 0, false)
 	mb := newMailbox(g)
 	var fired []string
 	g.Engine(0).Schedule(10, func() {
@@ -154,7 +174,7 @@ func TestGroupRunUntilAcrossShards(t *testing.T) {
 }
 
 func TestGroupForEachPendingAndCensus(t *testing.T) {
-	g := NewGroup(3, 10, false)
+	g := NewGroup(3, 10, 0, false)
 	h := &nullHandler{}
 	// Shard 0: two GetShared; shard 1: a Nack and a closure; shard 2: empty.
 	for i := 0; i < 2; i++ {
@@ -201,7 +221,7 @@ func TestGroupForEachPendingAndCensus(t *testing.T) {
 
 func TestGroupRunGuardedRunaway(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
-		g := NewGroup(2, 10, parallel)
+		g := NewGroup(2, 10, 0, parallel)
 		for s := 0; s < 2; s++ {
 			e := g.Engine(s)
 			var spin func()
@@ -230,7 +250,7 @@ func TestGroupRunGuardedRunaway(t *testing.T) {
 
 func TestGroupPanicPropagates(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
-		g := NewGroup(4, 10, parallel)
+		g := NewGroup(4, 10, 0, parallel)
 		// Two shards panic in the same window; the lowest shard's value
 		// must win under both schedulers.
 		g.Engine(3).Schedule(5, func() { panic("shard3 boom") })
@@ -257,13 +277,14 @@ func TestGroupSerialParallelEquivalent(t *testing.T) {
 	// and parallel schedulers must produce identical per-shard event
 	// logs, clocks and step counts.
 	type result struct {
-		logs  [][]string
-		now   Time
-		steps uint64
+		logs    [][]string
+		now     Time
+		steps   uint64
+		windows uint64
 	}
-	build := func(parallel bool) result {
+	build := func(parallel, pinned bool) result {
 		const shards = 4
-		g := NewGroup(shards, 100, parallel)
+		g := newTestGroup(shards, parallel, pinned)
 		mb := newMailbox(g)
 		logs := make([][]string, shards)
 		var mu sync.Mutex
@@ -288,16 +309,70 @@ func TestGroupSerialParallelEquivalent(t *testing.T) {
 			g.Engine(s).Schedule(Time(s), chain(s, 0))
 		}
 		now := g.Run()
-		return result{logs: logs, now: now, steps: g.Steps()}
+		return result{logs: logs, now: now, steps: g.Steps(), windows: g.Windows()}
 	}
-	serial := build(false)
-	parallel := build(true)
-	if serial.now != parallel.now || serial.steps != parallel.steps {
-		t.Fatalf("serial (now %d, steps %d) != parallel (now %d, steps %d)",
-			serial.now, serial.steps, parallel.now, parallel.steps)
+	// The pinned serial run is the reference: grown windows, serial or
+	// parallel, must reproduce its event order exactly.
+	ref := build(false, true)
+	for _, sched := range []struct{ parallel, pinned bool }{
+		{true, true}, {false, false}, {true, false},
+	} {
+		got := build(sched.parallel, sched.pinned)
+		if got.now != ref.now || got.steps != ref.steps {
+			t.Fatalf("%+v (now %d, steps %d) != pinned serial (now %d, steps %d)",
+				sched, got.now, got.steps, ref.now, ref.steps)
+		}
+		if !reflect.DeepEqual(got.logs, ref.logs) {
+			t.Fatalf("%+v: per-shard logs diverge:\ngot: %v\nref: %v", sched, got.logs, ref.logs)
+		}
+		if got.windows > ref.windows {
+			t.Fatalf("%+v: %d windows, more than the pinned %d", sched, got.windows, ref.windows)
+		}
 	}
-	if !reflect.DeepEqual(serial.logs, parallel.logs) {
-		t.Fatalf("per-shard logs diverge:\nserial:   %v\nparallel: %v", serial.logs, parallel.logs)
+}
+
+// TestGroupGrownWindowsStraggler pins the point of growth: a lone busy
+// shard runs in far fewer windows than the fixed schedule, and the one
+// message it sends, answered by the other shard, still lands in its
+// future: the send ends its grown window where the fixed schedule's
+// barrier falls, so the event order stays the pinned one.
+func TestGroupGrownWindowsStraggler(t *testing.T) {
+	run := func(parallel, pinned bool) ([][]string, uint64) {
+		g := newTestGroup(2, parallel, pinned)
+		mb := newMailbox(g)
+		log := make([][]string, 2)
+		record := func(s int) {
+			log[s] = append(log[s], fmt.Sprintf("@%d", g.Engine(s).Now()))
+		}
+		e0 := g.Engine(0)
+		var chain func(depth int) func()
+		chain = func(depth int) func() {
+			return func() {
+				record(0)
+				if depth < 2000 {
+					e0.After(7, chain(depth+1))
+				}
+				if depth == 1000 {
+					mb.sendFrom(0, 1, func() {
+						record(1)
+						mb.sendFrom(1, 0, func() { record(0) })
+					})
+				}
+			}
+		}
+		e0.Schedule(0, chain(0))
+		g.Run()
+		return log, g.Windows()
+	}
+	refLog, refWin := run(false, true)
+	for _, parallel := range []bool{false, true} {
+		log, win := run(parallel, false)
+		if !reflect.DeepEqual(log, refLog) {
+			t.Fatalf("parallel=%v: grown event order diverges from pinned", parallel)
+		}
+		if win*10 > refWin {
+			t.Fatalf("parallel=%v: grown windows %d, want < 1/10 of pinned %d", parallel, win, refWin)
+		}
 	}
 }
 
@@ -327,7 +402,7 @@ func TestGroupSingleShardMatchesEngine(t *testing.T) {
 	// Group with one pre-existing engine is not constructible, so rebuild
 	// the same program inside a fresh group's engine via the same seed
 	// structure: NewGroup(1,...) then schedule identically.
-	g := NewGroup(1, 100, false)
+	g := NewGroup(1, 100, 0, false)
 	e := g.Engine(0)
 	var log []string
 	var chain func(depth int) func()

@@ -6,7 +6,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"pccsim"
@@ -67,31 +66,5 @@ func TestPerfettoGolden(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("Perfetto output differs from %s (%d vs %d bytes); rerun with -update and review the diff",
 			golden, buf.Len(), len(want))
-	}
-}
-
-// TestWithMechanismsCompat pins the deprecated positional constructor to
-// the functional-options path: both must configure the identical machine,
-// verified by comparing the full Stats of the same run.
-func TestWithMechanismsCompat(t *testing.T) {
-	run := func(cfg pccsim.Config) *pccsim.Stats {
-		t.Helper()
-		cfg.Nodes = 8
-		st, err := pccsim.RunWorkload(cfg, "mg", pccsim.WorkloadParams{Iters: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-
-	//lint:ignore SA1019 the deprecated wrapper's behavior is exactly what this test pins down
-	old := run(pccsim.DefaultConfig().WithMechanisms(32*1024, 32, true))
-	new_ := run(pccsim.DefaultConfig().With(
-		pccsim.WithRAC(32),
-		pccsim.WithDelegation(32),
-		pccsim.WithSpeculativeUpdates(0)))
-
-	if !reflect.DeepEqual(old, new_) {
-		t.Errorf("deprecated WithMechanisms and functional options diverge:\nold: %+v\nnew: %+v", old, new_)
 	}
 }

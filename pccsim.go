@@ -151,7 +151,10 @@ func WithProtocol(name string) Option { return core.WithProtocol(name) }
 // fast scheduler). n <= 1 keeps the classic single engine; n must not
 // exceed the node count. Sharded runs produce slightly different timings
 // than unsharded ones, but the parallel and serial shard schedulers are
-// guaranteed to agree with each other.
+// guaranteed to agree with each other. While one shard holds all the
+// work of the coming windows it runs them without a barrier in between,
+// unless speculative updates are on; that saves barriers and changes no
+// result.
 func WithShards(n int) Option { return core.WithShards(n) }
 
 // WithDeterministicShards partitions like WithShards but keeps the
@@ -159,14 +162,6 @@ func WithShards(n int) Option { return core.WithShards(n) }
 // goroutine. This is the reference the fast mode is validated against
 // and the mode to use when reproducing a parallel-run failure.
 func WithDeterministicShards(n int) Option { return core.WithDeterministicShards(n) }
-
-// WithAdaptiveWindows lets a sharded run widen its conservative windows
-// while no cross-shard traffic is in flight, cutting the barrier count
-// of compute-heavy phases without changing any simulated timing: results
-// are identical with or without it, only scheduler overhead drops. A
-// no-op without shards; growth is also suppressed under speculative
-// updates and non-default barrier latencies (see core.Config.AdaptiveWindows).
-func WithAdaptiveWindows() Option { return core.WithAdaptiveWindows() }
 
 // Typed error classes; see the package comment's Errors section.
 var (
