@@ -53,7 +53,7 @@ func main() {
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	traceOut := fs.String("trace-out", "", "also run one observed cell and write a Perfetto trace to this file")
 	traceWl := fs.String("trace-workload", "em3d", "workload of the observed cell (-trace-out)")
-	protoName := fs.String("protocol", "", "coherence protocol of the observed cell (-trace-out); mechanisms degrade to the protocol's capabilities (default adaptive)")
+	protoName := fs.String("protocol", "", "coherence protocol of the observed cell (-trace-out), on its bake-off configuration (default adaptive)")
 	if err := cli.Parse(fs, os.Args[1:]); err != nil {
 		fail(err)
 	}
@@ -324,8 +324,8 @@ func runMCheckBench(out *os.File) error {
 }
 
 // writeTrace runs one observed cell — the named workload under the named
-// protocol, on the full mechanism set the protocol's capabilities allow
-// (the paper's 32K-RAC / 32-entry configuration for adaptive) — and
+// protocol, on its bake-off configuration (harness.CompareConfig: the
+// paper's 32K-RAC / 32-entry configuration for adaptive) — and
 // exports its event stream as Perfetto JSON. The observed run is separate
 // from the experiment cells, whose outputs stay byte-identical.
 func writeTrace(path, workloadName, protoName string, nodes, scale, iters int) error {

@@ -100,16 +100,18 @@ func TestSoak(t *testing.T) {
 
 	// Four distinct specs across k*4 jobs guarantees heavy duplication.
 	// One spec runs sharded, where windows grow by default: the
-	// determinism contract explicitly covers the parallel scheduler.
+	// determinism contract explicitly covers the parallel scheduler. One
+	// runs dsi, whose mechanism only its protocol name selects.
 	specs := []string{
 		`{"workload":"em3d","nodes":8,"scale":1,"iters":2}`,
 		`{"workload":"em3d","nodes":16,"scale":1,"iters":2,"shards":4}`,
-		`{"workload":"mg","nodes":8,"scale":1}`,
+		`{"workload":"mg","nodes":8,"scale":1,"protocol":"dsi"}`,
 		`{"workload":"cg","nodes":8,"scale":1}`,
 	}
 	cliEquiv := map[int][]string{
 		0: {"-workload", "em3d", "-nodes", "8", "-scale", "1", "-iters", "2"},
 		1: {"-workload", "em3d", "-nodes", "16", "-scale", "1", "-iters", "2", "-shards", "4"},
+		2: {"-workload", "mg", "-nodes", "8", "-scale", "1", "-protocol", "dsi"},
 	}
 
 	const jobsPerClient = 4

@@ -24,9 +24,10 @@ type Config struct {
 
 	// Protocol selects the registered coherence protocol by name; the
 	// empty string selects the default (the paper's "adaptive"
-	// protocol). Validate resolves the name and rejects configurations
-	// that enable a mechanism the protocol's capabilities do not cover
-	// (see internal/protocol).
+	// protocol). The name selects the protocol's one mechanism (see
+	// protocol.Mechanism): "dsi" self-invalidates, "hybrid" pushes
+	// updates. Validate rejects delegation, update and adaptive-delay
+	// settings under any protocol whose mechanism is not delegation.
 	Protocol string
 
 	// L1 data cache geometry (Table 1: 2-way, 32 KB, 32 B lines).
@@ -71,16 +72,6 @@ type Config struct {
 	// paper's single-producer detector) or 2 (the §5 extension that
 	// tolerates a stable pair of alternating writers).
 	DetectorWriters int
-
-	// SelfInvalidate enables the related-work baseline the paper
-	// contrasts with (Lebeck & Wood dynamic self-invalidation, with Lai
-	// & Falsafi's last-touch timing approximated by the same delayed
-	// intervention): owners of detected producer-consumer lines eagerly
-	// downgrade after the write burst and push the data home, so
-	// consumer reads become 2-hop home hits instead of 3-hop
-	// interventions — but never local hits. Mutually exclusive with
-	// delegation/updates (it replaces them as the optimization).
-	SelfInvalidate bool
 
 	// Latencies, in 2 GHz processor cycles (Table 1).
 	L1Latency   sim.Time // 2
@@ -203,12 +194,6 @@ func WithSpeculativeUpdates(delay sim.Time) Option {
 	}
 }
 
-// WithSelfInvalidation selects the related-work baseline (dynamic
-// self-invalidation) instead of delegation/updates.
-func WithSelfInvalidation() Option {
-	return func(c *Config) { c.SelfInvalidate = true }
-}
-
 // WithAdaptiveDelay enables the §5 per-line learned intervention delay.
 func WithAdaptiveDelay() Option {
 	return func(c *Config) { c.AdaptiveDelay = true }
@@ -216,8 +201,8 @@ func WithAdaptiveDelay() Option {
 
 // WithProtocol selects a registered coherence protocol by name (see
 // internal/protocol; the empty name keeps the default "adaptive").
-// Validate rejects unknown names and mechanism settings outside the
-// protocol's capabilities.
+// Validate rejects unknown names, and delegation settings under a
+// protocol whose mechanism is not delegation.
 func WithProtocol(name string) Option {
 	return func(c *Config) { c.Protocol = name }
 }
@@ -281,9 +266,6 @@ func (c *Config) Validate() error {
 	if c.DetectorWriters < 0 || c.DetectorWriters > 2 {
 		return fmt.Errorf("%w: DetectorWriters = %d, want 0 (default), 1 or 2", ErrBadConfig, c.DetectorWriters)
 	}
-	if c.SelfInvalidate && (c.DelegateEntries > 0 || c.EnableUpdates) {
-		return fmt.Errorf("%w: SelfInvalidate is an alternative baseline; disable delegation/updates", ErrBadConfig)
-	}
 	if c.Shards < 0 || c.Shards > c.Nodes {
 		return fmt.Errorf("%w: Shards = %d, want 0..Nodes (%d)", ErrBadConfig, c.Shards, c.Nodes)
 	}
@@ -291,19 +273,10 @@ func (c *Config) Validate() error {
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
-	caps := proto.Capabilities()
-	if c.DelegateEntries > 0 && !caps.Delegation {
-		return fmt.Errorf("%w: protocol %q does not support delegation (DelegateEntries = %d)",
-			ErrBadConfig, proto.Name(), c.DelegateEntries)
-	}
-	if c.EnableUpdates && !caps.SpeculativeUpdates {
-		return fmt.Errorf("%w: protocol %q does not support speculative updates", ErrBadConfig, proto.Name())
-	}
-	if c.SelfInvalidate && !caps.SelfInvalidation {
-		return fmt.Errorf("%w: protocol %q does not support self-invalidation", ErrBadConfig, proto.Name())
-	}
-	if c.AdaptiveDelay && !caps.AdaptiveDelay {
-		return fmt.Errorf("%w: protocol %q does not support the adaptive intervention delay", ErrBadConfig, proto.Name())
+	if proto.Mechanism() != protocol.Delegation &&
+		(c.DelegateEntries > 0 || c.EnableUpdates || c.AdaptiveDelay) {
+		return fmt.Errorf("%w: protocol %q does not delegate; DelegateEntries, EnableUpdates and AdaptiveDelay need a delegation protocol",
+			ErrBadConfig, proto.Name())
 	}
 	return nil
 }

@@ -74,7 +74,7 @@ func (h *Hub) homeRead(req *msg.Message, e *directory.Entry, det *predictor.Dete
 			Requester: req.Requester, Version: e.MemVersion, Txn: req.Txn,
 		})
 	case directory.Shared:
-		if h.caps.HybridUpdates && e.UpdatesInFlight > 0 {
+		if h.mech == protocol.UpdatePush && e.UpdatesInFlight > 0 {
 			// A hybrid update round is settling: an ack that drops a
 			// sharer must not cross a re-read installing a fresh copy
 			// (the cleared presence bit would orphan that copy), so
@@ -207,7 +207,7 @@ func (h *Hub) homeWrite(req *msg.Message, e *directory.Entry, det *predictor.Det
 		*reply = msg.Message{
 			Src: h.id, Dst: req.Requester, Addr: req.Addr,
 			Requester: req.Requester, AckCount: sharers.Count(), Txn: req.Txn,
-			PCHint: h.cfg.SelfInvalidate && det.IsProducerConsumer() && req.Requester != h.id,
+			PCHint: h.mech == protocol.SelfInvalidation && det.IsProducerConsumer() && req.Requester != h.id,
 		}
 		if req.Type == msg.Upgrade {
 			reply.Type = msg.UpgradeAck

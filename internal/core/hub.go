@@ -29,11 +29,11 @@ type Hub struct {
 	mm  *mem.Memory
 	st  *stats.Stats
 	gl  *global
-	// proto/caps are the machine's resolved coherence protocol and its
-	// capabilities, copied here so home-FSM decision points dispatch
+	// proto and mech are the machine's resolved coherence protocol and
+	// its mechanism, copied here so home-FSM decision points dispatch
 	// without an indirection through sys.
 	proto protocol.Protocol
-	caps  protocol.Capabilities
+	mech  protocol.Mechanism
 	// obs receives this hub's protocol events: the system sink when
 	// single-engine, the hub's shard staging buffer when sharded, nil
 	// when observability is off (AttachObs wires it either way).
@@ -170,7 +170,7 @@ func newHub(sys *System, id msg.NodeID, st *stats.Stats) *Hub {
 		st:    st,
 		gl:    sys.glob,
 		proto: sys.proto,
-		caps:  sys.caps,
+		mech:  sys.proto.Mechanism(),
 		l1:    cache.New(cfg.L1Bytes, cfg.L1Ways, cfg.L1LineBytes),
 		l2:    cache.New(cfg.L2Bytes, cfg.L2Ways, cfg.L2LineBytes),
 		dir:   directory.New(),
@@ -272,7 +272,7 @@ func (h *Hub) Access(addr msg.Addr, write bool, done func()) {
 				panic(fmt.Sprintf("core: node %d L1 hit without L2 line %#x", h.id, uint64(line)))
 			}
 			h.st.L1Hits++
-			if h.caps.HybridUpdates && l2l.Streak > 0 {
+			if h.mech == protocol.UpdatePush && l2l.Streak > 0 {
 				// A pushed update is being read: the hybrid protocol's
 				// win case (the read would have missed under
 				// write-invalidate).
@@ -296,7 +296,7 @@ func (h *Hub) Access(addr msg.Addr, write bool, done func()) {
 	if l2l := h.l2.Touch(line); l2l != nil {
 		if !write {
 			h.st.L2Hits++
-			if h.caps.HybridUpdates && l2l.Streak > 0 {
+			if h.mech == protocol.UpdatePush && l2l.Streak > 0 {
 				h.noteUpdateUseful(line, l2l.Version)
 				l2l.Streak = 0
 			}
@@ -314,7 +314,7 @@ func (h *Hub) Access(addr msg.Addr, write bool, done func()) {
 		}
 		// Shared: upgrade transaction. Updates pushed to this copy and
 		// never read die here (the write overwrites them).
-		if h.caps.HybridUpdates && l2l.Streak > 0 {
+		if h.mech == protocol.UpdatePush && l2l.Streak > 0 {
 			h.st.UpdatesWasted += uint64(l2l.Streak)
 			l2l.Streak = 0
 		}
@@ -635,7 +635,7 @@ func (h *Hub) tryComplete(m *mshr) {
 	// directory entry; delegated lines against the producer table.
 	// Dynamic self-invalidation: a granted producer-consumer line arms
 	// an eager downgrade after the (same) delayed-intervention interval.
-	if m.wantExcl && h.cfg.SelfInvalidate && m.pcHint &&
+	if m.wantExcl && h.mech == protocol.SelfInvalidation && m.pcHint &&
 		h.cfg.InterventionDelay != NoIntervention {
 		h.armSelfDowngrade(m.addr, l2l.Grant)
 	}

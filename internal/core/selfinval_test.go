@@ -12,9 +12,7 @@ import (
 // hits, but never to local hits).
 
 func selfInvalConfig() Config {
-	cfg := testConfig()
-	cfg.SelfInvalidate = true
-	return cfg
+	return testConfig().With(WithProtocol("dsi"))
 }
 
 func TestSelfInvalidateConverts3HopTo2Hop(t *testing.T) {
@@ -82,8 +80,7 @@ func TestSelfInvalidateConverts3HopTo2Hop(t *testing.T) {
 }
 
 func TestSelfInvalidateExclusiveWithDelegation(t *testing.T) {
-	cfg := DefaultConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
-	cfg.SelfInvalidate = true
+	cfg := DefaultConfig().With(WithProtocol("dsi"), WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 	if _, err := NewSystem(cfg); err == nil {
 		t.Fatal("self-invalidation combined with delegation accepted")
 	}

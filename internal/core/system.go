@@ -49,10 +49,9 @@ type System struct {
 	Obs *obs.Sink
 	// NodeStats holds each node's counters; Aggregate folds them.
 	NodeStats []*stats.Stats
-	// proto is the resolved coherence protocol (Cfg.Protocol) and caps
-	// its declared capabilities; both are fixed at construction.
+	// proto is the resolved coherence protocol (Cfg.Protocol), fixed at
+	// construction.
 	proto protocol.Protocol
-	caps  protocol.Capabilities
 	// NetStats accumulates interconnect traffic (shared by all sends).
 	// It is nil on a sharded system, where each shard collects its own
 	// slice; Aggregate folds them in either mode.
@@ -94,23 +93,12 @@ type xcall struct {
 // windowAllowanceCap bounds a grown window to this many lookaheads
 // (~200k cycles at the default radix), which dwarfs the longest compute
 // block in the bundled workloads while keeping the interrupt poll at
-// window barriers responsive.
+// window barriers responsive. Windows of a sharded machine always grow:
+// every hand-off between shards — network messages, barrier completions
+// and deferred update-delivered notifications — is reported through
+// sim.Engine.CutWindow, so growth changes no result, only the barrier
+// count.
 const windowAllowanceCap = 1024
-
-// windowAllowance is the window policy of a sharded machine: windows
-// grow whenever that is sound, and stay fixed at the lookahead
-// otherwise. Growth is sound when every hand-off between shards is
-// reported through sim.Engine.CutWindow; network messages and barrier
-// completions are. Speculative updates are not: their delivered
-// notifications travel between shards as deferred calls (see
-// deferUpdateDelivered), so machines running them keep fixed windows.
-// Either way the results are identical; only the barrier count differs.
-func windowAllowance(cfg Config, look sim.Time) sim.Time {
-	if cfg.EnableUpdates {
-		return look
-	}
-	return look * windowAllowanceCap
-}
 
 // NewSystem builds a machine from cfg. With cfg.Shards > 1 the machine
 // is partitioned into contiguous node groups, each with a private event
@@ -128,14 +116,13 @@ func NewSystem(cfg Config) (*System, error) {
 		NodeStats: make([]*stats.Stats, cfg.Nodes),
 		proto:     cfg.protocolImpl(),
 	}
-	sys.caps = sys.proto.Capabilities()
 	if n := cfg.Shards; n > 1 {
 		sys.shardOf = make([]int, cfg.Nodes)
 		for i := range sys.shardOf {
 			sys.shardOf[i] = i * n / cfg.Nodes
 		}
 		look := network.MinLookahead(cfg.Network, sys.shardOf)
-		sys.grp = sim.NewGroup(n, look, windowAllowance(cfg, look), cfg.ShardsParallel)
+		sys.grp = sim.NewGroup(n, look, look*windowAllowanceCap, cfg.ShardsParallel)
 		sys.netStats = make([]*stats.Stats, n)
 		sys.shards = make([]*shardState, n)
 		for i := 0; i < n; i++ {
@@ -262,11 +249,15 @@ func (s *System) AttachObs(sink *obs.Sink) {
 // deferUpdateDelivered stages a cross-shard updateDelivered notification
 // from the consumer's shard; shardBarrier injects it into the producer's
 // engine at the next window boundary, timestamped with the consumer's
-// clock (the producer's engine clamps it into its own present).
+// clock (the producer's engine clamps it into its own present). Like a
+// cross-shard message, the hand-off ends a grown window where the fixed
+// schedule has its barrier.
 func (s *System) deferUpdateDelivered(consumer, producer msg.NodeID, addr msg.Addr) {
+	eng := s.EngFor(consumer)
+	eng.CutWindow()
 	sh := s.shards[s.shardOf[consumer]]
 	sh.xcalls = append(sh.xcalls, xcall{
-		at:   s.EngFor(consumer).Now(),
+		at:   eng.Now(),
 		node: producer,
 		addr: addr,
 	})

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -25,21 +26,29 @@ func WriteCase(path string, c Case) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadCase loads a corpus file. Unknown fields are rejected so a typo in a
-// hand-edited reproduction fails loudly instead of silently running a
-// different case.
+// ReadCase loads a corpus file (see DecodeCase).
 func ReadCase(path string) (Case, error) {
-	var c Case
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return c, err
+		return Case{}, err
 	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
+	c, err := DecodeCase(data)
+	if err != nil {
 		return c, fmt.Errorf("%s: %w", path, err)
 	}
 	return c, nil
+}
+
+// DecodeCase parses one case from its JSON encoding. Unknown fields are
+// rejected so a typo in a hand-edited reproduction fails loudly instead
+// of silently running a different case. Decoding does not validate; run
+// Case.Validate before trusting the machine.
+func DecodeCase(data []byte) (Case, error) {
+	var c Case
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&c)
+	return c, err
 }
 
 // LoadCorpus reads every *.json case under dir, sorted by name for

@@ -8,7 +8,6 @@ import (
 	"pccsim/internal/core"
 	"pccsim/internal/msg"
 	"pccsim/internal/obs"
-	"pccsim/internal/protocol"
 	"pccsim/internal/sim"
 	"pccsim/internal/stats"
 )
@@ -27,17 +26,19 @@ type Machine struct {
 	L2Lines  int `json:"l2_lines"`  // L2 capacity in 128 B lines (2-way)
 	RACLines int `json:"rac_lines"` // RAC capacity in lines; 0 disables
 
-	// Protocol names the coherence protocol the case runs under; empty
-	// means the default ("adaptive", the paper's protocol), which is what
-	// every corpus repro written before the plugin architecture replays
-	// as. Part of the repro identity: a failure under one protocol must
-	// replay under the same one.
+	// Protocol names the coherence protocol the case runs under, and so
+	// its mechanism ("dsi" self-invalidates); empty means the default
+	// ("adaptive", the paper's protocol), which is what every corpus
+	// repro written before the plugin architecture replays as. Part of
+	// the repro identity: a failure under one protocol must replay under
+	// the same one.
 	Protocol string `json:"protocol,omitempty"`
 
+	// DelegateEntries, Updates and Adaptive size the delegation
+	// mechanism; core.Config.Validate rejects them under any other.
 	DelegateEntries int  `json:"delegate_entries,omitempty"`
 	Updates         bool `json:"updates,omitempty"`
 	Adaptive        bool `json:"adaptive,omitempty"`
-	SelfInvalidate  bool `json:"self_invalidate,omitempty"`
 	DetectorWriters int  `json:"detector_writers,omitempty"`
 
 	// Shards records the engine partitioning the case runs under (0 =
@@ -122,8 +123,12 @@ const (
 // LineAddr returns the address of pool line i.
 func LineAddr(i int) msg.Addr { return poolBase + msg.Addr(i)*poolPage }
 
-// Validate checks the case for structural sanity (not protocol legality —
-// any well-formed case is legal input).
+// Validate checks that the case is well formed and that its machine is a
+// legal core configuration: core.Config.Validate judges the mechanism
+// and protocol settings, so the fuzzer accepts exactly what the
+// simulator does. Speculative updates without delegation, which
+// BuildConfig would silently drop, are rejected here first, so such a
+// repro never claims a mechanism it did not run.
 func (c *Case) Validate() error {
 	m := &c.Machine
 	if m.Nodes < 2 || m.Nodes > msg.MaxNodes {
@@ -135,31 +140,12 @@ func (c *Case) Validate() error {
 	if m.L2Lines < 2 {
 		return fmt.Errorf("fault: L2 needs at least two lines")
 	}
-	if m.Shards < 0 || m.Shards > m.Nodes {
-		return fmt.Errorf("fault: machine shards = %d, want 0..%d", m.Shards, m.Nodes)
+	if m.Updates && m.DelegateEntries == 0 {
+		return fmt.Errorf("fault: speculative updates require delegation")
 	}
-	if m.DelegateEntries > 0 && m.RACLines == 0 {
-		return fmt.Errorf("fault: delegation requires a RAC")
-	}
-	if m.SelfInvalidate && (m.DelegateEntries > 0 || m.Updates) {
-		return fmt.Errorf("fault: self-invalidation excludes delegation/updates")
-	}
-	p, err := protocol.Lookup(m.Protocol)
-	if err != nil {
+	cfg := c.BuildConfig()
+	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("fault: %w", err)
-	}
-	caps := p.Capabilities()
-	if m.DelegateEntries > 0 && !caps.Delegation {
-		return fmt.Errorf("fault: protocol %s has no delegation", p.Name())
-	}
-	if m.Updates && !caps.SpeculativeUpdates {
-		return fmt.Errorf("fault: protocol %s has no speculative updates", p.Name())
-	}
-	if m.SelfInvalidate && !caps.SelfInvalidation {
-		return fmt.Errorf("fault: protocol %s has no self-invalidation", p.Name())
-	}
-	if m.Adaptive && !caps.AdaptiveDelay {
-		return fmt.Errorf("fault: protocol %s has no adaptive delay", p.Name())
 	}
 	for i, op := range c.Ops {
 		if op.Node < 0 || op.Node >= m.Nodes {
@@ -195,7 +181,6 @@ func (c *Case) BuildConfig() core.Config {
 	}
 	cfg.EnableUpdates = m.Updates && cfg.DelegateEntries > 0
 	cfg.AdaptiveDelay = m.Adaptive
-	cfg.SelfInvalidate = m.SelfInvalidate
 	cfg.DetectorWriters = m.DetectorWriters
 	if m.NoIntervention {
 		cfg.InterventionDelay = core.NoIntervention

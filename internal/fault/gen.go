@@ -15,8 +15,8 @@ type GenOpts struct {
 	// races. Used by bug-injection tests targeting undelegation.
 	ForceDelegation bool
 	// Protocol pins every generated machine to one registered protocol,
-	// restricting flavors to capability-legal mechanism sets ("mesi" never
-	// draws a delegation machine). Empty = mixed, mostly adaptive. The name
+	// restricting flavors to the protocol's mechanism ("mesi" never draws
+	// a delegation machine). Empty = mixed, mostly adaptive. The name
 	// must be valid; pccfuzz validates it before the campaign starts.
 	Protocol string
 	// ExtraRules are appended to every generated fault schedule — the bug
@@ -57,16 +57,17 @@ func genMachine(rng *rand.Rand, opts GenOpts) Machine {
 		flavor = 4 + rng.Intn(6)
 	}
 	if opts.Protocol != "" {
-		// Pinning to a protocol restricts flavors to its capabilities:
-		// plain machines for invalidate/update protocols, the DSI flavor
-		// for dsi, anything for the fully-capable adaptive protocol.
+		// Pinning to a protocol restricts flavors to its mechanism:
+		// the DSI flavor for self-invalidation, plain machines for the
+		// other protocols that do not delegate, anything for
+		// delegation.
 		p, err := protocol.Lookup(opts.Protocol)
 		if err != nil {
 			panic("fault: GenOpts.Protocol not validated: " + err.Error())
 		}
-		switch caps := p.Capabilities(); {
-		case caps.Delegation:
-		case caps.SelfInvalidation:
+		switch p.Mechanism() {
+		case protocol.Delegation:
+		case protocol.SelfInvalidation:
 			flavor = 2
 		default:
 			flavor = rng.Intn(2)
@@ -79,15 +80,11 @@ func genMachine(rng *rand.Rand, opts GenOpts) Machine {
 		// path, and "hybrid" brings its update-push rounds into the
 		// fuzzed surface.
 		m.Protocol = []string{"", "mesi", "hybrid", "hybrid"}[rng.Intn(4)]
-		if opts.Protocol != "" {
-			m.Protocol = opts.Protocol
-		}
 	case flavor == 2: // dynamic self-invalidation baseline
-		m.SelfInvalidate = true
-		m.Protocol = []string{"", "dsi"}[rng.Intn(2)]
-		if opts.Protocol != "" {
-			m.Protocol = opts.Protocol
-		}
+		// The draw once picked how to spell the baseline; it stays so
+		// every seed keeps generating the same ops and faults.
+		rng.Intn(2)
+		m.Protocol = "dsi"
 	default: // delegation, mostly with speculative updates (adaptive only)
 		if m.RACLines == 0 {
 			m.RACLines = []int{2, 4, 8}[rng.Intn(3)]
@@ -95,7 +92,11 @@ func genMachine(rng *rand.Rand, opts GenOpts) Machine {
 		m.DelegateEntries = 1 + rng.Intn(4)
 		m.Updates = flavor >= 6
 		m.Adaptive = m.Updates && rng.Intn(2) == 0
-		m.Protocol = opts.Protocol // "" or "adaptive": the only delegation-capable protocol
+	}
+	// A pinned protocol always wins; pinned to adaptive, the dsi flavor
+	// is a plain machine.
+	if opts.Protocol != "" {
+		m.Protocol = opts.Protocol
 	}
 	if rng.Intn(100) < 15 {
 		m.DetectorWriters = 2

@@ -14,10 +14,9 @@ import (
 )
 
 // The coherence bake-off: every registered protocol runs every workload
-// head-to-head, each provisioned with the full mechanism set its
-// capabilities allow (the same rule the cross-protocol invariant suite
-// uses). "mesi" — the plain write-invalidate baseline — anchors the
-// speedup column.
+// head-to-head, each provisioned by CompareConfig (the same rule the
+// cross-protocol invariant suite uses). "mesi" — the plain
+// write-invalidate baseline — anchors the speedup column.
 
 // CompareBaseline is the protocol every contender is normalized against.
 const CompareBaseline = "mesi"
@@ -39,27 +38,22 @@ type CompareRow struct {
 	MissRemote2   uint64
 	MissRemote3   uint64
 
-	// Mechanism activity (zero for protocols without the capability).
+	// Mechanism activity (zero for protocols without the mechanism).
 	UpdateAcc   float64 // fraction of pushed/speculative updates consumed
 	Delegations uint64
 	NackCount   uint64
 }
 
 // CompareConfig provisions one protocol for the bake-off: the base
-// machine plus every mechanism the protocol's capabilities permit. The
-// adaptive protocol gets the paper's small configuration (32-entry
-// delegate cache, 32K RAC, speculative updates); dsi gets dynamic
-// self-invalidation; plain write-invalidate protocols run the base
-// machine unmodified.
+// machine under the protocol's name, which selects its mechanism. The
+// delegation mechanism is the one that needs sizing, and gets the
+// paper's small configuration (32-entry delegate cache, 32K RAC,
+// speculative updates); every other protocol runs the base machine.
 func CompareConfig(base core.Config, p protocol.Protocol) core.Config {
 	cfg := base
 	cfg.Protocol = p.Name()
-	caps := p.Capabilities()
-	if caps.Delegation {
-		cfg = mech(cfg, 32*1024, 32, caps.SpeculativeUpdates)
-	}
-	if caps.SelfInvalidation && !caps.Delegation {
-		cfg.SelfInvalidate = true
+	if p.Mechanism() == protocol.Delegation {
+		cfg = mech(cfg, 32*1024, 32, true)
 	}
 	return cfg
 }

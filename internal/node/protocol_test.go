@@ -1,38 +1,18 @@
-package node
+package node_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"pccsim/internal/core"
 	"pccsim/internal/cpu"
+	"pccsim/internal/harness"
 	"pccsim/internal/msg"
+	"pccsim/internal/node"
 	"pccsim/internal/protocol"
 	"pccsim/internal/workload"
 )
-
-// protocolConfig builds a mechanism configuration for proto that enables
-// everything its capabilities allow, mirroring how the compare harness
-// provisions each contender: the adaptive protocol gets a RAC,
-// delegation and speculative updates; dsi gets self-invalidation; plain
-// write-invalidate protocols (mesi, hybrid) run the base machine.
-func protocolConfig(nodes int, proto protocol.Protocol) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Nodes = nodes
-	cfg.Protocol = proto.Name()
-	cfg.CheckInvariants = true
-	caps := proto.Capabilities()
-	if caps.Delegation {
-		cfg = cfg.With(core.WithRAC(32), core.WithDelegation(32))
-		if caps.SpeculativeUpdates {
-			cfg = cfg.With(core.WithSpeculativeUpdates(0))
-		}
-	}
-	if caps.SelfInvalidation && !caps.Delegation {
-		cfg.SelfInvalidate = true
-	}
-	return cfg
-}
 
 // TestAllWorkloadsAllProtocols is the cross-protocol invariant suite:
 // every registered protocol runs every bundled workload with runtime
@@ -46,8 +26,10 @@ func TestAllWorkloadsAllProtocols(t *testing.T) {
 	for _, proto := range protocol.All() {
 		for _, wl := range workload.All() {
 			t.Run(fmt.Sprintf("%s/%s", proto.Name(), wl.Name), func(t *testing.T) {
-				cfg := protocolConfig(nodes, proto)
-				m, err := New(cfg)
+				base := core.DefaultConfig()
+				base.Nodes = nodes
+				base.CheckInvariants = true
+				m, err := node.New(harness.CompareConfig(base, proto))
 				if err != nil {
 					t.Fatalf("protocol %s: %v", proto.Name(), err)
 				}
@@ -81,7 +63,7 @@ func TestHybridPushesUpdates(t *testing.T) {
 	cfg.Nodes = 4
 	cfg.Protocol = "hybrid"
 	cfg.CheckInvariants = true
-	m, err := New(cfg)
+	m, err := node.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,31 +104,39 @@ func TestHybridPushesUpdates(t *testing.T) {
 	}
 }
 
-// TestProtocolCapabilityRejection pins the capability-degradation
-// contract: a configuration that switches on a mechanism outside the
-// selected protocol's capabilities is rejected at construction with an
-// error wrapping both core.ErrBadConfig and protocol.ErrUnknown (for
-// unknown names) — not silently ignored.
+// TestProtocolCapabilityRejection pins the one provisioning rule: the
+// delegation knobs (delegate cache, speculative updates, adaptive delay)
+// belong to the delegation mechanism, so every protocol without it
+// rejects each of them at construction with core.ErrBadConfig, and an
+// unknown protocol name is rejected with protocol.ErrUnknown as well.
 func TestProtocolCapabilityRejection(t *testing.T) {
 	base := core.DefaultConfig()
 	base.Nodes = 4
-	cases := []struct {
+	knobs := []struct {
 		name string
-		cfg  core.Config
+		opts []core.Option
 	}{
-		{"mesi-delegation", base.With(core.WithProtocol("mesi"), core.WithRAC(32), core.WithDelegation(32))},
-		{"hybrid-updates", base.With(core.WithProtocol("hybrid"), core.WithRAC(32), core.WithDelegation(32), core.WithSpeculativeUpdates(0))},
-		{"mesi-selfinval", base.With(core.WithProtocol("mesi"), core.WithSelfInvalidation())},
-		{"dsi-adaptive-delay", base.With(core.WithProtocol("dsi"), core.WithAdaptiveDelay())},
+		{"delegation", []core.Option{core.WithRAC(32), core.WithDelegation(32)}},
+		{"updates", []core.Option{core.WithRAC(32), core.WithDelegation(32), core.WithSpeculativeUpdates(0)}},
+		{"adaptive-delay", []core.Option{core.WithAdaptiveDelay()}},
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if _, err := New(c.cfg); err == nil {
-				t.Fatalf("%s: configuration outside protocol capabilities was accepted", c.name)
-			}
-		})
+	for _, p := range protocol.All() {
+		if p.Mechanism() == protocol.Delegation {
+			continue
+		}
+		for _, k := range knobs {
+			t.Run(p.Name()+"-"+k.name, func(t *testing.T) {
+				cfg := base.With(append([]core.Option{core.WithProtocol(p.Name())}, k.opts...)...)
+				if _, err := node.New(cfg); !errors.Is(err, core.ErrBadConfig) {
+					t.Fatalf("%s under %s: err = %v, want core.ErrBadConfig", k.name, p.Name(), err)
+				}
+			})
+		}
 	}
-	if _, err := New(base.With(core.WithProtocol("mosi"))); err == nil {
-		t.Fatal("unknown protocol name was accepted")
-	}
+	t.Run("unknown", func(t *testing.T) {
+		_, err := node.New(base.With(core.WithProtocol("mosi")))
+		if !errors.Is(err, core.ErrBadConfig) || !errors.Is(err, protocol.ErrUnknown) {
+			t.Fatalf("unknown protocol: err = %v, want core.ErrBadConfig and protocol.ErrUnknown", err)
+		}
+	})
 }

@@ -96,8 +96,7 @@ func TestShardedSmoke(t *testing.T) {
 }
 
 // wideConfig is the delegation-only machine the wide-vector and
-// window-growth tests run on (updates stay off: cross-shard update
-// staging suppresses window growth by design).
+// window-growth tests run on; withUpdates adds speculative updates.
 func wideConfig(nodes, shards int, parallel bool) core.Config {
 	cfg := core.DefaultConfig().With(core.WithRAC(32), core.WithDelegation(32))
 	cfg.Nodes = nodes
@@ -143,63 +142,77 @@ func TestWideSmoke256(t *testing.T) {
 	runMachine(t, wl, wideConfig(256, 16, true), false)
 }
 
+// withUpdates adds speculative updates to a delegation machine: their
+// update-delivered notifications cross shards outside the network.
+func withUpdates(cfg core.Config) core.Config {
+	return cfg.With(core.WithSpeculativeUpdates(0))
+}
+
 // TestAdaptiveWindowsEquivalence asserts the window-growth contract: the
 // default scheduler, which grows windows while no cross-shard traffic is
 // in flight, ends with stats identical to the pinned fixed-window
 // reference (growth may only remove barriers, never reorder or retime
-// events), in both serial and parallel modes, with a strictly lower
-// window count on the barrier-heavy workload growth targets.
+// events), in both serial and parallel modes, with and without
+// speculative updates, and with a strictly lower window count on the
+// barrier-heavy workload growth targets.
 func TestAdaptiveWindowsEquivalence(t *testing.T) {
 	for _, wl := range workload.All() {
 		wl := wl
 		t.Run(wl.Name, func(t *testing.T) {
 			t.Parallel()
-			fixed, fixedWin := runMachine(t, wl, wideConfig(16, 4, false), true)
-			grown, grownWin := runMachine(t, wl, wideConfig(16, 4, false), false)
-			if !reflect.DeepEqual(fixed, grown) {
-				t.Errorf("%s: grown windows drift from fixed windows\nfixed: %+v\ngrown: %+v",
-					wl.Name, fixed, grown)
-			}
-			if grownWin > fixedWin {
-				t.Errorf("%s: grown windows dispatched more windows (%d) than fixed (%d)",
-					wl.Name, grownWin, fixedWin)
-			}
-			par, parWin := runMachine(t, wl, wideConfig(16, 4, true), false)
-			if !reflect.DeepEqual(grown, par) {
-				t.Errorf("%s: grown parallel stats diverge from grown serial", wl.Name)
-			}
-			if parWin != grownWin {
-				t.Errorf("%s: grown window count differs: serial %d, parallel %d", wl.Name, grownWin, parWin)
-			}
-			if wl.Name == "em3d" && grownWin >= fixedWin {
-				t.Errorf("em3d: grown windows did not reduce barriers: %d >= %d", grownWin, fixedWin)
+			for _, mech := range []struct {
+				name string
+				cfg  func(parallel bool) core.Config
+			}{
+				{"updates off", func(parallel bool) core.Config { return wideConfig(16, 4, parallel) }},
+				{"updates on", func(parallel bool) core.Config { return withUpdates(wideConfig(16, 4, parallel)) }},
+			} {
+				fixed, fixedWin := runMachine(t, wl, mech.cfg(false), true)
+				grown, grownWin := runMachine(t, wl, mech.cfg(false), false)
+				if !reflect.DeepEqual(fixed, grown) {
+					t.Errorf("%s, %s: grown windows drift from fixed windows\nfixed: %+v\ngrown: %+v",
+						wl.Name, mech.name, fixed, grown)
+				}
+				if grownWin > fixedWin {
+					t.Errorf("%s, %s: grown windows dispatched more windows (%d) than fixed (%d)",
+						wl.Name, mech.name, grownWin, fixedWin)
+				}
+				par, parWin := runMachine(t, wl, mech.cfg(true), false)
+				if !reflect.DeepEqual(grown, par) {
+					t.Errorf("%s, %s: grown parallel stats diverge from grown serial", wl.Name, mech.name)
+				}
+				if parWin != grownWin {
+					t.Errorf("%s, %s: grown window count differs: serial %d, parallel %d",
+						wl.Name, mech.name, grownWin, parWin)
+				}
+				if wl.Name == "em3d" && grownWin >= fixedWin {
+					t.Errorf("em3d, %s: grown windows did not reduce barriers: %d >= %d",
+						mech.name, grownWin, fixedWin)
+				}
 			}
 		})
 	}
 }
 
-// TestWindowPolicy pins core.NewSystem's one window decision: windows
-// grow on a sharded machine unless speculative updates run, whose
-// cross-shard notifications growth does not see, and stay at the pinned
-// fixed-window count then. A barrier latency below the lookahead needs
-// no exception: a completed barrier ends a grown window where the fixed
+// TestWindowPolicy pins that a sharded machine's windows always grow,
+// with no exception left in core.NewSystem: speculative updates report
+// their cross-shard notifications like messages do, and a barrier
+// latency below the lookahead ends a grown window where the fixed
 // schedule's barrier falls. The stats equal the reference in every case.
 func TestWindowPolicy(t *testing.T) {
 	wl, _ := workload.ByName("em3d")
 	for _, tc := range []struct {
 		name string
 		cfg  func() core.Config
-		grow bool
 	}{
-		{"updates off", func() core.Config { return wideConfig(16, 4, false) }, true},
-		{"updates on", func() core.Config {
-			return wideConfig(16, 4, false).With(core.WithSpeculativeUpdates(0))
-		}, false},
+		{"updates off", func() core.Config { return wideConfig(16, 4, false) }},
+		{"updates on", func() core.Config { return withUpdates(wideConfig(16, 4, false)) }},
+		{"updates on parallel", func() core.Config { return withUpdates(wideConfig(16, 4, true)) }},
 		{"short barrier latency", func() core.Config {
 			cfg := wideConfig(16, 4, false)
 			cfg.BarrierLatency = 1
 			return cfg
-		}, true},
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref, refWin := runMachine(t, wl, tc.cfg(), true)
@@ -207,11 +220,8 @@ func TestWindowPolicy(t *testing.T) {
 			if !reflect.DeepEqual(ref, got) {
 				t.Errorf("stats diverge from the fixed-window reference\nfixed:   %+v\ndefault: %+v", ref, got)
 			}
-			if tc.grow && gotWin >= refWin {
+			if gotWin >= refWin {
 				t.Errorf("windows did not grow: %d >= fixed %d", gotWin, refWin)
-			}
-			if !tc.grow && gotWin != refWin {
-				t.Errorf("windows grew under speculative updates: %d vs fixed %d", gotWin, refWin)
 			}
 		})
 	}

@@ -17,8 +17,7 @@ import (
 
 // ProtocolReport is the schema of BENCH_pr10.json: the per-protocol
 // simulation cost record. Every registered protocol runs the same
-// workload on the bake-off configuration its capabilities allow
-// (harness.CompareConfig), and the record keeps each protocol's
+// workload on its bake-off configuration (harness.CompareConfig), and the record keeps each protocol's
 // per-event simulation cost. The adaptive row is the paper protocol
 // running through the plugin dispatch — comparing its ns/event against
 // the committed baseline is the gate that keeps the Protocol interface

@@ -4,8 +4,8 @@ func init() { Register(adaptive{}) }
 
 // adaptive is the paper's protocol: a write-invalidate directory base
 // whose producer-consumer detector steers directory delegation (§2.3),
-// speculative updates via delayed interventions (§2.4), and dynamic
-// self-invalidation — all individually enabled by configuration. It is
+// and speculative updates via delayed interventions (§2.4), both sized
+// and enabled by configuration. It is
 // the default protocol, and the reference implementation the fig9/fig10
 // goldens pin: its SharedWrite reproduces the pre-plugin simulator's
 // decision rule exactly.
@@ -14,17 +14,10 @@ type adaptive struct{}
 func (adaptive) Name() string { return "adaptive" }
 
 func (adaptive) Description() string {
-	return "paper's adaptive producer-consumer protocol (delegation, speculative updates, self-invalidation)"
+	return "paper's adaptive producer-consumer protocol (delegation, speculative updates)"
 }
 
-func (adaptive) Capabilities() Capabilities {
-	return Capabilities{
-		Delegation:         true,
-		SpeculativeUpdates: true,
-		SelfInvalidation:   true,
-		AdaptiveDelay:      true,
-	}
-}
+func (adaptive) Mechanism() Mechanism { return Delegation }
 
 // SharedWrite delegates the directory entry to a remote writer of a
 // detected producer-consumer line when delegation is on (§2.3.1's

@@ -7,7 +7,8 @@ func init() { Register(dsi{}) }
 // write-invalidate base where owners of detected producer-consumer
 // lines eagerly downgrade after their write burst, converting later
 // 3-hop reads into 2-hop home hits. It has no delegation and no update
-// pushes; its only capability is the self-invalidation timer.
+// pushes; its mechanism is the self-invalidation timer, which runs on
+// the delayed-intervention interval.
 type dsi struct{}
 
 func (dsi) Name() string { return "dsi" }
@@ -16,9 +17,7 @@ func (dsi) Description() string {
 	return "write-invalidate + dynamic self-invalidation of producer-consumer lines"
 }
 
-func (dsi) Capabilities() Capabilities {
-	return Capabilities{SelfInvalidation: true}
-}
+func (dsi) Mechanism() Mechanism { return SelfInvalidation }
 
 func (dsi) SharedWrite(v WriteView) WriteDecision { return Invalidate }
 

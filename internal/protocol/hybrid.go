@@ -25,9 +25,7 @@ func (hybrid) Description() string {
 	return "hybrid update/invalidate (pushes updates to stable sharers, per Dovgopol & Rosonke)"
 }
 
-func (hybrid) Capabilities() Capabilities {
-	return Capabilities{HybridUpdates: true}
-}
+func (hybrid) Mechanism() Mechanism { return UpdatePush }
 
 // SharedWrite pushes updates when the detector sees a producer-consumer
 // pattern and there are sharers to push to; otherwise it invalidates.

@@ -3,9 +3,9 @@
 // machinery — message delivery, directory entries, MSHRs, timing — and
 // consults a Protocol at the decision points where registered protocols
 // legitimately differ: what to do when a write hits a Shared line with
-// other sharers, and which optional mechanisms (delegation, speculative
-// updates, self-invalidation, hybrid update pushes) the configuration
-// may enable.
+// other sharers, and which one optional mechanism (delegation,
+// self-invalidation or hybrid update pushes) the run layers on the
+// write-invalidate base.
 //
 // A Protocol implementation is a set of pure decision functions: it must
 // not schedule events, send messages, or mutate directory state. That
@@ -24,39 +24,34 @@ import (
 	"pccsim/internal/msg"
 )
 
-// Capabilities declares which optional mechanisms a protocol supports.
-// Config validation rejects configurations that switch on a mechanism
-// the selected protocol does not implement, so a capability bit being
-// false means the corresponding machinery in the core is unreachable —
-// not merely unused — under that protocol.
-type Capabilities struct {
-	// Delegation: the protocol may hand a directory entry to the
-	// producer node (the paper's §2.3). Requires a RAC to host the
-	// delegated master copy.
-	Delegation bool
+// Mechanism names the one optional mechanism a protocol layers on the
+// write-invalidate base. A protocol name selects exactly one, so the
+// name alone says which machinery in the core a run can reach, and
+// configuration flags only size that machinery.
+type Mechanism uint8
 
-	// SpeculativeUpdates: the protocol may push updates to the previous
-	// readers via delayed interventions (the paper's §2.4). Requires
-	// delegation in this implementation (updates ride the producer
-	// table's intervention timer).
-	SpeculativeUpdates bool
+const (
+	// None is the plain write-invalidate base: every shared write
+	// invalidates the other sharers.
+	None Mechanism = iota
 
-	// SelfInvalidation: owners of detected producer-consumer lines may
+	// Delegation hands a directory entry to the producer node (the
+	// paper's §2.3). It is the only mechanism configuration can tune:
+	// the delegate cache size (which needs a RAC to host the delegated
+	// master copy), speculative updates via delayed interventions
+	// (§2.4) and the adaptive intervention delay (§5) all ride on it.
+	Delegation
+
+	// SelfInvalidation has owners of detected producer-consumer lines
 	// eagerly downgrade after their write burst (the dynamic
 	// self-invalidation baseline the paper compares against).
-	SelfInvalidation bool
+	SelfInvalidation
 
-	// AdaptiveDelay: the delayed-intervention interval may adapt per
-	// line instead of staying fixed (§2.4.1's tuning knob).
-	AdaptiveDelay bool
-
-	// HybridUpdates: shared-write hits push data updates to the current
+	// UpdatePush has shared-write hits push data updates to the current
 	// sharers instead of invalidating them (Dovgopol & Rosonke's hybrid
-	// update/invalidate family, arXiv:1502.00101). Mutually exclusive
-	// with the mechanisms above: it replaces the invalidate-on-write
-	// rule itself rather than layering on top of it.
-	HybridUpdates bool
-}
+	// update/invalidate family, arXiv:1502.00101).
+	UpdatePush
+)
 
 // WriteDecision is a protocol's verdict on a write that reached the home
 // directory in the Shared state with other sharers present.
@@ -114,21 +109,20 @@ type Protocol interface {
 	// Description is a one-line summary for listings.
 	Description() string
 
-	// Capabilities declares the optional mechanisms configurations may
-	// enable under this protocol.
-	Capabilities() Capabilities
+	// Mechanism is the optional mechanism the protocol runs.
+	Mechanism() Mechanism
 
 	// SharedWrite decides a write request that found the line Shared at
 	// the (possibly delegated) home with other sharers present. A
-	// protocol may only return PushUpdates if its Capabilities declare
-	// HybridUpdates, and only Delegate if they declare Delegation and
-	// the view's DelegationOn is set.
+	// protocol may only return PushUpdates if its mechanism is
+	// UpdatePush, and only Delegate if it is Delegation and the view's
+	// DelegationOn is set.
 	SharedWrite(v WriteView) WriteDecision
 
 	// UpdateStreakLimit is the number of consecutive unread update
 	// pushes a sharer tolerates before self-invalidating its copy
-	// (leaving the update set). Only consulted when HybridUpdates is
-	// set; others return 0.
+	// (leaving the update set). Only consulted under UpdatePush; others
+	// return 0.
 	UpdateStreakLimit() int
 }
 

@@ -88,8 +88,8 @@ func TestAdaptiveDecision(t *testing.T) {
 
 func TestHybridDecision(t *testing.T) {
 	p, _ := Lookup("hybrid")
-	if !p.Capabilities().HybridUpdates {
-		t.Fatal("hybrid must declare HybridUpdates")
+	if p.Mechanism() != UpdatePush {
+		t.Fatal("hybrid must run UpdatePush")
 	}
 	if p.UpdateStreakLimit() <= 0 {
 		t.Fatal("hybrid must have a positive update streak limit")
@@ -106,8 +106,23 @@ func TestHybridDecision(t *testing.T) {
 	}
 }
 
+// TestMechanisms pins the one mechanism each protocol name selects.
+func TestMechanisms(t *testing.T) {
+	want := map[string]Mechanism{
+		"adaptive": Delegation,
+		"dsi":      SelfInvalidation,
+		"hybrid":   UpdatePush,
+		"mesi":     None,
+	}
+	for _, p := range All() {
+		if got := p.Mechanism(); got != want[p.Name()] {
+			t.Errorf("%s: Mechanism = %v, want %v", p.Name(), got, want[p.Name()])
+		}
+	}
+}
+
 // TestDecisionLegality checks the interface contract: only protocols
-// declaring a capability may return the decision that needs it.
+// running a mechanism may return the decision that needs it.
 func TestDecisionLegality(t *testing.T) {
 	targets := msg.Vector{}.Set(2)
 	views := []WriteView{
@@ -117,19 +132,19 @@ func TestDecisionLegality(t *testing.T) {
 		{Requester: 0, Home: 0, IsPC: false, DelegationOn: true, Targets: targets},
 	}
 	for _, p := range All() {
-		caps := p.Capabilities()
+		m := p.Mechanism()
 		for _, v := range views {
 			switch d := p.SharedWrite(v); d {
 			case Delegate:
-				if !caps.Delegation {
-					t.Errorf("%s returned Delegate without the Delegation capability", p.Name())
+				if m != Delegation {
+					t.Errorf("%s returned Delegate without the Delegation mechanism", p.Name())
 				}
 				if !v.DelegationOn {
 					t.Errorf("%s returned Delegate with delegation disabled", p.Name())
 				}
 			case PushUpdates:
-				if !caps.HybridUpdates {
-					t.Errorf("%s returned PushUpdates without the HybridUpdates capability", p.Name())
+				if m != UpdatePush {
+					t.Errorf("%s returned PushUpdates without the UpdatePush mechanism", p.Name())
 				}
 			case Invalidate:
 			default:

@@ -297,27 +297,34 @@ func TestTraceMatchesStoredResult(t *testing.T) {
 	}
 }
 
-// TestRunWithProtocol submits the same cell under two protocols; both
-// complete, and the reports differ (different protocols really ran).
+// TestRunWithProtocol submits the same cell under mesi and each rival
+// protocol; all complete, and every rival's report differs from mesi's
+// (different protocols really ran). The dsi name alone must switch on
+// self-invalidation, which its report shows.
 func TestRunWithProtocol(t *testing.T) {
 	s := liveServer(t, Config{Workers: 2, QueueDepth: 8, RunnerWorkers: 1})
-	// Four iterations: enough rounds for hybrid's update streak to engage,
-	// so the two reports are observably different protocols.
-	a := submit(t, s, "", `{"workload":"em3d","nodes":8,"scale":1,"iters":4,"protocol":"mesi"}`)
-	b := submit(t, s, "", `{"workload":"em3d","nodes":8,"scale":1,"iters":4,"protocol":"hybrid"}`)
-	sa := waitFor(t, s, a.ID, isTerminal, "terminal")
-	sb := waitFor(t, s, b.ID, isTerminal, "terminal")
-	if sa.State != StateDone || sb.State != StateDone {
-		t.Fatalf("states = %s, %s, want both %s (%s / %s)",
-			sa.State, sb.State, StateDone, sa.Error, sb.Error)
+	// Four barnes iterations: enough rounds for hybrid's update streak
+	// and dsi's producer-consumer detection to engage, so the reports are
+	// observably different protocols.
+	report := func(proto string) string {
+		t.Helper()
+		st := submit(t, s, "", `{"workload":"barnes","nodes":8,"scale":1,"iters":4,"protocol":"`+proto+`"}`)
+		if st := waitFor(t, s, st.ID, isTerminal, "terminal"); st.State != StateDone {
+			t.Fatalf("%s: state = %s, want %s (%s)", proto, st.State, StateDone, st.Error)
+		}
+		rr := do(s.Handler(), "GET", "/v1/jobs/"+st.ID+"/result", "", "")
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s result: got %d", proto, rr.Code)
+		}
+		return rr.Body.String()
 	}
-	ra := do(s.Handler(), "GET", "/v1/jobs/"+a.ID+"/result", "", "")
-	rb := do(s.Handler(), "GET", "/v1/jobs/"+b.ID+"/result", "", "")
-	if ra.Code != http.StatusOK || rb.Code != http.StatusOK {
-		t.Fatalf("results: got %d and %d", ra.Code, rb.Code)
-	}
-	if ra.Body.String() == rb.Body.String() {
-		t.Error("mesi and hybrid runs returned identical reports")
+	mesi := report("mesi")
+	for _, proto := range []string{"hybrid", "dsi"} {
+		if got := report(proto); got == mesi {
+			t.Errorf("mesi and %s runs returned identical reports", proto)
+		} else if proto == "dsi" && !strings.Contains(got, "self-downgrades:") {
+			t.Errorf("dsi report shows no self-downgrades:\n%s", got)
+		}
 	}
 }
 

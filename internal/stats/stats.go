@@ -284,6 +284,9 @@ func (s *Stats) Dump(w io.Writer) {
 	fmt.Fprintf(w, ")\n")
 	fmt.Fprintf(w, "updates sent/useful/wasted: %d/%d/%d (accuracy %.1f%%)\n",
 		s.UpdatesSent, s.UpdatesUseful, s.UpdatesWasted, 100*s.UpdateAccuracy())
+	if s.SelfDowngrades > 0 { // dsi only: every other report keeps its bytes
+		fmt.Fprintf(w, "self-downgrades:       %d\n", s.SelfDowngrades)
+	}
 	dist := s.ConsumerDistPercent()
 	fmt.Fprintf(w, "consumer distribution: 1:%.1f%% 2:%.1f%% 3:%.1f%% 4:%.1f%% 4+:%.1f%%\n",
 		dist[0], dist[1], dist[2], dist[3], dist[4])

@@ -66,12 +66,16 @@
 // # Protocols
 //
 // The directory's sharing policy is pluggable. Protocols lists the
-// registered coherence protocols and WithProtocol selects one; the
-// default, "adaptive", is the paper's protocol. "mesi" is the plain
-// write-invalidate baseline, "hybrid" pushes updates to stable sharer
-// sets (Dovgopol & Rosonke), and "dsi" is the dynamic self-invalidation
-// related work. Config.Validate rejects mechanisms outside the selected
-// protocol's capabilities (e.g. WithDelegation under "mesi").
+// registered coherence protocols and WithProtocol selects one; a
+// protocol's name selects its one mechanism. The default, "adaptive",
+// is the paper's protocol: delegation, sized by WithRAC and
+// WithDelegation, with WithSpeculativeUpdates and WithAdaptiveDelay on
+// top. "mesi" is the plain write-invalidate baseline, "hybrid" pushes
+// updates to stable sharer sets (Dovgopol & Rosonke), and "dsi" is the
+// dynamic self-invalidation related work, selected with
+// WithProtocol("dsi"). Config.Validate rejects the delegation options
+// under every protocol but "adaptive" (e.g. WithDelegation under
+// "mesi").
 package pccsim
 
 import (
@@ -132,18 +136,14 @@ func WithDelegation(entries int) Option { return core.WithDelegation(entries) }
 // delegation and a RAC.
 func WithSpeculativeUpdates(delay Time) Option { return core.WithSpeculativeUpdates(delay) }
 
-// WithSelfInvalidation selects the related-work self-invalidation
-// baseline instead of delegation/updates.
-func WithSelfInvalidation() Option { return core.WithSelfInvalidation() }
-
 // WithAdaptiveDelay enables the §5 per-line learned intervention delay.
 func WithAdaptiveDelay() Option { return core.WithAdaptiveDelay() }
 
 // WithProtocol selects the coherence protocol by name; see Protocols for
 // the registered set. The empty name keeps the default ("adaptive", the
 // paper's protocol). New fails with ErrUnknownProtocol for names not in
-// Protocols, and with ErrBadConfig when an enabled mechanism lies
-// outside the selected protocol's capabilities.
+// Protocols, and with ErrBadConfig when delegation, updates or the
+// adaptive delay are enabled under a protocol that does not delegate.
 func WithProtocol(name string) Option { return core.WithProtocol(name) }
 
 // WithShards partitions the simulated machine into n engine shards run

@@ -106,6 +106,30 @@ func TestMechanismsImprovePCWorkload(t *testing.T) {
 	}
 }
 
+// TestDSIProtocolSelfInvalidates runs the configuration `pccsim
+// -protocol dsi` builds: the protocol name alone switches on dynamic
+// self-invalidation, so the run self-downgrades and differs from mesi.
+func TestDSIProtocolSelfInvalidates(t *testing.T) {
+	cfg := pccsim.DefaultConfig()
+	cfg.Nodes = 8
+	params := pccsim.WorkloadParams{Nodes: 8, Iters: 4}
+	mesi, err := pccsim.RunWorkload(cfg.With(pccsim.WithProtocol("mesi")), "barnes", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsi, err := pccsim.RunWorkload(cfg.With(pccsim.WithProtocol("dsi")), "barnes", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dsi.SelfDowngrades == 0 {
+		t.Fatal("dsi protocol made no self-downgrades")
+	}
+	if mesi.SelfDowngrades != 0 || dsi.ExecCycles == mesi.ExecCycles {
+		t.Fatalf("dsi ran like mesi: %d vs %d cycles, %d mesi self-downgrades",
+			dsi.ExecCycles, mesi.ExecCycles, mesi.SelfDowngrades)
+	}
+}
+
 func TestProgramAPI(t *testing.T) {
 	cfg := pccsim.DefaultConfig()
 	cfg.Nodes = 4
