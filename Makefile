@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test smoke soak bench bench-smoke compare-smoke check-mcheck fuzz-smoke fuzz clean
+.PHONY: check vet build test smoke soak bench bench-smoke bench-compare compare-smoke check-mcheck fuzz-smoke fuzz clean
 
 check: vet build test smoke
 
@@ -25,34 +25,54 @@ smoke:
 soak:
 	PCCSIM_SOAK=1 PCCSIM_SOAK_CLIENTS=8 $(GO) test -count=1 -v -run TestSoak ./cmd/pccsim
 
-# Micro- and macro-benchmarks. The go benches cover the event engine, the
-# network delivery pipeline, the directory tables, and the bit-vector ops;
-# pccperf then refreshes BENCH_pr2.json with engine throughput and the
-# full-suite wall time.
+# Go micro-benchmarks of the event engine, the network delivery
+# pipeline, the directory tables, the bit-vector ops and observability.
+# The end-to-end benchmark is perfbench (see bench-compare).
 bench:
 	$(GO) test -bench=. -benchmem ./internal/sim/... ./internal/network/... \
 		./internal/directory/... ./internal/addrtab/... ./internal/msg/... \
 		./internal/obs/... .
-	$(GO) run ./cmd/pccperf -o BENCH_pr2.json
-	$(GO) run ./cmd/pccperf -shards-sweep -shards-o BENCH_pr8.json
-	$(GO) run ./cmd/pccperf -mcheck-sweep -mcheck-o BENCH_pr9.json
-	$(GO) run ./cmd/pccperf -protocols -protocols-o BENCH_pr10.json
 
 # One-iteration bench smoke for CI: compiles and runs every benchmark
-# once, then gates the engine and suite numbers against the committed
-# baseline (2x tolerance absorbs runner noise; the gate catches hot-loop
-# regressions, not wobbles). The ZeroAlloc pass pins the observability
-# layer's disabled path (and the enabled Emit itself) and the model
-# checker's canonicalizer at 0 allocs/op.
+# once. The ZeroAlloc pass pins the observability layer's disabled path
+# (and the enabled Emit itself) and the model checker's canonicalizer at
+# 0 allocs/op.
 bench-smoke: compare-smoke
 	$(GO) test -bench=. -benchtime=1x ./internal/sim/... ./internal/network/... ./internal/obs/...
 	$(GO) test -run '^$$' -bench 'Canonical|Successors' -benchtime=1x ./internal/mcheck/
 	$(GO) test -run ZeroAlloc -count=1 ./internal/sim/... ./internal/network/... \
 		./internal/addrtab/... ./internal/obs/... ./internal/mcheck/...
-	$(GO) run ./cmd/pccperf -check BENCH_pr2.json
-	$(GO) run ./cmd/pccperf -check-shards BENCH_pr8.json
-	$(GO) run ./cmd/pccperf -check-mcheck BENCH_pr9.json
-	$(GO) run ./cmd/pccperf -check-protocols BENCH_pr10.json
+
+# The performance gate: perfbench built from the committed tree of BASE
+# (the parent) and from this checkout (the change), every workload run
+# in BENCH_PAIRS pairs that alternate which side goes first, each run
+# BENCH_SECONDS long on both sides, then judged by pccperf under
+# BENCHMARK.json's bounds. pccperf fails when a run is incorrect, when
+# the change fails a larger share of operations, or when a median is
+# worse by more than its bound; a metric whose parent runs spread wider
+# than the bound is reported unresolved. The runs stay in BENCH_OUT.
+# pccperf fails any BENCHMARK.json workload without runs, so
+# BENCH_WORKLOADS cannot silently fall behind it.
+BASE ?= HEAD
+BENCH_WORKLOADS = adaptive-barnes bakeoff wide-256 mcheck-deep
+BENCH_PAIRS = 3
+BENCH_SECONDS = 10
+BENCH_OUT = .bench_compare
+bench-compare:
+	rm -rf $(BENCH_OUT)/src $(BENCH_OUT)/parent $(BENCH_OUT)/change
+	mkdir -p $(BENCH_OUT)/src $(BENCH_OUT)/parent $(BENCH_OUT)/change
+	git archive $(BASE) | tar -x -C $(BENCH_OUT)/src
+	@set -e; out=$$(cd $(BENCH_OUT) && pwd); \
+	parent() { (cd $$out/src && CARGO_TARGET_DIR=$$out/build-parent bash perfbench/run.sh \
+		--workload $$1 --seed 1 --seconds $(BENCH_SECONDS) --trace 0 > $$out/parent/$$1.$$2.out); }; \
+	change() { CARGO_TARGET_DIR=$$out/build-change bash perfbench/run.sh \
+		--workload $$1 --seed 1 --seconds $(BENCH_SECONDS) --trace 0 > $$out/change/$$1.$$2.out; }; \
+	for w in $(BENCH_WORKLOADS); do for i in $$(seq $(BENCH_PAIRS)); do \
+		echo "bench-compare: $$w pair $$i"; \
+		if [ $$((i % 2)) = 1 ]; then parent $$w $$i; change $$w $$i; \
+		else change $$w $$i; parent $$w $$i; fi; \
+	done; done
+	$(GO) run ./cmd/pccperf $(BENCH_OUT)/parent $(BENCH_OUT)/change
 
 # The protocol bake-off gate: the -compare table and the fig9/fig10
 # sweeps must reproduce the committed goldens byte for byte — the
@@ -65,13 +85,12 @@ compare-smoke:
 	$(GO) run ./cmd/pccbench -exp fig10 -format csv -parallel 4 | diff -u testdata/fig10.golden.csv -
 	@echo "compare-smoke: goldens reproduced byte-identically"
 
-# The model-checker gate: worker-count invariance and litmus equivalence
-# under the race detector, the corpus counterexamples replayed, and the
-# exploration-throughput baseline checked. CI runs this plus a bounded
+# The model-checker gate: worker-count invariance, the pinned state and
+# transition counts and litmus equivalence under the race detector, and
+# the corpus counterexamples replayed. CI runs this plus a bounded
 # deep-configuration exploration as its own job.
 check-mcheck:
 	$(GO) test -race -count=1 ./internal/mcheck/... ./internal/fault/...
-	$(GO) run ./cmd/pccperf -check-mcheck BENCH_pr9.json
 
 # Seeded fuzzing under fault injection. fuzz-smoke is the quick PR gate;
 # fuzz is the long campaign the nightly workflow runs.

@@ -27,7 +27,6 @@ import (
 	"pccsim/internal/cli"
 	"pccsim/internal/core"
 	"pccsim/internal/harness"
-	"pccsim/internal/perf"
 	"pccsim/internal/protocol"
 	"pccsim/internal/runner"
 )
@@ -40,7 +39,6 @@ func main() {
 	fs := flag.NewFlagSet("pccbench", flag.ExitOnError)
 	exp := fs.String("exp", "all", "experiment: table1|table2|table3|fig7|fig8|fig9|fig10|fig11|fig12|ablation|extensions|related|compare|all")
 	compare := fs.Bool("compare", false, "shorthand for -exp compare: the head-to-head protocol bake-off")
-	mcheckBench := fs.Bool("mcheck", false, "benchmark the model checker's exploration engine instead of running experiments")
 	nodes := fs.Int("nodes", 16, "processor count")
 	scale := fs.Int("scale", 1, "workload problem-size multiplier")
 	iters := fs.Int("iters", 0, "workload iteration override (0 = defaults)")
@@ -90,13 +88,6 @@ func main() {
 		if err := writeTrace(*traceOut, *traceWl, *protoName, *nodes, *scale, *iters); err != nil {
 			fail(err)
 		}
-	}
-
-	if *mcheckBench {
-		if err := runMCheckBench(os.Stdout); err != nil {
-			fail(err)
-		}
-		return
 	}
 
 	opts := harness.Options{
@@ -289,38 +280,6 @@ func main() {
 	if err := run(*exp); err != nil {
 		fail(err)
 	}
-}
-
-// runMCheckBench prints the model checker's exploration-throughput stats
-// — the same measurement pccperf -mcheck-sweep records in BENCH_pr9.json:
-// the serial map-based checker, the work-stealing engine at several
-// worker counts (state counts verified identical), and one canonical run
-// showing the symmetry-reduction factor.
-func runMCheckBench(out *os.File) error {
-	rep, err := perf.RunMCheckBench(perf.MCheckWorkerCounts(), nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "== model checker: exploration throughput (%s, %d CPUs) ==\n", rep.Config, rep.CPUs)
-	for _, c := range rep.Cells {
-		label := c.Mode
-		switch {
-		case c.Canonical:
-			label = "engine canonical"
-		case c.Mode == "engine":
-			label = fmt.Sprintf("engine workers=%d", c.Workers)
-		}
-		fmt.Fprintf(out, "  %-20s states=%-8d states/s=%-9.0f dedup=%.3f peak-frontier=%d",
-			label, c.States, c.StatesPerSec, c.DedupRatio, c.PeakFrontier)
-		if c.Speedup > 0 {
-			fmt.Fprintf(out, " speedup=%.2fx match=%v", c.Speedup, c.MatchesSerial)
-		}
-		if c.Reduction > 0 {
-			fmt.Fprintf(out, " reduction=%.2fx", c.Reduction)
-		}
-		fmt.Fprintln(out)
-	}
-	return nil
 }
 
 // writeTrace runs one observed cell — the named workload under the named

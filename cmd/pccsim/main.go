@@ -12,7 +12,7 @@
 //	pccsim trace -workload em3d -out em3d.json -delay 100
 //
 // The serve subcommand turns the simulator into a multi-tenant job
-// service (run/experiment/fuzz/bench jobs over HTTP with memoized
+// service (run/experiment/fuzz jobs over HTTP with memoized
 // results and streaming progress), and submit is its thin client:
 //
 //	pccsim serve -addr :8344 -queue 64 -quota 8

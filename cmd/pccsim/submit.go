@@ -22,7 +22,7 @@ import (
 // workflow (and anyone else) uses to run simulations through a `pccsim
 // serve` instance: post a job spec, optionally wait for the terminal
 // state, and write the result body to stdout or a file. Exit codes: 0 on
-// success, 1 when the job fails, is cancelled, or a fuzz/bench result
+// success, 1 when the job fails, is cancelled, or a fuzz result
 // reports ok=false, 2 on usage or transport errors.
 func submitMain(args []string) int {
 	fs := flag.NewFlagSet("pccsim submit", flag.ContinueOnError)
@@ -265,7 +265,7 @@ func writeResult(path string, body []byte) error {
 }
 
 // verdict inspects JSON results that carry their own pass/fail bit (fuzz
-// campaigns and bench gates): the job completes as "done" either way, so
+// campaigns): the job completes as "done" either way, so
 // the verdict lives in the body. Fuzz failures are optionally written out
 // as replayable corpus files for `pccfuzz -replay`.
 func verdict(body []byte, ctype, reproDir string) int {

@@ -207,7 +207,7 @@ func (h *Hub) ownerInvalidate(m *msg.Message) {
 			}
 		}
 	}
-	if ms := h.mshr(m.Addr); ms != nil && !ms.wantExcl {
+	if ms := h.mshr(m.Addr); ms != nil {
 		// The data reply racing this invalidation may still be used
 		// once but must not be cached (see mshr.invalidated).
 		ms.invalidated = true
@@ -384,6 +384,11 @@ func (h *Hub) hybridUpdateData(m *msg.Message) {
 				h.noteUpdateWasted(m.Addr)
 			}
 		}
+	}
+	if ms := h.mshr(m.Addr); ms != nil && !kept {
+		// The home drops us from the sharers on this ack, so a grant
+		// of our pending write that it overtook must not be cached.
+		ms.invalidated = true
 	}
 	h.hybridAck(m, kept)
 }

@@ -114,9 +114,12 @@ type mshr struct {
 	viaRAC         bool
 	invalsRemote   bool
 
-	// invalidated is set when an Invalidate arrives while this read is
-	// pending: the fill satisfies the waiting load once but must not be
-	// cached (the copy is already stale under the home's serialization).
+	// invalidated is set when the home stops counting this node as a
+	// sharer while the transaction is pending (an Invalidate arrives, or
+	// a hybrid push is acked as dropped). A read's fill or a hybrid
+	// UpdateGrant fill then serves the waiting access once, uncached: a
+	// reordered message overtook it. Plain exclusive fills ignore it;
+	// the home grants ownership only after every older copy is gone.
 	invalidated bool
 
 	// target is where the current attempt's request was sent (the home,
@@ -610,8 +613,8 @@ func (h *Hub) tryComplete(m *mshr) {
 			Arg: uint64(h.mshrs.Len()), Arg2: uint64(cls)})
 	}
 
-	if m.invalidated && !m.wantExcl {
-		// Use-once fill: satisfy the load without caching stale data.
+	if m.invalidated && (!m.wantExcl || m.updateWrite) {
+		// Use-once fill: satisfy the access without caching stale data.
 		h.gl.observe(h.id, m.addr, m.version)
 		h.eng.After(h.cfg.L2Latency, m.done)
 		for _, w := range m.waiters {

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"pccsim/internal/core"
+	"pccsim/internal/protocol"
+	"pccsim/internal/runner"
 	"pccsim/internal/workload"
 )
 
@@ -312,5 +314,51 @@ func TestSessionWithContext(t *testing.T) {
 	}
 	if len(rows) == 0 || s.Cells() == 0 {
 		t.Fatal("live-context retry on the same session did not simulate")
+	}
+}
+
+// TestProtocolTripwire pins every registered protocol's exact simulated
+// cycles and engine events on em3d (16 nodes, scale 8) under its bake-off
+// configuration. The simulation is deterministic, so any drift means a
+// protocol's behaviour changed; em3d is the clearest producer-consumer
+// pattern, which puts every protocol's own machinery (delegation, pushed
+// updates, self-invalidation) on the pinned path. A registered protocol
+// missing from the table fails, so adding one forces pinning it.
+func TestProtocolTripwire(t *testing.T) {
+	want := map[string]struct{ cycles, events uint64 }{
+		"adaptive": {621_986, 850_965},
+		"dsi":      {1_165_833, 928_435},
+		"hybrid":   {578_868, 804_505},
+		"mesi":     {1_165_833, 928_435},
+	}
+	wl, err := workload.Lookup("em3d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := core.DefaultConfig()
+	for _, p := range protocol.All() {
+		var events uint64
+		r := runner.New(1, func(ev runner.Event) {
+			if ev.Done && ev.Err == nil {
+				events = ev.Events
+			}
+		})
+		res, err := r.Run([]runner.Job{{
+			Label: "tripwire/" + p.Name(), Cfg: CompareConfig(base, p), Workload: wl,
+			Params: workload.Params{Nodes: base.Nodes, Scale: 8},
+		}})
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		w, ok := want[p.Name()]
+		if !ok {
+			t.Errorf("%s: registered protocol has no pinned counts (got %d cycles, %d events)",
+				p.Name(), res[0].ExecCycles, events)
+			continue
+		}
+		if res[0].ExecCycles != w.cycles || events != w.events {
+			t.Errorf("%s: %d cycles, %d events; want %d, %d",
+				p.Name(), res[0].ExecCycles, events, w.cycles, w.events)
+		}
 	}
 }

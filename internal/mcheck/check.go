@@ -35,8 +35,8 @@ type Result struct {
 	Delegated int
 	// DedupHits counts successor states dropped because their (canonical)
 	// key was already in the visited set; PeakFrontier is the largest
-	// frontier observed. Together with wall time they make the
-	// `pccbench -mcheck` stats line.
+	// frontier observed. Together with wall time they make pccverify's
+	// stats line and the benchmark's mcheck metrics.
 	DedupHits    int
 	PeakFrontier int
 	// Workers records how many exploration workers ran (1 for the serial

@@ -250,10 +250,10 @@ func DeepConfig() Config {
 		Delegation: true, DetThresh: 1, MaxIssues: 2, MaxTotalIssues: 4}
 }
 
-// BenchConfig is the 3-node × 2-line throughput benchmark configuration
-// recorded in BENCH_pr9.json: 1,140,851 raw states (285,914 canonical) —
+// BenchConfig is the 3-node × 2-line configuration whose exact counts
+// TestBenchConfigCounts pins: 1,140,851 raw states (285,914 canonical) —
 // large enough that exploration runs for seconds, small enough that the
-// serial map-based baseline finishes at every worker count comparison.
+// serial map-based checker finishes and can be compared state for state.
 func BenchConfig() Config {
 	return Config{Nodes: 3, Lines: 2, MaxWrites: 2, QueueDepth: 2,
 		Delegation: true, DetThresh: 1, MaxIssues: 2, MaxTotalIssues: 4}

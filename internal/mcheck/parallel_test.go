@@ -102,6 +102,29 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestBenchConfigCounts pins BenchConfig's exploration exactly. The
+// engine without symmetry reduction at 2 workers and the serial map-based
+// checker must both reach the full space; the canonical engine must reach
+// its symmetry-reduced quotient. A rule change that moves any count
+// changes what the checker explores and must update these numbers
+// deliberately. The serial leg adds about 50 s under the race detector,
+// whose target is the parallel engine, so it runs only without it.
+func TestBenchConfigCounts(t *testing.T) {
+	cfg := BenchConfig()
+	check := func(name string, r *Result, states, transitions int) {
+		t.Helper()
+		if r.States != states || r.Transitions != transitions || !r.Ok() {
+			t.Errorf("%s: %d states, %d transitions, ok=%v; want %d, %d, ok",
+				name, r.States, r.Transitions, r.Ok(), states, transitions)
+		}
+	}
+	check("engine, 2 workers, no canon", ExploreOpts(cfg, Options{Workers: 2, NoCanon: true}), 1_140_851, 3_036_164)
+	if !raceEnabled {
+		check("serial", ExploreSerial(cfg, 0), 1_140_851, 3_036_164)
+	}
+	check("engine, canonical", ExploreOpts(cfg, Options{Workers: 2}), 285_914, 761_537)
+}
+
 // TestWorkerCountInvariance: the canonical engine's verdict-bearing
 // numbers are identical at any worker count.
 func TestWorkerCountInvariance(t *testing.T) {
@@ -229,9 +252,9 @@ func TestVisitedTableBasics(t *testing.T) {
 	}
 }
 
-// BenchmarkExploreSerial / BenchmarkExploreParallel: the BENCH_pr9
-// throughput pair on the benchmark configuration (see cmd/pccbench
-// -mcheck for the recorded stats line).
+// BenchmarkExploreSerialMap / BenchmarkExploreEngineNoCanon: the serial
+// map-based checker against the engine without symmetry reduction, on
+// the same small configuration.
 func BenchmarkExploreSerialMap(b *testing.B) {
 	cfg := small()
 	for i := 0; i < b.N; i++ {

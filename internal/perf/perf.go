@@ -1,58 +1,16 @@
-// Package perf measures the simulator's performance envelope: raw
-// event-engine throughput on the protocol's latency mix, the wall time
-// and event count of the full experiment suite, and the sharded-engine
-// scaling sweep. cmd/pccperf is its CLI face; the serve layer runs the
-// same measurements as HTTP jobs, which is why the logic lives here with
-// an io.Writer log instead of hard-wired os.Stderr.
+// Package perf holds the event engine's churn microbenchmark: a pure
+// schedule/step loop over the protocol's characteristic delays, with no
+// protocol, network or cache code on the path. perfbench reports it as
+// sim.churn_ns_per_event beside the real simulator's ns/event, so the
+// engine's share of the hot loop is always measured, not assumed.
 package perf
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"runtime"
-	"sync/atomic"
 	"time"
 
-	"pccsim/internal/harness"
 	"pccsim/internal/msg"
-	"pccsim/internal/runner"
 	"pccsim/internal/sim"
 )
-
-// Report is the schema of BENCH_pr2.json.
-type Report struct {
-	// Engine is the single-cell event-engine microbenchmark: a pure
-	// schedule/step churn over the protocol's characteristic delays.
-	Engine struct {
-		Events       uint64  `json:"events"`
-		WallSeconds  float64 `json:"wall_seconds"`
-		EventsPerSec float64 `json:"events_per_sec"`
-		NsPerEvent   float64 `json:"ns_per_event"`
-	} `json:"engine"`
-	// Suite is the full pccbench -exp all run (all experiment cells).
-	Suite struct {
-		Cells        int     `json:"cells"`
-		Events       uint64  `json:"events"`
-		WallSeconds  float64 `json:"wall_seconds"`
-		EventsPerSec float64 `json:"events_per_sec"`
-		Parallel     int     `json:"parallel"`
-		Scale        int     `json:"scale"`
-	} `json:"suite"`
-	GoVersion string `json:"go_version"`
-	CPUs      int    `json:"cpus"`
-	Timestamp string `json:"timestamp"`
-}
-
-// Options sizes a Measure run.
-type Options struct {
-	Events   uint64 // engine microbenchmark event count (0 = 20M)
-	Chains   int    // concurrent event chains in the microbenchmark (0 = 64)
-	Parallel int    // suite worker-pool size (0 = GOMAXPROCS)
-	Scale    int    // suite workload problem-size multiplier (0 = 1)
-	Quick    bool   // skip the full suite; engine microbenchmark only
-}
 
 // churnMix mirrors the protocol's characteristic event delays (crossbar,
 // hop, directory, DRAM) — the same mix BenchmarkEngineChurn in
@@ -91,114 +49,4 @@ func BenchEngine(total uint64, k int) (uint64, time.Duration) {
 		eng.Step()
 	}
 	return c.n, time.Since(start)
-}
-
-// Measure runs the engine microbenchmark and (unless opts.Quick) the full
-// experiment suite, logging human-readable progress to log (nil = quiet).
-func Measure(opts Options, log io.Writer) (*Report, error) {
-	if log == nil {
-		log = io.Discard
-	}
-	if opts.Events == 0 {
-		opts.Events = 20_000_000
-	}
-	if opts.Chains == 0 {
-		opts.Chains = 64
-	}
-	if opts.Scale == 0 {
-		opts.Scale = 1
-	}
-
-	rep := &Report{
-		GoVersion: runtime.Version(),
-		CPUs:      runtime.NumCPU(),
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-	}
-	n, wall := BenchEngine(opts.Events, opts.Chains)
-	rep.Engine.Events = n
-	rep.Engine.WallSeconds = wall.Seconds()
-	rep.Engine.EventsPerSec = float64(n) / wall.Seconds()
-	rep.Engine.NsPerEvent = float64(wall.Nanoseconds()) / float64(n)
-	fmt.Fprintf(log, "pccperf: engine %d events in %v (%.1f Mev/s)\n",
-		n, wall.Round(time.Millisecond), rep.Engine.EventsPerSec/1e6)
-
-	if !opts.Quick {
-		var cells atomic.Int64
-		var suiteEvents atomic.Uint64
-		hopts := harness.Options{
-			Nodes: 16, Scale: opts.Scale, Parallel: opts.Parallel,
-			Progress: func(ev runner.Event) {
-				if ev.Done && ev.Err == nil && !ev.Cached {
-					cells.Add(1)
-					suiteEvents.Add(ev.Events)
-				}
-			},
-		}
-		start := time.Now()
-		if _, err := harness.RunAll(hopts); err != nil {
-			return nil, err
-		}
-		suiteWall := time.Since(start)
-		rep.Suite.Cells = int(cells.Load())
-		rep.Suite.Events = suiteEvents.Load()
-		rep.Suite.WallSeconds = suiteWall.Seconds()
-		rep.Suite.EventsPerSec = float64(rep.Suite.Events) / suiteWall.Seconds()
-		rep.Suite.Parallel = opts.Parallel
-		rep.Suite.Scale = opts.Scale
-		fmt.Fprintf(log, "pccperf: suite %d cells, %d events in %v (%.1f Mev/s)\n",
-			rep.Suite.Cells, rep.Suite.Events, suiteWall.Round(time.Millisecond),
-			rep.Suite.EventsPerSec/1e6)
-	}
-	return rep, nil
-}
-
-// CheckBaseline is the bench-regression gate: the fresh measurements in
-// rep must not be worse than the committed baseline at path by more than
-// the tolerance factor. Engine ns/event and suite wall time gate;
-// event-count drift (the workload itself changed) only warns, since a
-// different workload makes wall-time comparison advisory anyway. The
-// generous default tolerance absorbs machine-to-machine and CI-runner
-// noise — the gate exists to catch order-of-magnitude hot-loop
-// regressions, not 10% wobbles. It reports whether the gate passed.
-func CheckBaseline(path string, rep *Report, tol float64, quick bool, log io.Writer) bool {
-	if log == nil {
-		log = io.Discard
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(log, "pccperf:", err)
-		return false
-	}
-	var base Report
-	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(log, "pccperf: %s: %v\n", path, err)
-		return false
-	}
-
-	ok := true
-	gate := func(name string, got, want float64) {
-		switch {
-		case want <= 0:
-			fmt.Fprintf(log, "pccperf: check %-16s baseline missing; skipped\n", name)
-		case got > want*tol:
-			fmt.Fprintf(log, "pccperf: check %-16s FAIL: %.2f vs baseline %.2f (> %.1fx)\n",
-				name, got, want, tol)
-			ok = false
-		default:
-			fmt.Fprintf(log, "pccperf: check %-16s ok: %.2f vs baseline %.2f (%.2fx)\n",
-				name, got, want, got/want)
-		}
-	}
-	gate("engine-ns/event", rep.Engine.NsPerEvent, base.Engine.NsPerEvent)
-	if !quick {
-		gate("suite-wall-s", rep.Suite.WallSeconds, base.Suite.WallSeconds)
-		if base.Suite.Events != 0 && rep.Suite.Events != base.Suite.Events {
-			fmt.Fprintf(log, "pccperf: check suite-events       warn: %d vs baseline %d (workload changed; wall gate is advisory)\n",
-				rep.Suite.Events, base.Suite.Events)
-		}
-	}
-	if ok {
-		fmt.Fprintf(log, "pccperf: check OK against %s (tolerance %.1fx)\n", path, tol)
-	}
-	return ok
 }

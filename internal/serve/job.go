@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"path"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +15,6 @@ import (
 	"pccsim/internal/harness"
 	"pccsim/internal/node"
 	"pccsim/internal/obs"
-	"pccsim/internal/perf"
 	"pccsim/internal/runner"
 	"pccsim/internal/sim"
 	"pccsim/internal/stats"
@@ -35,7 +32,7 @@ const (
 )
 
 // Job is one unit of server work: a simulation run, a harness experiment,
-// a fuzz campaign, or a benchmark measurement.
+// or a fuzz campaign.
 type Job struct {
 	ID      string
 	Tenant  string
@@ -367,94 +364,7 @@ func (s *Server) execFuzz(j *Job, sp *fuzzSpec) error {
 			Seed: f.Seed, Failure: f.Result.Failure, Shrunk: f.Shrunk,
 		})
 	}
-	return j.finishJSON(res)
-}
-
-// benchSpec describes a benchmark job: the engine/suite measurement
-// (optionally gated against a committed baseline) or the shard sweep.
-type benchSpec struct {
-	Kind        string  `json:"kind"`
-	Quick       bool    `json:"quick"`
-	Events      uint64  `json:"events"`
-	Chains      int     `json:"chains"`
-	Parallel    int     `json:"parallel"`
-	Scale       int     `json:"scale"`
-	Check       string  `json:"check"`        // baseline name, e.g. "BENCH_pr2.json"
-	Tolerance   float64 `json:"tolerance"`    // gate factor (0 = 2.0)
-	Sweep       bool    `json:"sweep"`        // run the shard sweep instead
-	SweepNodes  []int   `json:"sweep_nodes"`  // sweep grid override
-	SweepShards []int   `json:"sweep_shards"` // sweep grid override
-	CheckShards string  `json:"check_shards"` // reduced-sweep gate baseline name
-}
-
-// validate accepts only bare committed baseline names (BENCH_*.json, no
-// directory part) for the gates, so a job cannot make the server read
-// an arbitrary path such as /dev/zero.
-func (sp *benchSpec) validate() error {
-	for _, name := range []string{sp.Check, sp.CheckShards} {
-		if name == "" {
-			continue
-		}
-		if ok, _ := path.Match("BENCH_*.json", name); !ok || filepath.Base(name) != name {
-			return fmt.Errorf("baseline %q: want a bare BENCH_*.json file name", name)
-		}
-	}
-	return nil
-}
-
-// benchResult is a bench job's JSON body: the fresh measurement plus the
-// gate verdict when a baseline was named. Baseline names resolve in the
-// server's working directory — the server runs in a repo checkout, so
-// "BENCH_pr2.json" means the committed record.
-type benchResult struct {
-	Ok     bool              `json:"ok"`
-	Report *perf.Report      `json:"report,omitempty"`
-	Sweep  *perf.ShardReport `json:"sweep,omitempty"`
-	Log    string            `json:"log"`
-}
-
-func (s *Server) execBench(j *Job, sp *benchSpec) error {
-	tol := sp.Tolerance
-	if tol == 0 {
-		tol = 2.0
-	}
-	res := benchResult{Ok: true}
-	var log bytes.Buffer
-	if sp.CheckShards != "" {
-		res.Ok = perf.CheckShards(sp.CheckShards, tol, &log)
-	} else if sp.Sweep {
-		nodes, shards := sp.SweepNodes, sp.SweepShards
-		if len(nodes) == 0 {
-			nodes = perf.SweepNodeCounts()
-		}
-		if len(shards) == 0 {
-			shards = perf.SweepShardCounts()
-		}
-		rep, err := perf.RunShardSweep(nodes, shards, &log)
-		if err != nil {
-			return err
-		}
-		res.Sweep = rep
-	} else {
-		rep, err := perf.Measure(perf.Options{
-			Events: sp.Events, Chains: sp.Chains,
-			Parallel: sp.Parallel, Scale: sp.Scale, Quick: sp.Quick,
-		}, &log)
-		if err != nil {
-			return err
-		}
-		res.Report = rep
-		if sp.Check != "" {
-			res.Ok = perf.CheckBaseline(sp.Check, rep, tol, sp.Quick, &log)
-		}
-	}
-	res.Log = log.String()
-	return j.finishJSON(res)
-}
-
-// finishJSON stores v as the job's application/json result body.
-func (j *Job) finishJSON(v any) error {
-	enc, err := json.MarshalIndent(v, "", "  ")
+	enc, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -1,11 +1,11 @@
 // Package serve is the multi-tenant simulation service behind
 // `pccsim serve`: a stdlib net/http JSON API that accepts simulation
-// runs, harness experiments, fuzz campaigns and benchmark measurements
-// as jobs on a bounded queue, executes them on a fixed worker pool over
-// the shared internal/runner memo (duplicate submissions — across
-// requests and tenants — simulate once and return byte-identical
-// bodies), streams progress over SSE, exports Perfetto traces, and
-// drains gracefully on shutdown.
+// runs, harness experiments and fuzz campaigns as jobs on a bounded
+// queue, executes them on a fixed worker pool over the shared
+// internal/runner memo (duplicate submissions — across requests and
+// tenants — simulate once and return byte-identical bodies), streams
+// progress over SSE, exports Perfetto traces, and drains gracefully on
+// shutdown.
 //
 // Determinism is the API contract: a run job's result body is
 // byte-identical to the equivalent pccsim CLI invocation's stdout,
@@ -178,10 +178,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		spec = &experimentSpec{}
 	case "fuzz":
 		spec = &fuzzSpec{}
-	case "bench":
-		spec = &benchSpec{}
 	default:
-		httpError(w, http.StatusBadRequest, "unknown kind %q (run|experiment|fuzz|bench)", env.Kind)
+		httpError(w, http.StatusBadRequest, "unknown kind %q (run|experiment|fuzz)", env.Kind)
 		return
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -210,11 +208,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				httpError(w, http.StatusBadRequest, "fuzz protocol: %v", err)
 				return
 			}
-		}
-	case *benchSpec:
-		if err := sp.validate(); err != nil {
-			httpError(w, http.StatusBadRequest, "bench: %v", err)
-			return
 		}
 	}
 
@@ -293,8 +286,6 @@ func (s *Server) runJob(j *Job) {
 		err = s.execExperiment(j, sp)
 	case *fuzzSpec:
 		err = s.execFuzz(j, sp)
-	case *benchSpec:
-		err = s.execBench(j, sp)
 	default:
 		err = fmt.Errorf("no spec attached")
 	}
@@ -395,7 +386,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // handleCancel cancels a queued or running job. Queued jobs flip straight
 // to cancelled; running run-jobs get a cooperative interrupt and report
-// cancelled once the simulation notices (experiment/fuzz/bench jobs
+// cancelled once the simulation notices (experiment/fuzz jobs
 // complete — their batches have no per-cell cancellation).
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r)

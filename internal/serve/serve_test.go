@@ -149,6 +149,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		"unknown protocol":      `{"workload":"em3d","protocol":"mosi"}`,
 		"illegal mechanisms":    `{"workload":"em3d","protocol":"mesi","rac":32768,"deledc":32}`,
 		"unknown fuzz protocol": `{"kind":"fuzz","cases":1,"protocol":"mosi"}`,
+		"retired bench kind":    `{"kind":"bench"}`,
 	} {
 		rr := do(s.Handler(), "POST", "/v1/jobs", "", body)
 		if rr.Code != http.StatusBadRequest {
@@ -158,29 +159,6 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	// Nothing malformed should have been enqueued.
 	if n := len(s.queue); n != 0 {
 		t.Errorf("queue holds %d jobs after rejected submissions", n)
-	}
-}
-
-// TestSubmitBenchBaselineNames pins the bench gates to bare committed
-// baseline names: any path (a device, a parent or a subdirectory) is a
-// 400 at submission, before the server would open it.
-func TestSubmitBenchBaselineNames(t *testing.T) {
-	for _, tc := range []struct {
-		body string
-		want int
-	}{
-		{`{"kind":"bench","check":"/dev/zero"}`, http.StatusBadRequest},
-		{`{"kind":"bench","check":"../BENCH_pr2.json"}`, http.StatusBadRequest},
-		{`{"kind":"bench","check":"sub/BENCH_pr2.json"}`, http.StatusBadRequest},
-		{`{"kind":"bench","check_shards":"/dev/zero"}`, http.StatusBadRequest},
-		{`{"kind":"bench","check_shards":"notes.json"}`, http.StatusBadRequest},
-		{`{"kind":"bench","quick":true,"check":"BENCH_pr2.json"}`, http.StatusAccepted},
-		{`{"kind":"bench","check_shards":"BENCH_pr8.json"}`, http.StatusAccepted},
-	} {
-		s := idleServer(4, -1)
-		if rr := do(s.Handler(), "POST", "/v1/jobs", "", tc.body); rr.Code != tc.want {
-			t.Errorf("%s: got %d, want %d (body %q)", tc.body, rr.Code, tc.want, rr.Body.String())
-		}
 	}
 }
 

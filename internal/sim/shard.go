@@ -142,8 +142,8 @@ func (g *Group) OnBarrier(fn func()) { g.hooks = append(g.hooks, fn) }
 
 // PinWindows drops the growth cap to the lookahead, so every window is
 // the fixed conservative window. Results are unchanged; only the window
-// count grows back. It is the fixed-window reference that tests and the
-// shard sweep compare grown windows against. Call before Run.
+// count grows back. It is the fixed-window reference that tests compare
+// grown windows against. Call before Run.
 func (g *Group) PinWindows() { g.maxAllow = g.look }
 
 // SetInterrupt arms the group with a cancellation flag shared with other
