@@ -26,22 +26,25 @@ soak:
 	PCCSIM_SOAK=1 PCCSIM_SOAK_CLIENTS=8 $(GO) test -count=1 -v -run TestSoak ./cmd/pccsim
 
 # Go micro-benchmarks of the event engine, the network delivery
-# pipeline, the directory tables, the bit-vector ops and observability.
-# The end-to-end benchmark is perfbench (see bench-compare).
+# pipeline, the caches and RAC, the directory tables, the bit-vector ops
+# and observability. The end-to-end benchmark is perfbench (see
+# bench-compare).
 bench:
 	$(GO) test -bench=. -benchmem ./internal/sim/... ./internal/network/... \
+		./internal/cache/... ./internal/rac/... \
 		./internal/directory/... ./internal/addrtab/... ./internal/msg/... \
 		./internal/obs/... .
 
 # One-iteration bench smoke for CI: compiles and runs every benchmark
 # once. The ZeroAlloc pass pins the observability layer's disabled path
-# (and the enabled Emit itself) and the model checker's canonicalizer at
-# 0 allocs/op.
+# (and the enabled Emit itself), the caches' steady-state access path
+# and the model checker's canonicalizer at 0 allocs/op.
 bench-smoke: compare-smoke
-	$(GO) test -bench=. -benchtime=1x ./internal/sim/... ./internal/network/... ./internal/obs/...
+	$(GO) test -bench=. -benchtime=1x ./internal/sim/... ./internal/network/... ./internal/obs/... \
+		./internal/cache/...
 	$(GO) test -run '^$$' -bench 'Canonical|Successors' -benchtime=1x ./internal/mcheck/
 	$(GO) test -run ZeroAlloc -count=1 ./internal/sim/... ./internal/network/... \
-		./internal/addrtab/... ./internal/obs/... ./internal/mcheck/...
+		./internal/addrtab/... ./internal/obs/... ./internal/mcheck/... ./internal/cache/...
 
 # The performance gate: perfbench built from the committed tree of BASE
 # (the parent) and from this checkout (the change), every workload run

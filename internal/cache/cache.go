@@ -4,11 +4,7 @@
 // support for inclusion.
 package cache
 
-import (
-	"fmt"
-
-	"pccsim/internal/msg"
-)
+import "pccsim/internal/msg"
 
 // State is the coherence state of a cached line as seen by the processor
 // side of the protocol. Exclusive and Modified collapse into Excl with a
@@ -28,16 +24,15 @@ func (s State) String() string { return stateNames[s] }
 // Line is one cache line.
 type Line struct {
 	Addr    msg.Addr // line-aligned address; valid only when State != Invalid
+	Version uint64   // abstract data value for runtime invariant checks
+	Grant   uint64   // ownership epoch of an Excl copy (msg.Message.GrantTxn)
 	State   State
 	Dirty   bool
-	Version uint64 // abstract data value for runtime invariant checks
-	Grant   uint64 // ownership epoch of an Excl copy (msg.Message.GrantTxn)
 	// Streak counts consecutive pushed updates applied to this copy
 	// since the last local read (the hybrid update/invalidate
 	// protocol's sharer-stability test; always 0 elsewhere). Insert
 	// resets it: a fresh fill starts a fresh streak.
-	Streak  uint8
-	lastUse uint64
+	Streak uint8
 }
 
 // Victim describes a line evicted by Insert.
@@ -50,125 +45,73 @@ type Victim struct {
 	Grant   uint64
 }
 
+func victimOf(l *Line) Victim {
+	return Victim{Valid: true, Addr: l.Addr, State: l.State, Dirty: l.Dirty,
+		Version: l.Version, Grant: l.Grant}
+}
+
 // Cache is a set-associative cache. It is a pure state container: timing
-// and protocol actions live in the controllers that use it.
+// and protocol actions live in the controllers that use it. Its storage
+// is allocated on first touch (see Array).
 type Cache struct {
-	lineBytes int
-	numSets   int
-	ways      int
-	sets      []Line // numSets * ways, row-major
-	useClock  uint64
+	lines *Array[Line]
 }
 
 // New creates a cache of totalBytes capacity with the given associativity
-// and line size. totalBytes must be a multiple of ways*lineBytes and the
-// resulting set count must be a power of two.
+// and line size. The geometry must satisfy SetCount: a power-of-two
+// line size, totalBytes a multiple of ways*lineBytes, and a power-of-two
+// set count.
 func New(totalBytes, ways, lineBytes int) *Cache {
-	if totalBytes <= 0 || ways <= 0 || lineBytes <= 0 {
-		panic("cache: sizes must be positive")
+	sets, err := SetCount(totalBytes, ways, lineBytes)
+	if err != nil {
+		panic("cache: " + err.Error())
 	}
-	if totalBytes%(ways*lineBytes) != 0 {
-		panic(fmt.Sprintf("cache: %d bytes not divisible into %d ways of %d-byte lines",
-			totalBytes, ways, lineBytes))
-	}
-	numSets := totalBytes / (ways * lineBytes)
-	if numSets&(numSets-1) != 0 {
-		panic(fmt.Sprintf("cache: set count %d is not a power of two", numSets))
-	}
-	return &Cache{
-		lineBytes: lineBytes,
-		numSets:   numSets,
-		ways:      ways,
-		sets:      make([]Line, numSets*ways),
-	}
+	return &Cache{lines: NewArray[Line](sets, ways, lineBytes)}
 }
 
 // LineBytes returns the line size.
-func (c *Cache) LineBytes() int { return c.lineBytes }
+func (c *Cache) LineBytes() int { return c.lines.LineBytes() }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.numSets }
+func (c *Cache) Sets() int { return c.lines.Sets() }
 
 // Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
+func (c *Cache) Ways() int { return c.lines.Ways() }
 
 // Align returns the line-aligned address containing addr.
 func (c *Cache) Align(addr msg.Addr) msg.Addr {
-	return addr &^ msg.Addr(c.lineBytes-1)
-}
-
-func (c *Cache) set(addr msg.Addr) []Line {
-	idx := (uint64(addr) / uint64(c.lineBytes)) & uint64(c.numSets-1)
-	return c.sets[idx*uint64(c.ways) : (idx+1)*uint64(c.ways)]
+	return addr &^ msg.Addr(c.lines.LineBytes()-1)
 }
 
 // Lookup returns the line holding addr, or nil. It does not update LRU
 // state; use Touch for accesses that should refresh recency.
-func (c *Cache) Lookup(addr msg.Addr) *Line {
-	addr = c.Align(addr)
-	set := c.set(addr)
-	for i := range set {
-		if set[i].State != Invalid && set[i].Addr == addr {
-			return &set[i]
-		}
-	}
-	return nil
-}
+func (c *Cache) Lookup(addr msg.Addr) *Line { return c.lines.Lookup(uint64(addr)) }
 
 // Touch marks addr most recently used if present and returns its line.
-func (c *Cache) Touch(addr msg.Addr) *Line {
-	l := c.Lookup(addr)
-	if l != nil {
-		c.useClock++
-		l.lastUse = c.useClock
-	}
-	return l
-}
+func (c *Cache) Touch(addr msg.Addr) *Line { return c.lines.Touch(uint64(addr)) }
 
 // Insert places addr into the cache in the given state, evicting the LRU
 // line of the set if necessary, and returns the new line plus the victim
 // (Victim.Valid reports whether a valid line was displaced). If the address
 // is already present its line is reused in place.
 func (c *Cache) Insert(addr msg.Addr, st State) (*Line, Victim) {
-	addr = c.Align(addr)
-	set := c.set(addr)
+	l, prior := c.lines.Fill(uint64(addr), nil)
 	var victim Victim
-	slot := -1
-	for i := range set {
-		if set[i].State != Invalid && set[i].Addr == addr {
-			slot = i
-			break
-		}
-		if slot < 0 && set[i].State == Invalid {
-			slot = i
-		}
+	if prior == WasEvicted {
+		victim = victimOf(l)
 	}
-	if slot < 0 {
-		// Evict the least recently used way.
-		slot = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lastUse < set[slot].lastUse {
-				slot = i
-			}
-		}
-		v := &set[slot]
-		victim = Victim{Valid: true, Addr: v.Addr, State: v.State, Dirty: v.Dirty,
-			Version: v.Version, Grant: v.Grant}
-	}
-	c.useClock++
-	set[slot] = Line{Addr: addr, State: st, lastUse: c.useClock}
-	return &set[slot], victim
+	*l = Line{Addr: c.Align(addr), State: st}
+	return l, victim
 }
 
 // Invalidate removes addr from the cache, returning the line's prior
 // contents as a Victim (Valid=false if it was not present).
 func (c *Cache) Invalidate(addr msg.Addr) Victim {
-	l := c.Lookup(addr)
+	l := c.lines.Remove(uint64(addr))
 	if l == nil {
 		return Victim{}
 	}
-	v := Victim{Valid: true, Addr: l.Addr, State: l.State, Dirty: l.Dirty,
-		Version: l.Version, Grant: l.Grant}
+	v := victimOf(l)
 	*l = Line{}
 	return v
 }
@@ -176,28 +119,13 @@ func (c *Cache) Invalidate(addr msg.Addr) Victim {
 // InvalidateRange removes every line overlapping [addr, addr+n) — used for
 // back-invalidating L1 lines when their containing L2 line leaves.
 func (c *Cache) InvalidateRange(addr msg.Addr, n int) {
-	start := c.Align(addr)
-	for a := start; a < addr+msg.Addr(n); a += msg.Addr(c.lineBytes) {
+	for a := c.Align(addr); a < addr+msg.Addr(n); a += msg.Addr(c.lines.LineBytes()) {
 		c.Invalidate(a)
 	}
 }
 
 // Count returns the number of valid lines (test and debugging aid).
-func (c *Cache) Count() int {
-	n := 0
-	for i := range c.sets {
-		if c.sets[i].State != Invalid {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cache) Count() int { return c.lines.Count() }
 
-// ForEach calls fn for every valid line.
-func (c *Cache) ForEach(fn func(*Line)) {
-	for i := range c.sets {
-		if c.sets[i].State != Invalid {
-			fn(&c.sets[i])
-		}
-	}
-}
+// ForEach calls fn for every valid line, in set order.
+func (c *Cache) ForEach(fn func(*Line)) { c.lines.ForEach(fn) }

@@ -10,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 
+	"pccsim/internal/cache"
+	"pccsim/internal/delegate"
 	"pccsim/internal/msg"
 	"pccsim/internal/network"
 	"pccsim/internal/protocol"
@@ -251,14 +253,17 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("%w: L2 line (%d) must be a multiple of L1 line (%d)",
 			ErrBadConfig, c.L2LineBytes, c.L1LineBytes)
 	}
+	if c.RACBytes < 0 || c.DelegateEntries < 0 || c.ConsumerEntries < 0 {
+		return fmt.Errorf("%w: RACBytes, DelegateEntries and ConsumerEntries must not be negative", ErrBadConfig)
+	}
 	if c.DelegateEntries > 0 && c.RACBytes == 0 {
 		return fmt.Errorf("%w: delegation requires a RAC (the producer pins delegated lines there)", ErrBadConfig)
 	}
 	if c.EnableUpdates && (c.DelegateEntries == 0 || c.RACBytes == 0) {
 		return fmt.Errorf("%w: speculative updates require delegation and a RAC", ErrBadConfig)
 	}
-	if c.DirCacheEntries <= 0 {
-		return fmt.Errorf("%w: DirCacheEntries must be positive", ErrBadConfig)
+	if err := c.validateGeometry(); err != nil {
+		return err
 	}
 	if c.MaxStores <= 0 {
 		return fmt.Errorf("%w: MaxStores must be positive", ErrBadConfig)
@@ -277,6 +282,31 @@ func (c *Config) Validate() error {
 		(c.DelegateEntries > 0 || c.EnableUpdates || c.AdaptiveDelay) {
 		return fmt.Errorf("%w: protocol %q does not delegate; DelegateEntries, EnableUpdates and AdaptiveDelay need a delegation protocol",
 			ErrBadConfig, proto.Name())
+	}
+	return nil
+}
+
+// validateGeometry checks every set-associative structure a hub builds
+// against the rules of cache.SetCount, so a bad size is a typed error
+// here rather than a panic in the constructor.
+func (c *Config) validateGeometry() error {
+	for _, g := range []struct {
+		name                   string
+		capacity, ways, lineSz int
+		on                     bool
+	}{
+		{"L1", c.L1Bytes, c.L1Ways, c.L1LineBytes, true},
+		{"L2", c.L2Bytes, c.L2Ways, c.L2LineBytes, true},
+		{"RAC", c.RACBytes, c.RACWays, c.L2LineBytes, c.RACBytes > 0},
+		{"directory cache", c.DirCacheEntries, dirCacheWays, 1, true},
+		{"consumer table", c.consumerEntries(), delegate.ConsumerWays, 1, c.DelegateEntries > 0},
+	} {
+		if !g.on {
+			continue
+		}
+		if _, err := cache.SetCount(g.capacity, g.ways, g.lineSz); err != nil {
+			return fmt.Errorf("%w: %s geometry: %v", ErrBadConfig, g.name, err)
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -569,6 +570,39 @@ func TestConfigValidation(t *testing.T) {
 	good := DefaultConfig().With(WithRAC(32), WithDelegation(32), WithSpeculativeUpdates(0))
 	if _, err := NewSystem(good); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
+// TestConfigValidateGeometry checks that every cache, RAC, directory
+// cache and consumer-table size the constructors cannot build is a
+// typed ErrBadConfig from NewSystem, not a constructor panic.
+func TestConfigValidateGeometry(t *testing.T) {
+	base := DefaultConfig().With(WithRAC(32), WithDelegation(32))
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"l1-line-not-power-of-two", func(c *Config) { c.L1LineBytes, c.L1Bytes, c.L2LineBytes = 48, 48*2*256, 96 }},
+		{"l1-sets-not-power-of-two", func(c *Config) { c.L1Bytes = 3 * 2 * 32 }},
+		{"l2-not-divisible", func(c *Config) { c.L2Bytes = 1000 }},
+		{"l2-sets-not-power-of-two", func(c *Config) { c.L2Bytes = 6 * 4 * 128 }},
+		{"l2-no-ways", func(c *Config) { c.L2Ways = 0 }},
+		{"rac-not-divisible", func(c *Config) { c.RACBytes = 3 * 128 }},
+		{"rac-sets-not-power-of-two", func(c *Config) { c.RACBytes = 12 * 128 }},
+		{"rac-negative", func(c *Config) { c.RACBytes = -128 }},
+		{"dircache-empty", func(c *Config) { c.DirCacheEntries = 0 }},
+		{"dircache-not-divisible", func(c *Config) { c.DirCacheEntries = 8190 }},
+		{"dircache-sets-not-power-of-two", func(c *Config) { c.DirCacheEntries = 12 }},
+		{"consumer-table-sets-not-power-of-two", func(c *Config) { c.ConsumerEntries = 12 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.edit(&cfg)
+			if _, err := NewSystem(cfg); !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("err = %v, want ErrBadConfig", err)
+
+			}
+		})
 	}
 }
 

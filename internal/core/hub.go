@@ -52,7 +52,12 @@ type Hub struct {
 	// path PR 2 moved off map[msg.Addr]).
 	mshrs  addrtab.Table[*mshr]
 	txnSeq uint64
+	// spare holds retired MSHRs for reuse, so a miss allocates nothing.
+	spare []*mshr
 }
+
+// dirCacheWays is the directory cache's associativity.
+const dirCacheWays = 4
 
 // Engine event opcodes for the hub's closure-free schedulers (see
 // HandleMsgEvent). The delayed-send and delivery paths carry every
@@ -142,6 +147,49 @@ type mshr struct {
 	undelegateOnDone bool
 
 	waiters []func()
+
+	// refs counts scheduled closures that still hold this MSHR (a
+	// retry backoff, a local delegated access); retired marks it done.
+	// It returns to the hub's spare list only when both allow, so a
+	// closure never sees its MSHR reused by another transaction.
+	refs    int
+	retired bool
+}
+
+// newMSHR returns a cleared MSHR for a miss on line, reusing a retired
+// one when the hub has a spare.
+func (h *Hub) newMSHR(line msg.Addr, write bool, done func()) *mshr {
+	var m *mshr
+	if n := len(h.spare); n > 0 {
+		m, h.spare = h.spare[n-1], h.spare[:n-1]
+	} else {
+		m = new(mshr)
+	}
+	m.addr, m.wantExcl, m.done, m.acksNeeded = line, write, done, -1
+	return m
+}
+
+// release drops a closure's hold on m and recycles it if it is retired.
+func (h *Hub) release(m *mshr) {
+	m.refs--
+	h.recycle(m)
+}
+
+// retire marks a completed MSHR and recycles it unless a closure holds it.
+func (h *Hub) retire(m *mshr) {
+	m.retired = true
+	h.recycle(m)
+}
+
+// recycle returns a retired MSHR no closure holds to the spare list,
+// cleared of every field (the waiters' backing array is kept, emptied).
+func (h *Hub) recycle(m *mshr) {
+	if !m.retired || m.refs > 0 {
+		return
+	}
+	clear(m.waiters)
+	*m = mshr{waiters: m.waiters[:0]}
+	h.spare = append(h.spare, m)
 }
 
 // class counts the network legs on the transaction's critical path:
@@ -177,7 +225,7 @@ func newHub(sys *System, id msg.NodeID, st *stats.Stats) *Hub {
 		l1:    cache.New(cfg.L1Bytes, cfg.L1Ways, cfg.L1LineBytes),
 		l2:    cache.New(cfg.L2Bytes, cfg.L2Ways, cfg.L2LineBytes),
 		dir:   directory.New(),
-		dirc:  directory.NewDirCache(cfg.DirCacheEntries, 4),
+		dirc:  directory.NewDirCache(cfg.DirCacheEntries, dirCacheWays),
 	}
 	if cfg.RACBytes > 0 {
 		h.rc = rac.New(cfg.RACBytes, cfg.RACWays, cfg.L2LineBytes)
@@ -518,7 +566,7 @@ func (h *Hub) startMiss(addr, line msg.Addr, write bool, done func()) {
 		m.waiters = append(m.waiters, func() { h.Access(addr, write, done) })
 		return
 	}
-	m := &mshr{addr: line, wantExcl: write, done: done, acksNeeded: -1}
+	m := h.newMSHR(line, write, done)
 	h.mshrs.Put(uint64(line), m)
 	if o := h.obs; o != nil {
 		var w uint64
@@ -564,8 +612,10 @@ func (h *Hub) issue(m *mshr) {
 	// Delegated to us: handle at the local delegate cache.
 	if h.prod != nil {
 		if pe := h.prod.Lookup(m.addr); pe != nil {
+			m.refs++
 			h.eng.After(h.cfg.L2Latency+h.cfg.DirLatency, func() {
 				h.localDelegated(m, reqType)
+				h.release(m)
 			})
 			return
 		}
@@ -592,10 +642,12 @@ func (h *Hub) issue(m *mshr) {
 func (h *Hub) retry(m *mshr) {
 	h.st.Retries++
 	backoff := h.cfg.RetryBackoff + sim.Time(h.id)*7
+	m.refs++
 	h.eng.After(backoff, func() {
 		if h.mshr(m.addr) == m {
 			h.issue(m)
 		}
+		h.release(m)
 	})
 }
 
@@ -606,6 +658,7 @@ func (h *Hub) tryComplete(m *mshr) {
 		return
 	}
 	h.mshrs.Delete(uint64(m.addr))
+	defer h.retire(m)
 	cls := m.class()
 	h.st.RecordMiss(cls)
 	if o := h.obs; o != nil {

@@ -135,10 +135,13 @@ type ConsumerTable struct {
 	rng     *rand.Rand
 }
 
+// ConsumerWays is the consumer table's associativity.
+const ConsumerWays = 4
+
 // NewConsumerTable creates a consumer table with the given total entry
 // count; entries/4 must be a power of two.
 func NewConsumerTable(entries int) *ConsumerTable {
-	const ways = 4
+	const ways = ConsumerWays
 	if entries < ways || entries%ways != 0 {
 		panic("delegate: consumer table entries must be a multiple of 4")
 	}

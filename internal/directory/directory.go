@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"pccsim/internal/addrtab"
+	"pccsim/internal/cache"
 	"pccsim/internal/msg"
 	"pccsim/internal/predictor"
 )
@@ -160,93 +161,51 @@ func (d *Directory) ForEach(fn func(msg.Addr, *Entry)) {
 // tracked by the producer-consumer detector. Evicting an entry discards the
 // detector bits, exactly as §2.2 prescribes ("these extra 8 bits ... are
 // not saved if the directory entry is flushed from the directory cache").
+// Its storage is allocated on first touch (see cache.Array).
 type DirCache struct {
-	numSets  int
-	ways     int
-	tags     []msg.Addr
-	valid    []bool
-	lastUse  []uint64
-	dets     []predictor.Detector
-	useClock uint64
+	dets     *cache.Array[predictor.Detector]
+	pairMode bool
 	Evicts   uint64 // capacity evictions (stats)
 }
+
+// dirLineBytes is the directory's line: entries are per 128-byte line.
+const dirLineBytes = 128
 
 // NewDirCache creates a directory cache with the given total entry count
 // and associativity; entries must be a power-of-two multiple of ways.
 func NewDirCache(entries, ways int) *DirCache {
-	if entries <= 0 || ways <= 0 || entries%ways != 0 {
-		panic("directory: bad dircache geometry")
+	sets, err := cache.SetCount(entries, ways, 1)
+	if err != nil {
+		panic("directory: bad dircache geometry: " + err.Error())
 	}
-	numSets := entries / ways
-	if numSets&(numSets-1) != 0 {
-		panic("directory: dircache set count must be a power of two")
-	}
-	return &DirCache{
-		numSets: numSets,
-		ways:    ways,
-		tags:    make([]msg.Addr, entries),
-		valid:   make([]bool, entries),
-		lastUse: make([]uint64, entries),
-		dets:    make([]predictor.Detector, entries),
-	}
+	return &DirCache{dets: cache.NewArray[predictor.Detector](sets, ways, dirLineBytes)}
 }
 
-// SetPairMode switches every detector to the two-writer extension (§5).
+// SetPairMode switches every detector to the two-writer extension (§5):
+// the resident ones now, and every detector a later fill resets.
 func (c *DirCache) SetPairMode(on bool) {
-	for i := range c.dets {
-		c.dets[i].SetPairMode(on)
-	}
+	c.pairMode = on
+	c.dets.ForEach(func(d *predictor.Detector) { d.SetPairMode(on) })
 }
 
 // Entries returns the total capacity in entries.
-func (c *DirCache) Entries() int { return c.numSets * c.ways }
-
-func (c *DirCache) setBase(addr msg.Addr) int {
-	// Directory entries are per 128-byte line; hash on the line number.
-	idx := int((uint64(addr) >> 7) & uint64(c.numSets-1))
-	return idx * c.ways
-}
+func (c *DirCache) Entries() int { return c.dets.Sets() * c.dets.Ways() }
 
 // Detector returns the sharing detector for addr, allocating a
 // directory-cache entry (and possibly evicting another, losing its
 // history) if addr is not resident.
 func (c *DirCache) Detector(addr msg.Addr) *predictor.Detector {
-	base := c.setBase(addr)
-	slot := -1
-	for i := base; i < base+c.ways; i++ {
-		if c.valid[i] && c.tags[i] == addr {
-			c.useClock++
-			c.lastUse[i] = c.useClock
-			return &c.dets[i]
-		}
-		if slot < 0 && !c.valid[i] {
-			slot = i
-		}
+	if d := c.dets.Touch(uint64(addr)); d != nil {
+		return d
 	}
-	if slot < 0 {
-		slot = base
-		for i := base + 1; i < base+c.ways; i++ {
-			if c.lastUse[i] < c.lastUse[slot] {
-				slot = i
-			}
-		}
+	d, prior := c.dets.Fill(uint64(addr), nil)
+	if prior == cache.WasEvicted {
 		c.Evicts++
 	}
-	c.useClock++
-	c.tags[slot] = addr
-	c.valid[slot] = true
-	c.lastUse[slot] = c.useClock
-	c.dets[slot].Reset()
-	return &c.dets[slot]
+	*d = predictor.Detector{}
+	d.SetPairMode(c.pairMode)
+	return d
 }
 
 // Resident reports whether addr currently has a directory-cache entry.
-func (c *DirCache) Resident(addr msg.Addr) bool {
-	base := c.setBase(addr)
-	for i := base; i < base+c.ways; i++ {
-		if c.valid[i] && c.tags[i] == addr {
-			return true
-		}
-	}
-	return false
-}
+func (c *DirCache) Resident(addr msg.Addr) bool { return c.dets.Lookup(uint64(addr)) != nil }

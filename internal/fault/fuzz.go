@@ -120,6 +120,11 @@ const (
 	lineBytes = 128
 )
 
+// maxTableLines bounds the machine's L2, RAC and delegate-table sizes: the
+// fuzzer's machines are tiny by design, and the bound keeps a hand-edited
+// corpus file from asking for a host-memory-sized table.
+const maxTableLines = 1 << 16
+
 // LineAddr returns the address of pool line i.
 func LineAddr(i int) msg.Addr { return poolBase + msg.Addr(i)*poolPage }
 
@@ -139,6 +144,9 @@ func (c *Case) Validate() error {
 	}
 	if m.L2Lines < 2 {
 		return fmt.Errorf("fault: L2 needs at least two lines")
+	}
+	if m.L2Lines > maxTableLines || m.RACLines > maxTableLines || m.DelegateEntries > maxTableLines {
+		return fmt.Errorf("fault: l2_lines, rac_lines and delegate_entries must be at most %d", maxTableLines)
 	}
 	if m.Updates && m.DelegateEntries == 0 {
 		return fmt.Errorf("fault: speculative updates require delegation")

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pccsim/internal/core"
 )
 
 // caseJSON wraps a machine encoding into a one-op case on node 0, line 0.
@@ -23,6 +25,13 @@ func TestCaseValidateRejects(t *testing.T) {
 		{"too-many-nodes", `{"nodes":300,"lines":2,"l2_lines":4}`},
 		{"no-lines", `{"nodes":4,"lines":0,"l2_lines":4}`},
 		{"tiny-l2", `{"nodes":4,"lines":2,"l2_lines":1}`},
+		{"huge-l2", `{"nodes":4,"lines":2,"l2_lines":1099511627776}`},
+		// Geometries the set-associative arrays cannot build: core
+		// panicked on these before Validate checked them.
+		{"l2-sets-not-power-of-two", `{"nodes":4,"lines":2,"l2_lines":6}`},
+		{"rac-not-divisible", `{"nodes":4,"lines":2,"l2_lines":4,"rac_lines":3}`},
+		{"rac-sets-not-power-of-two", `{"nodes":4,"lines":2,"l2_lines":4,"rac_lines":6}`},
+		{"negative-rac", `{"nodes":4,"lines":2,"l2_lines":4,"rac_lines":-2,"delegate_entries":2}`},
 		{"shards-over-nodes", `{"nodes":4,"lines":2,"l2_lines":4,"shards":5}`},
 		{"negative-shards", `{"nodes":4,"lines":2,"l2_lines":4,"shards":-1}`},
 		{"delegation-without-rac", `{"nodes":4,"lines":2,"l2_lines":4,"delegate_entries":2}`},
@@ -91,8 +100,9 @@ func TestCaseValidateAccepts(t *testing.T) {
 
 // FuzzCaseDecode feeds arbitrary bytes to the corpus decoder, seeded
 // with the committed reproductions. Decoding and validation never
-// panic, and every case Validate accepts builds a configuration that
-// core.Config.Validate accepts too: the two gates cannot drift apart.
+// panic, every case Validate accepts builds a configuration that
+// core.Config.Validate accepts too (the two gates cannot drift apart),
+// and core.NewSystem builds that machine without panicking.
 func FuzzCaseDecode(f *testing.F) {
 	paths, err := filepath.Glob("testdata/corpus/*.json")
 	if err != nil {
@@ -106,6 +116,8 @@ func FuzzCaseDecode(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(caseJSON(`{"nodes":4,"lines":2,"l2_lines":4,"protocol":"dsi"}`)))
+	f.Add([]byte(caseJSON(`{"nodes":4,"lines":2,"l2_lines":6}`)))
+	f.Add([]byte(caseJSON(`{"nodes":4,"lines":2,"l2_lines":4,"rac_lines":3}`)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := DecodeCase(data)
 		if err != nil {
@@ -117,6 +129,10 @@ func FuzzCaseDecode(f *testing.F) {
 		cfg := c.BuildConfig()
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("Validate accepted a case whose configuration core rejects: %v\n%s",
+				err, strings.TrimSpace(string(data)))
+		}
+		if _, err := core.NewSystem(cfg); err != nil {
+			t.Fatalf("core.NewSystem refused a validated case: %v\n%s",
 				err, strings.TrimSpace(string(data)))
 		}
 	})

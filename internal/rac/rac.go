@@ -15,18 +15,16 @@ import (
 // Line is one RAC entry.
 type Line struct {
 	Addr    msg.Addr
+	Version uint64
+	Grant   uint64      // ownership epoch for Excl victim copies
 	State   cache.State // Shared (clean copy) or Excl (owner copy)
 	Dirty   bool
-	Version uint64
-	Grant   uint64 // ownership epoch for Excl victim copies
-	Pinned  bool   // surrogate-memory entry for a delegated line
+	Pinned  bool // surrogate-memory entry for a delegated line
 	// FromUpdate marks data that arrived via a speculative push;
 	// Consumed is set at the first local read, letting the statistics
 	// distinguish useful updates from wasted ones.
 	FromUpdate bool
 	Consumed   bool
-	valid      bool
-	lastUse    uint64
 }
 
 // Victim describes an entry displaced by Insert.
@@ -41,103 +39,54 @@ type Victim struct {
 	Consumed   bool
 }
 
-// RAC is a set-associative remote access cache with entry pinning.
+func victimOf(l *Line) Victim {
+	return Victim{Valid: true, Addr: l.Addr, State: l.State, Dirty: l.Dirty, Version: l.Version,
+		Grant: l.Grant, FromUpdate: l.FromUpdate, Consumed: l.Consumed}
+}
+
+// RAC is a set-associative remote access cache with entry pinning. Its
+// storage is allocated on first touch (see cache.Array).
 type RAC struct {
-	lineBytes int
-	numSets   int
-	ways      int
-	sets      []Line
-	useClock  uint64
+	lines *cache.Array[Line]
 }
 
 // New creates a RAC of totalBytes capacity. Geometry rules match
-// cache.New: the set count must be a power of two.
+// cache.New (cache.SetCount).
 func New(totalBytes, ways, lineBytes int) *RAC {
-	if totalBytes%(ways*lineBytes) != 0 {
-		panic("rac: capacity not divisible into sets")
+	sets, err := cache.SetCount(totalBytes, ways, lineBytes)
+	if err != nil {
+		panic("rac: " + err.Error())
 	}
-	numSets := totalBytes / (ways * lineBytes)
-	if numSets <= 0 || numSets&(numSets-1) != 0 {
-		panic("rac: set count must be a positive power of two")
-	}
-	return &RAC{
-		lineBytes: lineBytes,
-		numSets:   numSets,
-		ways:      ways,
-		sets:      make([]Line, numSets*ways),
-	}
+	return &RAC{lines: cache.NewArray[Line](sets, ways, lineBytes)}
 }
 
 // Capacity returns total capacity in bytes.
-func (r *RAC) Capacity() int { return r.numSets * r.ways * r.lineBytes }
-
-func (r *RAC) align(addr msg.Addr) msg.Addr { return addr &^ msg.Addr(r.lineBytes-1) }
-
-func (r *RAC) set(addr msg.Addr) []Line {
-	idx := (uint64(addr) / uint64(r.lineBytes)) & uint64(r.numSets-1)
-	return r.sets[idx*uint64(r.ways) : (idx+1)*uint64(r.ways)]
-}
+func (r *RAC) Capacity() int { return r.lines.Sets() * r.lines.Ways() * r.lines.LineBytes() }
 
 // Lookup returns the entry for addr, or nil.
-func (r *RAC) Lookup(addr msg.Addr) *Line {
-	addr = r.align(addr)
-	set := r.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].Addr == addr {
-			return &set[i]
-		}
-	}
-	return nil
-}
+func (r *RAC) Lookup(addr msg.Addr) *Line { return r.lines.Lookup(uint64(addr)) }
 
 // Touch refreshes recency for addr and returns its entry.
-func (r *RAC) Touch(addr msg.Addr) *Line {
-	l := r.Lookup(addr)
-	if l != nil {
-		r.useClock++
-		l.lastUse = r.useClock
-	}
-	return l
-}
+func (r *RAC) Touch(addr msg.Addr) *Line { return r.lines.Touch(uint64(addr)) }
+
+func pinned(l *Line) bool { return l.Pinned }
 
 // Insert places addr in the RAC, evicting the LRU unpinned entry of the set
 // if needed. It reports ok=false — without modifying the cache — when every
 // way of the set is pinned, which is the signal that a delegation must be
 // dropped before more delegated lines can be pinned here.
 func (r *RAC) Insert(addr msg.Addr, st cache.State) (*Line, Victim, bool) {
-	addr = r.align(addr)
-	set := r.set(addr)
-	slot := -1
-	for i := range set {
-		if set[i].valid && set[i].Addr == addr {
-			slot = i
-			break
-		}
-		if slot < 0 && !set[i].valid {
-			slot = i
-		}
-	}
+	l, prior := r.lines.Fill(uint64(addr), pinned)
 	var victim Victim
-	if slot < 0 {
-		for i := range set {
-			if set[i].Pinned {
-				continue
-			}
-			if slot < 0 || set[i].lastUse < set[slot].lastUse {
-				slot = i
-			}
-		}
-		if slot < 0 {
-			return nil, Victim{}, false // every way pinned
-		}
-		v := &set[slot]
-		victim = Victim{Valid: true, Addr: v.Addr, State: v.State, Dirty: v.Dirty, Version: v.Version,
-			Grant: v.Grant, FromUpdate: v.FromUpdate, Consumed: v.Consumed}
+	switch prior {
+	case cache.AllPinned:
+		return nil, Victim{}, false
+	case cache.WasEvicted:
+		victim = victimOf(l)
 	}
-	r.useClock++
-	pinned := set[slot].valid && set[slot].Addr == addr && set[slot].Pinned
-	set[slot] = Line{Addr: addr, State: st, valid: true, Pinned: pinned, lastUse: r.useClock}
-	return &set[slot], victim, true
+	keep := prior == cache.WasPresent && l.Pinned
+	*l = Line{Addr: addr &^ msg.Addr(r.lines.LineBytes()-1), State: st, Pinned: keep}
+	return l, victim, true
 }
 
 // Pin marks addr as a surrogate-memory entry that Insert may not evict.
@@ -160,43 +109,28 @@ func (r *RAC) Unpin(addr msg.Addr) {
 
 // Invalidate removes addr, returning its prior contents.
 func (r *RAC) Invalidate(addr msg.Addr) Victim {
-	l := r.Lookup(addr)
+	l := r.lines.Remove(uint64(addr))
 	if l == nil {
 		return Victim{}
 	}
-	v := Victim{Valid: true, Addr: l.Addr, State: l.State, Dirty: l.Dirty, Version: l.Version,
-		Grant: l.Grant, FromUpdate: l.FromUpdate, Consumed: l.Consumed}
+	v := victimOf(l)
 	*l = Line{}
 	return v
 }
 
 // Count returns the number of valid entries.
-func (r *RAC) Count() int {
-	n := 0
-	for i := range r.sets {
-		if r.sets[i].valid {
-			n++
-		}
-	}
-	return n
-}
+func (r *RAC) Count() int { return r.lines.Count() }
 
 // PinnedCount returns the number of pinned entries.
 func (r *RAC) PinnedCount() int {
 	n := 0
-	for i := range r.sets {
-		if r.sets[i].valid && r.sets[i].Pinned {
+	r.ForEach(func(l *Line) {
+		if l.Pinned {
 			n++
 		}
-	}
+	})
 	return n
 }
 
-// ForEach calls fn on every valid entry.
-func (r *RAC) ForEach(fn func(*Line)) {
-	for i := range r.sets {
-		if r.sets[i].valid {
-			fn(&r.sets[i])
-		}
-	}
-}
+// ForEach calls fn on every valid entry, in set order.
+func (r *RAC) ForEach(fn func(*Line)) { r.lines.ForEach(fn) }
