@@ -77,15 +77,19 @@ bench-compare:
 	done; done
 	$(GO) run ./cmd/pccperf $(BENCH_OUT)/parent $(BENCH_OUT)/change
 
-# The protocol bake-off gate: the -compare table and the fig9/fig10
-# sweeps must reproduce the committed goldens byte for byte — the
-# fig9/fig10 diffs prove the paper's protocol is unchanged behind the
-# plugin interface, the compare diff pins every contender. (Output is
-# worker-count invariant, so -parallel only affects wall time.)
+# The evaluation gate: the bake-off table, the fig9/fig10 sweeps, every
+# experiment's printed table and the JSON report must reproduce the
+# committed goldens byte for byte — the fig9/fig10 diffs prove the
+# paper's protocol is unchanged behind the plugin interface, the compare
+# diff pins every contender, and the all/json diffs pin every other
+# table and the report. (Output is worker-count invariant, so -parallel
+# only affects wall time.)
 compare-smoke:
-	$(GO) run ./cmd/pccbench -compare -format csv -parallel 4 | diff -u testdata/compare.golden.csv -
+	$(GO) run ./cmd/pccbench -exp compare -format csv -parallel 4 | diff -u testdata/compare.golden.csv -
 	$(GO) run ./cmd/pccbench -exp fig9 -format csv -parallel 4 | diff -u testdata/fig9.golden.csv -
 	$(GO) run ./cmd/pccbench -exp fig10 -format csv -parallel 4 | diff -u testdata/fig10.golden.csv -
+	$(GO) run ./cmd/pccbench -exp all -parallel 4 | diff -u testdata/all.golden.txt -
+	$(GO) run ./cmd/pccbench -format json -parallel 4 | diff -u testdata/all.golden.json -
 	@echo "compare-smoke: goldens reproduced byte-identically"
 
 # The model-checker gate: worker-count invariance, the pinned state and

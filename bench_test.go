@@ -55,7 +55,7 @@ func BenchmarkTable2Workloads(b *testing.B) {
 func BenchmarkTable3ConsumerDistribution(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		dist, err := harness.Table3(opts)
+		dist, err := harness.NewSession(opts).Table3()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func BenchmarkFig8EqualArea(b *testing.B) {
 	var rows []harness.Fig8Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		if rows, err = harness.Fig8(opts); err != nil {
+		if rows, err = harness.NewSession(opts).Fig8(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func BenchmarkFig10HopLatency(b *testing.B) {
 	var rows []harness.Fig10Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		if rows, err = harness.Fig10(opts); err != nil {
+		if rows, err = harness.NewSession(opts).Fig10(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -167,7 +167,7 @@ func BenchmarkFig11DelegateSize(b *testing.B) {
 	var rows []harness.SweepRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		if rows, err = harness.Fig11(opts); err != nil {
+		if rows, err = harness.NewSession(opts).Fig11(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -183,7 +183,7 @@ func BenchmarkFig12RACSize(b *testing.B) {
 	var rows []harness.SweepRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		if rows, err = harness.Fig12(opts); err != nil {
+		if rows, err = harness.NewSession(opts).Fig12(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -199,7 +199,7 @@ func BenchmarkAblationDelegationOnly(b *testing.B) {
 	var rows []harness.AblationRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		if rows, err = harness.Ablation(opts); err != nil {
+		if rows, err = harness.NewSession(opts).Ablation(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -242,7 +242,7 @@ func BenchmarkExtensions(b *testing.B) {
 	var rows []harness.ExtRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		if rows, err = harness.Extensions(opts); err != nil {
+		if rows, err = harness.NewSession(opts).Extensions(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -257,7 +257,7 @@ func BenchmarkRelatedWork(b *testing.B) {
 	var rows []harness.RelatedRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		if rows, err = harness.RelatedWork(opts); err != nil {
+		if rows, err = harness.NewSession(opts).RelatedWork(); err != nil {
 			b.Fatal(err)
 		}
 	}

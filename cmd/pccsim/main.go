@@ -28,6 +28,7 @@ import (
 	"pccsim"
 	"pccsim/internal/cli"
 	"pccsim/internal/harness"
+	"pccsim/internal/protocol"
 )
 
 func main() {
@@ -107,8 +108,13 @@ func main() {
 }
 
 // traceMain implements `pccsim trace`: one observed run, exported as
-// Perfetto JSON. Unlike the root command, the mechanisms default ON —
-// the trace exists to show the delegation lifecycle.
+// Perfetto JSON. Unlike the root command, the machine defaults to the
+// protocol's bake-off configuration (harness.CompareConfig), so under the
+// default "adaptive" the mechanisms are ON — the trace exists to show the
+// delegation lifecycle — and every other protocol runs the base machine.
+// Mechanism flags given explicitly (on the command line or in -config)
+// override that provisioning; delegation sizing under a protocol that
+// does not delegate fails validation.
 func traceMain(args []string) int {
 	fs := flag.NewFlagSet("pccsim trace", flag.ExitOnError)
 	wl := fs.String("workload", "em3d", "benchmark: "+strings.Join(pccsim.Workloads(), "|"))
@@ -117,9 +123,9 @@ func traceMain(args []string) int {
 	nodes := fs.Int("nodes", 16, "processor count")
 	scale := fs.Int("scale", 1, "problem-size multiplier")
 	iters := fs.Int("iters", 0, "iteration override (0 = workload default)")
-	racKB := fs.Int("rac-kb", 32, "remote access cache size in KB (0 = none)")
-	deledc := fs.Int("deledc", 32, "delegate cache entries (0 = delegation off)")
-	updates := fs.Bool("updates", true, "enable speculative updates")
+	racKB := fs.Int("rac-kb", 32, "remote access cache size in KB (0 = none; unset = the protocol's bake-off configuration)")
+	deledc := fs.Int("deledc", 32, "delegate cache entries (0 = delegation off; unset = the protocol's bake-off configuration)")
+	updates := fs.Bool("updates", true, "enable speculative updates (unset = the protocol's bake-off configuration)")
 	delay := fs.Uint64("delay", 50, "intervention delay in cycles")
 	window := fs.Int("window", 1<<18, "event-window capacity (-1 = retain everything)")
 	shards := fs.Int("shards", 0, "engine shards (0 = single engine; >1 runs the parallel scheduler)")
@@ -129,13 +135,25 @@ func traceMain(args []string) int {
 		return 2
 	}
 
-	cfg := pccsim.DefaultConfig()
+	p, err := protocol.Lookup(*proto)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pccsim trace:", err)
+		return 1
+	}
+	cfg := harness.CompareConfig(pccsim.DefaultConfig(), p)
 	cfg.Nodes = *nodes
-	cfg.Protocol = *proto
-	cfg.RACBytes = *racKB * 1024
-	cfg.DelegateEntries = *deledc
-	cfg.EnableUpdates = *updates && *racKB > 0 && *deledc > 0
 	cfg.InterventionDelay = pccsim.Time(*delay)
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "rac-kb":
+			cfg.RACBytes = *racKB * 1024
+		case "deledc":
+			cfg.DelegateEntries = *deledc
+		case "updates":
+			cfg.EnableUpdates = *updates
+		}
+	})
+	cfg.EnableUpdates = cfg.EnableUpdates && cfg.RACBytes > 0 && cfg.DelegateEntries > 0
 	if *deterministic {
 		cfg = cfg.With(pccsim.WithDeterministicShards(*shards))
 	} else {

@@ -61,9 +61,6 @@ func CompareConfig(base core.Config, p protocol.Protocol) core.Config {
 // Compare runs the protocol bake-off: every registered protocol against
 // every workload. Rows are grouped by application in workload order,
 // protocols in registry (sorted-name) order within each group.
-func Compare(opts Options) ([]CompareRow, error) { return NewSession(opts).Compare() }
-
-// Compare runs the bake-off on this session's scheduler.
 func (s *Session) Compare() ([]CompareRow, error) {
 	base := core.DefaultConfig()
 	base.Nodes = s.Opts.Nodes

@@ -157,7 +157,9 @@ func WriteFig10CSV(w io.Writer, rows []Fig10Row) error {
 	return cw.Error()
 }
 
-// Report bundles every experiment for one JSON document.
+// Report bundles every experiment for one JSON document. The field order
+// is the JSON key order; the experiments fill it through their Report
+// entries in Experiments.
 type Report struct {
 	Options    Options               `json:"options"`
 	Fig7       []Row                 `json:"fig7,omitempty"`
@@ -172,44 +174,23 @@ type Report struct {
 	Compare    []CompareRow          `json:"compare,omitempty"`
 }
 
-// RunAll executes every experiment on one shared session — so cells that
-// recur across figures (the Base configuration, the small and large
-// mechanism configurations) simulate exactly once — and bundles the
-// results. The report is deterministic: for fixed Options it is
-// byte-identical as JSON no matter how many workers ran it.
+// RunAll executes every experiment with a Report field on one shared
+// session — so cells that recur across figures (the Base configuration,
+// the small and large mechanism configurations) simulate exactly once —
+// and bundles the results. The report is deterministic: for fixed Options
+// it is byte-identical as JSON no matter how many workers ran it.
 func RunAll(opts Options) (*Report, error) {
 	s := NewSession(opts)
 	rep := &Report{Options: opts}
-	var err error
-	if rep.Fig7, err = s.Fig7(); err != nil {
-		return nil, err
-	}
-	if rep.Fig8, err = s.Fig8(); err != nil {
-		return nil, err
-	}
-	if rep.Fig9, err = s.Fig9(); err != nil {
-		return nil, err
-	}
-	if rep.Fig10, err = s.Fig10(); err != nil {
-		return nil, err
-	}
-	if rep.Fig11, err = s.Fig11(); err != nil {
-		return nil, err
-	}
-	if rep.Fig12, err = s.Fig12(); err != nil {
-		return nil, err
-	}
-	if rep.Table3, err = s.Table3(); err != nil {
-		return nil, err
-	}
-	if rep.Ablation, err = s.Ablation(); err != nil {
-		return nil, err
-	}
-	if rep.Extensions, err = s.Extensions(); err != nil {
-		return nil, err
-	}
-	if rep.Compare, err = s.Compare(); err != nil {
-		return nil, err
+	for _, e := range experiments {
+		if e.report == nil {
+			continue
+		}
+		v, err := e.run(s)
+		if err != nil {
+			return nil, err
+		}
+		e.report(rep, v)
 	}
 	return rep, nil
 }

@@ -7,7 +7,6 @@ import (
 	"text/tabwriter"
 
 	"pccsim/internal/core"
-	"pccsim/internal/protocol"
 	"pccsim/internal/runner"
 	"pccsim/internal/workload"
 )
@@ -41,9 +40,6 @@ type ExtRow struct {
 // Extensions runs the §5 future-work ablations on every workload: the
 // adaptive intervention delay and the two-writer detector, against the
 // paper's fixed small configuration.
-func Extensions(opts Options) ([]ExtRow, error) { return NewSession(opts).Extensions() }
-
-// Extensions runs the §5 ablations on this session.
 func (s *Session) Extensions() ([]ExtRow, error) {
 	base := core.DefaultConfig()
 	base.Nodes = s.Opts.Nodes
@@ -103,45 +99,41 @@ type RelatedRow struct {
 	UpdLocal uint64
 }
 
-// RelatedWork runs the four-way comparison per workload.
-func RelatedWork(opts Options) ([]RelatedRow, error) { return NewSession(opts).RelatedWork() }
-
-// RelatedWork runs the self-invalidation comparison on this session.
+// RelatedWork joins the bake-off and the ablation into the four-way
+// comparison per workload; it schedules no cells of its own. The
+// baseline is the ablation's Base cell, and its 3-hop count comes from
+// the bake-off's mesi cell: mesi is the base machine under its protocol
+// name, so the two cells simulate identically. Self-invalidation is the
+// dsi cell and delegation+updates the adaptive cell (both on their
+// bake-off configuration); delegation-only is the ablation column.
 func (s *Session) RelatedWork() ([]RelatedRow, error) {
-	base := core.DefaultConfig()
-	base.Nodes = s.Opts.Nodes
-	dsi, err := protocol.Lookup("dsi")
+	cmp, err := s.Compare()
 	if err != nil {
 		return nil, err
 	}
-	dsiCfg := CompareConfig(base, dsi)
-	apps := workload.All()
-
-	var jobs []runner.Job
-	for _, wl := range apps {
-		jobs = append(jobs,
-			s.job("related/"+wl.Name+"/base", base, wl),
-			s.job("related/"+wl.Name+"/self-inval", dsiCfg, wl),
-			s.job("related/"+wl.Name+"/deleg-only", mech(base, 32*1024, 32, false), wl),
-			s.job("related/"+wl.Name+"/deleg-upd", mech(base, 32*1024, 32, true), wl))
-	}
-	res, err := s.run(jobs)
+	abl, err := s.Ablation()
 	if err != nil {
 		return nil, err
 	}
-	var rows []RelatedRow
-	for i, wl := range apps {
-		bst, dst, dlst, dust := res[i*4], res[i*4+1], res[i*4+2], res[i*4+3]
-		rows = append(rows, RelatedRow{
-			App:       wl.Name,
-			SelfInval: ratio(bst.ExecCycles, dst.ExecCycles),
-			DelegOnly: ratio(bst.ExecCycles, dlst.ExecCycles),
-			DelegUpd:  ratio(bst.ExecCycles, dust.ExecCycles),
-			Base3Hop:  bst.Remote3HopMisses(),
-			DSI3Hop:   dst.Remote3HopMisses(),
-			DSILocal:  dst.RACMisses(),
-			UpdLocal:  dust.RACMisses(),
-		})
+	cell := make(map[[2]string]CompareRow, len(cmp))
+	for _, r := range cmp {
+		cell[[2]string{r.App, r.Protocol}] = r
+	}
+	rows := make([]RelatedRow, len(abl))
+	for i, a := range abl {
+		mesi := cell[[2]string{a.App, CompareBaseline}]
+		dsi := cell[[2]string{a.App, "dsi"}]
+		upd := cell[[2]string{a.App, "adaptive"}]
+		rows[i] = RelatedRow{
+			App:       a.App,
+			SelfInval: ratio(a.BaseCycles, dsi.Cycles),
+			DelegOnly: a.DelegSpeedup,
+			DelegUpd:  a.FullSpeedup,
+			Base3Hop:  mesi.MissRemote3,
+			DSI3Hop:   dsi.MissRemote3,
+			DSILocal:  dsi.MissRAC,
+			UpdLocal:  upd.MissRAC,
+		}
 	}
 	return rows, nil
 }

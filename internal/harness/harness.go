@@ -5,12 +5,16 @@
 // size sweeps of Figures 11 and 12, the consumer-count distribution of
 // Table 3, and the delegation-only ablation discussed in §3.2.
 //
+// Experiments lists them all, once, in the experiment index's order;
+// pccbench, the serve layer and RunAll all walk that list.
+//
 // Every experiment is declared as a set of runner.Jobs and executed by
 // internal/runner's worker pool: independent cells simulate concurrently
 // (each on a private engine, so results stay bit-for-bit deterministic),
 // and cells that recur across figures — the Base configuration alone
-// appears in Figure 7, the ablation and the related-work comparison —
-// simulate exactly once per Session.
+// appears in Figure 7, the ablation and the extensions — simulate exactly
+// once per Session. The related-work comparison is a view that joins the
+// bake-off and the ablation rows.
 package harness
 
 import (
@@ -63,10 +67,8 @@ func (o Options) params() workload.Params {
 }
 
 // Session runs experiments through one shared scheduler, so identical
-// cells are simulated once no matter how many figures request them. Use
-// NewSession + the Session methods when regenerating several experiments
-// in one process (RunAll does this internally); the package-level
-// functions are one-shot conveniences that each build a private Session.
+// cells are simulated once no matter how many figures request them. Each
+// experiment is a Session method; RunAll runs them all on one session.
 type Session struct {
 	Opts Options
 	r    *runner.Runner
@@ -208,9 +210,6 @@ type Row struct {
 }
 
 // Fig7 runs every workload across the six Figure 7 configurations.
-func Fig7(opts Options) ([]Row, error) { return NewSession(opts).Fig7() }
-
-// Fig7 runs the Figure 7 grid on this session's scheduler.
 func (s *Session) Fig7() ([]Row, error) {
 	base := core.DefaultConfig()
 	base.Nodes = s.Opts.Nodes
@@ -303,9 +302,6 @@ func pow(x, y float64) float64 {
 // Table3 measures the consumer-count distribution per application on the
 // large configuration (the detector needs delegation on to track and
 // classify producer-consumer lines).
-func Table3(opts Options) (map[string][5]float64, error) { return NewSession(opts).Table3() }
-
-// Table3 runs the consumer-distribution measurement on this session.
 func (s *Session) Table3() (map[string][5]float64, error) {
 	base := core.DefaultConfig()
 	base.Nodes = s.Opts.Nodes
@@ -340,9 +336,6 @@ type Fig8Row struct {
 // mechanisms. The paper halves the Table 1 L2 for this experiment; we use
 // a 64 KB / 66.5 KB pair scaled to our problem sizes (the comparison needs
 // the working set to put pressure on L2 capacity).
-func Fig8(opts Options) ([]Fig8Row, error) { return NewSession(opts).Fig8() }
-
-// Fig8 runs the equal-silicon comparison on this session.
 func (s *Session) Fig8() ([]Fig8Row, error) {
 	mk := func() core.Config {
 		cfg := core.DefaultConfig()
@@ -412,9 +405,6 @@ func delayLabel(d sim.Time) string {
 // Fig9 sweeps the delayed-intervention interval for every workload on the
 // small configuration, reporting execution time normalized to the 5-cycle
 // point exactly as the paper plots it.
-func Fig9(opts Options) ([]Fig9Row, error) { return NewSession(opts).Fig9() }
-
-// Fig9 runs the intervention-delay sweep on this session.
 func (s *Session) Fig9() ([]Fig9Row, error) {
 	delays := Fig9Delays()
 	apps := workload.All()
@@ -458,9 +448,6 @@ type Fig10Row struct {
 // speedups for Appbt, which its own Figure 7 only ever shows for the
 // large-RAC configurations — its 32K-RAC Appbt gains 8% — so we sweep the
 // configuration its Figure 10 numbers are actually consistent with.)
-func Fig10(opts Options) ([]Fig10Row, error) { return NewSession(opts).Fig10() }
-
-// Fig10 runs the hop-latency sweep on this session.
 func (s *Session) Fig10() ([]Fig10Row, error) {
 	wl, _ := workload.ByName("appbt")
 	hops := []int{25, 50, 100, 200}
@@ -541,9 +528,6 @@ func (s *Session) sweep(figure, app string, pts []sweepPoint) ([]SweepRow, error
 
 // Fig11 sweeps the delegate-cache size for MG (32..1K entries at 32K RAC,
 // plus the 1K/1M point), normalized to the baseline.
-func Fig11(opts Options) ([]SweepRow, error) { return NewSession(opts).Fig11() }
-
-// Fig11 runs the delegate-cache size sweep on this session.
 func (s *Session) Fig11() ([]SweepRow, error) {
 	return s.sweep("fig11", "mg", []sweepPoint{
 		{32, 32 * 1024, "32-entry deledc & 32K RAC"},
@@ -558,9 +542,6 @@ func (s *Session) Fig11() ([]SweepRow, error) {
 
 // Fig12 sweeps the RAC size for Appbt (32K..1M at 32 entries, plus the
 // 1K/1M point), normalized to the baseline.
-func Fig12(opts Options) ([]SweepRow, error) { return NewSession(opts).Fig12() }
-
-// Fig12 runs the RAC size sweep on this session.
 func (s *Session) Fig12() ([]SweepRow, error) {
 	return s.sweep("fig12", "appbt", []sweepPoint{
 		{32, 32 * 1024, "32-entry deledc & 32K RAC"},
@@ -587,9 +568,6 @@ type AblationRow struct {
 
 // Ablation runs every workload under baseline, delegation-only and
 // delegation+updates on the small configuration.
-func Ablation(opts Options) ([]AblationRow, error) { return NewSession(opts).Ablation() }
-
-// Ablation runs the §3.2 comparison on this session.
 func (s *Session) Ablation() ([]AblationRow, error) {
 	base := core.DefaultConfig()
 	base.Nodes = s.Opts.Nodes

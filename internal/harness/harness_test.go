@@ -47,7 +47,7 @@ func TestRunOneWorkload(t *testing.T) {
 }
 
 func TestFig7RowsComplete(t *testing.T) {
-	rows, err := Fig7(tiny())
+	rows, err := NewSession(tiny()).Fig7()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestFig7RowsComplete(t *testing.T) {
 }
 
 func TestTable3Rows(t *testing.T) {
-	dist, err := Table3(tiny())
+	dist, err := NewSession(tiny()).Table3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestTable3Rows(t *testing.T) {
 
 func TestFig9NormalizedToFirst(t *testing.T) {
 	opts := tiny()
-	rows, err := Fig9(opts)
+	rows, err := NewSession(opts).Fig9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFig9NormalizedToFirst(t *testing.T) {
 }
 
 func TestFig10HopScaling(t *testing.T) {
-	rows, err := Fig10(tiny())
+	rows, err := NewSession(tiny()).Fig10()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +136,14 @@ func TestFig10HopScaling(t *testing.T) {
 }
 
 func TestFig11And12Sweeps(t *testing.T) {
-	r11, err := Fig11(tiny())
+	r11, err := NewSession(tiny()).Fig11()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r11) != 8 {
 		t.Fatalf("Fig11 rows = %d, want 8", len(r11))
 	}
-	r12, err := Fig12(tiny())
+	r12, err := NewSession(tiny()).Fig12()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestFig11And12Sweeps(t *testing.T) {
 }
 
 func TestAblationDelegationOnlyNearBaseline(t *testing.T) {
-	rows, err := Ablation(Options{Nodes: 16, Scale: 1})
+	rows, err := NewSession(Options{Nodes: 16, Scale: 1}).Ablation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestAblationDelegationOnlyNearBaseline(t *testing.T) {
 }
 
 func TestFig8EqualArea(t *testing.T) {
-	rows, err := Fig8(tiny())
+	rows, err := NewSession(tiny()).Fig8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestGeoMeanAndMeanRatio(t *testing.T) {
 }
 
 func TestExtensionsRows(t *testing.T) {
-	rows, err := Extensions(tiny())
+	rows, err := NewSession(tiny()).Extensions()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestAccuracyBound(t *testing.T) {
 }
 
 func TestRelatedWorkContrast(t *testing.T) {
-	rows, err := RelatedWork(Options{Nodes: 16, Scale: 1})
+	rows, err := NewSession(Options{Nodes: 16, Scale: 1}).RelatedWork()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -213,8 +214,8 @@ func (s *Server) execRun(j *Job, sp *runSpec) error {
 	return nil
 }
 
-// experimentSpec selects one harness experiment; rendered as the same CSV
-// bytes pccbench writes.
+// experimentSpec selects one harness experiment with a CSV writer;
+// rendered as the same CSV bytes pccbench writes.
 type experimentSpec struct {
 	Kind          string `json:"kind"`
 	Exp           string `json:"exp"`
@@ -225,12 +226,27 @@ type experimentSpec struct {
 	Deterministic bool   `json:"deterministic"`
 }
 
+// experiment looks the spec's name up in the harness experiment list;
+// only experiments with a CSV writer can be served.
+func (sp *experimentSpec) experiment() (harness.Experiment, error) {
+	e, ok := harness.LookupExperiment(sp.Exp)
+	if !ok || !e.HasCSV() {
+		return harness.Experiment{}, fmt.Errorf("unknown experiment %q (%s)", sp.Exp,
+			strings.Join(harness.ExperimentNames(true), "|"))
+	}
+	return e, nil
+}
+
 // execExperiment runs one figure/table through a throwaway Session on the
 // server's shared runner: every cell an earlier request already simulated
 // is free. The session carries the job's context, so DELETE (and drain
 // timeout) interrupts the cells currently simulating and skips the rest
 // of the batch instead of letting it run to completion.
 func (s *Server) execExperiment(j *Job, sp *experimentSpec) error {
+	e, err := sp.experiment()
+	if err != nil {
+		return err
+	}
 	if sp.Nodes == 0 {
 		sp.Nodes = 16
 	}
@@ -242,52 +258,7 @@ func (s *Server) execExperiment(j *Job, sp *experimentSpec) error {
 		Shards: sp.Shards, Deterministic: sp.Deterministic,
 	}).WithContext(j.ctx)
 	var buf bytes.Buffer
-	var err error
-	switch sp.Exp {
-	case "fig7":
-		var rows []harness.Row
-		if rows, err = sess.Fig7(); err == nil {
-			err = harness.WriteFig7CSV(&buf, rows)
-		}
-	case "fig8":
-		var rows []harness.Fig8Row
-		if rows, err = sess.Fig8(); err == nil {
-			err = harness.WriteFig8CSV(&buf, rows)
-		}
-	case "fig9":
-		var rows []harness.Fig9Row
-		if rows, err = sess.Fig9(); err == nil {
-			err = harness.WriteFig9CSV(&buf, rows)
-		}
-	case "fig10":
-		var rows []harness.Fig10Row
-		if rows, err = sess.Fig10(); err == nil {
-			err = harness.WriteFig10CSV(&buf, rows)
-		}
-	case "fig11", "fig12":
-		var rows []harness.SweepRow
-		if sp.Exp == "fig11" {
-			rows, err = sess.Fig11()
-		} else {
-			rows, err = sess.Fig12()
-		}
-		if err == nil {
-			err = harness.WriteSweepCSV(&buf, rows)
-		}
-	case "table3":
-		var dist map[string][5]float64
-		if dist, err = sess.Table3(); err == nil {
-			err = harness.WriteTable3CSV(&buf, dist)
-		}
-	case "ablation":
-		var rows []harness.AblationRow
-		if rows, err = sess.Ablation(); err == nil {
-			err = harness.WriteAblationCSV(&buf, rows)
-		}
-	default:
-		return fmt.Errorf("unknown experiment %q (fig7|fig8|fig9|fig10|fig11|fig12|table3|ablation)", sp.Exp)
-	}
-	if err != nil {
+	if err := e.WriteCSV(&buf, sess); err != nil {
 		return err
 	}
 	j.mu.Lock()

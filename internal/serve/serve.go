@@ -196,6 +196,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+	case *experimentSpec:
+		if _, err := sp.experiment(); err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 	case *fuzzSpec:
 		if sp.Budget != "" {
 			if _, err := time.ParseDuration(sp.Budget); err != nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pccsim/internal/harness"
 	"pccsim/internal/runner"
 )
 
@@ -159,6 +161,50 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	// Nothing malformed should have been enqueued.
 	if n := len(s.queue); n != 0 {
 		t.Errorf("queue holds %d jobs after rejected submissions", n)
+	}
+}
+
+// TestSubmitValidatesExperimentName pins the experiment kind's accepted
+// set to the harness experiments with a CSV writer: an unknown name or
+// one without a CSV form is a 400 at submission, and every CSV-capable
+// experiment is accepted.
+func TestSubmitValidatesExperimentName(t *testing.T) {
+	s := idleServer(16, -1)
+	for _, name := range []string{"fig99", "", "all", "table1", "table2", "extensions", "related"} {
+		rr := do(s.Handler(), "POST", "/v1/jobs", "", `{"kind":"experiment","exp":"`+name+`"}`)
+		if rr.Code != http.StatusBadRequest {
+			t.Errorf("exp %q: got %d, want 400 (body %q)", name, rr.Code, rr.Body.String())
+		} else if !strings.Contains(rr.Body.String(), "fig7|") {
+			t.Errorf("exp %q: 400 body %q does not list the accepted experiments", name, rr.Body.String())
+		}
+	}
+	if n := len(s.queue); n != 0 {
+		t.Errorf("queue holds %d jobs after rejected experiments", n)
+	}
+	for _, name := range harness.ExperimentNames(true) {
+		submit(t, s, "", `{"kind":"experiment","exp":"`+name+`"}`)
+	}
+}
+
+// TestExperimentJobMatchesHarnessCSV runs the bake-off as a job and
+// checks the body is the harness's CSV for the same options.
+func TestExperimentJobMatchesHarnessCSV(t *testing.T) {
+	s := liveServer(t, Config{Workers: 1, QueueDepth: 4, RunnerWorkers: 2})
+	st := submit(t, s, "", `{"kind":"experiment","exp":"compare","nodes":8,"iters":2}`)
+	if got := waitFor(t, s, st.ID, isTerminal, "terminal"); got.State != StateDone {
+		t.Fatalf("compare job ended %s: %s", got.State, got.Error)
+	}
+	rr := do(s.Handler(), "GET", "/v1/jobs/"+st.ID+"/result", "", "")
+	if rr.Code != http.StatusOK {
+		t.Fatalf("result: got %d: %s", rr.Code, rr.Body.String())
+	}
+	e, _ := harness.LookupExperiment("compare")
+	var want bytes.Buffer
+	if err := e.WriteCSV(&want, harness.NewSession(harness.Options{Nodes: 8, Scale: 1, Iters: 2})); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rr.Body.Bytes(), want.Bytes()) {
+		t.Fatalf("job body differs from the harness CSV:\n%s\nwant:\n%s", rr.Body.String(), want.String())
 	}
 }
 

@@ -90,7 +90,6 @@ import (
 	"pccsim/internal/protocol"
 	"pccsim/internal/sim"
 	"pccsim/internal/stats"
-	"pccsim/internal/trace"
 	"pccsim/internal/workload"
 )
 
@@ -299,37 +298,40 @@ func (m *Machine) Observe(capacity int) *EventStream {
 // TraceRecorder captures the machine's coherence-message timeline for
 // debugging; see Machine.Trace.
 type TraceRecorder struct {
-	inner *trace.Recorder
+	sink *obs.Sink
 }
 
 // Dump writes the retained message timeline.
-func (t *TraceRecorder) Dump(w io.Writer) { t.inner.Dump(w) }
+func (t *TraceRecorder) Dump(w io.Writer) { obs.DumpTimeline(w, t.sink.Events()) }
 
 // DumpStories writes per-line lifecycle summaries (message counts,
 // delegation history).
-func (t *TraceRecorder) DumpStories(w io.Writer) { t.inner.DumpStories(w) }
+func (t *TraceRecorder) DumpStories(w io.Writer) { obs.DumpStories(w, t.sink.Events()) }
 
 // Total reports how many messages were recorded.
-func (t *TraceRecorder) Total() uint64 { return t.inner.Total() }
+func (t *TraceRecorder) Total() uint64 { return t.sink.Total() }
 
 // Trace attaches a message recorder keeping the most recent capacity
-// events. line restricts recording to one cache line (0 = all lines).
-// Call before Run. Trace and Observe share the machine's event stream
-// and compose in either order.
+// events (capacity <= 0 keeps 4096). line restricts recording to one
+// cache line (0 = all lines). Call before Run. The recorder rides the
+// machine's event stream — Observe's, or a metrics-only one it attaches
+// — so Trace and Observe compose in either order.
 func (m *Machine) Trace(capacity int, line Addr) *TraceRecorder {
-	var f *trace.Filter
-	if line != 0 {
-		f = &trace.Filter{Addr: line, Node: -1}
+	if capacity <= 0 {
+		capacity = 4096
 	}
-	// A sharded machine emits into per-shard staging buffers that only
-	// flow once a sink is attached through AttachObs; ensure one exists
-	// so the recorder's tap sees the merged stream instead of silence.
-	if m.inner.Sys.Sharded() && m.inner.Sys.Obs == nil {
-		m.inner.Sys.AttachObs(obs.NewSink(0))
+	rec := obs.NewSink(capacity)
+	stream := m.inner.Sys.Obs
+	if stream == nil {
+		stream = obs.NewSink(0)
+		m.inner.Sys.AttachObs(stream)
 	}
-	r := trace.NewRecorder(capacity, f)
-	r.Attach(m.inner.Sys.Net)
-	return &TraceRecorder{inner: r}
+	(&EventStream{sink: stream}).OnEvent(func(e Event) {
+		if e.Kind == obs.KindSend && (line == 0 || e.Msg.Addr == line) {
+			rec.Emit(e)
+		}
+	})
+	return &TraceRecorder{sink: rec}
 }
 
 // Run executes the program to completion and returns its statistics.
