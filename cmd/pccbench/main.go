@@ -30,6 +30,7 @@ import (
 	"pccsim/internal/cli"
 	"pccsim/internal/harness"
 	"pccsim/internal/runner"
+	"pccsim/internal/workload"
 )
 
 func main() {
@@ -48,6 +49,10 @@ func main() {
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	if err := cli.Parse(fs, os.Args[1:]); err != nil {
 		fail(err)
+	}
+	if err := (workload.Params{Scale: *scale, Iters: *iters}).Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "pccbench:", err)
+		os.Exit(2)
 	}
 
 	if *cpuprofile != "" {

@@ -42,7 +42,11 @@ func main() {
 			os.Exit(submitMain(os.Args[2:]))
 		}
 	}
+	os.Exit(runMain(os.Args[1:]))
+}
 
+// runMain implements the root command: one run, one statistics report.
+func runMain(args []string) int {
 	fs := flag.NewFlagSet("pccsim", flag.ExitOnError)
 	wl := fs.String("workload", "em3d", "benchmark: "+strings.Join(pccsim.Workloads(), "|"))
 	proto := fs.String("protocol", "", "coherence protocol: "+strings.Join(pccsim.Protocols(), "|")+" (default adaptive)")
@@ -59,9 +63,13 @@ func main() {
 	deterministic := fs.Bool("deterministic", false, "with -shards: serial round-robin shard scheduler")
 	traceN := fs.Int("trace", 0, "dump the last N coherence messages after the run")
 	traceLine := fs.Uint64("trace-line", 0, "restrict tracing to one line address")
-	if err := cli.Parse(fs, os.Args[1:]); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		fmt.Fprintln(os.Stderr, "pccsim:", err)
-		os.Exit(2)
+		return 2
+	}
+	if err := (pccsim.WorkloadParams{Scale: *scale, Iters: *iters}).Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "pccsim:", err)
+		return 2
 	}
 
 	cfg := pccsim.DefaultConfig()
@@ -96,7 +104,7 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pccsim:", err)
-		os.Exit(1)
+		return 1
 	}
 	harness.WriteRunReport(os.Stdout, *wl, *nodes, *scale, st)
 	if rec != nil {
@@ -105,6 +113,7 @@ func main() {
 		fmt.Println("\n== per-line stories ==")
 		rec.DumpStories(os.Stdout)
 	}
+	return 0
 }
 
 // traceMain implements `pccsim trace`: one observed run, exported as
@@ -131,6 +140,10 @@ func traceMain(args []string) int {
 	shards := fs.Int("shards", 0, "engine shards (0 = single engine; >1 runs the parallel scheduler)")
 	deterministic := fs.Bool("deterministic", false, "with -shards: serial round-robin shard scheduler")
 	if err := cli.Parse(fs, args); err != nil {
+		fmt.Fprintln(os.Stderr, "pccsim trace:", err)
+		return 2
+	}
+	if err := (pccsim.WorkloadParams{Scale: *scale, Iters: *iters}).Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "pccsim trace:", err)
 		return 2
 	}

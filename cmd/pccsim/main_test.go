@@ -26,6 +26,25 @@ func TestTraceEveryProtocol(t *testing.T) {
 	}
 }
 
+// TestNegativeSizesAreUsageErrors: a negative -scale or -iters would run
+// as the default while the report names the negative value, so both the
+// root command and trace reject it as a usage error before simulating.
+func TestNegativeSizesAreUsageErrors(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "t.json")
+	for _, c := range []struct {
+		cmd  string
+		main func([]string) int
+		args []string
+	}{
+		{"pccsim", runMain, []string{"-nodes", "4", "-scale", "-1"}},
+		{"pccsim trace", traceMain, []string{"-nodes", "4", "-iters", "-3", "-out", out}},
+	} {
+		if code := c.main(c.args); code != 2 {
+			t.Errorf("%s %v: exit %d, want 2", c.cmd, c.args, code)
+		}
+	}
+}
+
 // TestTraceExplicitDelegationNeedsDelegatingProtocol keeps the explicit
 // form strict: delegation sizing asked for under a protocol that does
 // not delegate is a configuration error, not silently dropped.

@@ -69,9 +69,9 @@ func ExampleNew() {
 }
 
 func ExampleWithProtocol() {
-	// The directory's sharing policy is pluggable: the same program runs
+	// The directory's sharing policy is selectable: the same program runs
 	// under the paper's adaptive protocol (the default) or any other
-	// registered protocol. "hybrid" pushes updates to stable sharer sets
+	// protocol. "hybrid" pushes updates to stable sharer sets
 	// instead of invalidating them.
 	fmt.Println("protocols:", pccsim.Protocols())
 

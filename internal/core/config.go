@@ -311,16 +311,6 @@ func (c *Config) validateGeometry() error {
 	return nil
 }
 
-// protocolImpl resolves the configured protocol; it must only be called
-// after a successful Validate.
-func (c *Config) protocolImpl() protocol.Protocol {
-	p, err := protocol.Lookup(c.Protocol)
-	if err != nil {
-		panic(err) // unreachable after Validate
-	}
-	return p
-}
-
 // consumerEntries resolves the consumer-table size.
 func (c *Config) consumerEntries() int {
 	if c.ConsumerEntries > 0 {

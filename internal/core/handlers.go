@@ -5,6 +5,7 @@ import (
 
 	"pccsim/internal/cache"
 	"pccsim/internal/msg"
+	"pccsim/internal/protocol"
 )
 
 // dispatch is the hub's message handler: every packet delivered to this
@@ -363,7 +364,7 @@ func (h *Hub) hybridUpdateData(m *msg.Message) {
 			l2l.Version = m.Version
 			l2l.Streak++
 		}
-		if limit := h.proto.UpdateStreakLimit(); limit > 0 && int(l2l.Streak) >= limit {
+		if h.mech == protocol.UpdatePush && l2l.Streak >= protocol.HybridStreakLimit {
 			// Nothing between these pushes was read locally: this node
 			// is not consuming the line. Self-invalidate and leave the
 			// update set, degrading the line back toward

@@ -158,16 +158,11 @@ func (h *Hub) homeWrite(req *msg.Message, e *directory.Entry, det *predictor.Det
 			h.st.RecordConsumers(sharers.Count())
 		}
 
-		// The registered protocol decides the shared-write flow. The
-		// paper's adaptive protocol returns Delegate under exactly the
-		// §2.3.1 rule this FSM hard-wired before the plugin interface
-		// (a stable producer-consumer pattern with a remote producer
-		// hands the directory to it); mesi/dsi always invalidate; the
-		// hybrid protocol pushes updates to stable sharers.
-		decision := h.proto.SharedWrite(protocol.WriteView{
-			Entry: e, Requester: req.Requester, Home: h.id, Targets: sharers,
-			IsPC: det.IsProducerConsumer(), DelegationOn: h.cfg.DelegateEntries > 0,
-		})
+		// The mechanism decides the shared-write flow: delegation hands
+		// a producer-consumer line to its remote writer (§2.3.1), update
+		// push sends the write to the stable sharers, and everything
+		// else invalidates.
+		decision := h.mech.SharedWrite(det.IsProducerConsumer(), req.Requester != h.id, !sharers.Empty())
 
 		if decision == protocol.PushUpdates {
 			h.hybridSharedWrite(req, e, sharers)

@@ -29,11 +29,9 @@ type Hub struct {
 	mm  *mem.Memory
 	st  *stats.Stats
 	gl  *global
-	// proto and mech are the machine's resolved coherence protocol and
-	// its mechanism, copied here so home-FSM decision points dispatch
-	// without an indirection through sys.
-	proto protocol.Protocol
-	mech  protocol.Mechanism
+	// mech is the machine's protocol mechanism, resolved to None when a
+	// delegation protocol runs without a delegate cache.
+	mech protocol.Mechanism
 	// obs receives this hub's protocol events: the system sink when
 	// single-engine, the hub's shard staging buffer when sharded, nil
 	// when observability is off (AttachObs wires it either way).
@@ -212,27 +210,29 @@ func (m *mshr) class() stats.MissClass {
 func newHub(sys *System, id msg.NodeID, st *stats.Stats) *Hub {
 	cfg := &sys.Cfg
 	h := &Hub{
-		id:    id,
-		sys:   sys,
-		cfg:   cfg,
-		eng:   sys.EngFor(id),
-		net:   sys.Net,
-		mm:    sys.Mem,
-		st:    st,
-		gl:    sys.glob,
-		proto: sys.proto,
-		mech:  sys.proto.Mechanism(),
-		l1:    cache.New(cfg.L1Bytes, cfg.L1Ways, cfg.L1LineBytes),
-		l2:    cache.New(cfg.L2Bytes, cfg.L2Ways, cfg.L2LineBytes),
-		dir:   directory.New(),
-		dirc:  directory.NewDirCache(cfg.DirCacheEntries, dirCacheWays),
+		id:   id,
+		sys:  sys,
+		cfg:  cfg,
+		eng:  sys.EngFor(id),
+		net:  sys.Net,
+		mm:   sys.Mem,
+		st:   st,
+		gl:   sys.glob,
+		l1:   cache.New(cfg.L1Bytes, cfg.L1Ways, cfg.L1LineBytes),
+		l2:   cache.New(cfg.L2Bytes, cfg.L2Ways, cfg.L2LineBytes),
+		dir:  directory.New(),
+		dirc: directory.NewDirCache(cfg.DirCacheEntries, dirCacheWays),
 	}
+	p, _ := protocol.Lookup(cfg.Protocol) // Validate resolved the name
+	h.mech = p.Mechanism()
 	if cfg.RACBytes > 0 {
 		h.rc = rac.New(cfg.RACBytes, cfg.RACWays, cfg.L2LineBytes)
 	}
 	if cfg.DelegateEntries > 0 {
 		h.prod = delegate.NewProducerTable(cfg.DelegateEntries)
 		h.cons = delegate.NewConsumerTable(cfg.consumerEntries())
+	} else if h.mech == protocol.Delegation {
+		h.mech = protocol.None // no delegate cache: nothing to delegate to
 	}
 	if cfg.DetectorWriters == 2 {
 		h.dirc.SetPairMode(true)

@@ -8,7 +8,6 @@ import (
 	"pccsim/internal/msg"
 	"pccsim/internal/network"
 	"pccsim/internal/obs"
-	"pccsim/internal/protocol"
 	"pccsim/internal/sim"
 	"pccsim/internal/stats"
 )
@@ -49,9 +48,6 @@ type System struct {
 	Obs *obs.Sink
 	// NodeStats holds each node's counters; Aggregate folds them.
 	NodeStats []*stats.Stats
-	// proto is the resolved coherence protocol (Cfg.Protocol), fixed at
-	// construction.
-	proto protocol.Protocol
 	// NetStats accumulates interconnect traffic (shared by all sends).
 	// It is nil on a sharded system, where each shard collects its own
 	// slice; Aggregate folds them in either mode.
@@ -114,7 +110,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Mem:       mem.New(mem.FirstTouch, cfg.Nodes, 4096),
 		glob:      newGlobal(cfg.CheckInvariants),
 		NodeStats: make([]*stats.Stats, cfg.Nodes),
-		proto:     cfg.protocolImpl(),
 	}
 	if n := cfg.Shards; n > 1 {
 		sys.shardOf = make([]int, cfg.Nodes)
@@ -156,28 +151,8 @@ func NewSystem(cfg Config) (*System, error) {
 	return sys, nil
 }
 
-// MustNewSystem is NewSystem for callers with static configurations.
-func MustNewSystem(cfg Config) *System {
-	s, err := NewSystem(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Protocol returns the machine's resolved coherence protocol.
-func (s *System) Protocol() protocol.Protocol { return s.proto }
-
 // Sharded reports whether the system runs on the shard-group scheduler.
 func (s *System) Sharded() bool { return s.grp != nil }
-
-// ShardOf returns the shard owning node n (always 0 when not sharded).
-func (s *System) ShardOf(n msg.NodeID) int {
-	if s.shardOf == nil {
-		return 0
-	}
-	return s.shardOf[n]
-}
 
 // EngFor returns the engine that owns node n's events — the single
 // engine, or n's shard's.

@@ -138,16 +138,7 @@ func NewInjector(cfg Config) (*Injector, error) {
 	return inj, nil
 }
 
-// MustInjector is NewInjector for static schedules.
-func MustInjector(cfg Config) *Injector {
-	inj, err := NewInjector(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return inj
-}
-
-// match advances the rule's cadence counter and reports whether an
+// due advances the rule's cadence counter and reports whether an
 // every-N action is due and under its cap.
 func (rs *ruleState) due(every int) bool {
 	if every <= 0 {

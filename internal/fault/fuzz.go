@@ -29,7 +29,7 @@ type Machine struct {
 	// Protocol names the coherence protocol the case runs under, and so
 	// its mechanism ("dsi" self-invalidates); empty means the default
 	// ("adaptive", the paper's protocol), which is what every corpus
-	// repro written before the plugin architecture replays as. Part of
+	// repro written before protocols were selectable replays as. Part of
 	// the repro identity: a failure under one protocol must replay under
 	// the same one.
 	Protocol string `json:"protocol,omitempty"`

@@ -14,7 +14,7 @@ type GenOpts struct {
 	// (most with updates), so every case can exercise the producer-table
 	// races. Used by bug-injection tests targeting undelegation.
 	ForceDelegation bool
-	// Protocol pins every generated machine to one registered protocol,
+	// Protocol pins every generated machine to one protocol,
 	// restricting flavors to the protocol's mechanism ("mesi" never draws
 	// a delegation machine). Empty = mixed, mostly adaptive. The name
 	// must be valid; pccfuzz validates it before the campaign starts.

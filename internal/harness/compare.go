@@ -13,7 +13,7 @@ import (
 	"pccsim/internal/workload"
 )
 
-// The coherence bake-off: every registered protocol runs every workload
+// The coherence bake-off: every protocol runs every workload
 // head-to-head, each provisioned by CompareConfig (the same rule the
 // cross-protocol invariant suite uses). "mesi" — the plain
 // write-invalidate baseline — anchors the speedup column.
@@ -58,9 +58,9 @@ func CompareConfig(base core.Config, p protocol.Protocol) core.Config {
 	return cfg
 }
 
-// Compare runs the protocol bake-off: every registered protocol against
-// every workload. Rows are grouped by application in workload order,
-// protocols in registry (sorted-name) order within each group.
+// Compare runs the protocol bake-off: every protocol against every
+// workload. Rows are grouped by application in workload order, protocols
+// in table (sorted-name) order within each group.
 func (s *Session) Compare() ([]CompareRow, error) {
 	base := core.DefaultConfig()
 	base.Nodes = s.Opts.Nodes

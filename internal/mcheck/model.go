@@ -5,7 +5,9 @@
 // an independent, second encoding of the protocol rules (the simulator in
 // internal/core is the first), so exhaustive reachability over it checks
 // the *design*, and disagreements between the two encodings surface as
-// invariant violations here or runtime-check panics there.
+// invariant violations here or runtime-check panics there. The one rule
+// the two encodings share rather than restate is the home's shared-write
+// decision, protocol.Mechanism.SharedWrite.
 //
 // The checked properties mirror the paper's: the DASH-style "single writer
 // exists" and "consistency within the directory" invariants, a data-value
@@ -27,6 +29,8 @@ package mcheck
 import (
 	"fmt"
 	"strings"
+
+	"pccsim/internal/protocol"
 )
 
 // CacheState is a node's cached-copy state.
@@ -228,6 +232,15 @@ func (c Config) lines() int {
 		return 1
 	}
 	return c.Lines
+}
+
+// mechanism is the protocol mechanism the model runs: delegation when
+// Delegation is set, the plain write-invalidate base otherwise.
+func (c Config) mechanism() protocol.Mechanism {
+	if c.Delegation {
+		return protocol.Delegation
+	}
+	return protocol.None
 }
 
 // DefaultConfig is the paper-style small configuration: 3 nodes, one line,

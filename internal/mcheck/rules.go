@@ -1,6 +1,10 @@
 package mcheck
 
-import "fmt"
+import (
+	"fmt"
+
+	"pccsim/internal/protocol"
+)
 
 // Succ is one labeled successor state.
 type Succ struct {
@@ -817,7 +821,7 @@ func homeRequest(cfg Config, s *State, src int, m Msg) bool {
 			detectorWrite(h, req)
 			sharers := h.Shr &^ bit(int8(req))
 			acks := int8(popcount(sharers))
-			if cfg.Delegation && h.DetRep >= cfg.DetThresh && req != home {
+			if cfg.mechanism().SharedWrite(h.DetRep >= cfg.DetThresh, req != home, sharers != 0) == protocol.Delegate {
 				h.Dir = DD
 				h.Owner = int8(req)
 				h.OwnTxn = m.RTxn

@@ -15,7 +15,7 @@ import (
 )
 
 // TestAllWorkloadsAllProtocols is the cross-protocol invariant suite:
-// every registered protocol runs every bundled workload with runtime
+// every protocol runs every bundled workload with runtime
 // coherence checking armed (stale-write and backwards-read panics in the
 // version oracle), then the whole-machine SWMR/directory sweep and the
 // end-state value check. The protocol name is in the subtest path, so a

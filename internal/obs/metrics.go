@@ -57,8 +57,8 @@ type Line struct {
 	Addr msg.Addr
 	// PCDetected records the first time the home's detector classified
 	// the line producer-consumer.
-	PCDetected   bool
-	PCDetectAt   sim.Time
+	PCDetected bool
+	PCDetectAt sim.Time
 	// Spans is the delegation history in time order.
 	Spans []Span
 	// Speculative-update outcomes for this line.

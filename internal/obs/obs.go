@@ -70,18 +70,18 @@ const (
 )
 
 var kindNames = [...]string{
-	KindSend:            "send",
-	KindMissStart:       "miss-start",
-	KindMissEnd:         "miss-end",
-	KindPCDetect:        "pc-detect",
-	KindDelegate:        "delegate",
-	KindDelegateInstall: "delegate-install",
-	KindUndelegate:      "undelegate",
+	KindSend:             "send",
+	KindMissStart:        "miss-start",
+	KindMissEnd:          "miss-end",
+	KindPCDetect:         "pc-detect",
+	KindDelegate:         "delegate",
+	KindDelegateInstall:  "delegate-install",
+	KindUndelegate:       "undelegate",
 	KindUndelegateCommit: "undelegate-commit",
-	KindIntervention:    "intervention",
-	KindUpdatePush:      "update-push",
-	KindUpdateHit:       "update-hit",
-	KindUpdateWaste:     "update-waste",
+	KindIntervention:     "intervention",
+	KindUpdatePush:       "update-push",
+	KindUpdateHit:        "update-hit",
+	KindUpdateWaste:      "update-waste",
 }
 
 // NumKinds is the number of distinct event kinds.

@@ -99,7 +99,7 @@ func TestDelegationSpanPairing(t *testing.T) {
 
 func TestHopAndByteAccounting(t *testing.T) {
 	s := NewSink(0)
-	s.Emit(send(1, msg.GetShared, 0, 1, 0x100, 1))  // header only
+	s.Emit(send(1, msg.GetShared, 0, 1, 0x100, 1))   // header only
 	s.Emit(send(2, msg.SharedReply, 1, 0, 0x100, 1)) // carries data
 	s.Emit(send(3, msg.GetShared, 0, 9, 0x200, 2))
 	wantBytes := uint64(msg.HeaderBytes*2 + msg.HeaderBytes + msg.LineBytes)

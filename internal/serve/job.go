@@ -143,6 +143,10 @@ func (sp *runSpec) build() (*runCell, error) {
 	if sp.Scale == 0 {
 		sp.Scale = 1
 	}
+	params := workload.Params{Nodes: sp.Nodes, Scale: sp.Scale, Iters: sp.Iters}
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
 	delay, hop := uint64(50), uint64(100)
 	if sp.Delay != nil {
 		delay = *sp.Delay
@@ -174,8 +178,7 @@ func (sp *runSpec) build() (*runCell, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &runCell{cfg: cfg, wl: wl,
-		params: workload.Params{Nodes: sp.Nodes, Scale: sp.Scale, Iters: sp.Iters}}, nil
+	return &runCell{cfg: cfg, wl: wl, params: params}, nil
 }
 
 // execRun simulates one cell through the shared runner (so duplicates —
@@ -226,9 +229,13 @@ type experimentSpec struct {
 	Deterministic bool   `json:"deterministic"`
 }
 
-// experiment looks the spec's name up in the harness experiment list;
-// only experiments with a CSV writer can be served.
+// experiment validates the spec's sizes and looks its name up in the
+// harness experiment list; only experiments with a CSV writer can be
+// served.
 func (sp *experimentSpec) experiment() (harness.Experiment, error) {
+	if err := (workload.Params{Scale: sp.Scale, Iters: sp.Iters}).Validate(); err != nil {
+		return harness.Experiment{}, err
+	}
 	e, ok := harness.LookupExperiment(sp.Exp)
 	if !ok || !e.HasCSV() {
 		return harness.Experiment{}, fmt.Errorf("unknown experiment %q (%s)", sp.Exp,

@@ -152,6 +152,8 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		"illegal mechanisms":    `{"workload":"em3d","protocol":"mesi","rac":32768,"deledc":32}`,
 		"unknown fuzz protocol": `{"kind":"fuzz","cases":1,"protocol":"mosi"}`,
 		"retired bench kind":    `{"kind":"bench"}`,
+		"negative scale":        `{"workload":"em3d","scale":-1}`,
+		"negative iters":        `{"kind":"experiment","exp":"fig9","iters":-3}`,
 	} {
 		rr := do(s.Handler(), "POST", "/v1/jobs", "", body)
 		if rr.Code != http.StatusBadRequest {

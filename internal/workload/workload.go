@@ -32,6 +32,19 @@ type Params struct {
 	Seed  int64 // generator seed; 0 means a fixed per-workload seed
 }
 
+// ErrBadParams is wrapped by Validate failures.
+var ErrBadParams = errors.New("workload: bad parameters")
+
+// Validate rejects a negative Scale or Iters. Builds read them as the
+// default, so accepting one would run one cell under two descriptions;
+// callers taking outside input check it before building.
+func (p Params) Validate() error {
+	if p.Scale < 0 || p.Iters < 0 {
+		return fmt.Errorf("%w: scale %d, iters %d: neither may be negative", ErrBadParams, p.Scale, p.Iters)
+	}
+	return nil
+}
+
 func (p Params) scale() int {
 	if p.Scale <= 0 {
 		return 1

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -34,6 +35,19 @@ func TestByName(t *testing.T) {
 	}
 	if _, ok := ByName("nope"); ok {
 		t.Fatal("ByName(nope) succeeded")
+	}
+}
+
+func TestParamsValidate(t *testing.T) {
+	for _, p := range []Params{{}, {Scale: 2, Iters: 3}} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%+v: %v", p, err)
+		}
+	}
+	for _, p := range []Params{{Scale: -1}, {Iters: -3}} {
+		if err := p.Validate(); !errors.Is(err, ErrBadParams) {
+			t.Errorf("%+v: err = %v, want ErrBadParams", p, err)
+		}
 	}
 }
 

@@ -65,8 +65,8 @@
 //
 // # Protocols
 //
-// The directory's sharing policy is pluggable. Protocols lists the
-// registered coherence protocols and WithProtocol selects one; a
+// The directory's sharing policy is selectable. Protocols lists the
+// coherence protocols and WithProtocol selects one; a
 // protocol's name selects its one mechanism. The default, "adaptive",
 // is the paper's protocol: delegation, sized by WithRAC and
 // WithDelegation, with WithSpeculativeUpdates and WithAdaptiveDelay on
