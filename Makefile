@@ -41,14 +41,18 @@ bench:
 
 # One-iteration bench smoke for CI: compiles and runs every benchmark
 # once. The ZeroAlloc pass pins the observability layer's disabled path
-# (and the enabled Emit itself), the caches' steady-state access path
-# and the model checker's canonicalizer at 0 allocs/op.
+# (and the enabled Emit itself), the caches' steady-state access path,
+# the engine's typed events, the hub's hit, merge, retry and timer paths,
+# the op builder's appends and the model checker's canonicalizer at 0
+# allocs/op; the Size pins hold the engine's wheel entry at <= 32 bytes
+# and cpu.Op at 16.
 bench-smoke: compare-smoke
 	$(GO) test -bench=. -benchtime=1x ./internal/sim/... ./internal/network/... ./internal/obs/... \
 		./internal/cache/...
 	$(GO) test -run '^$$' -bench 'Canonical|Successors' -benchtime=1x ./internal/mcheck/
-	$(GO) test -run ZeroAlloc -count=1 ./internal/sim/... ./internal/network/... \
-		./internal/addrtab/... ./internal/obs/... ./internal/mcheck/... ./internal/cache/...
+	$(GO) test -run 'ZeroAlloc|Size$$' -count=1 ./internal/sim/... ./internal/network/... \
+		./internal/addrtab/... ./internal/obs/... ./internal/mcheck/... ./internal/cache/... \
+		./internal/core/... ./internal/workload/...
 
 # The performance gate: perfbench built from the committed tree of BASE
 # (the parent) and from this checkout (the change), every workload run

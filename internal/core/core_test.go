@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pccsim/internal/msg"
+	"pccsim/internal/sim/simtest"
 	"pccsim/internal/stats"
 )
 
@@ -31,11 +32,11 @@ func newTestSystem(t *testing.T, cfg Config) *System {
 // the operation never completes.
 func access(t *testing.T, sys *System, n msg.NodeID, addr msg.Addr, write bool) {
 	t.Helper()
-	done := false
-	sys.Access(n, addr, write, func() { done = true })
+	done := &simtest.Recorder{}
+	sys.Access(n, addr, write, done, 7)
 	sys.Run()
-	if !done {
-		t.Fatalf("node %d %s of %#x never completed", n, rw(write), uint64(addr))
+	if len(done.Ops) != 1 || done.Ops[0] != 7 {
+		t.Fatalf("node %d %s of %#x completed with events %v, want one op 7", n, rw(write), uint64(addr), done.Ops)
 	}
 }
 
@@ -356,13 +357,13 @@ func TestNackRetryUnderContention(t *testing.T) {
 	sys := newTestSystem(t, testConfig())
 	access(t, sys, 0, 0xd000, false) // home = 0
 	// Eight nodes write the same line simultaneously.
-	done := 0
+	done := &simtest.Recorder{}
 	for n := msg.NodeID(1); n <= 8; n++ {
-		sys.Access(n, 0xd000, true, func() { done++ })
+		sys.Access(n, 0xd000, true, done, 0)
 	}
 	sys.Run()
-	if done != 8 {
-		t.Fatalf("%d of 8 concurrent writes completed", done)
+	if len(done.Ops) != 8 {
+		t.Fatalf("%d of 8 concurrent writes completed", len(done.Ops))
 	}
 	if sys.Aggregate().Nacks() == 0 {
 		t.Fatal("contention produced no NACKs")
@@ -384,7 +385,7 @@ func TestReloadFlurry(t *testing.T) {
 	access(t, sys, 0, 0xe000, true) // invalidates all 15
 	done := 0
 	for n := msg.NodeID(1); n < 16; n++ {
-		sys.Access(n, 0xe000, false, func() { done++ })
+		sys.Access(n, 0xe000, false, simtest.Func(func() { done++ }), 0)
 	}
 	sys.Run()
 	if done != 15 {
@@ -492,7 +493,7 @@ func TestRandomStress(t *testing.T) {
 				addr := lines[rng.Intn(len(lines))] + msg.Addr(rng.Intn(4)*32)
 				write := rng.Intn(3) == 0
 				issued++
-				sys.Access(n, addr, write, func() { completed++ })
+				sys.Access(n, addr, write, simtest.Func(func() { completed++ }), 0)
 				if rng.Intn(4) == 0 {
 					sys.Run() // drain sometimes; otherwise overlap
 				}
@@ -534,7 +535,7 @@ func TestRandomStressManyLines(t *testing.T) {
 				addr := msg.Addr(rng.Intn(64)) * 128
 				write := rng.Intn(3) == 0
 				issued++
-				sys.Access(n, addr, write, func() { completed++ })
+				sys.Access(n, addr, write, simtest.Func(func() { completed++ }), 0)
 				if rng.Intn(3) == 0 {
 					sys.Run()
 				}

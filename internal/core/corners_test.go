@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pccsim/internal/msg"
+	"pccsim/internal/sim/simtest"
 	"pccsim/internal/stats"
 )
 
@@ -122,8 +123,8 @@ func TestUpgradeRaceFallsBackToGetExcl(t *testing.T) {
 	access(t, sys, 1, addr, false)
 	access(t, sys, 2, addr, false) // both hold Shared copies
 	done := 0
-	sys.Access(1, addr, true, func() { done++ })
-	sys.Access(2, addr, true, func() { done++ })
+	sys.Access(1, addr, true, simtest.Func(func() { done++ }), 0)
+	sys.Access(2, addr, true, simtest.Func(func() { done++ }), 0)
 	sys.Run()
 	if done != 2 {
 		t.Fatalf("%d of 2 racing upgrades completed", done)
@@ -246,7 +247,7 @@ func TestReloadFlurryWithUpdates(t *testing.T) {
 				if n == 3 {
 					continue
 				}
-				sys.Access(n, addr, false, func() { done++ })
+				sys.Access(n, addr, false, simtest.Func(func() { done++ }), 0)
 			}
 			sys.Run()
 			if done != 14 {

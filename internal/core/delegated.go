@@ -180,16 +180,14 @@ func (h *Hub) armIntervention(pe *delegate.ProducerEntry) {
 	if e.UpdateSet.Clear(h.id).Empty() {
 		return // nobody consumed the last round; nothing to push
 	}
-	e.WriteSeq++
+	h.writeSeq++
+	e.WriteSeq = h.writeSeq
 	e.UpdatePending = true
-	seq := e.WriteSeq
-	addr := pe.Addr
-	h.eng.After(h.delayFor(e), func() {
-		if h.prod.Peek(addr) != pe {
-			return // undelegated in the meantime
-		}
-		h.fireIntervention(addr, &pe.Dir, seq, true)
-	})
+	// The timer finds the entry by line when it fires; if the line was
+	// undelegated (and perhaps re-delegated) since, the entry there
+	// carries another arming's WriteSeq and the timer lapses.
+	h.afterNote(h.delayFor(e), opDeleIntervene,
+		msg.Message{Type: msg.Intervention, Addr: pe.Addr, Txn: e.WriteSeq})
 }
 
 // installDelegation handles a DELEGATE message: the home detected a stable

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pccsim/internal/msg"
+	"pccsim/internal/sim/simtest"
 	"pccsim/internal/stats"
 )
 
@@ -34,8 +35,8 @@ func TestAdaptiveDelayRecoversFromTooLong(t *testing.T) {
 				finished = rounds
 				return
 			}
-			sys.Access(0, addr, true, func() {
-				sys.Eng.After(2000, func() {
+			sys.Access(0, addr, true, simtest.Func(func() {
+				simtest.After(sys.Eng, 2000, func() {
 					pending := 2
 					rdone := func() {
 						pending--
@@ -43,10 +44,10 @@ func TestAdaptiveDelayRecoversFromTooLong(t *testing.T) {
 							round(r + 1)
 						}
 					}
-					sys.Access(1, addr, false, rdone)
-					sys.Access(2, addr, false, rdone)
+					sys.Access(1, addr, false, simtest.Func(rdone), 0)
+					sys.Access(2, addr, false, simtest.Func(rdone), 0)
 				})
-			})
+			}), 0)
 		}
 		round(0)
 		sys.Run()
@@ -87,13 +88,13 @@ func TestAdaptiveDelayGrowsOnBurstInterruption(t *testing.T) {
 				finished = true
 				return
 			}
-			sys.Access(0, addr, true, func() {
+			sys.Access(0, addr, true, simtest.Func(func() {
 				// Burst continuation 80 cycles later: with delay 5
 				// the downgrade already happened, forcing a fresh
 				// ownership transaction.
-				sys.Eng.After(80, func() {
-					sys.Access(0, addr, true, func() {
-						sys.Eng.After(2000, func() {
+				simtest.After(sys.Eng, 80, func() {
+					sys.Access(0, addr, true, simtest.Func(func() {
+						simtest.After(sys.Eng, 2000, func() {
 							pending := 2
 							rdone := func() {
 								pending--
@@ -101,12 +102,12 @@ func TestAdaptiveDelayGrowsOnBurstInterruption(t *testing.T) {
 									round(r + 1)
 								}
 							}
-							sys.Access(1, addr, false, rdone)
-							sys.Access(2, addr, false, rdone)
+							sys.Access(1, addr, false, simtest.Func(rdone), 0)
+							sys.Access(2, addr, false, simtest.Func(rdone), 0)
 						})
-					})
+					}), 0)
 				})
-			})
+			}), 0)
 		}
 		round(0)
 		sys.Run()
@@ -201,7 +202,7 @@ func TestAdaptiveDelayStress(t *testing.T) {
 		addr := msg.Addr(step*13%40) * 128
 		write := step%3 == 0
 		issued++
-		sys.Access(n, addr, write, func() { completed++ })
+		sys.Access(n, addr, write, simtest.Func(func() { completed++ }), 0)
 		if step%4 == 0 {
 			sys.Run()
 		}

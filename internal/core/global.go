@@ -50,12 +50,14 @@ func (g *global) write(node msg.NodeID, addr msg.Addr, held uint64) uint64 {
 		g.mu.Lock()
 		defer g.mu.Unlock()
 	}
-	if g.check && held != g.latest[addr] {
+	v := g.latest[addr]
+	if g.check && held != v {
 		panic(fmt.Sprintf("core: node %d writes %#x holding version %d, latest is %d (stale-write coherence violation)",
-			node, uint64(addr), held, g.latest[addr]))
+			node, uint64(addr), held, v))
 	}
-	g.latest[addr]++
-	return g.latest[addr]
+	v++
+	g.latest[addr] = v
+	return v
 }
 
 // observe records that node read version v of addr and checks monotonicity:

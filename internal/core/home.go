@@ -449,10 +449,11 @@ func (h *Hub) armHomeIntervention(addr msg.Addr) {
 	if !e.PC || e.UpdateSet.Clear(h.id).Empty() {
 		return
 	}
-	e.WriteSeq++
+	h.writeSeq++
+	e.WriteSeq = h.writeSeq
 	e.UpdatePending = true
-	seq := e.WriteSeq
-	h.eng.After(h.delayFor(e), func() { h.fireIntervention(addr, e, seq, false) })
+	h.afterNote(h.delayFor(e), opHomeIntervene,
+		msg.Message{Type: msg.Intervention, Addr: addr, Txn: e.WriteSeq})
 }
 
 // fireIntervention is the delayed-intervention timer body, shared by the

@@ -52,18 +52,27 @@ type Hub struct {
 	txnSeq uint64
 	// spare holds retired MSHRs for reuse, so a miss allocates nothing.
 	spare []*mshr
+	// writeSeq numbers delayed-intervention armings (directory.Entry
+	// WriteSeq), hub-wide, so a timer matches only the arming that
+	// scheduled it, whichever entry now holds its line.
+	writeSeq uint64
 }
 
 // dirCacheWays is the directory cache's associativity.
 const dirCacheWays = 4
 
-// Engine event opcodes for the hub's closure-free schedulers (see
-// HandleMsgEvent). The delayed-send and delivery paths carry every
-// protocol hop, so they ride in typed events instead of closures.
+// Engine event opcodes of the hub (see HandleMsgEvent). The timers carry
+// their line, and the arming's sequence or grant number, in a pooled
+// message that never goes on the wire; its Type names what the timer
+// does, for the watchdog census.
 const (
-	opDispatch uint8 = iota // deliver a message to the protocol handlers
-	opSend                  // delayed send (directory occupancy, DRAM)
-	opHomeReq               // re-inject a request at the home directory
+	opDispatch        uint8 = iota // deliver a message to the protocol handlers
+	opSend                         // delayed send (directory occupancy, DRAM)
+	opHomeReq                      // re-inject a request at the home directory
+	opHomeIntervene                // delayed intervention, home producer (Txn = arming)
+	opDeleIntervene                // delayed intervention, delegated producer (Txn = arming)
+	opSelfDowngrade                // eager downgrade under self-invalidation (GrantTxn)
+	opUpdateDelivered              // cross-shard update-delivered notification
 )
 
 // HandleMsgEvent is the sim.MsgHandler entry point for the hub's typed
@@ -72,12 +81,32 @@ func (h *Hub) HandleMsgEvent(op uint8, m *msg.Message) {
 	switch op {
 	case opDispatch:
 		h.dispatch(m)
+		return
 	case opSend:
 		h.send(m)
+		return
 	case opHomeReq:
 		h.homeRequest(m)
-		h.eng.FreeMsg(m)
+	case opHomeIntervene:
+		h.fireIntervention(m.Addr, h.dir.Peek(m.Addr), m.Txn, false)
+	case opDeleIntervene:
+		if pe := h.prod.Peek(m.Addr); pe != nil {
+			h.fireIntervention(m.Addr, &pe.Dir, m.Txn, true)
+		}
+	case opSelfDowngrade:
+		h.selfDowngrade(m.Addr, m.GrantTxn)
+	case opUpdateDelivered:
+		h.updateDeliveredLine(m.Addr)
 	}
+	h.eng.FreeMsg(m)
+}
+
+// afterNote schedules op on this hub after delay d with a pooled note
+// carrying the timer's operands (see the opcodes).
+func (h *Hub) afterNote(d sim.Time, op uint8, note msg.Message) {
+	m := h.newMsg()
+	*m = note
+	h.eng.AfterMsg(d, h, op, m)
 }
 
 // newMsg allocates a message from the engine's free list. Every message a
@@ -91,14 +120,18 @@ func (h *Hub) mshr(line msg.Addr) *mshr {
 	return m
 }
 
-// mshr tracks one outstanding L2-miss transaction.
+// mshr tracks one outstanding L2-miss transaction. It is also the
+// handler of the transaction's own timers (see HandleMsgEvent).
 type mshr struct {
+	hub      *Hub
 	addr     msg.Addr
-	txn      uint64 // current attempt's transaction number
+	txn      uint64   // current attempt's transaction number
+	req      msg.Type // current attempt's request, for a local delegated access
 	wantExcl bool
 	upgrade  bool   // current attempt is an Upgrade (have a Shared copy)
 	upgVer   uint64 // version of the Shared copy at upgrade issue time
-	done     func()
+	done     sim.MsgHandler
+	doneOp   uint8
 
 	// updateWrite marks a write completed by a hybrid UpdateGrant: the
 	// store committed at the home, so the fill is a clean Shared copy
@@ -144,49 +177,63 @@ type mshr struct {
 	// triggered the delegation completes.
 	undelegateOnDone bool
 
-	waiters []func()
+	// waiters are accesses merged into this transaction, replayed when
+	// it completes.
+	waiters []waiter
 
-	// refs counts scheduled closures that still hold this MSHR (a
-	// retry backoff, a local delegated access); retired marks it done.
-	// It returns to the hub's spare list only when both allow, so a
-	// closure never sees its MSHR reused by another transaction.
-	refs    int
-	retired bool
+	// serial counts the transactions this MSHR has retired. A timer
+	// carries it and does nothing if it changed before it fired: the
+	// MSHR may by then serve another transaction.
+	serial uint32
+}
+
+// waiter is an access merged into an outstanding transaction.
+type waiter struct {
+	addr  msg.Addr
+	write bool
+	op    uint8
+	done  sim.MsgHandler
+}
+
+// The MSHR's own timer opcodes.
+const (
+	opRetry uint8 = iota // re-issue after a NACK's backoff
+	opLocal              // run the request at the local delegate cache
+)
+
+// HandleMsgEvent runs an MSHR timer scheduled with the MSHR's serial as
+// its argument, unless the transaction has retired since.
+func (m *mshr) HandleMsgEvent(op uint8, _ *msg.Message) {
+	h := m.hub
+	if h.eng.Arg() != m.serial {
+		return
+	}
+	if op == opRetry {
+		h.issue(m)
+	} else {
+		h.localDelegated(m, m.req)
+	}
 }
 
 // newMSHR returns a cleared MSHR for a miss on line, reusing a retired
 // one when the hub has a spare.
-func (h *Hub) newMSHR(line msg.Addr, write bool, done func()) *mshr {
+func (h *Hub) newMSHR(line msg.Addr, write bool, done sim.MsgHandler, doneOp uint8) *mshr {
 	var m *mshr
 	if n := len(h.spare); n > 0 {
 		m, h.spare = h.spare[n-1], h.spare[:n-1]
 	} else {
-		m = new(mshr)
+		m = &mshr{hub: h}
 	}
-	m.addr, m.wantExcl, m.done, m.acksNeeded = line, write, done, -1
+	m.addr, m.wantExcl, m.done, m.doneOp, m.acksNeeded = line, write, done, doneOp, -1
 	return m
 }
 
-// release drops a closure's hold on m and recycles it if it is retired.
-func (h *Hub) release(m *mshr) {
-	m.refs--
-	h.recycle(m)
-}
-
-// retire marks a completed MSHR and recycles it unless a closure holds it.
+// retire returns a completed MSHR to the spare list, cleared of every
+// field (the waiters' backing array is kept, emptied) and with its serial
+// advanced, so its pending timers lapse.
 func (h *Hub) retire(m *mshr) {
-	m.retired = true
-	h.recycle(m)
-}
-
-// recycle returns a retired MSHR no closure holds to the spare list,
-// cleared of every field (the waiters' backing array is kept, emptied).
-func (h *Hub) recycle(m *mshr) {
-	if !m.retired || m.refs > 0 {
-		return
-	}
 	clear(m.waiters)
-	*m = mshr{waiters: m.waiters[:0]}
+	*m = mshr{hub: h, serial: m.serial + 1, waiters: m.waiters[:0]}
 	h.spare = append(h.spare, m)
 }
 
@@ -301,10 +348,11 @@ func (h *Hub) line(addr msg.Addr) msg.Addr { return h.l2.Align(addr) }
 // home returns the line's home node, applying first-touch placement.
 func (h *Hub) home(addr msg.Addr) msg.NodeID { return h.mm.Home(addr, h.id) }
 
-// Access performs one processor memory operation. done runs when the
-// access is architecturally complete (data returned for loads, ownership
-// and the store commit for stores).
-func (h *Hub) Access(addr msg.Addr, write bool, done func()) {
+// Access performs one processor memory operation. The event
+// done.HandleMsgEvent(op, nil) runs when the access is architecturally
+// complete (data returned for loads, ownership and the store commit for
+// stores).
+func (h *Hub) Access(addr msg.Addr, write bool, done sim.MsgHandler, op uint8) {
 	if write {
 		h.st.Stores++
 	} else {
@@ -331,13 +379,13 @@ func (h *Hub) Access(addr msg.Addr, write bool, done func()) {
 				l2l.Streak = 0
 			}
 			h.gl.observe(h.id, line, l2l.Version)
-			h.eng.After(h.cfg.L1Latency, done)
+			h.eng.AfterMsg(h.cfg.L1Latency, done, op, nil)
 			return
 		}
 		if l2l := h.l2.Touch(line); l2l != nil && l2l.State == cache.Excl {
 			h.st.L1Hits++
 			h.doStore(l2l)
-			h.eng.After(h.cfg.L1Latency, done)
+			h.eng.AfterMsg(h.cfg.L1Latency, done, op, nil)
 			return
 		}
 		// Write to a Shared line: fall through to the upgrade path.
@@ -353,14 +401,14 @@ func (h *Hub) Access(addr msg.Addr, write bool, done func()) {
 			}
 			h.fillL1(addr)
 			h.gl.observe(h.id, line, l2l.Version)
-			h.eng.After(h.cfg.L2Latency, done)
+			h.eng.AfterMsg(h.cfg.L2Latency, done, op, nil)
 			return
 		}
 		if l2l.State == cache.Excl {
 			h.st.L2Hits++
 			h.doStore(l2l)
 			h.fillL1(addr)
-			h.eng.After(h.cfg.L2Latency, done)
+			h.eng.AfterMsg(h.cfg.L2Latency, done, op, nil)
 			return
 		}
 		// Shared: upgrade transaction. Updates pushed to this copy and
@@ -369,24 +417,24 @@ func (h *Hub) Access(addr msg.Addr, write bool, done func()) {
 			h.st.UpdatesWasted += uint64(l2l.Streak)
 			l2l.Streak = 0
 		}
-		h.startMiss(addr, line, true, done)
+		h.startMiss(addr, line, true, done, op)
 		return
 	}
 
 	// L2 miss: the RAC may satisfy it locally.
 	if h.rc != nil {
 		if rl := h.rc.Touch(line); rl != nil {
-			if h.serveFromRAC(addr, line, rl, write, done) {
+			if h.serveFromRAC(addr, line, rl, write, done, op) {
 				return
 			}
 		}
 	}
-	h.startMiss(addr, line, write, done)
+	h.startMiss(addr, line, write, done, op)
 }
 
 // serveFromRAC tries to satisfy an L2 miss from the local RAC, reporting
 // whether the access was fully handled.
-func (h *Hub) serveFromRAC(addr, line msg.Addr, rl *rac.Line, write bool, done func()) bool {
+func (h *Hub) serveFromRAC(addr, line msg.Addr, rl *rac.Line, write bool, done sim.MsgHandler, op uint8) bool {
 	// Writes to delegated lines must run the delegated-home write flow
 	// (invalidating consumers); never short-circuit them here.
 	if write && h.prod != nil && h.prod.Peek(line) != nil {
@@ -412,7 +460,7 @@ func (h *Hub) serveFromRAC(addr, line msg.Addr, rl *rac.Line, write bool, done f
 		h.st.RACHits++
 		h.st.RecordMiss(stats.MissLocalRAC)
 		h.gl.observe(h.id, line, v)
-		h.eng.After(h.cfg.L2Latency+h.cfg.DirLatency, done)
+		h.eng.AfterMsg(h.cfg.L2Latency+h.cfg.DirLatency, done, op, nil)
 		return true
 	}
 	if rl.State == cache.Excl && !rl.Pinned {
@@ -425,7 +473,7 @@ func (h *Hub) serveFromRAC(addr, line msg.Addr, rl *rac.Line, write bool, done f
 		h.fillL1(addr)
 		h.st.RACHits++
 		h.st.RecordMiss(stats.MissLocalRAC)
-		h.eng.After(h.cfg.L2Latency+h.cfg.DirLatency, done)
+		h.eng.AfterMsg(h.cfg.L2Latency+h.cfg.DirLatency, done, op, nil)
 		return true
 	}
 	if rl.State == cache.Shared && !rl.Pinned {
@@ -437,7 +485,7 @@ func (h *Hub) serveFromRAC(addr, line msg.Addr, rl *rac.Line, write bool, done f
 		v, dirty := rl.Version, rl.Dirty
 		h.rc.Invalidate(line)
 		h.fillL2(line, cache.Shared, v, dirty)
-		h.startMiss(addr, line, true, done)
+		h.startMiss(addr, line, true, done, op)
 		return true
 	}
 	return false
@@ -560,13 +608,13 @@ func (h *Hub) handleRACVictim(v rac.Victim) {
 }
 
 // startMiss begins (or merges into) an L2-miss transaction for line.
-func (h *Hub) startMiss(addr, line msg.Addr, write bool, done func()) {
+func (h *Hub) startMiss(addr, line msg.Addr, write bool, done sim.MsgHandler, op uint8) {
 	if m := h.mshr(line); m != nil {
 		// Merge: replay the access after the current transaction.
-		m.waiters = append(m.waiters, func() { h.Access(addr, write, done) })
+		m.waiters = append(m.waiters, waiter{addr: addr, write: write, op: op, done: done})
 		return
 	}
-	m := h.newMSHR(line, write, done)
+	m := h.newMSHR(line, write, done, op)
 	h.mshrs.Put(uint64(line), m)
 	if o := h.obs; o != nil {
 		var w uint64
@@ -612,11 +660,8 @@ func (h *Hub) issue(m *mshr) {
 	// Delegated to us: handle at the local delegate cache.
 	if h.prod != nil {
 		if pe := h.prod.Lookup(m.addr); pe != nil {
-			m.refs++
-			h.eng.After(h.cfg.L2Latency+h.cfg.DirLatency, func() {
-				h.localDelegated(m, reqType)
-				h.release(m)
-			})
+			m.req = reqType
+			h.eng.AfterArg(h.cfg.L2Latency+h.cfg.DirLatency, m, opLocal, m.serial)
 			return
 		}
 	}
@@ -642,13 +687,7 @@ func (h *Hub) issue(m *mshr) {
 func (h *Hub) retry(m *mshr) {
 	h.st.Retries++
 	backoff := h.cfg.RetryBackoff + sim.Time(h.id)*7
-	m.refs++
-	h.eng.After(backoff, func() {
-		if h.mshr(m.addr) == m {
-			h.issue(m)
-		}
-		h.release(m)
-	})
+	h.eng.AfterArg(backoff, m, opRetry, m.serial)
 }
 
 // tryComplete finishes the transaction once data and all invalidation
@@ -669,10 +708,8 @@ func (h *Hub) tryComplete(m *mshr) {
 	if m.invalidated && (!m.wantExcl || m.updateWrite) {
 		// Use-once fill: satisfy the access without caching stale data.
 		h.gl.observe(h.id, m.addr, m.version)
-		h.eng.After(h.cfg.L2Latency, m.done)
-		for _, w := range m.waiters {
-			w()
-		}
+		h.eng.AfterMsg(h.cfg.L2Latency, m.done, m.doneOp, nil)
+		h.replayWaiters(m)
 		h.checkInvariants(m.addr)
 		return
 	}
@@ -711,10 +748,8 @@ func (h *Hub) tryComplete(m *mshr) {
 		}
 	}
 
-	h.eng.After(h.cfg.L2Latency, m.done)
-	for _, w := range m.waiters {
-		w()
-	}
+	h.eng.AfterMsg(h.cfg.L2Latency, m.done, m.doneOp, nil)
+	h.replayWaiters(m)
 
 	// Service an intervention or ownership transfer that arrived while
 	// our fill was in flight (the home serialized it after us and is
@@ -726,22 +761,33 @@ func (h *Hub) tryComplete(m *mshr) {
 	h.checkInvariants(m.addr)
 }
 
+// replayWaiters replays the accesses merged into a completed transaction.
+func (h *Hub) replayWaiters(m *mshr) {
+	for _, w := range m.waiters {
+		h.Access(w.addr, w.write, w.done, w.op)
+	}
+}
+
 // armSelfDowngrade schedules the dynamic-self-invalidation eager
-// downgrade: after the delay, if we still own the line under the same
-// epoch, downgrade to Shared and push the data home.
+// downgrade (see selfDowngrade).
 func (h *Hub) armSelfDowngrade(line msg.Addr, grant uint64) {
-	h.eng.After(h.cfg.interventionDelay(), func() {
-		l2l := h.l2.Lookup(line)
-		if l2l == nil || l2l.State != cache.Excl || l2l.Grant != grant {
-			return // evicted, transferred, or re-granted since
-		}
-		l2l.State = cache.Shared
-		l2l.Dirty = false // the eager writeback cleans it
-		h.st.SelfDowngrades++
-		h.emit(msg.Message{
-			Type: msg.EagerWriteback, Src: h.id, Dst: h.home(line), Addr: line,
-			Requester: h.id, Version: l2l.Version, Dirty: true, GrantTxn: grant,
-		})
+	h.afterNote(h.cfg.interventionDelay(), opSelfDowngrade,
+		msg.Message{Type: msg.EagerWriteback, Addr: line, GrantTxn: grant})
+}
+
+// selfDowngrade is the eager-downgrade timer body: if we still own the
+// line under the same epoch, downgrade to Shared and push the data home.
+func (h *Hub) selfDowngrade(line msg.Addr, grant uint64) {
+	l2l := h.l2.Lookup(line)
+	if l2l == nil || l2l.State != cache.Excl || l2l.Grant != grant {
+		return // evicted, transferred, or re-granted since
+	}
+	l2l.State = cache.Shared
+	l2l.Dirty = false // the eager writeback cleans it
+	h.st.SelfDowngrades++
+	h.emit(msg.Message{
+		Type: msg.EagerWriteback, Src: h.id, Dst: h.home(line), Addr: line,
+		Requester: h.id, Version: l2l.Version, Dirty: true, GrantTxn: grant,
 	})
 }
 

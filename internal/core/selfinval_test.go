@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pccsim/internal/msg"
+	"pccsim/internal/sim/simtest"
 	"pccsim/internal/stats"
 )
 
@@ -31,19 +32,19 @@ func TestSelfInvalidateConverts3HopTo2Hop(t *testing.T) {
 				finished = true
 				return
 			}
-			sys.Access(0, addr, true, func() {
-				sys.Eng.After(2000, func() {
+			sys.Access(0, addr, true, simtest.Func(func() {
+				simtest.After(sys.Eng, 2000, func() {
 					pending := 2
 					rdone := func() {
 						pending--
 						if pending == 0 {
-							sys.Eng.After(3000, func() { round(r + 1) })
+							simtest.After(sys.Eng, 3000, func() { round(r + 1) })
 						}
 					}
-					sys.Access(1, addr, false, rdone)
-					sys.Access(2, addr, false, rdone)
+					sys.Access(1, addr, false, simtest.Func(rdone), 0)
+					sys.Access(2, addr, false, simtest.Func(rdone), 0)
 				})
-			})
+			}), 0)
 		}
 		round(0)
 		sys.Run()
@@ -102,11 +103,11 @@ func TestSelfInvalidateCrossingRead(t *testing.T) {
 	// Producer writes; a consumer read is issued inside the downgrade
 	// window so the intervention and the eager writeback cross.
 	done := 0
-	sys.Access(0, addr, true, func() {
-		sys.Eng.After(100, func() {
-			sys.Access(1, addr, false, func() { done++ })
+	sys.Access(0, addr, true, simtest.Func(func() {
+		simtest.After(sys.Eng, 100, func() {
+			sys.Access(1, addr, false, simtest.Func(func() { done++ }), 0)
 		})
-	})
+	}), 0)
 	sys.Run()
 	if done != 1 {
 		t.Fatal("crossing read never completed")
@@ -134,11 +135,11 @@ func TestSelfInvalidateCrossingWrite(t *testing.T) {
 		access(t, sys, 1, addr, false)
 	}
 	done := 0
-	sys.Access(0, addr, true, func() {
-		sys.Eng.After(100, func() {
-			sys.Access(5, addr, true, func() { done++ })
+	sys.Access(0, addr, true, simtest.Func(func() {
+		simtest.After(sys.Eng, 100, func() {
+			sys.Access(5, addr, true, simtest.Func(func() { done++ }), 0)
 		})
-	})
+	}), 0)
 	sys.Run()
 	if done != 1 {
 		t.Fatal("crossing write never completed")
@@ -164,7 +165,7 @@ func TestSelfInvalidateStress(t *testing.T) {
 		addr := msg.Addr(step*11%40) * 128
 		write := step%3 == 0
 		issued++
-		sys.Access(n, addr, write, func() { completed++ })
+		sys.Access(n, addr, write, simtest.Func(func() { completed++ }), 0)
 		if step%4 == 0 {
 			sys.Run()
 		}

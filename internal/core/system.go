@@ -247,9 +247,10 @@ func (s *System) shardBarrier() {
 	for _, sh := range s.shards {
 		for i := range sh.xcalls {
 			c := sh.xcalls[i]
-			h, addr := s.Hubs[c.node], c.addr
-			s.EngFor(c.node).Schedule(c.at, func() { h.updateDeliveredLine(addr) })
-			sh.xcalls[i] = xcall{}
+			eng := s.EngFor(c.node)
+			m := eng.NewMsg()
+			*m = msg.Message{Type: msg.Update, Addr: c.addr}
+			eng.ScheduleMsg(c.at, s.Hubs[c.node], opUpdateDelivered, m)
 		}
 		sh.xcalls = sh.xcalls[:0]
 	}
@@ -310,9 +311,9 @@ func (s *System) flushShardObs() {
 	}
 }
 
-// Access issues one memory operation on node n's hub.
-func (s *System) Access(n msg.NodeID, addr msg.Addr, write bool, done func()) {
-	s.Hubs[n].Access(addr, write, done)
+// Access issues one memory operation on node n's hub; see Hub.Access.
+func (s *System) Access(n msg.NodeID, addr msg.Addr, write bool, done sim.MsgHandler, op uint8) {
+	s.Hubs[n].Access(addr, write, done, op)
 }
 
 // Run drains the event queue and returns the finishing time.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pccsim/internal/msg"
+	"pccsim/internal/sim/simtest"
 )
 
 // TestWideFuzz sweeps many seeds of random traffic through a system with
@@ -30,7 +31,7 @@ func TestWideFuzz(t *testing.T) {
 			node := msg.NodeID(rng.Intn(cfg.Nodes))
 			addr := msg.Addr(rng.Intn(48)) * 128
 			write := rng.Intn(3) == 0
-			sys.Access(node, addr, write, func() { n++ })
+			sys.Access(node, addr, write, simtest.Func(func() { n++ }), 0)
 			if rng.Intn(3) == 0 {
 				sys.Run()
 			}

@@ -7,6 +7,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -29,13 +30,31 @@ const (
 	Barrier
 )
 
-// Op is one program operation.
+// Op is one program operation, 16 bytes: multi-million-op programs are
+// materialized per node, so the encoding is the program's memory cost.
+// Addr is the one 64-bit word: the address of a Load or Store, and the
+// cycle count of a Compute (read it through Cycles; build it with
+// ComputeOp). Bar is a Barrier's identifier (build it with BarrierOp).
 type Op struct {
-	Kind   OpKind
-	Addr   msg.Addr
-	Cycles sim.Time // Compute duration
-	Bar    int      // Barrier identifier
+	Addr msg.Addr
+	Bar  uint32
+	Kind OpKind
 }
+
+// ComputeOp returns a Compute op lasting cycles.
+func ComputeOp(cycles sim.Time) Op { return Op{Kind: Compute, Addr: msg.Addr(cycles)} }
+
+// BarrierOp returns a Barrier op on barrier id. It panics if id does not
+// fit the 32-bit field: a truncated id would merge distinct barriers.
+func BarrierOp(id int) Op {
+	if id < 0 || id > math.MaxUint32 {
+		panic(fmt.Sprintf("cpu: barrier id %d does not fit 32 bits", id))
+	}
+	return Op{Kind: Barrier, Bar: uint32(id)}
+}
+
+// Cycles returns a Compute op's duration.
+func (o Op) Cycles() sim.Time { return sim.Time(o.Addr) }
 
 // Stream supplies a core's operations lazily, so workloads need not
 // materialize multi-million-op traces.
@@ -74,7 +93,7 @@ type BarrierSet struct {
 	eng     *sim.Engine
 	parties int
 	latency sim.Time
-	bars    map[int]*barrier
+	bars    map[uint32]*barrier
 
 	// Sharded mode: engFor maps a core to its shard's engine (nil on a
 	// single engine); mu guards bars and releases between shards.
@@ -86,27 +105,22 @@ type BarrierSet struct {
 type barrier struct {
 	arrived int
 	maxAt   sim.Time
-	waiters []waiter
-}
-
-type waiter struct {
-	core   msg.NodeID
-	resume func()
+	waiters []*CPU
 }
 
 // release is one completed barrier awaiting Flush: every party has
 // arrived, the latest arrival was at time at.
 type release struct {
-	id      int
+	id      uint32
 	at      sim.Time
-	waiters []waiter
+	waiters []*CPU
 }
 
 // NewBarrierSet creates barriers over parties cores with the given
 // release latency (an idealized synchronization primitive; the reload
 // flurry the paper discusses comes from the data accesses that follow).
 func NewBarrierSet(eng *sim.Engine, parties int, latency sim.Time) *BarrierSet {
-	return &BarrierSet{eng: eng, parties: parties, latency: latency, bars: make(map[int]*barrier)}
+	return &BarrierSet{eng: eng, parties: parties, latency: latency, bars: make(map[uint32]*barrier)}
 }
 
 // NewShardedBarrierSet creates a barrier set for a sharded machine:
@@ -119,12 +133,12 @@ func NewBarrierSet(eng *sim.Engine, parties int, latency sim.Time) *BarrierSet {
 // (sim.Engine.CutWindow): the release is handed out at the next window
 // barrier, which a grown window must not skip.
 func NewShardedBarrierSet(engFor func(msg.NodeID) *sim.Engine, parties int, latency sim.Time) *BarrierSet {
-	return &BarrierSet{engFor: engFor, parties: parties, latency: latency, bars: make(map[int]*barrier)}
+	return &BarrierSet{engFor: engFor, parties: parties, latency: latency, bars: make(map[uint32]*barrier)}
 }
 
-// Arrive registers core at barrier id; resume runs once all parties have
+// Arrive registers core c at barrier id; c resumes once all parties have
 // arrived. Barriers are reusable: the generation resets on release.
-func (s *BarrierSet) Arrive(id int, core msg.NodeID, resume func()) {
+func (s *BarrierSet) Arrive(id uint32, c *CPU) {
 	if s.engFor == nil {
 		b := s.bars[id]
 		if b == nil {
@@ -132,7 +146,7 @@ func (s *BarrierSet) Arrive(id int, core msg.NodeID, resume func()) {
 			s.bars[id] = b
 		}
 		b.arrived++
-		b.waiters = append(b.waiters, waiter{core: core, resume: resume})
+		b.waiters = append(b.waiters, c)
 		if b.arrived < s.parties {
 			return
 		}
@@ -140,11 +154,11 @@ func (s *BarrierSet) Arrive(id int, core msg.NodeID, resume func()) {
 		b.arrived = 0
 		b.waiters = nil
 		for _, w := range waiters {
-			s.eng.After(s.latency, w.resume)
+			s.eng.AfterMsg(s.latency, w, opStep, nil)
 		}
 		return
 	}
-	eng := s.engFor(core)
+	eng := s.engFor(c.id)
 	now := eng.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -157,7 +171,7 @@ func (s *BarrierSet) Arrive(id int, core msg.NodeID, resume func()) {
 	if now > b.maxAt {
 		b.maxAt = now
 	}
-	b.waiters = append(b.waiters, waiter{core: core, resume: resume})
+	b.waiters = append(b.waiters, c)
 	if b.arrived < s.parties {
 		return
 	}
@@ -185,17 +199,24 @@ func (s *BarrierSet) Flush() {
 	sort.SliceStable(rel, func(i, j int) bool { return rel[i].id < rel[j].id })
 	for _, r := range rel {
 		ws := r.waiters
-		sort.SliceStable(ws, func(i, j int) bool { return ws[i].core < ws[j].core })
+		sort.SliceStable(ws, func(i, j int) bool { return ws[i].id < ws[j].id })
 		for _, w := range ws {
-			s.engFor(w.core).Schedule(r.at+s.latency, w.resume)
+			s.engFor(w.id).ScheduleMsg(r.at+s.latency, w, opStep, nil)
 		}
 	}
 }
 
-// Accessor is the hub interface a CPU drives.
+// Accessor is the hub interface a CPU drives. When the access completes,
+// the hub schedules the event done.HandleMsgEvent(op, nil).
 type Accessor interface {
-	Access(addr msg.Addr, write bool, done func())
+	Access(addr msg.Addr, write bool, done sim.MsgHandler, op uint8)
 }
+
+// The CPU's event opcodes (see HandleMsgEvent).
+const (
+	opStep   uint8 = iota // run the program until the core blocks
+	opRetire              // a store left the store buffer
+)
 
 // CPU is one in-order core executing a Stream.
 type CPU struct {
@@ -207,21 +228,15 @@ type CPU struct {
 	maxStore int
 
 	outstanding int
-	pendingOp   *Op  // store stalled on a full buffer
+	pendingOp   Op   // store stalled on a full buffer, if stalled
+	stalled     bool // pendingOp holds a store
 	fencing     bool // waiting for the store buffer to drain at a barrier
-	fenceBar    int
+	fenceBar    uint32
 
 	done      bool
 	finish    sim.Time
 	barriers  uint64
 	computeCy sim.Time
-
-	// stepFn and retireFn are the hoisted method values for step and
-	// storeRetired: binding them once here keeps the per-operation
-	// continuation passing allocation free (a method value used inline
-	// allocates its bound closure on every use).
-	stepFn   func()
-	retireFn func()
 }
 
 // New creates a core. maxStore bounds outstanding store misses.
@@ -230,14 +245,21 @@ func New(eng *sim.Engine, id msg.NodeID, hub Accessor, stream Stream,
 	if maxStore < 1 {
 		maxStore = 1
 	}
-	c := &CPU{id: id, eng: eng, hub: hub, stream: stream, bars: bars, maxStore: maxStore}
-	c.stepFn = c.step
-	c.retireFn = c.storeRetired
-	return c
+	return &CPU{id: id, eng: eng, hub: hub, stream: stream, bars: bars, maxStore: maxStore}
 }
 
 // Start schedules the core's first instruction.
-func (c *CPU) Start() { c.eng.After(0, c.stepFn) }
+func (c *CPU) Start() { c.eng.AfterMsg(0, c, opStep, nil) }
+
+// HandleMsgEvent is the sim.MsgHandler entry point for the core's events:
+// resuming the program and retiring a store.
+func (c *CPU) HandleMsgEvent(op uint8, _ *msg.Message) {
+	if op == opRetire {
+		c.storeRetired()
+		return
+	}
+	c.step()
+}
 
 // Done reports whether the program finished.
 func (c *CPU) Done() bool { return c.done }
@@ -259,20 +281,19 @@ func (c *CPU) step() {
 		}
 		switch op.Kind {
 		case Compute:
-			c.computeCy += op.Cycles
-			c.eng.After(op.Cycles, c.stepFn)
+			c.computeCy += op.Cycles()
+			c.eng.AfterMsg(op.Cycles(), c, opStep, nil)
 			return
 		case Load:
-			c.hub.Access(op.Addr, false, c.stepFn)
+			c.hub.Access(op.Addr, false, c, opStep)
 			return
 		case Store:
 			if c.outstanding >= c.maxStore {
-				op := op
-				c.pendingOp = &op
+				c.pendingOp, c.stalled = op, true
 				return // stalled until a store retires
 			}
 			c.issueStore(op)
-			c.eng.After(1, c.stepFn)
+			c.eng.AfterMsg(1, c, opStep, nil)
 			return
 		case Barrier:
 			c.barriers++
@@ -281,7 +302,7 @@ func (c *CPU) step() {
 				c.fenceBar = op.Bar
 				return // the last store retirement arrives at the barrier
 			}
-			c.bars.Arrive(op.Bar, c.id, c.stepFn)
+			c.bars.Arrive(op.Bar, c)
 			return
 		default:
 			panic(fmt.Sprintf("cpu: core %d got unknown op kind %d", c.id, op.Kind))
@@ -291,20 +312,19 @@ func (c *CPU) step() {
 
 func (c *CPU) issueStore(op Op) {
 	c.outstanding++
-	c.hub.Access(op.Addr, true, c.retireFn)
+	c.hub.Access(op.Addr, true, c, opRetire)
 }
 
 func (c *CPU) storeRetired() {
 	c.outstanding--
-	if c.pendingOp != nil && c.outstanding < c.maxStore {
-		op := *c.pendingOp
-		c.pendingOp = nil
-		c.issueStore(op)
-		c.eng.After(1, c.stepFn)
+	if c.stalled && c.outstanding < c.maxStore {
+		c.stalled = false
+		c.issueStore(c.pendingOp)
+		c.eng.AfterMsg(1, c, opStep, nil)
 		return
 	}
 	if c.fencing && c.outstanding == 0 {
 		c.fencing = false
-		c.bars.Arrive(c.fenceBar, c.id, c.stepFn)
+		c.bars.Arrive(c.fenceBar, c)
 	}
 }

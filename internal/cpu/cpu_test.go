@@ -16,13 +16,13 @@ type fakeHub struct {
 	stores  []msg.Addr
 }
 
-func (f *fakeHub) Access(addr msg.Addr, write bool, done func()) {
+func (f *fakeHub) Access(addr msg.Addr, write bool, done sim.MsgHandler, op uint8) {
 	if write {
 		f.stores = append(f.stores, addr)
 	} else {
 		f.loads = append(f.loads, addr)
 	}
-	f.eng.After(f.latency, done)
+	f.eng.AfterMsg(f.latency, done, op, nil)
 }
 
 func run1(t *testing.T, ops []Op, latency sim.Time, maxStore int) (*CPU, *fakeHub, *sim.Engine) {
@@ -82,7 +82,7 @@ func TestStoreBufferStalls(t *testing.T) {
 
 func TestComputeAdvancesTime(t *testing.T) {
 	c, _, _ := run1(t, []Op{
-		{Kind: Compute, Cycles: 1000},
+		ComputeOp(1000),
 	}, 1, 8)
 	if c.Finish() != 1000 {
 		t.Fatalf("finish = %d, want 1000", c.Finish())
@@ -98,7 +98,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 		{Kind: Load, Addr: 0x100},
 	}}, bars, 8)
 	slow := New(eng, 1, hub, &SliceStream{Ops: []Op{
-		{Kind: Compute, Cycles: 500},
+		ComputeOp(500),
 		{Kind: Barrier, Bar: 1},
 	}}, bars, 8)
 	fast.Start()
@@ -140,8 +140,8 @@ func TestBarrierReusable(t *testing.T) {
 	mk := func(id msg.NodeID) *CPU {
 		var ops []Op
 		for i := 0; i < 5; i++ {
-			ops = append(ops, Op{Kind: Compute, Cycles: sim.Time(10 * (int(id) + 1))})
-			ops = append(ops, Op{Kind: Barrier, Bar: i})
+			ops = append(ops, ComputeOp(sim.Time(10*(int(id)+1))))
+			ops = append(ops, BarrierOp(i))
 		}
 		return New(eng, id, hub, &SliceStream{Ops: ops}, bars, 8)
 	}
@@ -164,7 +164,7 @@ func TestFuncStream(t *testing.T) {
 			return Op{}, false
 		}
 		n++
-		return Op{Kind: Compute, Cycles: 1}, true
+		return ComputeOp(1), true
 	})
 	eng := sim.NewEngine()
 	c := New(eng, 0, &fakeHub{eng: eng, latency: 1}, s, NewBarrierSet(eng, 1, 0), 8)
@@ -202,9 +202,9 @@ func TestPropertyRandomProgramsComplete(t *testing.T) {
 				ops = append(ops, Op{Kind: Store, Addr: msg.Addr(k) * 32})
 				wantStores++
 			case 2:
-				ops = append(ops, Op{Kind: Compute, Cycles: sim.Time(k % 16)})
+				ops = append(ops, ComputeOp(sim.Time(k%16)))
 			case 3:
-				ops = append(ops, Op{Kind: Barrier, Bar: barID})
+				ops = append(ops, BarrierOp(barID))
 				barID++
 			}
 		}

@@ -316,14 +316,16 @@ func (c *Case) run(prep func(*core.System)) (res Result) {
 		}
 	}()
 
-	// Ops land on the engine owning their node, and completions from
-	// different shard goroutines count atomically.
+	// Ops land on the engine owning their node, through that node's
+	// driver.
 	var completed atomic.Int64
-	for _, op := range c.Ops {
-		node, addr, write := msg.NodeID(op.Node), LineAddr(op.Line), op.Write
-		sys.EngFor(node).Schedule(sim.Time(op.At), func() {
-			sys.Access(node, addr, write, func() { completed.Add(1) })
-		})
+	drivers := make([]*driver, c.Machine.Nodes)
+	for i := range drivers {
+		drivers[i] = &driver{sys: sys, eng: sys.EngFor(msg.NodeID(i)), ops: c.Ops, completed: &completed}
+	}
+	for i, op := range c.Ops {
+		d := drivers[op.Node]
+		d.eng.ScheduleArg(sim.Time(op.At), d, opIssue, uint32(i))
 	}
 
 	if _, err := sys.RunGuarded(); err != nil {
@@ -348,6 +350,30 @@ func (c *Case) run(prep func(*core.System)) (res Result) {
 	}
 	res.Ok = true
 	return res
+}
+
+// driver issues one node's ops and counts their completions: opIssue
+// (with the op's index as the event argument) issues one, opDone counts
+// one. Completions from different shard goroutines count atomically.
+type driver struct {
+	sys       *core.System
+	eng       *sim.Engine // the node's engine, which runs its events
+	ops       []Op
+	completed *atomic.Int64
+}
+
+const (
+	opIssue uint8 = iota
+	opDone
+)
+
+func (d *driver) HandleMsgEvent(op uint8, _ *msg.Message) {
+	if op == opDone {
+		d.completed.Add(1)
+		return
+	}
+	o := d.ops[d.eng.Arg()]
+	d.sys.Access(msg.NodeID(o.Node), LineAddr(o.Line), o.Write, d, opDone)
 }
 
 // outstanding formats the per-node outstanding-transaction census for

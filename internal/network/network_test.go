@@ -7,6 +7,7 @@ import (
 	"pccsim/internal/msg"
 	"pccsim/internal/obs"
 	"pccsim/internal/sim"
+	"pccsim/internal/sim/simtest"
 	"pccsim/internal/stats"
 )
 
@@ -251,7 +252,7 @@ func TestPropertyPairwiseFIFO(t *testing.T) {
 				seq := nextSeq[key]
 				nextSeq[key]++
 				m := &msg.Message{Type: ty, Src: src, Dst: dst, Version: uint64(seq)}
-				eng.Schedule(at, func() { n.Send(m) })
+				simtest.At(eng, at, func() { n.Send(m) })
 			}
 			at += sim.Time(p.Burst % 7)
 		}

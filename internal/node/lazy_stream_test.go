@@ -21,7 +21,7 @@ func TestPrefetchStreamReplays(t *testing.T) {
 				return cpu.Op{}, false
 			}
 			i++
-			return cpu.Op{Kind: cpu.Compute, Cycles: sim.Time(i)}, true
+			return cpu.ComputeOp(sim.Time(i)), true
 		})
 	}
 	for _, tc := range []struct{ ops, prefetch int }{{10, 4}, {4, 10}, {4, 4}, {0, 4}} {
@@ -38,9 +38,9 @@ func TestPrefetchStreamReplays(t *testing.T) {
 			t.Fatalf("ops=%d prefetch=%d: replayed %d operations", tc.ops, tc.prefetch, len(got))
 		}
 		for i, op := range got {
-			if want := sim.Time(i + 1); op.Cycles != want {
+			if want := sim.Time(i + 1); op.Cycles() != want {
 				t.Fatalf("ops=%d prefetch=%d: op %d cycles %d, want %d (order broken at the buffer seam)",
-					tc.ops, tc.prefetch, i, op.Cycles, want)
+					tc.ops, tc.prefetch, i, op.Cycles(), want)
 			}
 		}
 	}

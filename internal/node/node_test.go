@@ -178,9 +178,9 @@ func TestMakespanIsMaxFinish(t *testing.T) {
 		t.Fatal(err)
 	}
 	streams := make([]cpu.Stream, 4)
-	streams[0] = &cpu.SliceStream{Ops: []cpu.Op{{Kind: cpu.Compute, Cycles: 50_000}}}
+	streams[0] = &cpu.SliceStream{Ops: []cpu.Op{cpu.ComputeOp(50_000)}}
 	for i := 1; i < 4; i++ {
-		streams[i] = &cpu.SliceStream{Ops: []cpu.Op{{Kind: cpu.Compute, Cycles: 10}}}
+		streams[i] = &cpu.SliceStream{Ops: []cpu.Op{cpu.ComputeOp(10)}}
 	}
 	st, err := m.Run(streams)
 	if err != nil {

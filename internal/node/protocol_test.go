@@ -81,7 +81,7 @@ func TestHybridPushesUpdates(t *testing.T) {
 			} else {
 				ops = append(ops, cpu.Op{Kind: cpu.Load, Addr: line})
 			}
-			ops = append(ops, cpu.Op{Kind: cpu.Barrier, Bar: r})
+			ops = append(ops, cpu.BarrierOp(r))
 		}
 		streams[i] = &cpu.SliceStream{Ops: ops}
 	}

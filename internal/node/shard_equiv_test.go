@@ -6,6 +6,7 @@ import (
 
 	"pccsim/internal/core"
 	"pccsim/internal/cpu"
+	"pccsim/internal/sim/simtest"
 	"pccsim/internal/stats"
 	"pccsim/internal/workload"
 )
@@ -279,15 +280,15 @@ func TestGrownWindowCutsAtBarrier(t *testing.T) {
 		var tick func()
 		tick = func() {
 			if eng.Now() < 5000 {
-				eng.After(7, tick)
+				simtest.After(eng, 7, tick)
 			}
 		}
-		eng.Schedule(0, tick)
+		simtest.At(eng, 0, tick)
 		streams := make([]cpu.Stream, cfg.Nodes)
 		for i := range streams {
-			ops := []cpu.Op{{Kind: cpu.Barrier}, {Kind: cpu.Compute, Cycles: 10}}
+			ops := []cpu.Op{{Kind: cpu.Barrier}, cpu.ComputeOp(10)}
 			if i == 0 {
-				ops = append([]cpu.Op{{Kind: cpu.Compute, Cycles: 1000}}, ops...)
+				ops = append([]cpu.Op{cpu.ComputeOp(1000)}, ops...)
 			}
 			streams[i] = &cpu.SliceStream{Ops: ops}
 		}

@@ -13,7 +13,7 @@ import (
 )
 
 // churnMix mirrors the protocol's characteristic event delays (crossbar,
-// hop, directory, DRAM) — the same mix BenchmarkEngineChurn in
+// hop, directory, DRAM) — the same mix BenchmarkEngineChurnTyped in
 // internal/sim uses, so the two numbers are comparable.
 var churnMix = [8]sim.Time{20, 100, 50, 200, 100, 20, 100, 10}
 

@@ -1,8 +1,9 @@
 // Package sim provides the discrete-event simulation engine underlying the
 // coherence simulator: a cycle-granular clock and a deterministic event
 // queue. All hardware components (caches, directory controllers, network
-// links, processors) are modeled as callbacks scheduled on a single Engine,
-// which plays the role UVSIM's execution-driven core plays in the paper.
+// links, processors) are modeled as handlers of typed events scheduled on a
+// single Engine, which plays the role UVSIM's execution-driven core plays
+// in the paper.
 //
 // The queue is a hierarchical timing wheel (a calendar queue): nearly every
 // protocol delay is a small constant (hop latency 100, local crossbar 20,
@@ -45,26 +46,32 @@ const (
 	MsgPoolCap = 4096
 )
 
-// MsgHandler is the closure-free event target: components that schedule
-// many message-carrying events (the network's delivery pipeline, the hubs'
-// protocol dispatch) implement it once and receive the opcode they passed
-// to ScheduleMsg back at fire time. Dispatching through the opcode instead
-// of a captured closure keeps the per-event footprint to three words and
-// the steady-state allocation rate at zero.
+// MsgHandler is the event target: every component that schedules work
+// (the CPUs, the hubs, the network's delivery pipeline) implements it once
+// and receives the opcode it passed to ScheduleMsg or ScheduleArg back at
+// fire time. Dispatching through the opcode instead of a captured closure
+// keeps an event to four words and the steady-state allocation rate at
+// zero.
 type MsgHandler interface {
 	HandleMsgEvent(op uint8, m *msg.Message)
 }
 
-// event is one queue entry. Exactly one of fn and h is set: fn for the
-// generic closure API (Schedule/After), h+op+m for the typed message API
-// (ScheduleMsg/AfterMsg).
+// event is one wheel entry: the handler, its opcode, an optional message
+// and an optional small argument (read back through Engine.Arg). A wheel
+// bucket is one cycle and FIFO, so the entry needs no timestamp or
+// sequence number; the far heap wraps it in a farEvent that has both.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
 	h   MsgHandler
 	m   *msg.Message
+	arg uint32
 	op  uint8
+}
+
+// farEvent is a far-heap entry, ordered by (at, seq).
+type farEvent struct {
+	at  Time
+	seq uint64
+	ev  event
 }
 
 // bucket is one wheel slot: a FIFO of the events due at a single cycle.
@@ -79,8 +86,9 @@ type bucket struct {
 // ready to use; call NewEngine.
 type Engine struct {
 	now    Time
-	seq    uint64
+	seq    uint64 // far-heap insertion counter, the tie-break within a cycle
 	nSteps uint64
+	arg    uint32 // the running event's argument (see Arg)
 
 	// wbase anchors the wheel window: every wheel-resident event has a
 	// timestamp in [wbase, wbase+wheelSize), which makes bucket index
@@ -124,50 +132,58 @@ func (e *Engine) Steps() uint64 { return e.nSteps }
 // Pending reports how many events are waiting to run.
 func (e *Engine) Pending() int { return e.wheelCount + len(e.far) }
 
-// enqueue places ev in the wheel if its timestamp falls inside the current
-// window, else in the far heap. ev.at >= e.wbase always holds here: at is
-// clamped to now by the callers and wbase <= now whenever user code runs.
-func (e *Engine) enqueue(ev event) {
-	if ev.at-e.wbase < wheelSize {
-		i := int(ev.at) & wheelMask
-		b := &e.buckets[i]
-		b.evs = append(b.evs, ev)
-		e.occ[i>>6] |= 1 << (uint(i) & 63)
-		e.wheelCount++
+// enqueue places ev, due at cycle at, in the wheel if at falls inside
+// the current window, else in the far heap. Scheduling in the past is
+// treated as scheduling for the current cycle; the event still runs after
+// all events scheduled earlier for this cycle, preserving causal order.
+// at >= e.wbase holds after the clamp: wbase <= now whenever user code
+// runs.
+func (e *Engine) enqueue(at Time, ev event) {
+	if at < e.now {
+		at = e.now
+	}
+	if at-e.wbase < wheelSize {
+		e.toBucket(int(at)&wheelMask, ev)
 	} else {
-		e.far.push(ev)
+		e.far.push(farEvent{at: at, seq: e.seq, ev: ev})
+		e.seq++
 	}
 }
 
-// Schedule runs fn at absolute cycle at. Scheduling in the past is treated
-// as scheduling for the current cycle; the event still runs after all events
-// scheduled earlier for this cycle, preserving causal order.
-func (e *Engine) Schedule(at Time, fn func()) {
-	if at < e.now {
-		at = e.now
-	}
-	e.enqueue(event{at: at, seq: e.seq, fn: fn})
-	e.seq++
+// toBucket appends ev to wheel bucket i.
+func (e *Engine) toBucket(i int, ev event) {
+	b := &e.buckets[i]
+	b.evs = append(b.evs, ev)
+	e.occ[i>>6] |= 1 << (uint(i) & 63)
+	e.wheelCount++
 }
 
-// After runs fn delay cycles from now.
-func (e *Engine) After(delay Time, fn func()) { e.Schedule(e.now+delay, fn) }
-
-// ScheduleMsg runs h.HandleMsgEvent(op, m) at absolute cycle at, with the
-// same past-clamping and FIFO tie-break as Schedule, but without allocating
-// a closure: the handler, opcode and payload ride in the event itself.
+// ScheduleMsg runs h.HandleMsgEvent(op, m) at absolute cycle at. Events
+// due at the same cycle run in the order they were scheduled.
 func (e *Engine) ScheduleMsg(at Time, h MsgHandler, op uint8, m *msg.Message) {
-	if at < e.now {
-		at = e.now
-	}
-	e.enqueue(event{at: at, seq: e.seq, h: h, op: op, m: m})
-	e.seq++
+	e.enqueue(at, event{h: h, op: op, m: m})
 }
 
 // AfterMsg runs h.HandleMsgEvent(op, m) delay cycles from now.
 func (e *Engine) AfterMsg(delay Time, h MsgHandler, op uint8, m *msg.Message) {
-	e.ScheduleMsg(e.now+delay, h, op, m)
+	e.enqueue(e.now+delay, event{h: h, op: op, m: m})
 }
+
+// ScheduleArg runs h.HandleMsgEvent(op, nil) at absolute cycle at, with
+// arg readable through Arg while it runs: the one small word (a serial, an
+// index) a message-less event may carry.
+func (e *Engine) ScheduleArg(at Time, h MsgHandler, op uint8, arg uint32) {
+	e.enqueue(at, event{h: h, op: op, arg: arg})
+}
+
+// AfterArg is ScheduleArg delay cycles from now.
+func (e *Engine) AfterArg(delay Time, h MsgHandler, op uint8, arg uint32) {
+	e.enqueue(e.now+delay, event{h: h, op: op, arg: arg})
+}
+
+// Arg reports the argument of the event being executed (0 for an event
+// scheduled without one).
+func (e *Engine) Arg() uint32 { return e.arg }
 
 // NewMsg returns a zeroed message, recycled from the engine's free list
 // when one is parked there. Protocol layers allocate every hop's packet
@@ -201,12 +217,8 @@ func (e *Engine) FreeMsg(m *msg.Message) {
 // scheduled after this call.
 func (e *Engine) migrate() {
 	for len(e.far) > 0 && e.far[0].at-e.wbase < wheelSize {
-		ev := e.far.pop()
-		i := int(ev.at) & wheelMask
-		b := &e.buckets[i]
-		b.evs = append(b.evs, ev)
-		e.occ[i>>6] |= 1 << (uint(i) & 63)
-		e.wheelCount++
+		fe := e.far.pop()
+		e.toBucket(int(fe.at)&wheelMask, fe.ev)
 	}
 }
 
@@ -278,11 +290,8 @@ func (e *Engine) Step() bool {
 	}
 	e.wheelCount--
 	e.nSteps++
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.h.HandleMsgEvent(ev.op, ev.m)
-	}
+	e.arg = ev.arg
+	ev.h.HandleMsgEvent(ev.op, ev.m)
 	return true
 }
 
@@ -293,27 +302,37 @@ func (e *Engine) Run() Time {
 	return e.now
 }
 
-// MsgCount is one row of a pending-message census: how many queued events
-// carry a message of the named type. Closure events (Schedule/After) are
-// tallied under "closure".
+// MsgCount is one row of a pending-event census: how many queued events
+// carry a message of the named type. Message-less events are tallied
+// under their handler's type and opcode, e.g. "*cpu.CPU op 0".
 type MsgCount struct {
 	Type  string
 	Count int
 }
 
 // ForEachPending visits every queued event in the wheel and the far heap,
-// in no particular order. m is nil for closure events. The visit callback
-// must not schedule or run events. Intended for post-mortem diagnostics
-// (the watchdog census); it walks the live queue without disturbing it.
+// in no particular order. m is nil for message-less events. The visit
+// callback must not schedule or run events. Intended for post-mortem
+// diagnostics (the watchdog census); it walks the live queue without
+// disturbing it.
 func (e *Engine) ForEachPending(visit func(at Time, m *msg.Message)) {
+	e.eachPending(func(at Time, ev *event) { visit(at, ev.m) })
+}
+
+// eachPending visits every queued event with its due cycle.
+func (e *Engine) eachPending(visit func(at Time, ev *event)) {
 	for i := range e.buckets {
 		b := &e.buckets[i]
+		if b.head == len(b.evs) {
+			continue
+		}
+		at := e.wbase + (Time(i)-e.wbase)&wheelMask
 		for j := b.head; j < len(b.evs); j++ {
-			visit(b.evs[j].at, b.evs[j].m)
+			visit(at, &b.evs[j])
 		}
 	}
 	for i := range e.far {
-		visit(e.far[i].at, e.far[i].m)
+		visit(e.far[i].at, &e.far[i].ev)
 	}
 }
 
@@ -323,13 +342,18 @@ func (e *Engine) ForEachPending(visit func(at Time, m *msg.Message)) {
 // NACK/retry storm is all requests and Nacks.
 func (e *Engine) PendingCensus() []MsgCount {
 	counts := make(map[string]int)
-	e.ForEachPending(func(_ Time, m *msg.Message) {
-		if m == nil {
-			counts["closure"]++
+	e.eachPending(func(_ Time, ev *event) {
+		if ev.m == nil {
+			counts[fmt.Sprintf("%T op %d", ev.h, ev.op)]++
 		} else {
-			counts[m.Type.String()]++
+			counts[ev.m.Type.String()]++
 		}
 	})
+	return sortCensus(counts)
+}
+
+// sortCensus orders census rows most frequent first, ties by name.
+func sortCensus(counts map[string]int) []MsgCount {
 	out := make([]MsgCount, 0, len(counts))
 	for t, c := range counts {
 		out = append(out, MsgCount{Type: t, Count: c})
@@ -439,7 +463,7 @@ func (e *Engine) NextAt() (Time, bool) {
 // usual (at, seq) order, and returns how many ran. budget > 0 caps the
 // count (the watchdog's share for this window); 0 means uncapped. The
 // engine's clock never advances past the last executed event, so a later
-// Schedule from outside still lands in this engine's future.
+// ScheduleMsg from outside still lands in this engine's future.
 func (e *Engine) RunWindow(deadline Time, budget uint64) uint64 {
 	var n uint64
 	for e.Pending() > 0 && e.nextAt() <= deadline {
@@ -485,15 +509,19 @@ func (e *Engine) RunSteps(n uint64) bool {
 // farHeap is the overflow queue for events beyond the wheel window: a plain
 // binary min-heap on (at, seq), value-typed so pushes and pops churn no
 // allocations once the backing array has grown.
-type farHeap []event
+type farHeap []farEvent
 
-func (h *farHeap) push(ev event) {
-	*h = append(*h, ev)
+func (f *farEvent) before(g *farEvent) bool {
+	return f.at < g.at || (f.at == g.at && f.seq < g.seq)
+}
+
+func (h *farHeap) push(fe farEvent) {
+	*h = append(*h, fe)
 	q := *h
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if q[p].at < q[i].at || (q[p].at == q[i].at && q[p].seq < q[i].seq) {
+		if q[p].before(&q[i]) {
 			break
 		}
 		q[p], q[i] = q[i], q[p]
@@ -501,22 +529,22 @@ func (h *farHeap) push(ev event) {
 	}
 }
 
-func (h *farHeap) pop() event {
+func (h *farHeap) pop() farEvent {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = event{}
+	q[n] = farEvent{}
 	q = q[:n]
 	*h = q
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		s := i
-		if l < n && (q[l].at < q[s].at || (q[l].at == q[s].at && q[l].seq < q[s].seq)) {
+		if l < n && q[l].before(&q[s]) {
 			s = l
 		}
-		if r < n && (q[r].at < q[s].at || (q[r].at == q[s].at && q[r].seq < q[s].seq)) {
+		if r < n && q[r].before(&q[s]) {
 			s = r
 		}
 		if s == i {

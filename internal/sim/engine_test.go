@@ -13,9 +13,9 @@ import (
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
+	at(e, 30, func() { got = append(got, 3) })
+	at(e, 10, func() { got = append(got, 1) })
+	at(e, 20, func() { got = append(got, 2) })
 	e.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -33,7 +33,7 @@ func TestSameCycleFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.Schedule(5, func() { got = append(got, i) })
+		at(e, 5, func() { got = append(got, i) })
 	}
 	e.Run()
 	for i := range got {
@@ -46,8 +46,8 @@ func TestSameCycleFIFO(t *testing.T) {
 func TestScheduleInPastClamps(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.Schedule(100, func() {
-		e.Schedule(10, func() { fired = true }) // in the past: clamp to now
+	at(e, 100, func() {
+		at(e, 10, func() { fired = true }) // in the past: clamp to now
 		if e.Now() != 100 {
 			t.Fatalf("Now = %d inside event, want 100", e.Now())
 		}
@@ -63,13 +63,13 @@ func TestScheduleInPastClamps(t *testing.T) {
 
 func TestAfter(t *testing.T) {
 	e := NewEngine()
-	var at Time
-	e.Schedule(40, func() {
-		e.After(7, func() { at = e.Now() })
+	var fired Time
+	at(e, 40, func() {
+		after(e, 7, func() { fired = e.Now() })
 	})
 	e.Run()
-	if at != 47 {
-		t.Fatalf("After fired at %d, want 47", at)
+	if fired != 47 {
+		t.Fatalf("After fired at %d, want 47", fired)
 	}
 }
 
@@ -78,7 +78,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []Time
 	for _, tm := range []Time{5, 10, 15, 20} {
 		tm := tm
-		e.Schedule(tm, func() { fired = append(fired, tm) })
+		at(e, tm, func() { fired = append(fired, tm) })
 	}
 	if e.RunUntil(12) {
 		t.Fatal("RunUntil(12) reported drained with events pending")
@@ -98,7 +98,7 @@ func TestRunSteps(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 0; i < 10; i++ {
-		e.Schedule(Time(i), func() { count++ })
+		at(e, Time(i), func() { count++ })
 	}
 	if e.RunSteps(4) {
 		t.Fatal("RunSteps(4) reported drained")
@@ -118,10 +118,10 @@ func TestCascadedEvents(t *testing.T) {
 	chain = func() {
 		depth++
 		if depth < 1000 {
-			e.After(1, chain)
+			after(e, 1, chain)
 		}
 	}
-	e.Schedule(0, chain)
+	at(e, 0, chain)
 	e.Run()
 	if depth != 1000 {
 		t.Fatalf("depth = %d, want 1000", depth)
@@ -142,7 +142,7 @@ func TestPropertyTimeMonotonic(t *testing.T) {
 		var ran []Time
 		for _, tm := range times {
 			tm := Time(tm)
-			e.Schedule(tm, func() { ran = append(ran, tm) })
+			at(e, tm, func() { ran = append(ran, tm) })
 		}
 		e.Run()
 		if len(ran) != len(times) {
@@ -173,12 +173,12 @@ func TestPropertyNestedScheduling(t *testing.T) {
 		if depth > 0 {
 			n := rng.Intn(3)
 			for i := 0; i < n; i++ {
-				e.After(Time(rng.Intn(50)), func() { spawn(depth - 1) })
+				after(e, Time(rng.Intn(50)), func() { spawn(depth - 1) })
 			}
 		}
 	}
 	for i := 0; i < 20; i++ {
-		e.Schedule(Time(rng.Intn(100)), func() { spawn(6) })
+		at(e, Time(rng.Intn(100)), func() { spawn(6) })
 	}
 	e.Run()
 	if violations != 0 {
@@ -190,7 +190,7 @@ func TestRunGuardedDrains(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 0; i < 10; i++ {
-		e.Schedule(Time(i), func() { count++ })
+		at(e, Time(i), func() { count++ })
 	}
 	at, err := e.RunGuarded(100)
 	if err != nil {
@@ -208,10 +208,10 @@ func TestRunGuardedUnlimited(t *testing.T) {
 	chain = func() {
 		depth++
 		if depth < 5000 {
-			e.After(1, chain)
+			after(e, 1, chain)
 		}
 	}
-	e.Schedule(0, chain)
+	at(e, 0, chain)
 	if _, err := e.RunGuarded(0); err != nil {
 		t.Fatalf("maxSteps=0 must never fail: %v", err)
 	}
@@ -225,13 +225,13 @@ func TestRunGuardedAbortsRunaway(t *testing.T) {
 	// Execute some events before the guarded run so the error's
 	// engine-lifetime total is distinguishable from the guarded window.
 	for i := 0; i < 7; i++ {
-		e.Schedule(Time(i), func() {})
+		at(e, Time(i), func() {})
 	}
 	e.Run()
 	// A livelock: the event reschedules itself forever.
 	var spin func()
-	spin = func() { e.After(3, spin) }
-	e.Schedule(0, spin)
+	spin = func() { after(e, 3, spin) }
+	at(e, 0, spin)
 	_, err := e.RunGuarded(1000)
 	if err == nil {
 		t.Fatal("runaway loop not aborted")
@@ -264,7 +264,7 @@ func TestRunGuardedMatchesRun(t *testing.T) {
 		var ran []Time
 		for _, tm := range []Time{9, 3, 3, 7, 1} {
 			tm := tm
-			e.Schedule(tm, func() { ran = append(ran, tm) })
+			at(e, tm, func() { ran = append(ran, tm) })
 		}
 		return e, &ran
 	}
@@ -289,7 +289,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()
 		for j := 0; j < 1000; j++ {
-			e.Schedule(Time(j%97), func() {})
+			at(e, Time(j%97), func() {})
 		}
 		e.Run()
 	}
@@ -306,10 +306,10 @@ func TestPendingCensus(t *testing.T) {
 	m := e.NewMsg()
 	m.Type = msg.Nack
 	e.AfterMsg(2000, h, 0, m) // lands in the far heap
-	e.Schedule(5, func() {})
+	e.ScheduleArg(5, h, 7, 42)
 
 	census := e.PendingCensus()
-	want := map[string]int{"GetShared": 3, "Nack": 1, "closure": 1}
+	want := map[string]int{"GetShared": 3, "Nack": 1, "*sim.nullHandler op 7": 1}
 	if len(census) != len(want) {
 		t.Fatalf("census = %+v, want %v", census, want)
 	}
@@ -332,9 +332,9 @@ func TestRunawayErrorCarriesCensus(t *testing.T) {
 		m := e.NewMsg()
 		m.Type = msg.Intervention
 		e.AfterMsg(100_000, h, 0, m) // far enough out to still be queued at abort
-		e.After(3, spin)
+		after(e, 3, spin)
 	}
-	e.Schedule(0, spin)
+	at(e, 0, spin)
 	_, err := e.RunGuarded(50)
 	re, ok := err.(*RunawayError)
 	if !ok {

@@ -12,10 +12,10 @@ func chain(e *Engine, n int) {
 	left := n
 	step = func() {
 		if left--; left > 0 {
-			e.After(1, step)
+			after(e, 1, step)
 		}
 	}
-	e.After(1, step)
+	after(e, 1, step)
 }
 
 func TestEngineInterrupt(t *testing.T) {
@@ -25,7 +25,7 @@ func TestEngineInterrupt(t *testing.T) {
 	chain(e, 100000)
 	// Trip the flag from inside the run so the stop point is exact: the
 	// poll fires on the next multiple-of-1024 event boundary.
-	e.Schedule(5000, func() { flag.Store(true) })
+	at(e, 5000, func() { flag.Store(true) })
 	at, err := e.RunGuarded(0)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("RunGuarded = (%d, %v), want ErrInterrupted", at, err)
@@ -77,7 +77,7 @@ func TestGroupInterrupt(t *testing.T) {
 		for s := 0; s < 2; s++ {
 			chain(g.Engine(s), 100000)
 		}
-		g.Engine(0).Schedule(500, func() { flag.Store(true) })
+		at(g.Engine(0), 500, func() { flag.Store(true) })
 		at, err := g.RunGuarded(0)
 		if !errors.Is(err, ErrInterrupted) {
 			t.Fatalf("parallel=%v: RunGuarded = (%d, %v), want ErrInterrupted",

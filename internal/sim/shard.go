@@ -33,7 +33,6 @@
 package sim
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -201,16 +200,15 @@ func (g *Group) NextAt() (Time, bool) {
 
 // ForEachPending visits every queued event on every shard, in shard
 // order (queue order within a shard, as Engine.ForEachPending). m is nil
-// for closure events.
+// for message-less events.
 func (g *Group) ForEachPending(visit func(at Time, m *msg.Message)) {
 	for _, e := range g.engs {
 		e.ForEachPending(visit)
 	}
 }
 
-// PendingCensus aggregates Engine.PendingCensus over all shards: counts
-// per message type plus the closure pseudo-entry, most frequent first
-// (ties by name), matching the single-engine ordering.
+// PendingCensus aggregates Engine.PendingCensus over all shards, most
+// frequent first (ties by name), matching the single-engine ordering.
 func (g *Group) PendingCensus() []MsgCount {
 	merged := map[string]int{}
 	for _, e := range g.engs {
@@ -218,17 +216,7 @@ func (g *Group) PendingCensus() []MsgCount {
 			merged[c.Type] += c.Count
 		}
 	}
-	out := make([]MsgCount, 0, len(merged))
-	for t, c := range merged {
-		out = append(out, MsgCount{Type: t, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Type < out[j].Type
-	})
-	return out
+	return sortCensus(merged)
 }
 
 // Run executes until every shard's queue is empty and returns the final

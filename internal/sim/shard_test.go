@@ -16,9 +16,9 @@ func TestNextAtAndRunWindow(t *testing.T) {
 		t.Fatal("empty engine reports a next event")
 	}
 	var got []int
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
-	e.Schedule(31, func() { got = append(got, 3) })
+	at(e, 10, func() { got = append(got, 1) })
+	at(e, 20, func() { got = append(got, 2) })
+	at(e, 31, func() { got = append(got, 3) })
 	if at, ok := e.NextAt(); !ok || at != 10 {
 		t.Fatalf("NextAt = %d,%v, want 10,true", at, ok)
 	}
@@ -39,7 +39,7 @@ func TestNextAtAndRunWindow(t *testing.T) {
 func TestRunWindowBudget(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 10; i++ {
-		e.Schedule(Time(i), func() {})
+		at(e, Time(i), func() {})
 	}
 	if n := e.RunWindow(100, 4); n != 4 {
 		t.Fatalf("budgeted window ran %d events, want 4", n)
@@ -81,7 +81,7 @@ func (mb *mailbox) sendFrom(src, dst int, fn func()) {
 func (mb *mailbox) drain() {
 	for d := range mb.lanes {
 		for _, s := range mb.lanes[d] {
-			mb.g.Engine(d).Schedule(s.at, s.fn)
+			at(mb.g.Engine(d), s.at, s.fn)
 		}
 		mb.lanes[d] = mb.lanes[d][:0]
 	}
@@ -130,7 +130,7 @@ func TestGroupCrossShardPingPong(t *testing.T) {
 				mb.sendFrom(1, 0, ping)
 			}
 		}
-		g.Engine(0).Schedule(0, ping)
+		at(g.Engine(0), 0, ping)
 		end := g.Run()
 		if hops != 10 {
 			t.Fatalf("parallel=%v: %d hops, want 10", parallel, hops)
@@ -149,11 +149,11 @@ func TestGroupRunUntilAcrossShards(t *testing.T) {
 	g := NewGroup(2, 50, 0, false)
 	mb := newMailbox(g)
 	var fired []string
-	g.Engine(0).Schedule(10, func() {
+	at(g.Engine(0), 10, func() {
 		fired = append(fired, "a")
 		mb.sendFrom(0, 1, func() { fired = append(fired, "b@60") })
 	})
-	g.Engine(1).Schedule(200, func() { fired = append(fired, "c") })
+	at(g.Engine(1), 200, func() { fired = append(fired, "c") })
 
 	if done := g.RunUntil(100); done {
 		t.Fatal("RunUntil(100) reported drained with work at 200 left")
@@ -176,7 +176,8 @@ func TestGroupRunUntilAcrossShards(t *testing.T) {
 func TestGroupForEachPendingAndCensus(t *testing.T) {
 	g := NewGroup(3, 10, 0, false)
 	h := &nullHandler{}
-	// Shard 0: two GetShared; shard 1: a Nack and a closure; shard 2: empty.
+	// Shard 0: two GetShared; shard 1: a Nack and a message-less event;
+	// shard 2: empty.
 	for i := 0; i < 2; i++ {
 		m := g.Engine(0).NewMsg()
 		m.Type = msg.GetShared
@@ -185,24 +186,24 @@ func TestGroupForEachPendingAndCensus(t *testing.T) {
 	m := g.Engine(1).NewMsg()
 	m.Type = msg.Nack
 	g.Engine(1).AfterMsg(5, h, 0, m)
-	g.Engine(1).Schedule(7, func() {})
+	g.Engine(1).ScheduleArg(7, h, 2, 0)
 
 	if g.Pending() != 4 {
 		t.Fatalf("Pending = %d, want 4", g.Pending())
 	}
 	seen := 0
-	var closures int
+	var bare int
 	g.ForEachPending(func(at Time, m *msg.Message) {
 		seen++
 		if m == nil {
-			closures++
+			bare++
 		}
 	})
-	if seen != 4 || closures != 1 {
-		t.Fatalf("ForEachPending visited %d (%d closures), want 4 (1)", seen, closures)
+	if seen != 4 || bare != 1 {
+		t.Fatalf("ForEachPending visited %d (%d message-less), want 4 (1)", seen, bare)
 	}
 	census := g.PendingCensus()
-	want := map[string]int{"GetShared": 2, "Nack": 1, "closure": 1}
+	want := map[string]int{"GetShared": 2, "Nack": 1, "*sim.nullHandler op 2": 1}
 	if len(census) != len(want) {
 		t.Fatalf("census = %+v, want %v", census, want)
 	}
@@ -225,8 +226,8 @@ func TestGroupRunGuardedRunaway(t *testing.T) {
 		for s := 0; s < 2; s++ {
 			e := g.Engine(s)
 			var spin func()
-			spin = func() { e.After(1, spin) }
-			e.Schedule(0, spin)
+			spin = func() { after(e, 1, spin) }
+			at(e, 0, spin)
 		}
 		_, err := g.RunGuarded(100)
 		if !errors.Is(err, ErrRunaway) {
@@ -242,8 +243,8 @@ func TestGroupRunGuardedRunaway(t *testing.T) {
 		if re.Steps < 100 {
 			t.Fatalf("parallel=%v: Steps = %d, want >= budget 100", parallel, re.Steps)
 		}
-		if len(re.Census) != 1 || re.Census[0].Type != "closure" || re.Census[0].Count != 2 {
-			t.Fatalf("parallel=%v: census = %+v, want closure=2", parallel, re.Census)
+		if len(re.Census) != 1 || re.Census[0].Type != "sim.call op 0" || re.Census[0].Count != 2 {
+			t.Fatalf("parallel=%v: census = %+v, want sim.call op 0=2", parallel, re.Census)
 		}
 	}
 }
@@ -253,9 +254,9 @@ func TestGroupPanicPropagates(t *testing.T) {
 		g := NewGroup(4, 10, 0, parallel)
 		// Two shards panic in the same window; the lowest shard's value
 		// must win under both schedulers.
-		g.Engine(3).Schedule(5, func() { panic("shard3 boom") })
-		g.Engine(1).Schedule(5, func() { panic("shard1 boom") })
-		g.Engine(0).Schedule(5, func() {})
+		at(g.Engine(3), 5, func() { panic("shard3 boom") })
+		at(g.Engine(1), 5, func() { panic("shard1 boom") })
+		at(g.Engine(0), 5, func() {})
 		func() {
 			defer func() {
 				r := recover()
@@ -298,7 +299,7 @@ func TestGroupSerialParallelEquivalent(t *testing.T) {
 				if depth >= 12 {
 					return
 				}
-				e.After(Time(3+depth), chain(s, depth+1))
+				after(e, Time(3+depth), chain(s, depth+1))
 				if depth%3 == 0 {
 					dst := (s + 1) % shards
 					mb.sendFrom(s, dst, chain(dst, depth+1))
@@ -306,7 +307,7 @@ func TestGroupSerialParallelEquivalent(t *testing.T) {
 			}
 		}
 		for s := 0; s < shards; s++ {
-			g.Engine(s).Schedule(Time(s), chain(s, 0))
+			at(g.Engine(s), Time(s), chain(s, 0))
 		}
 		now := g.Run()
 		return result{logs: logs, now: now, steps: g.Steps(), windows: g.Windows()}
@@ -350,7 +351,7 @@ func TestGroupGrownWindowsStraggler(t *testing.T) {
 			return func() {
 				record(0)
 				if depth < 2000 {
-					e0.After(7, chain(depth+1))
+					after(e0, 7, chain(depth+1))
 				}
 				if depth == 1000 {
 					mb.sendFrom(0, 1, func() {
@@ -360,7 +361,7 @@ func TestGroupGrownWindowsStraggler(t *testing.T) {
 				}
 			}
 		}
-		e0.Schedule(0, chain(0))
+		at(e0, 0, chain(0))
 		g.Run()
 		return log, g.Windows()
 	}
@@ -387,12 +388,12 @@ func TestGroupSingleShardMatchesEngine(t *testing.T) {
 			return func() {
 				log = append(log, fmt.Sprintf("d%d @%d", depth, e.Now()))
 				if depth < 20 {
-					e.After(Time(1+depth%7), chain(depth+1))
+					after(e, Time(1+depth%7), chain(depth+1))
 				}
 			}
 		}
-		e.Schedule(0, chain(0))
-		e.Schedule(0, chain(100))
+		at(e, 0, chain(0))
+		at(e, 0, chain(100))
 		now, steps := run(e)
 		return log, now, steps
 	}
@@ -410,12 +411,12 @@ func TestGroupSingleShardMatchesEngine(t *testing.T) {
 		return func() {
 			log = append(log, fmt.Sprintf("d%d @%d", depth, e.Now()))
 			if depth < 20 {
-				e.After(Time(1+depth%7), chain(depth+1))
+				after(e, Time(1+depth%7), chain(depth+1))
 			}
 		}
 	}
-	e.Schedule(0, chain(0))
-	e.Schedule(0, chain(100))
+	at(e, 0, chain(0))
+	at(e, 0, chain(100))
 	now := g.Run()
 	if now != wantNow || g.Steps() != wantSteps {
 		t.Fatalf("group run (now %d, steps %d) != engine run (now %d, steps %d)",

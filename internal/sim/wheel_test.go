@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"pccsim/internal/msg"
 )
@@ -80,6 +81,12 @@ type clock interface {
 	Run() Time
 }
 
+// engineClock drives an Engine through the test's call events.
+type engineClock struct{ *Engine }
+
+func (c engineClock) Schedule(t Time, fn func()) { at(c.Engine, t, fn) }
+func (c engineClock) After(d Time, fn func())    { after(c.Engine, d, fn) }
+
 // replaySchedule drives a deterministic, adversarial workload against eng:
 // a recorded mix of near-constant protocol delays, far-future timestamps
 // (beyond the wheel window so the heap fallback engages), same-cycle ties,
@@ -153,7 +160,7 @@ func replaySchedule(eng clock, seed int64) []replayRecord {
 func TestWheelMatchesHeapReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		want := replaySchedule(&refEngine{}, seed)
-		got := replaySchedule(NewEngine(), seed)
+		got := replaySchedule(engineClock{NewEngine()}, seed)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: executed %d events, reference executed %d", seed, len(got), len(want))
 		}
@@ -173,10 +180,10 @@ func TestWheelMatchesHeapReference(t *testing.T) {
 func TestWheelFarMigrationOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(2000, func() { order = append(order, 1) }) // far at schedule time
-	e.Schedule(1500, func() {
+	at(e, 2000, func() { order = append(order, 1) }) // far at schedule time
+	at(e, 1500, func() {
 		// Window now reaches 1500+1024: schedule directly at 2000.
-		e.Schedule(2000, func() { order = append(order, 2) })
+		at(e, 2000, func() { order = append(order, 2) })
 	})
 	e.Run()
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
@@ -193,10 +200,10 @@ func TestWheelBucketReuseAcrossEpochs(t *testing.T) {
 	e := NewEngine()
 	var order []Time
 	rec := func() { order = append(order, e.Now()) }
-	e.Schedule(5, rec)
-	e.Schedule(5+wheelSize, rec)
-	e.Schedule(5+2*wheelSize, rec)
-	e.Schedule(5, rec)
+	at(e, 5, rec)
+	at(e, 5+wheelSize, rec)
+	at(e, 5+2*wheelSize, rec)
+	at(e, 5, rec)
 	e.Run()
 	want := []Time{5, 5, 5 + wheelSize, 5 + 2*wheelSize}
 	if len(order) != len(want) {
@@ -256,37 +263,12 @@ func TestScheduleMsgZeroAlloc(t *testing.T) {
 	}
 }
 
-// churnMix is the delay mix both churn benchmarks replay: the constant
+// churnMix is the delay mix the churn benchmarks replay: the constant
 // protocol latencies that dominate real cells.
 var churnMix = [8]Time{20, 100, 50, 200, 100, 20, 100, 10}
 
-// BenchmarkEngineChurn measures steady-state events/second on the timing
-// wheel: a fixed population of self-rescheduling events with protocol
-// delays. Compare against BenchmarkHeapReferenceChurn for the PR's
-// headline single-cell ratio.
-func BenchmarkEngineChurn(b *testing.B) {
-	e := NewEngine()
-	n := 0
-	var tick func()
-	tick = func() {
-		e.After(churnMix[n&7], tick)
-		n++
-	}
-	for i := 0; i < 64; i++ {
-		e.Schedule(Time(i), tick)
-	}
-	for i := 0; i < 1024; i++ { // warm up bucket capacities
-		e.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
-
-// BenchmarkHeapReferenceChurn is the identical workload on the seed
-// container/heap engine.
+// BenchmarkHeapReferenceChurn is the churn workload on the seed
+// container/heap engine; compare BenchmarkEngineChurnTyped.
 func BenchmarkHeapReferenceChurn(b *testing.B) {
 	e := &refEngine{}
 	n := 0
@@ -308,8 +290,9 @@ func BenchmarkHeapReferenceChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineChurnTyped is the churn workload on the closure-free
-// ScheduleMsg path with pooled messages — the configuration the protocol
+// BenchmarkEngineChurnTyped measures steady-state events/second on the
+// timing wheel: a fixed population of self-rescheduling typed events with
+// pooled messages and protocol delays, the configuration the protocol
 // layers actually run.
 func BenchmarkEngineChurnTyped(b *testing.B) {
 	e := NewEngine()
@@ -324,5 +307,13 @@ func BenchmarkEngineChurnTyped(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
+	}
+}
+
+// TestEventSize pins the wheel entry at four words: the bucket appends
+// in enqueue are the engine's dominant memory traffic.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 32 {
+		t.Fatalf("wheel entry is %d bytes, want <= 32", n)
 	}
 }

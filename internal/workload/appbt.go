@@ -54,7 +54,7 @@ func buildAppbt(p Params) [][]cpu.Op {
 	}
 	inner := ownedArray(r, nodes, interior)
 
-	prog := newProgram(nodes)
+	prog := NewBuilder(nodes)
 	// Face data is initialized during the setup sweep whose layout
 	// follows a different dimension than the steady-state solve, so
 	// face lines are homed away from their producer.
@@ -69,32 +69,32 @@ func buildAppbt(p Params) [][]cpu.Op {
 		for sweep := 0; sweep < 3; sweep++ {
 			// Per-sweep Gaussian elimination compute block.
 			for n := 0; n < nodes; n++ {
-				prog.compute(n, 27000)
+				prog.Compute(n, 27000)
 			}
 			// Local elimination, then publish this dimension's faces.
 			for n := 0; n < nodes; n++ {
 				for i := 0; i < interior; i++ {
-					prog.load(n, inner(n, i))
-					prog.compute(n, 25)
-					prog.store(n, inner(n, i))
+					prog.Load(n, inner(n, i))
+					prog.Compute(n, 25)
+					prog.Store(n, inner(n, i))
 				}
 				for i := 0; i < faceGroup; i++ {
-					prog.compute(n, 6)
-					prog.store(n, faces[sweep](n, i))
+					prog.Compute(n, 6)
+					prog.Store(n, faces[sweep](n, i))
 				}
 			}
-			prog.barrier()
+			prog.Barrier()
 			// Every neighbour consumes the freshly swept faces.
 			for n := 0; n < nodes; n++ {
 				for i := 0; i < faceGroup; i++ {
 					for _, c := range consumersFor(n, neighbours, nodes) {
-						prog.load(c, faces[sweep](n, i))
-						prog.compute(c, 6)
+						prog.Load(c, faces[sweep](n, i))
+						prog.Compute(c, 6)
 					}
 				}
 			}
-			prog.barrier()
+			prog.Barrier()
 		}
 	}
-	return prog.ops
+	return prog.Ops()
 }

@@ -53,7 +53,7 @@ func buildBarnes(p Params) [][]cpu.Op {
 		}
 	}
 
-	prog := newProgram(nodes)
+	prog := NewBuilder(nodes)
 	// First touch: the initial octree is built before the bodies settle
 	// into their steady-state owners, so most cells are homed away from
 	// the processor that rebuilds them each iteration (bodies move; the
@@ -64,10 +64,10 @@ func buildBarnes(p Params) [][]cpu.Op {
 			if c%3 == 0 {
 				builder = n // some cells do land at home
 			}
-			prog.store(builder, cellAddr(n, c))
+			prog.Store(builder, cellAddr(n, c))
 		}
 	}
-	prog.barrier()
+	prog.Barrier()
 	firstTouch(prog, nodes, bodyAddr, bodiesPerNode)
 
 	for it := 0; it < iters; it++ {
@@ -76,39 +76,39 @@ func buildBarnes(p Params) [][]cpu.Op {
 		// the baseline spends the paper's share of time on remote
 		// misses.
 		for n := 0; n < nodes; n++ {
-			prog.compute(n, 100800)
+			prog.Compute(n, 100800)
 		}
 		// Force computation: every consumer traverses the cells it
 		// needs, interleaved with per-interaction compute.
 		for n := 0; n < nodes; n++ {
 			for c := 0; c < cellsPerNode; c++ {
 				for _, reader := range cellConsumers[n][c] {
-					prog.load(reader, cellAddr(n, c))
-					prog.compute(reader, 40)
+					prog.Load(reader, cellAddr(n, c))
+					prog.Compute(reader, 40)
 				}
 			}
 		}
 		// Body updates are node-private work.
 		for n := 0; n < nodes; n++ {
 			for b := 0; b < bodiesPerNode; b++ {
-				prog.load(n, bodyAddr(n, b))
-				prog.compute(n, 20)
-				prog.store(n, bodyAddr(n, b))
+				prog.Load(n, bodyAddr(n, b))
+				prog.Compute(n, 20)
+				prog.Store(n, bodyAddr(n, b))
 			}
 		}
-		prog.barrier()
+		prog.Barrier()
 		// Tree rebuild: owners rewrite their cells (a short write
 		// burst per cell, as positions and bounds update together).
 		for n := 0; n < nodes; n++ {
 			for c := 0; c < cellsPerNode; c++ {
-				prog.compute(n, 15)
-				prog.store(n, cellAddr(n, c))
-				prog.store(n, cellAddr(n, c)+32)
+				prog.Compute(n, 15)
+				prog.Store(n, cellAddr(n, c))
+				prog.Store(n, cellAddr(n, c)+32)
 			}
 		}
-		prog.barrier()
+		prog.Barrier()
 	}
-	return prog.ops
+	return prog.Ops()
 }
 
 func min(a, b int) int {

@@ -40,12 +40,12 @@ func buildCG(p Params) [][]cpu.Op {
 	vec := ownedArray(r, nodes, vecLines)
 	fsBase := r.array(fsLines)
 
-	prog := newProgram(nodes)
+	prog := NewBuilder(nodes)
 	firstTouch(prog, nodes, vec, vecLines)
 	for i := 0; i < fsLines; i++ {
-		prog.store(i%nodes, lineAddr(fsBase, i))
+		prog.Store(i%nodes, lineAddr(fsBase, i))
 	}
-	prog.barrier()
+	prog.Barrier()
 
 	readers := nodes - 1
 	if readers > 8 {
@@ -57,37 +57,37 @@ func buildCG(p Params) [][]cpu.Op {
 		// misses are a small fraction of it (the paper's explanation
 		// for CG's modest 6% gain despite removing ~60% of them).
 		for n := 0; n < nodes; n++ {
-			prog.compute(n, 195000)
+			prog.Compute(n, 195000)
 		}
 		// p-vector update: each node republishes its segment.
 		for n := 0; n < nodes; n++ {
 			for i := 0; i < vecLines; i++ {
-				prog.compute(n, 8)
-				prog.store(n, vec(n, i))
+				prog.Compute(n, 8)
+				prog.Store(n, vec(n, i))
 			}
 		}
-		prog.barrier()
+		prog.Barrier()
 		// Sparse matvec: every node reads most other segments (the
 		// >4-consumer broadcast) with dominant per-row compute.
 		for n := 0; n < nodes; n++ {
 			for j := 1; j <= readers; j++ {
 				src := (n + j) % nodes
 				for i := 0; i < vecLines; i++ {
-					prog.load(n, vec(src, i))
-					prog.compute(n, 20)
+					prog.Load(n, vec(src, i))
+					prog.Compute(n, 20)
 				}
 			}
 			for row := 0; row < rowsPerNode; row++ {
-				prog.compute(n, 120) // sparse row dot product
+				prog.Compute(n, 120) // sparse row dot product
 			}
 			// Reduction into falsely shared accumulators: two
 			// nodes alternate writes to the same line, defeating
 			// any line-grained producer-consumer detector.
 			fs := (n / 2) * 2 % fsLines
-			prog.load(n, lineAddr(fsBase, fs))
-			prog.store(n, lineAddr(fsBase, fs))
+			prog.Load(n, lineAddr(fsBase, fs))
+			prog.Store(n, lineAddr(fsBase, fs))
 		}
-		prog.barrier()
+		prog.Barrier()
 	}
-	return prog.ops
+	return prog.Ops()
 }

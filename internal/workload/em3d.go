@@ -66,7 +66,7 @@ func buildEm3D(p Params) [][]cpu.Op {
 	eCons := consumersOf()
 	hCons := consumersOf()
 
-	prog := newProgram(nodes)
+	prog := NewBuilder(nodes)
 	firstTouch(prog, nodes, eField, linesPerNode)
 	firstTouch(prog, nodes, hField, linesPerNode)
 
@@ -75,43 +75,43 @@ func buildEm3D(p Params) [][]cpu.Op {
 		// block per iteration; em3d stays the most communication-bound
 		// of the seven, as in the paper.
 		for n := 0; n < nodes; n++ {
-			prog.compute(n, 12400)
+			prog.Compute(n, 12400)
 		}
 		// E half-step: owners update E from H; consumers then read the
 		// remote E lines they depend on.
 		for n := 0; n < nodes; n++ {
 			for i := 0; i < linesPerNode; i++ {
-				prog.compute(n, 6)
-				prog.store(n, eField(n, i))
+				prog.Compute(n, 6)
+				prog.Store(n, eField(n, i))
 			}
 		}
-		prog.barrier()
+		prog.Barrier()
 		for n := 0; n < nodes; n++ {
 			for i := 0; i < linesPerNode; i++ {
 				for _, c := range eCons[link{n, i}] {
-					prog.load(c, eField(n, i))
-					prog.compute(c, 6)
+					prog.Load(c, eField(n, i))
+					prog.Compute(c, 6)
 				}
 			}
 		}
-		prog.barrier()
+		prog.Barrier()
 		// H half-step, symmetric.
 		for n := 0; n < nodes; n++ {
 			for i := 0; i < linesPerNode; i++ {
-				prog.compute(n, 6)
-				prog.store(n, hField(n, i))
+				prog.Compute(n, 6)
+				prog.Store(n, hField(n, i))
 			}
 		}
-		prog.barrier()
+		prog.Barrier()
 		for n := 0; n < nodes; n++ {
 			for i := 0; i < linesPerNode; i++ {
 				for _, c := range hCons[link{n, i}] {
-					prog.load(c, hField(n, i))
-					prog.compute(c, 6)
+					prog.Load(c, hField(n, i))
+					prog.Compute(c, 6)
 				}
 			}
 		}
-		prog.barrier()
+		prog.Barrier()
 	}
-	return prog.ops
+	return prog.Ops()
 }

@@ -39,7 +39,7 @@ func buildLU(p Params) [][]cpu.Op {
 	upper := ownedArray(r, nodes, boundaryLines)
 	interior := ownedArray(r, nodes, interiorLines)
 
-	prog := newProgram(nodes)
+	prog := NewBuilder(nodes)
 	firstTouch(prog, nodes, lower, boundaryLines)
 	firstTouch(prog, nodes, upper, boundaryLines)
 	firstTouch(prog, nodes, interior, interiorLines)
@@ -48,50 +48,50 @@ func buildLU(p Params) [][]cpu.Op {
 		// Block factorization compute per sweep (see package comment
 		// on compute/communication calibration).
 		for n := 0; n < nodes; n++ {
-			prog.compute(n, 2140)
+			prog.Compute(n, 2140)
 		}
 		// Lower-triangular sweep: read the upstream neighbour's
 		// boundary, factorize the local block, publish our boundary.
 		for n := 0; n < nodes; n++ {
 			if n > 0 {
 				for i := 0; i < boundaryLines; i++ {
-					prog.load(n, lower(n-1, i))
-					prog.compute(n, 15)
+					prog.Load(n, lower(n-1, i))
+					prog.Compute(n, 15)
 				}
 			}
 			for i := 0; i < interiorLines; i++ {
-				prog.load(n, interior(n, i))
-				prog.compute(n, 30)
-				prog.store(n, interior(n, i))
+				prog.Load(n, interior(n, i))
+				prog.Compute(n, 30)
+				prog.Store(n, interior(n, i))
 			}
 			for i := 0; i < boundaryLines; i++ {
-				prog.compute(n, 10)
-				prog.store(n, lower(n, i))
+				prog.Compute(n, 10)
+				prog.Store(n, lower(n, i))
 			}
 		}
-		prog.barrier()
+		prog.Barrier()
 		// Upper-triangular sweep: the pipeline runs the other way.
 		for n := 0; n < nodes; n++ {
-			prog.compute(n, 2140)
+			prog.Compute(n, 2140)
 		}
 		for n := 0; n < nodes; n++ {
 			if n < nodes-1 {
 				for i := 0; i < boundaryLines; i++ {
-					prog.load(n, upper(n+1, i))
-					prog.compute(n, 15)
+					prog.Load(n, upper(n+1, i))
+					prog.Compute(n, 15)
 				}
 			}
 			for i := 0; i < interiorLines; i++ {
-				prog.load(n, interior(n, i))
-				prog.compute(n, 30)
-				prog.store(n, interior(n, i))
+				prog.Load(n, interior(n, i))
+				prog.Compute(n, 30)
+				prog.Store(n, interior(n, i))
 			}
 			for i := 0; i < boundaryLines; i++ {
-				prog.compute(n, 10)
-				prog.store(n, upper(n, i))
+				prog.Compute(n, 10)
+				prog.Store(n, upper(n, i))
 			}
 		}
-		prog.barrier()
+		prog.Barrier()
 	}
-	return prog.ops
+	return prog.Ops()
 }

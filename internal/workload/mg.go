@@ -48,7 +48,7 @@ func buildMG(p Params) [][]cpu.Op {
 		grids[l] = ownedArray(r, nodes, levelLines[l])
 	}
 
-	prog := newProgram(nodes)
+	prog := NewBuilder(nodes)
 	// The finest grid is first-touched by its owners (boundary rows stay
 	// home); the coarser grids are produced by restriction from finer
 	// data, and their pages were first touched under the finer levels'
@@ -68,27 +68,27 @@ func buildMG(p Params) [][]cpu.Op {
 		lines, ncons := levelLines[l], levelConsumers[l]
 		for n := 0; n < nodes; n++ {
 			for i := 0; i < lines; i++ {
-				prog.compute(n, 8)
-				prog.store(n, grids[l](n, i))
+				prog.Compute(n, 8)
+				prog.Store(n, grids[l](n, i))
 			}
 		}
-		prog.barrier()
+		prog.Barrier()
 		for n := 0; n < nodes; n++ {
 			for i := 0; i < lines; i++ {
 				for _, c := range consumersFor(n, ncons, nodes) {
-					prog.load(c, grids[l](n, i))
-					prog.compute(c, 8)
+					prog.Load(c, grids[l](n, i))
+					prog.Compute(c, 8)
 				}
 			}
 		}
-		prog.barrier()
+		prog.Barrier()
 	}
 
 	for it := 0; it < iters; it++ {
 		// Residual/smoothing arithmetic abstracted into one compute
 		// block per V-cycle (see package comment on calibration).
 		for n := 0; n < nodes; n++ {
-			prog.compute(n, 432000)
+			prog.Compute(n, 432000)
 		}
 		// Down the V: finest to coarsest.
 		for l := 0; l < len(levelLines); l++ {
@@ -99,5 +99,5 @@ func buildMG(p Params) [][]cpu.Op {
 			exchange(l)
 		}
 	}
-	return prog.ops
+	return prog.Ops()
 }

@@ -36,7 +36,7 @@ func buildOcean(p Params) [][]cpu.Op {
 	grid := ownedArray(r, nodes, rowsPerNode*lineCols)
 	at := func(owner, row, col int) msg.Addr { return grid(owner, row*lineCols+col) }
 
-	prog := newProgram(nodes)
+	prog := NewBuilder(nodes)
 	firstTouch(prog, nodes, grid, rowsPerNode*lineCols)
 
 	for it := 0; it < iters; it++ {
@@ -44,33 +44,33 @@ func buildOcean(p Params) [][]cpu.Op {
 		// per processor per iteration (see package comment on
 		// compute/communication calibration).
 		for n := 0; n < nodes; n++ {
-			prog.compute(n, 24000)
+			prog.Compute(n, 24000)
 		}
 		// Relaxation sweep: read the neighbours' adjacent boundary
 		// rows (the producer-consumer lines), then update own strip.
 		for n := 0; n < nodes; n++ {
 			if n > 0 {
 				for c := 0; c < lineCols; c++ {
-					prog.load(n, at(n-1, rowsPerNode-1, c))
-					prog.compute(n, 10)
+					prog.Load(n, at(n-1, rowsPerNode-1, c))
+					prog.Compute(n, 10)
 				}
 			}
 			if n < nodes-1 {
 				for c := 0; c < lineCols; c++ {
-					prog.load(n, at(n+1, 0, c))
-					prog.compute(n, 10)
+					prog.Load(n, at(n+1, 0, c))
+					prog.Compute(n, 10)
 				}
 			}
 			// Interior update: node-private reads and writes.
 			for row := 0; row < rowsPerNode; row++ {
 				for c := 0; c < lineCols; c++ {
-					prog.load(n, at(n, row, c))
-					prog.compute(n, 12)
-					prog.store(n, at(n, row, c))
+					prog.Load(n, at(n, row, c))
+					prog.Compute(n, 12)
+					prog.Store(n, at(n, row, c))
 				}
 			}
 		}
-		prog.barrier()
+		prog.Barrier()
 	}
-	return prog.ops
+	return prog.Ops()
 }

@@ -70,7 +70,7 @@ func Synthetic(p SynthParams) ([][]cpu.Op, error) {
 	r := newRegion()
 	lines := ownedArray(r, p.Nodes, p.LinesPerProducer)
 
-	prog := newProgram(p.Nodes)
+	prog := NewBuilder(p.Nodes)
 	// First touch: a deterministic slice of each producer's lines is
 	// placed at the next node over (the remote-home fraction).
 	remote := int(p.RemoteHomeFraction * float64(p.LinesPerProducer))
@@ -80,35 +80,35 @@ func Synthetic(p SynthParams) ([][]cpu.Op, error) {
 			if i < remote {
 				toucher = (n + 1) % p.Nodes
 			}
-			prog.store(toucher, lines(n, i))
+			prog.Store(toucher, lines(n, i))
 		}
 	}
-	prog.barrier()
+	prog.Barrier()
 	// The owners warm their lines.
 	for n := 0; n < p.Nodes; n++ {
 		for i := 0; i < p.LinesPerProducer; i++ {
-			prog.store(n, lines(n, i))
+			prog.Store(n, lines(n, i))
 		}
 	}
-	prog.barrier()
+	prog.Barrier()
 
 	for it := 0; it < p.Iters; it++ {
 		for n := 0; n < p.Nodes; n++ {
 			for i := 0; i < p.LinesPerProducer; i++ {
-				prog.compute(n, p.ComputePerOp)
-				prog.store(n, lines(n, i))
+				prog.Compute(n, p.ComputePerOp)
+				prog.Store(n, lines(n, i))
 			}
 		}
-		prog.barrier()
+		prog.Barrier()
 		for n := 0; n < p.Nodes; n++ {
 			for i := 0; i < p.LinesPerProducer; i++ {
 				for _, c := range consumersFor(n, p.Consumers, p.Nodes) {
-					prog.load(c, lines(n, i))
-					prog.compute(c, p.ComputePerOp)
+					prog.Load(c, lines(n, i))
+					prog.Compute(c, p.ComputePerOp)
 				}
 			}
 		}
-		prog.barrier()
+		prog.Barrier()
 	}
-	return prog.ops, nil
+	return prog.Ops(), nil
 }

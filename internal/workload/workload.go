@@ -107,36 +107,118 @@ const LineBytes = 128
 // pageBytes matches the first-touch placement granularity.
 const pageBytes = 4096
 
-// program accumulates per-node op streams with shared barrier numbering.
-type program struct {
-	ops   [][]cpu.Op
-	nodes int
-	barID int
+// Builder accumulates per-node op streams with shared barrier numbering:
+// the one encoder of program operations, behind every workload and
+// pccsim.Program. Each node's ops go into chunks that double from
+// minChunk to maxChunk ops, so a growing stream never copies or discards
+// what it holds; Ops copies the chunks once into an exact-size slice per
+// node.
+type Builder struct {
+	streams []stream
+	barID   int
 }
 
-func newProgram(nodes int) *program {
-	return &program{ops: make([][]cpu.Op, nodes), nodes: nodes}
+// Chunk sizes in ops (16 bytes each): 4 KiB up to 128 KiB.
+const (
+	minChunk = 256
+	maxChunk = 8192
+)
+
+// stream is one node's ops: the filled chunks, then the one being filled.
+type stream struct {
+	chunks [][]cpu.Op
+	cur    []cpu.Op
+	n      int // ops in chunks
 }
 
-// barrier appends a global barrier to every stream.
-func (p *program) barrier() {
-	id := p.barID
-	p.barID++
-	for n := 0; n < p.nodes; n++ {
-		p.ops[n] = append(p.ops[n], cpu.Op{Kind: cpu.Barrier, Bar: id})
+func (s *stream) add(op cpu.Op) {
+	if len(s.cur) == cap(s.cur) {
+		size := minChunk
+		if len(s.cur) > 0 {
+			s.chunks = append(s.chunks, s.cur)
+			s.n += len(s.cur)
+			size = min(2*len(s.cur), maxChunk)
+		}
+		s.cur = make([]cpu.Op, 0, max(size, minChunk))
+	}
+	s.cur = append(s.cur, op)
+}
+
+// ops returns the stream as one exact-size slice, which then becomes the
+// stream's only (full) chunk: later appends start a new chunk and never
+// write into a returned slice.
+func (s *stream) ops() []cpu.Op {
+	if len(s.chunks) == 0 && len(s.cur) == cap(s.cur) {
+		return s.cur
+	}
+	out := make([]cpu.Op, 0, s.n+len(s.cur))
+	for _, c := range s.chunks {
+		out = append(out, c...)
+	}
+	out = append(out, s.cur...)
+	*s = stream{cur: out}
+	return out
+}
+
+// NewBuilder returns an empty builder over nodes streams.
+func NewBuilder(nodes int) *Builder {
+	return &Builder{streams: make([]stream, nodes)}
+}
+
+// BuilderOf returns a builder whose streams start as ops (which it does
+// not modify: appends go to new chunks).
+func BuilderOf(ops [][]cpu.Op) *Builder {
+	b := NewBuilder(len(ops))
+	for n, s := range ops {
+		b.streams[n].cur = s[:len(s):len(s)]
+	}
+	return b
+}
+
+// Nodes returns the number of streams.
+func (b *Builder) Nodes() int { return len(b.streams) }
+
+// Len returns the total op count across nodes.
+func (b *Builder) Len() int {
+	n := 0
+	for i := range b.streams {
+		n += b.streams[i].n + len(b.streams[i].cur)
+	}
+	return n
+}
+
+// Ops returns every node's ops, each as an exact-size slice.
+func (b *Builder) Ops() [][]cpu.Op {
+	out := make([][]cpu.Op, len(b.streams))
+	for n := range b.streams {
+		out[n] = b.streams[n].ops()
+	}
+	return out
+}
+
+// Barrier appends a global barrier to every stream. It panics once the
+// barrier ids run past 32 bits (see cpu.BarrierOp).
+func (b *Builder) Barrier() {
+	op := cpu.BarrierOp(b.barID)
+	b.barID++
+	for n := range b.streams {
+		b.streams[n].add(op)
 	}
 }
 
-func (p *program) load(n int, addr msg.Addr) {
-	p.ops[n] = append(p.ops[n], cpu.Op{Kind: cpu.Load, Addr: addr})
+// Load appends a blocking read of addr on node n.
+func (b *Builder) Load(n int, addr msg.Addr) {
+	b.streams[n].add(cpu.Op{Kind: cpu.Load, Addr: addr})
 }
 
-func (p *program) store(n int, addr msg.Addr) {
-	p.ops[n] = append(p.ops[n], cpu.Op{Kind: cpu.Store, Addr: addr})
+// Store appends a buffered write of addr on node n.
+func (b *Builder) Store(n int, addr msg.Addr) {
+	b.streams[n].add(cpu.Op{Kind: cpu.Store, Addr: addr})
 }
 
-func (p *program) compute(n int, cycles sim.Time) {
-	p.ops[n] = append(p.ops[n], cpu.Op{Kind: cpu.Compute, Cycles: cycles})
+// Compute appends a compute delay of cycles on node n.
+func (b *Builder) Compute(n int, cycles sim.Time) {
+	b.streams[n].add(cpu.ComputeOp(cycles))
 }
 
 // region lays out arrays of lines at page-aligned bases so first-touch
@@ -190,35 +272,35 @@ func ownedArray(r *region, nodes, linesPerNode int) func(owner, i int) msg.Addr 
 // modeling initialization loops whose static schedule differs from the
 // compute partitioning — the common reason the producer of a line is not
 // its home node, and therefore the case directory delegation exists for.
-func placedFirstTouch(p *program, nodes int, addr func(owner, i int) msg.Addr,
+func placedFirstTouch(p *Builder, nodes int, addr func(owner, i int) msg.Addr,
 	lines int, placer func(owner int) int) {
 	for n := 0; n < nodes; n++ {
 		for i := 0; i < lines; i++ {
-			p.store(placer(n), addr(n, i))
+			p.Store(placer(n), addr(n, i))
 		}
 	}
-	p.barrier()
+	p.Barrier()
 	// The eventual owners warm their caches (and the detector sees the
 	// owner as a reader, not as noise).
 	for n := 0; n < nodes; n++ {
 		for i := 0; i < lines; i++ {
-			p.store(n, addr(n, i))
+			p.Store(n, addr(n, i))
 		}
 	}
-	p.barrier()
+	p.Barrier()
 }
 
 // firstTouch makes every owner write its lines once so the memory system
 // places the pages, then synchronizes (the "initialization phase" of the
 // real benchmarks, excluded from the parallel phase the paper reports but
 // necessary for SGI's first-touch policy to take effect).
-func firstTouch(p *program, nodes int, addr func(owner, i int) msg.Addr, lines int) {
+func firstTouch(p *Builder, nodes int, addr func(owner, i int) msg.Addr, lines int) {
 	for n := 0; n < nodes; n++ {
 		for i := 0; i < lines; i++ {
-			p.store(n, addr(n, i))
+			p.Store(n, addr(n, i))
 		}
 	}
-	p.barrier()
+	p.Barrier()
 }
 
 // consumersFor returns size stable consumers for a producer, chosen

@@ -69,8 +69,8 @@ func TestBarrierConsistency(t *testing.T) {
 		if len(ops) != 8 {
 			t.Fatalf("%s built %d streams for 8 nodes", w.Name, len(ops))
 		}
-		barsOf := func(s []cpu.Op) []int {
-			var out []int
+		barsOf := func(s []cpu.Op) []uint32 {
+			var out []uint32
 			for _, op := range s {
 				if op.Kind == cpu.Barrier {
 					out = append(out, op.Bar)

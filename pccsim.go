@@ -336,13 +336,14 @@ func (m *Machine) Trace(capacity int, line Addr) *TraceRecorder {
 
 // Run executes the program to completion and returns its statistics.
 func (m *Machine) Run(p *Program) (*Stats, error) {
-	if len(p.ops) != m.inner.Sys.Cfg.Nodes {
+	if p.Nodes() != m.inner.Sys.Cfg.Nodes {
 		return nil, fmt.Errorf("pccsim: program built for %d nodes, machine has %d",
-			len(p.ops), m.inner.Sys.Cfg.Nodes)
+			p.Nodes(), m.inner.Sys.Cfg.Nodes)
 	}
-	streams := make([]cpu.Stream, len(p.ops))
-	for i := range p.ops {
-		streams[i] = &cpu.SliceStream{Ops: p.ops[i]}
+	ops := p.b.Ops()
+	streams := make([]cpu.Stream, len(ops))
+	for i := range ops {
+		streams[i] = &cpu.SliceStream{Ops: ops[i]}
 	}
 	return m.inner.Run(streams)
 }
@@ -362,7 +363,7 @@ func BuildSynthetic(p SynthParams) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{ops: ops}, nil
+	return &Program{b: workload.BuilderOf(ops)}, nil
 }
 
 // BuildWorkload constructs the named benchmark as a Program, for running
@@ -376,7 +377,7 @@ func BuildWorkload(name string, p WorkloadParams) (*Program, error) {
 	if p.Nodes <= 0 {
 		return nil, fmt.Errorf("pccsim: BuildWorkload needs WorkloadParams.Nodes")
 	}
-	return &Program{ops: w.Build(p)}, nil
+	return &Program{b: workload.BuilderOf(w.Build(p))}, nil
 }
 
 // RunWorkload builds the named benchmark and runs it on a fresh machine.
@@ -397,53 +398,34 @@ func RunWorkload(cfg Config, name string, p WorkloadParams) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.Run(&Program{ops: w.Build(p)})
+	return m.Run(&Program{b: workload.BuilderOf(w.Build(p))})
 }
 
 // Program is a per-node sequence of memory operations, compute delays and
 // barriers — the unit a Machine executes.
 type Program struct {
-	ops   [][]cpu.Op
-	barID int
+	b *workload.Builder
 }
 
 // NewProgram creates an empty program over the given node count.
 func NewProgram(nodes int) *Program {
-	return &Program{ops: make([][]cpu.Op, nodes)}
+	return &Program{b: workload.NewBuilder(nodes)}
 }
 
 // Nodes returns the program's node count.
-func (p *Program) Nodes() int { return len(p.ops) }
+func (p *Program) Nodes() int { return p.b.Nodes() }
 
 // Len returns the total operation count across nodes.
-func (p *Program) Len() int {
-	n := 0
-	for _, s := range p.ops {
-		n += len(s)
-	}
-	return n
-}
+func (p *Program) Len() int { return p.b.Len() }
 
 // Load appends a blocking read of addr on node n.
-func (p *Program) Load(n int, addr Addr) {
-	p.ops[n] = append(p.ops[n], cpu.Op{Kind: cpu.Load, Addr: addr})
-}
+func (p *Program) Load(n int, addr Addr) { p.b.Load(n, addr) }
 
 // Store appends a buffered write of addr on node n.
-func (p *Program) Store(n int, addr Addr) {
-	p.ops[n] = append(p.ops[n], cpu.Op{Kind: cpu.Store, Addr: addr})
-}
+func (p *Program) Store(n int, addr Addr) { p.b.Store(n, addr) }
 
 // Compute appends a pure-compute delay on node n.
-func (p *Program) Compute(n int, cycles Time) {
-	p.ops[n] = append(p.ops[n], cpu.Op{Kind: cpu.Compute, Cycles: cycles})
-}
+func (p *Program) Compute(n int, cycles Time) { p.b.Compute(n, cycles) }
 
 // Barrier appends a global barrier across every node.
-func (p *Program) Barrier() {
-	id := p.barID
-	p.barID++
-	for n := range p.ops {
-		p.ops[n] = append(p.ops[n], cpu.Op{Kind: cpu.Barrier, Bar: id})
-	}
-}
+func (p *Program) Barrier() { p.b.Barrier() }
