@@ -42,8 +42,10 @@ bench:
 # One-iteration bench smoke for CI: compiles and runs every benchmark
 # once. The ZeroAlloc pass pins the observability layer's disabled path
 # (and the enabled Emit itself), the caches' steady-state access path,
-# the engine's typed events, the hub's hit, merge, retry and timer paths,
-# the op builder's appends and the model checker's canonicalizer at 0
+# the engine's typed events and its wheel slab (a spread of events
+# reuses the slots a burst grew, leaving the slab at its peak), the hub's
+# hit, merge, retry and timer paths after an 8-run warm-up, the op
+# builder's appends and the model checker's canonicalizer at 0
 # allocs/op; the Size pins hold the engine's wheel entry at <= 32 bytes
 # and cpu.Op at 16.
 bench-smoke: compare-smoke

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"pccsim/internal/addrtab"
 	"pccsim/internal/msg"
 )
 
@@ -15,13 +16,13 @@ import (
 // ever observes versions moving backwards and that a writer always holds
 // the latest version when it writes (the simulator-side checks of §2.5).
 //
-// On a sharded system hubs on different shards write concurrently, so the
-// oracle takes a mutex — but only when sharing is enabled, keeping the
-// single-engine hot path lock-free.
+// On a sharded system whose shards run on worker goroutines, hubs on
+// different shards write concurrently, so the oracle takes a mutex — but
+// only when sharing is enabled, keeping single-goroutine runs lock-free.
 type global struct {
 	mu       sync.Mutex
 	shared   bool
-	latest   map[msg.Addr]uint64
+	latest   addrtab.Table[uint64]  // newest written version, per line
 	observed map[observedKey]uint64 // highest version each node has seen, per line
 	check    bool
 }
@@ -32,7 +33,7 @@ type observedKey struct {
 }
 
 func newGlobal(check bool) *global {
-	g := &global{latest: make(map[msg.Addr]uint64), check: check}
+	g := &global{check: check}
 	if check {
 		g.observed = make(map[observedKey]uint64)
 	}
@@ -50,13 +51,13 @@ func (g *global) write(node msg.NodeID, addr msg.Addr, held uint64) uint64 {
 		g.mu.Lock()
 		defer g.mu.Unlock()
 	}
-	v := g.latest[addr]
+	v, _ := g.latest.Get(uint64(addr))
 	if g.check && held != v {
 		panic(fmt.Sprintf("core: node %d writes %#x holding version %d, latest is %d (stale-write coherence violation)",
 			node, uint64(addr), held, v))
 	}
 	v++
-	g.latest[addr] = v
+	g.latest.Put(uint64(addr), v)
 	return v
 }
 
@@ -85,7 +86,8 @@ func (g *global) latestVersion(addr msg.Addr) uint64 {
 		g.mu.Lock()
 		defer g.mu.Unlock()
 	}
-	return g.latest[addr]
+	v, _ := g.latest.Get(uint64(addr))
+	return v
 }
 
 // writtenLines returns every line the oracle has seen written, in address
@@ -95,10 +97,11 @@ func (g *global) writtenLines() []msg.Addr {
 		g.mu.Lock()
 		defer g.mu.Unlock()
 	}
-	out := make([]msg.Addr, 0, len(g.latest))
-	for a := range g.latest {
-		out = append(out, a)
-	}
+	out := make([]msg.Addr, 0, g.latest.Len())
+	g.latest.Range(func(a, _ uint64) bool {
+		out = append(out, msg.Addr(a))
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -125,8 +125,12 @@ func NewSystem(cfg Config) (*System, error) {
 			sys.shards[i] = &shardState{}
 		}
 		sys.Net = network.NewSharded(sys.grp, cfg.Network, sys.shardOf, sys.netStats)
-		sys.glob.enableSharing()
-		sys.Mem.EnableSharedAccess()
+		if sys.grp.Parallel() {
+			// A serial group runs every shard on one goroutine, so only
+			// worker goroutines need the oracle's and page table's locks.
+			sys.glob.enableSharing()
+			sys.Mem.EnableSharedAccess()
+		}
 		if cfg.CheckInvariants {
 			sys.checkSeen = make(map[msg.Addr]struct{})
 		}

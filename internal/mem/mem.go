@@ -25,9 +25,10 @@ const (
 
 // Memory is the global memory image: page homes and line versions. One
 // Memory is shared by all nodes of a simulated system. On a sharded
-// system the page table is consulted concurrently, so lookups take a
-// read-lock once sharing is enabled (EnableSharedAccess); a
-// single-engine system stays lock-free.
+// system whose shards run on worker goroutines the page table is
+// consulted concurrently, so lookups take a read-lock once sharing is
+// enabled (EnableSharedAccess); a system that runs on one goroutine
+// stays lock-free.
 type Memory struct {
 	mu        sync.RWMutex
 	shared    bool

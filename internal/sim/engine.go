@@ -10,8 +10,11 @@
 // DRAM 200, delayed intervention 50), so near-future events live in
 // ring-buffer buckets — one cycle per bucket, found through a bitmap scan —
 // and only far-future timestamps (adaptive intervention hints, barrier
-// waits) fall back to a binary heap. Events are value-typed inside the
-// buckets and the heap, so steady-state scheduling allocates nothing.
+// waits) fall back to a binary heap. Wheel events live by value in one
+// slab shared by all buckets, each bucket a linked FIFO through it, and
+// far events by value in the heap; the slab grows only to the peak count
+// of live wheel events and reuses a freed slot at once, so steady-state
+// scheduling allocates nothing.
 package sim
 
 import (
@@ -58,8 +61,9 @@ type MsgHandler interface {
 
 // event is one wheel entry: the handler, its opcode, an optional message
 // and an optional small argument (read back through Engine.Arg). A wheel
-// bucket is one cycle and FIFO, so the entry needs no timestamp or
-// sequence number; the far heap wraps it in a farEvent that has both.
+// bucket is one cycle and FIFO, so the entry needs no timestamp, sequence
+// number or link (the slab's links are a parallel array); the far heap
+// wraps it in a farEvent that has the timestamp and sequence number.
 type event struct {
 	h   MsgHandler
 	m   *msg.Message
@@ -74,13 +78,10 @@ type farEvent struct {
 	ev  event
 }
 
-// bucket is one wheel slot: a FIFO of the events due at a single cycle.
-// head indexes the next event to run; the slice is reset (retaining its
-// capacity) once drained.
-type bucket struct {
-	head int
-	evs  []event
-}
+// bucket is one wheel slot: a FIFO of the events due at a single cycle,
+// linked through the engine's slab. head and tail are slot links (see
+// Engine.next); the zero bucket is empty.
+type bucket struct{ head, tail int32 }
 
 // Engine is a deterministic discrete-event scheduler. The zero value is not
 // ready to use; call NewEngine.
@@ -101,6 +102,16 @@ type Engine struct {
 	wheelCount int
 	occ        [wheelSize / 64]uint64
 	buckets    [wheelSize]bucket
+
+	// slab holds every wheel event, whichever bucket it is in. next is
+	// its parallel link array: a link is a slot index plus one, so 0
+	// ends a list. Each bucket threads its FIFO through next, and so does
+	// the LIFO free list headed by free, which hands a drained slot back
+	// out while it is still cache-hot. The slab therefore grows only to
+	// the peak number of live wheel events.
+	slab []event
+	next []int32
+	free int32
 
 	far farHeap
 
@@ -150,11 +161,27 @@ func (e *Engine) enqueue(at Time, ev event) {
 	}
 }
 
-// toBucket appends ev to wheel bucket i.
+// toBucket appends ev to wheel bucket i, in a slot off the free list or,
+// when the list is empty, a new one at the slab's end.
 func (e *Engine) toBucket(i int, ev event) {
+	s := e.free
+	if s != 0 {
+		e.free = e.next[s-1]
+		e.slab[s-1] = ev
+		e.next[s-1] = 0
+	} else {
+		e.slab = append(e.slab, ev)
+		e.next = append(e.next, 0)
+		s = int32(len(e.slab))
+	}
 	b := &e.buckets[i]
-	b.evs = append(b.evs, ev)
-	e.occ[i>>6] |= 1 << (uint(i) & 63)
+	if b.tail == 0 {
+		b.head = s
+		e.occ[i>>6] |= 1 << (uint(i) & 63)
+	} else {
+		e.next[b.tail-1] = s
+	}
+	b.tail = s
 	e.wheelCount++
 }
 
@@ -259,9 +286,14 @@ func (e *Engine) nextAt() Time {
 
 // Step executes the next event, advancing the clock to its timestamp.
 // It reports false if the queue is empty.
-func (e *Engine) Step() bool {
+func (e *Engine) Step() bool { return e.step(^Time(0)) }
+
+// step executes the next event if its timestamp is <= deadline, finding
+// it with one scan of the occupancy bitmap. It reports false, changing
+// nothing, if the queue is empty or its next event lies past deadline.
+func (e *Engine) step(deadline Time) bool {
 	if e.wheelCount == 0 {
-		if len(e.far) == 0 {
+		if len(e.far) == 0 || e.far[0].at > deadline {
 			return false
 		}
 		// Idle gap: jump the window to the next far event and pull
@@ -270,6 +302,9 @@ func (e *Engine) Step() bool {
 		e.migrate()
 	}
 	t, bi := e.nextWheel()
+	if t > deadline {
+		return false
+	}
 	e.now = t
 	if e.wbase != t {
 		// The window end moved forward with the clock; far events may
@@ -280,14 +315,16 @@ func (e *Engine) Step() bool {
 		e.migrate()
 	}
 	b := &e.buckets[bi]
-	ev := b.evs[b.head]
-	b.evs[b.head] = event{}
-	b.head++
-	if b.head == len(b.evs) {
-		b.evs = b.evs[:0]
-		b.head = 0
+	s := b.head - 1
+	ev := e.slab[s]
+	e.slab[s] = event{}
+	b.head = e.next[s]
+	if b.head == 0 {
+		b.tail = 0
 		e.occ[bi>>6] &^= 1 << (uint(bi) & 63)
 	}
+	e.next[s] = e.free
+	e.free = s + 1
 	e.wheelCount--
 	e.nSteps++
 	e.arg = ev.arg
@@ -322,13 +359,9 @@ func (e *Engine) ForEachPending(visit func(at Time, m *msg.Message)) {
 // eachPending visits every queued event with its due cycle.
 func (e *Engine) eachPending(visit func(at Time, ev *event)) {
 	for i := range e.buckets {
-		b := &e.buckets[i]
-		if b.head == len(b.evs) {
-			continue
-		}
 		at := e.wbase + (Time(i)-e.wbase)&wheelMask
-		for j := b.head; j < len(b.evs); j++ {
-			visit(at, &b.evs[j])
+		for s := e.buckets[i].head; s != 0; s = e.next[s-1] {
+			visit(at, &e.slab[s-1])
 		}
 	}
 	for i := range e.far {
@@ -466,11 +499,7 @@ func (e *Engine) NextAt() (Time, bool) {
 // ScheduleMsg from outside still lands in this engine's future.
 func (e *Engine) RunWindow(deadline Time, budget uint64) uint64 {
 	var n uint64
-	for e.Pending() > 0 && e.nextAt() <= deadline {
-		if budget > 0 && n >= budget {
-			break
-		}
-		e.Step()
+	for (budget == 0 || n < budget) && e.step(deadline) {
 		n++
 	}
 	return n
@@ -487,13 +516,9 @@ func (e *Engine) CutWindow() { e.cut = true }
 // RunUntil executes events with timestamps <= deadline. It reports whether
 // the queue drained (true) or the deadline cut the run short (false).
 func (e *Engine) RunUntil(deadline Time) bool {
-	for e.Pending() > 0 {
-		if e.nextAt() > deadline {
-			return false
-		}
-		e.Step()
+	for e.step(deadline) {
 	}
-	return true
+	return e.Pending() == 0
 }
 
 // RunSteps executes at most n events, reporting whether the queue drained.

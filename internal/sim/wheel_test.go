@@ -252,7 +252,7 @@ func TestScheduleMsgZeroAlloc(t *testing.T) {
 	sink := &benchSink{e: e, limit: 1 << 30}
 	m := e.NewMsg()
 	e.ScheduleMsg(1, sink, 0, m)
-	for i := 0; i < 2000; i++ { // warm bucket capacity and the far heap
+	for i := 0; i < 2000; i++ { // warm the event slab and the far heap
 		e.Step()
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -260,6 +260,35 @@ func TestScheduleMsgZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Step+ScheduleMsg allocated %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestWheelSlabZeroAlloc pins the shared event slab: a burst of n events
+// in one cycle grows it to n slots, and n events spread over n different
+// cycles afterwards reuse those slots, allocating nothing and leaving the
+// slab at n. The spread-out round fills n buckets the burst never used,
+// so it allocates unless they take the burst's freed slots.
+func TestWheelSlabZeroAlloc(t *testing.T) {
+	const n = 512
+	e := NewEngine()
+	for i := 0; i < n; i++ {
+		e.ScheduleArg(1, nullHandler{}, 0, uint32(i))
+	}
+	e.Run()
+	if len(e.slab) != n {
+		t.Fatalf("after a %d-event burst the slab holds %d slots, want %d", n, len(e.slab), n)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < n; i++ {
+			e.AfterArg(Time(1+i), nullHandler{}, 0, uint32(i))
+		}
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("%d events over %d cycles allocated %v times per round, want 0", n, n, allocs)
+	}
+	if len(e.slab) != n {
+		t.Errorf("after the spread-out rounds the slab holds %d slots, want %d", len(e.slab), n)
 	}
 }
 
@@ -310,8 +339,8 @@ func BenchmarkEngineChurnTyped(b *testing.B) {
 	}
 }
 
-// TestEventSize pins the wheel entry at four words: the bucket appends
-// in enqueue are the engine's dominant memory traffic.
+// TestEventSize pins the wheel entry at four words: the slab writes in
+// enqueue are the engine's dominant memory traffic.
 func TestEventSize(t *testing.T) {
 	if n := unsafe.Sizeof(event{}); n > 32 {
 		t.Fatalf("wheel entry is %d bytes, want <= 32", n)
