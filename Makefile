@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test smoke soak bench bench-smoke bench-compare compare-smoke check-mcheck fuzz-smoke fuzz clean
+.PHONY: check vet build test smoke soak bench bench-smoke bench-compare compare-smoke check-mcheck fuzz-smoke fuzz loc clean
 
 check: vet build test smoke
 
@@ -117,6 +117,13 @@ fuzz-smoke:
 
 fuzz:
 	$(GO) run -race ./cmd/pccfuzz -seed $$(date +%Y%m%d) -t 20m -n 0 -o fuzz-failures
+
+# The size of the program: lines in the non-test Go files outside
+# perfbench/ (tracked or unignored). A change reports its net line delta
+# as the difference of this figure before and after it.
+loc:
+	@git ls-files -co --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^perfbench/' | \
+		xargs cat | wc -l | sed 's/^ */loc: /; s/$$/ non-test Go lines outside perfbench\//'
 
 clean:
 	$(GO) clean ./...

@@ -81,23 +81,34 @@ func (t *Table[V]) Get(key uint64) (V, bool) {
 
 // Put stores v under key, replacing any existing value.
 func (t *Table[V]) Put(key uint64, v V) {
-	if 4*(t.n+1) > 3*len(t.keys) {
+	p, _ := t.Slot(key)
+	*p = v
+}
+
+// Slot returns a pointer to the value stored under key and whether key
+// was present, inserting key with the zero value when it was not. One
+// probe serves the lookup and the insertion, and the table grows only
+// when it inserts. The pointer is valid until the next insertion or
+// deletion.
+func (t *Table[V]) Slot(key uint64) (*V, bool) {
+	if len(t.keys) == 0 {
 		t.grow()
 	}
 	mask := len(t.keys) - 1
 	k := key + 1
-	for i := t.home(k); ; i = (i + 1) & mask {
-		switch t.keys[i] {
-		case k:
-			t.vals[i] = v
-			return
-		case 0:
-			t.keys[i] = k
-			t.vals[i] = v
-			t.n++
-			return
+	i := t.home(k)
+	for ; t.keys[i] != 0; i = (i + 1) & mask {
+		if t.keys[i] == k {
+			return &t.vals[i], true
 		}
 	}
+	if 4*(t.n+1) > 3*len(t.keys) {
+		t.grow()
+		return t.Slot(key)
+	}
+	t.keys[i] = k
+	t.n++
+	return &t.vals[i], false
 }
 
 // Delete removes key, reporting whether it was present. Removal uses

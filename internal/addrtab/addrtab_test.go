@@ -44,7 +44,7 @@ func TestAgainstMap(t *testing.T) {
 	addr := func() uint64 { return uint64(rng.Intn(4096)) * 128 }
 	for op := 0; op < 200000; op++ {
 		a := addr()
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 0:
 			v := rng.Uint64()
 			tab.Put(a, v)
@@ -61,6 +61,17 @@ func TestAgainstMap(t *testing.T) {
 			if gotOK != wantOK || got != want {
 				t.Fatalf("op %d: Get(%#x) = %d,%v, map says %d,%v", op, a, got, gotOK, want, wantOK)
 			}
+		case 3:
+			// Slot finds or inserts (zero value), then stores through
+			// the pointer.
+			want, wantOK := ref[a]
+			p, gotOK := tab.Slot(a)
+			if gotOK != wantOK || *p != want {
+				t.Fatalf("op %d: Slot(%#x) = %d,%v, map says %d,%v", op, a, *p, gotOK, want, wantOK)
+			}
+			v := rng.Uint64()
+			*p = v
+			ref[a] = v
 		}
 		if tab.Len() != len(ref) {
 			t.Fatalf("op %d: Len = %d, map has %d", op, tab.Len(), len(ref))
@@ -91,9 +102,11 @@ func TestGetPutZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		tab.Get(37 * 128)
 		tab.Put(37*128, &x)
+		p, _ := tab.Slot(37 * 128)
+		*p = &x
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Get+Put allocated %v allocs/op, want 0", allocs)
+		t.Fatalf("steady-state Get+Put+Slot allocated %v allocs/op, want 0", allocs)
 	}
 }
 

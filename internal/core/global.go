@@ -51,14 +51,13 @@ func (g *global) write(node msg.NodeID, addr msg.Addr, held uint64) uint64 {
 		g.mu.Lock()
 		defer g.mu.Unlock()
 	}
-	v, _ := g.latest.Get(uint64(addr))
-	if g.check && held != v {
+	v, _ := g.latest.Slot(uint64(addr))
+	if g.check && held != *v {
 		panic(fmt.Sprintf("core: node %d writes %#x holding version %d, latest is %d (stale-write coherence violation)",
-			node, uint64(addr), held, v))
+			node, uint64(addr), held, *v))
 	}
-	v++
-	g.latest.Put(uint64(addr), v)
-	return v
+	*v++
+	return *v
 }
 
 // observe records that node read version v of addr and checks monotonicity:

@@ -48,18 +48,16 @@ type System struct {
 	Obs *obs.Sink
 	// NodeStats holds each node's counters; Aggregate folds them.
 	NodeStats []*stats.Stats
-	// NetStats accumulates interconnect traffic (shared by all sends).
-	// It is nil on a sharded system, where each shard collects its own
-	// slice; Aggregate folds them in either mode.
-	NetStats *stats.Stats
+	// netStats holds the interconnect traffic each shard's nodes send
+	// (one collector on a single engine); Aggregate folds them.
+	netStats []*stats.Stats
 	glob     *global
 
 	// Sharded-mode state (nil/empty on the classic single engine).
-	grp      *sim.Group
-	shardOf  []int
-	shards   []*shardState
-	netStats []*stats.Stats
-	obsBufs  []*obs.Sink
+	grp     *sim.Group
+	shardOf []int
+	shards  []*shardState
+	obsBufs []*obs.Sink
 	// checkSeen dedupes deferred invariant checks within one barrier.
 	checkSeen map[msg.Addr]struct{}
 
@@ -140,11 +138,9 @@ func NewSystem(cfg Config) (*System, error) {
 		sys.grp.SetInterrupt(&sys.intr)
 	} else {
 		eng := sim.NewEngine()
-		netStats := stats.New()
 		sys.Eng = eng
-		sys.Net = network.New(eng, cfg.Network, netStats)
-		sys.NetStats = netStats
-		sys.netStats = []*stats.Stats{netStats}
+		sys.netStats = []*stats.Stats{stats.New()}
+		sys.Net = network.New(eng, cfg.Network, sys.netStats[0])
 		eng.SetInterrupt(&sys.intr)
 	}
 	sys.Hubs = make([]*Hub, cfg.Nodes)
@@ -206,22 +202,22 @@ func (s *System) AttachObs(sink *obs.Sink) {
 		}
 	}
 	s.Obs = sink
-	s.Net.Obs = sink
-	if s.grp != nil {
-		if s.obsBufs == nil {
-			s.obsBufs = make([]*obs.Sink, s.grp.Shards())
-			for i := range s.obsBufs {
-				s.obsBufs[i] = obs.NewBuffer()
-			}
-			s.Net.SetShardObs(s.obsBufs)
-		}
-		for i, h := range s.Hubs {
-			h.obs = s.obsBufs[s.shardOf[i]]
+	if s.grp == nil {
+		s.Net.SetObs(0, sink)
+		for _, h := range s.Hubs {
+			h.obs = sink
 		}
 		return
 	}
-	for _, h := range s.Hubs {
-		h.obs = sink
+	if s.obsBufs == nil {
+		s.obsBufs = make([]*obs.Sink, s.grp.Shards())
+		for i := range s.obsBufs {
+			s.obsBufs[i] = obs.NewBuffer()
+			s.Net.SetObs(i, s.obsBufs[i])
+		}
+	}
+	for i, h := range s.Hubs {
+		h.obs = s.obsBufs[s.shardOf[i]]
 	}
 }
 

@@ -127,16 +127,16 @@ func New() *Directory {
 // Entry returns the directory entry for the line, creating an Unowned one
 // on first reference.
 func (d *Directory) Entry(addr msg.Addr) *Entry {
-	if e, ok := d.entries.Get(uint64(addr)); ok {
-		return e
+	slot, ok := d.entries.Slot(uint64(addr))
+	if ok {
+		return *slot
 	}
 	if len(d.arena) == cap(d.arena) {
 		d.arena = make([]Entry, 0, entryChunk)
 	}
 	d.arena = append(d.arena, Entry{State: Unowned, Owner: msg.None, OwnerID: msg.None, Pending: msg.None})
-	e := &d.arena[len(d.arena)-1]
-	d.entries.Put(uint64(addr), e)
-	return e
+	*slot = &d.arena[len(d.arena)-1]
+	return *slot
 }
 
 // Peek returns the entry if it exists, without creating one.

@@ -283,11 +283,7 @@ func (c *Case) run(prep func(*core.System)) (res Result) {
 				res.Failure = "faults: " + err.Error()
 				return res
 			}
-			if sys.Sharded() {
-				sys.Net.SetShardChaos(s, injs[s])
-			} else {
-				sys.Net.Chaos = injs[s]
-			}
+			sys.Net.SetChaos(s, injs[s])
 		}
 	}
 	// Stripe the pool homes so they are independent of op order.

@@ -71,10 +71,12 @@ const (
 )
 
 // Chaos is the fault-injection hook: a deterministic adversary that
-// perturbs message delivery. Both methods are called from the single
-// simulation goroutine in event order, so a seeded implementation is fully
-// deterministic. A nil Chaos (the default) costs one pointer check per
-// message; the zero-fault path is otherwise untouched.
+// perturbs message delivery. Each shard has its own injector (see
+// SetChaos): Jitter is called on the sending node's shard and Verdict on
+// the receiving node's, each from that shard's goroutine in event order,
+// so a seeded implementation is fully deterministic. A nil Chaos (the
+// default) costs one pointer check per message; the zero-fault path is
+// otherwise untouched.
 type Chaos interface {
 	// Jitter returns extra in-flight cycles for m, sampled once when m is
 	// injected. Returning 0 leaves the deterministic fat-tree timing.
@@ -87,30 +89,48 @@ type Chaos interface {
 }
 
 // Network routes coherence messages between hubs with deterministic timing.
+// Its nodes are partitioned into shards, each with its own engine and
+// interconnect state; a single-engine network is one shard.
 type Network struct {
 	cfg      Config
-	eng      *sim.Engine
-	st       *stats.Stats
 	handlers []Handler
 	egress   []sim.Time // next cycle each node's output port is free
 	ingress  []sim.Time // next cycle each node's input port is free
-	inFlight int
-	// Obs, when non-nil, receives a KindSend event for every packet
-	// injected into the fabric, carrying its hop count and wire size.
-	// Like Chaos, a nil Obs (the default) costs one pointer check per
-	// message and nothing else.
-	Obs *obs.Sink
-	// Chaos, when non-nil, perturbs delivery for fault-injection runs.
-	Chaos Chaos
-
-	// Sharded-mode state (nil on a single-engine network): the shard
-	// owning each node, and per-shard interconnect slices. See shard.go.
-	shardOf []int
-	sh      []*shardEnv
+	shardOf  []int      // the shard owning each node
+	sh       []*shardEnv
 }
 
-// New creates a network over eng collecting into st.
+// shardEnv is one shard's slice of the interconnect state. During a
+// window it is read and written only by its owning shard's goroutine;
+// at barriers, only by the coordinator.
+type shardEnv struct {
+	eng *sim.Engine
+	st  *stats.Stats
+	// obs, when non-nil, receives a KindSend event for every packet this
+	// shard's nodes send, carrying its hop count and wire size. Like
+	// chaos, a nil obs costs one pointer check per message.
+	obs *obs.Sink
+	// chaos is this shard's fault injector: consulted for Jitter when
+	// the shard's nodes send and for Verdict when they receive.
+	chaos Chaos
+	// inFlight is this shard's contribution to the in-flight count.
+	// Sends increment on the source shard and deliveries decrement on
+	// the destination shard, so an individual counter can go negative;
+	// only the sum is meaningful.
+	inFlight int
+	// mail[d] stages messages bound for shard d until the next barrier
+	// (see shard.go).
+	mail [][]mailEntry
+}
+
+// New creates a one-shard network over eng collecting into st.
 func New(eng *sim.Engine, cfg Config, st *stats.Stats) *Network {
+	return newNetwork(cfg, nil, []*shardEnv{{eng: eng, st: st}})
+}
+
+// newNetwork builds a network over the shard envs sh; shardOf maps every
+// node to its shard, or is nil when there is one shard.
+func newNetwork(cfg Config, shardOf []int, sh []*shardEnv) *Network {
 	if cfg.Nodes <= 0 {
 		panic("network: config needs at least one node")
 	}
@@ -120,15 +140,27 @@ func New(eng *sim.Engine, cfg Config, st *stats.Stats) *Network {
 	if cfg.PortBytesPerCycle <= 0 {
 		cfg.PortBytesPerCycle = 8
 	}
+	if shardOf == nil {
+		shardOf = make([]int, cfg.Nodes)
+	}
 	return &Network{
 		cfg:      cfg,
-		eng:      eng,
-		st:       st,
 		handlers: make([]Handler, cfg.Nodes),
 		egress:   make([]sim.Time, cfg.Nodes),
 		ingress:  make([]sim.Time, cfg.Nodes),
+		shardOf:  shardOf,
+		sh:       sh,
 	}
 }
+
+// SetObs points shard s's send-side event emission at sink (nil
+// detaches it).
+func (n *Network) SetObs(s int, sink *obs.Sink) { n.sh[s].obs = sink }
+
+// SetChaos installs shard s's fault injector (nil removes it). Each shard
+// needs its own injector instance: its RNG and counters are touched from
+// that shard's goroutine.
+func (n *Network) SetChaos(s int, c Chaos) { n.sh[s].chaos = c }
 
 // Register installs the delivery handler for node n. Every node must
 // register before any message addressed to it is delivered.
@@ -139,17 +171,14 @@ func (n *Network) Register(id msg.NodeID, h Handler) {
 // Config returns the network configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// InFlight reports the number of messages currently traveling (summed
-// over shards in sharded mode, including staged mailbox entries).
+// InFlight reports the number of messages currently traveling, summed
+// over shards (staged mailbox entries included).
 func (n *Network) InFlight() int {
-	if n.sh != nil {
-		t := 0
-		for _, e := range n.sh {
-			t += e.inFlight
-		}
-		return t
+	t := 0
+	for _, e := range n.sh {
+		t += e.inFlight
 	}
-	return n.inFlight
+	return t
 }
 
 // Hops returns the number of router-to-router hops between two nodes in
@@ -187,10 +216,7 @@ func (n *Network) HandleMsgEvent(op uint8, m *msg.Message) {
 	case opArrive:
 		// Destination port reservation happens on arrival so that port
 		// time reflects actual arrival order.
-		eng := n.eng
-		if n.sh != nil {
-			eng = n.envAt(m.Dst).eng
-		}
+		eng := n.envAt(m.Dst).eng
 		ser := n.serTime(m)
 		at := maxTime(eng.Now(), n.ingress[m.Dst])
 		n.ingress[m.Dst] = at + ser
@@ -200,53 +226,59 @@ func (n *Network) HandleMsgEvent(op uint8, m *msg.Message) {
 	}
 }
 
-// Send injects m into the fabric. Delivery is scheduled on the engine after
-// serialization at the source port, hop latency, and serialization at the
-// destination port. Messages between a node and itself use the hub-internal
-// crossbar (LocalLatency) and skip the NI ports.
+// envAt returns the shard env owning node id.
+func (n *Network) envAt(id msg.NodeID) *shardEnv { return n.sh[n.shardOf[id]] }
+
+// Send injects m into the fabric on the sending node's shard. Delivery is
+// scheduled after serialization at the source port, hop latency, and
+// serialization at the destination port. Messages between a node and
+// itself use the hub-internal crossbar (LocalLatency) and skip the NI
+// ports, but are still accounted as traffic with a hop count of 0. A
+// message bound for another shard is priced the same way and staged in a
+// mailbox until the next window barrier (see shard.go).
 func (n *Network) Send(m *msg.Message) {
 	if int(m.Dst) < 0 || int(m.Dst) >= n.cfg.Nodes {
 		panic(fmt.Sprintf("network: message to invalid node: %s", m))
 	}
-	if n.sh != nil {
-		n.sendSharded(m)
-		return
-	}
-	n.st.RecordMsg(m)
-	n.st.RecordHops(n.Hops(m.Src, m.Dst))
-	now := n.eng.Now()
-	if n.Obs != nil {
-		n.Obs.Emit(obs.Event{
+	src := n.shardOf[m.Src]
+	e := n.sh[src]
+	hops := n.Hops(m.Src, m.Dst)
+	e.st.RecordMsg(m)
+	e.st.RecordHops(hops)
+	now := e.eng.Now()
+	if e.obs != nil {
+		e.obs.Emit(obs.Event{
 			At: now, Kind: obs.KindSend, Node: m.Src, Addr: m.Addr,
-			Hops: uint8(n.Hops(m.Src, m.Dst)), Bytes: uint32(m.Bytes()), Msg: *m,
+			Hops: uint8(hops), Bytes: uint32(m.Bytes()), Msg: *m,
 		})
 	}
-	n.inFlight++
+	e.inFlight++
 	if m.Src == m.Dst {
-		n.eng.ScheduleMsg(now+n.cfg.LocalLatency, n, opDeliver, m)
+		e.eng.ScheduleMsg(now+n.cfg.LocalLatency, n, opDeliver, m)
 		return
 	}
 	ser := n.serTime(m)
 	depart := maxTime(now, n.egress[m.Src])
 	n.egress[m.Src] = depart + ser
-	arrive := depart + ser + sim.Time(n.Hops(m.Src, m.Dst))*n.cfg.HopLatency
-	if n.Chaos != nil {
-		arrive += n.Chaos.Jitter(now, m)
+	arrive := depart + ser + sim.Time(hops)*n.cfg.HopLatency
+	if e.chaos != nil {
+		arrive += e.chaos.Jitter(now, m)
 	}
-	n.eng.ScheduleMsg(arrive, n, opArrive, m)
+	if dst := n.shardOf[m.Dst]; dst != src {
+		e.mail[dst] = append(e.mail[dst], mailEntry{at: arrive, m: m})
+		e.eng.CutWindow()
+		return
+	}
+	e.eng.ScheduleMsg(arrive, n, opArrive, m)
 }
 
+// deliver retires m on the destination node's shard, whose env supplies
+// the clock and fault injector, and hands it to the node's handler.
 func (n *Network) deliver(m *msg.Message) {
-	// In sharded mode the destination shard's env supplies the clock,
-	// fault injector and in-flight counter.
-	eng, ch := n.eng, n.Chaos
-	var e *shardEnv
-	if n.sh != nil {
-		e = n.envAt(m.Dst)
-		eng, ch = e.eng, e.chaos
-	}
-	if ch != nil {
-		switch ch.Verdict(eng.Now(), m) {
+	e := n.envAt(m.Dst)
+	e.inFlight--
+	if e.chaos != nil {
+		switch e.chaos.Verdict(e.eng.Now(), m) {
 		case Bounce:
 			if m.Type.IsRequest() {
 				// Reuse the in-flight packet as the NACK: same address,
@@ -255,7 +287,6 @@ func (n *Network) deliver(m *msg.Message) {
 				// requester. The requester cannot tell this apart from
 				// a busy-home NACK, so it retries — the legal
 				// resolution of every race in this protocol.
-				n.decInFlight(e)
 				from := m.Dst
 				m.Type = msg.Nack
 				m.Src, m.Dst = from, m.Requester
@@ -263,27 +294,15 @@ func (n *Network) deliver(m *msg.Message) {
 				return
 			}
 		case Drop:
-			n.decInFlight(e)
-			eng.FreeMsg(m)
+			e.eng.FreeMsg(m)
 			return
 		}
 	}
-	n.decInFlight(e)
 	h := n.handlers[m.Dst]
 	if h == nil {
 		panic(fmt.Sprintf("network: no handler registered for node %d (msg %s)", m.Dst, m))
 	}
 	h(m)
-}
-
-// decInFlight retires one traveling message: on the destination shard's
-// counter when sharded (e non-nil), else the global one.
-func (n *Network) decInFlight(e *shardEnv) {
-	if e != nil {
-		e.inFlight--
-		return
-	}
-	n.inFlight--
 }
 
 func maxTime(a, b sim.Time) sim.Time {

@@ -130,19 +130,20 @@ func TestInFlightTracking(t *testing.T) {
 func TestObsSinkInvoked(t *testing.T) {
 	eng, n, _ := newNet(t, 4)
 	n.Register(1, func(m *msg.Message) {})
-	n.Obs = obs.NewSink(16)
+	sink := obs.NewSink(16)
+	n.SetObs(0, sink)
 	n.Send(&msg.Message{Type: msg.GetShared, Src: 0, Dst: 1})
 	eng.Run()
-	if n.Obs.Total() != 1 {
-		t.Fatalf("sink saw %d events, want 1", n.Obs.Total())
+	if sink.Total() != 1 {
+		t.Fatalf("sink saw %d events, want 1", sink.Total())
 	}
-	evs := n.Obs.Events()
+	evs := sink.Events()
 	if len(evs) != 1 || evs[0].Kind != obs.KindSend || evs[0].Hops == 0 ||
 		evs[0].Bytes != uint32((&msg.Message{Type: msg.GetShared}).Bytes()) {
 		t.Fatalf("bad send event: %+v", evs)
 	}
-	if n.Obs.M.MsgCount[msg.GetShared] != 1 {
-		t.Fatalf("metrics missed the send: %+v", n.Obs.M.MsgCount)
+	if sink.M.MsgCount[msg.GetShared] != 1 {
+		t.Fatalf("metrics missed the send: %+v", sink.M.MsgCount)
 	}
 }
 

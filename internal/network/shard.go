@@ -1,6 +1,8 @@
 // Sharded operation: the network is the only layer that moves work
 // between shards, so it owns the cross-shard mailboxes and the lookahead
-// bound that makes the group's conservative windows sound.
+// bound that makes the group's conservative windows sound. A network
+// built by New is the one-shard case of the same code: every node maps
+// to shard 0 and no message ever takes the mailbox detour.
 //
 // Every node belongs to exactly one shard (shardOf). Node-indexed port
 // state (egress, ingress) needs no synchronization: egress[i] is touched
@@ -22,32 +24,11 @@ package network
 
 import (
 	"pccsim/internal/msg"
-	"pccsim/internal/obs"
 	"pccsim/internal/sim"
 	"pccsim/internal/stats"
 )
 
-// shardEnv is one shard's slice of the interconnect state. During a
-// window it is read and written only by its owning shard's goroutine;
-// at barriers, only by the coordinator.
-type shardEnv struct {
-	eng *sim.Engine
-	st  *stats.Stats
-	// obs, when non-nil, stages this shard's KindSend events (a
-	// NewBuffer sink; the core layer merges them at barriers).
-	obs *obs.Sink
-	// chaos is this shard's fault injector: consulted for Jitter when
-	// the shard's nodes send and for Verdict when they receive.
-	chaos Chaos
-	// inFlight is this shard's contribution to the global in-flight
-	// count. Sends increment on the source shard and deliveries
-	// decrement on the destination shard, so an individual counter can
-	// go negative; only the sum is meaningful.
-	inFlight int
-	// mail[d] stages messages bound for shard d until the next barrier.
-	mail [][]mailEntry
-}
-
+// mailEntry is a cross-shard message staged with its arrival time.
 type mailEntry struct {
 	at sim.Time
 	m  *msg.Message
@@ -55,10 +36,10 @@ type mailEntry struct {
 
 // NewSharded creates a network partitioned across grp's shards. shardOf
 // maps every node to its owning shard; sts provides one stats collector
-// per shard (per-shard so concurrent Sends never
-// contend; the caller keeps the slice and folds it after the run). The group's lookahead must not exceed
-// MinLookahead(cfg, shardOf); NewSharded registers the mailbox drain as
-// a barrier hook on grp.
+// per shard (per-shard so concurrent Sends never contend; the caller
+// keeps the slice and folds it after the run). The group's lookahead
+// must not exceed MinLookahead(cfg, shardOf); NewSharded registers the
+// mailbox drain as a barrier hook on grp.
 func NewSharded(grp *sim.Group, cfg Config, shardOf []int, sts []*stats.Stats) *Network {
 	if len(shardOf) != cfg.Nodes {
 		panic("network: shardOf must map every node to a shard")
@@ -66,43 +47,18 @@ func NewSharded(grp *sim.Group, cfg Config, shardOf []int, sts []*stats.Stats) *
 	if len(sts) != grp.Shards() {
 		panic("network: need one stats collector per shard")
 	}
-	n := New(grp.Engine(0), cfg, sts[0])
-	// The single-engine fields stay nil in sharded mode; every path
-	// that uses them branches through the per-shard env instead.
-	n.eng, n.st = nil, nil
-	n.shardOf = shardOf
-	n.sh = make([]*shardEnv, grp.Shards())
-	for i := range n.sh {
-		n.sh[i] = &shardEnv{
+	sh := make([]*shardEnv, grp.Shards())
+	for i := range sh {
+		sh[i] = &shardEnv{
 			eng:  grp.Engine(i),
 			st:   sts[i],
 			mail: make([][]mailEntry, grp.Shards()),
 		}
 	}
+	n := newNetwork(cfg, shardOf, sh)
 	grp.OnBarrier(n.drainMail)
 	return n
 }
-
-// Sharded reports whether the network runs over a shard group.
-func (n *Network) Sharded() bool { return n.sh != nil }
-
-// SetShardObs points each shard's send-side event emission at its
-// staging buffer (obs.NewBuffer sinks). The caller owns the buffers and
-// merges them into the user-facing sink at window barriers; the exported
-// Obs field is ignored while sharded.
-func (n *Network) SetShardObs(bufs []*obs.Sink) {
-	for i, e := range n.sh {
-		e.obs = bufs[i]
-	}
-}
-
-// SetShardChaos installs shard s's fault injector. Each shard needs its
-// own injector instance (its RNG and counters are touched from that
-// shard's goroutine); the exported Chaos field is ignored while sharded.
-func (n *Network) SetShardChaos(s int, c Chaos) { n.sh[s].chaos = c }
-
-// envAt returns the shard env owning node id (sharded mode only).
-func (n *Network) envAt(id msg.NodeID) *shardEnv { return n.sh[n.shardOf[id]] }
 
 // MinLookahead returns the widest conservative window the fat-tree
 // timing model permits for a node-to-shard partition: a lower bound on
@@ -131,40 +87,6 @@ func MinLookahead(cfg Config, shardOf []int) sim.Time {
 		}
 	}
 	return sim.Time(minHops)*cfg.HopLatency + 1
-}
-
-// sendSharded is Send's sharded path: identical pricing, per-shard
-// state, and a mailbox detour for cross-shard destinations.
-func (n *Network) sendSharded(m *msg.Message) {
-	src := n.shardOf[m.Src]
-	e := n.sh[src]
-	e.st.RecordMsg(m)
-	e.st.RecordHops(n.Hops(m.Src, m.Dst))
-	now := e.eng.Now()
-	if e.obs != nil {
-		e.obs.Emit(obs.Event{
-			At: now, Kind: obs.KindSend, Node: m.Src, Addr: m.Addr,
-			Hops: uint8(n.Hops(m.Src, m.Dst)), Bytes: uint32(m.Bytes()), Msg: *m,
-		})
-	}
-	e.inFlight++
-	if m.Src == m.Dst {
-		e.eng.ScheduleMsg(now+n.cfg.LocalLatency, n, opDeliver, m)
-		return
-	}
-	ser := n.serTime(m)
-	depart := maxTime(now, n.egress[m.Src])
-	n.egress[m.Src] = depart + ser
-	arrive := depart + ser + sim.Time(n.Hops(m.Src, m.Dst))*n.cfg.HopLatency
-	if e.chaos != nil {
-		arrive += e.chaos.Jitter(now, m)
-	}
-	if dst := n.shardOf[m.Dst]; dst != src {
-		e.mail[dst] = append(e.mail[dst], mailEntry{at: arrive, m: m})
-		e.eng.CutWindow()
-		return
-	}
-	e.eng.ScheduleMsg(arrive, n, opArrive, m)
 }
 
 // drainMail moves every staged cross-shard message into its destination

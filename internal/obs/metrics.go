@@ -22,8 +22,8 @@ type Metrics struct {
 	MsgBytes [msg.NumTypes]uint64
 
 	// Hop accounting: packets and bytes by fat-tree route length
-	// (index 1 = same leaf router, 2 = across the root; index 0 unused —
-	// self-sends never reach the network).
+	// (index 1 = same leaf router, 2 = across the root, 0 = a self-send
+	// that reached the network; see KindSend).
 	HopCount [3]uint64
 	HopBytes [3]uint64
 

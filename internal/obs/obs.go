@@ -21,10 +21,12 @@ import (
 type Kind uint8
 
 const (
-	// KindSend is a packet injected into the interconnect (or the hub's
-	// internal crossbar is NOT included — self-sends bypass the network,
-	// exactly as they bypass Stats traffic accounting). Msg holds the
-	// full packet; Hops and Bytes the fat-tree route cost.
+	// KindSend is a packet injected into the interconnect by
+	// network.Network.Send. Msg holds the full packet; Hops and Bytes the
+	// fat-tree route cost. A self-send that reaches Network.Send is
+	// counted like any packet, with Hops 0, exactly as Stats counts it;
+	// the hubs' own self-sends never get there (Hub.send takes them over
+	// the crossbar directly), so they emit no KindSend.
 	KindSend Kind = iota
 	// KindMissStart is an MSHR allocation: an L2 miss transaction began
 	// at Node for Addr. Arg is the MSHR occupancy after allocation;
@@ -106,8 +108,8 @@ type Event struct {
 	Node msg.NodeID
 	// Addr is the cache line involved (line-aligned).
 	Addr msg.Addr
-	// Hops is the fat-tree route length of a KindSend (0 would be a
-	// self-send, which never reaches the network; so 1 or 2).
+	// Hops is the fat-tree route length of a KindSend: 1 or 2, or 0 for
+	// a self-send (see KindSend).
 	Hops uint8
 	// Bytes is the on-wire packet size of a KindSend.
 	Bytes uint32
@@ -120,9 +122,10 @@ type Event struct {
 
 // Sink receives events. The zero value is not useful; see NewSink.
 //
-// A Sink is attached by storing its pointer into the producer's hook field
-// (network.Network.Obs, core.System.Obs); producers nil-check the pointer
-// before building an event, so a detached sink costs nothing.
+// A Sink is attached through core.System.AttachObs, which hands it to the
+// hubs and to the interconnect (network.Network.SetObs, per shard);
+// producers nil-check the pointer before building an event, so a
+// detached sink costs nothing.
 type Sink struct {
 	// M aggregates every emitted event; it is updated live so its
 	// counters and per-line timelines remain exact even after the ring
