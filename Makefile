@@ -45,9 +45,9 @@ bench:
 # the engine's typed events and its wheel slab (a spread of events
 # reuses the slots a burst grew, leaving the slab at its peak), the hub's
 # hit, merge, retry and timer paths after an 8-run warm-up, the op
-# builder's appends and the model checker's canonicalizer at 0
-# allocs/op; the Size pins hold the engine's wheel entry at <= 32 bytes
-# and cpu.Op at 16.
+# builder's appends, the model checker's canonicalizer and its engine's
+# state expansion (TestExpandZeroAlloc) at 0 allocs/op; the Size pins
+# hold the engine's wheel entry at <= 32 bytes and cpu.Op at 16.
 bench-smoke: compare-smoke
 	$(GO) test -bench=. -benchtime=1x ./internal/sim/... ./internal/network/... ./internal/obs/... \
 		./internal/cache/...

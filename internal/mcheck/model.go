@@ -324,31 +324,45 @@ func NewState(cfg Config) *State {
 	return s
 }
 
-// Clone deep-copies the state.
+// Clone deep-copies the state into a freshly allocated State.
 func (s *State) Clone() *State {
-	ns := &State{
-		N:      append([]Node(nil), s.N...),
-		H:      append([]Home(nil), s.H...),
-		Iss:    append([]int8(nil), s.Iss...),
-		Ch:     make([][]Msg, len(s.Ch)),
-		Latest: append([]int8(nil), s.Latest...),
-		Writes: s.Writes,
-	}
-	for i, q := range s.Ch {
-		if len(q) > 0 {
-			ns.Ch[i] = append([]Msg(nil), q...)
-		}
-	}
-	if s.PC != nil {
-		ns.PC = append([]int8(nil), s.PC...)
-		ns.Obs = make([][]int8, len(s.Obs))
-		for i, o := range s.Obs {
-			if len(o) > 0 {
-				ns.Obs[i] = append([]int8(nil), o...)
-			}
-		}
-	}
+	ns := &State{}
+	s.copyInto(ns)
 	return ns
+}
+
+// copyInto deep-copies s into d, reusing d's slice capacity: d shares no
+// backing array with s afterwards, and a recycled d allocates only where
+// s holds more than d ever did. Into a zero State it allocates only what
+// s holds, leaving empty channels and observation lists nil.
+func (s *State) copyInto(d *State) {
+	d.N = append(d.N[:0], s.N...)
+	d.H = append(d.H[:0], s.H...)
+	d.Iss = append(d.Iss[:0], s.Iss...)
+	d.Latest = append(d.Latest[:0], s.Latest...)
+	d.Writes = s.Writes
+	d.Ch = resize(d.Ch, len(s.Ch))
+	for i, q := range s.Ch {
+		d.Ch[i] = append(d.Ch[i][:0], q...)
+	}
+	if s.PC == nil {
+		d.PC, d.Obs = nil, nil
+		return
+	}
+	d.PC = append(d.PC[:0], s.PC...)
+	d.Obs = resize(d.Obs, len(s.Obs))
+	for i, o := range s.Obs {
+		d.Obs[i] = append(d.Obs[i][:0], o...)
+	}
+}
+
+// resize returns s resliced to length n, reallocating only when its
+// capacity is short. Reused elements keep their old contents.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Key returns the binary state encoding as a string, for map-keyed visited
