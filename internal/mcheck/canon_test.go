@@ -7,10 +7,11 @@ import (
 )
 
 // walkCanonical runs a breadth-first walk from cfg's initial state, deduped
-// by canonical key, and calls visit on every successor it generates until
-// visit returns false or the reachable set is exhausted. The frontier holds
-// identity encodings, so long walks stay small.
-func walkCanonical(cfg Config, visit func(s *State) bool) {
+// by canonical key. It calls expand on every popped state (if expand is
+// not nil) and visit on every successor it generates, until either returns
+// false or the reachable set is exhausted. The frontier holds identity
+// encodings, so long walks stay small; each popped state is a fresh decode.
+func walkCanonical(cfg Config, expand, visit func(s *State) bool) {
 	canon := newCanonicalizer(cfg.Nodes, cfg.lines(), cfg.Scripts != nil)
 	init := NewState(cfg)
 	seen := map[string]struct{}{string(canon.canonical(init)): {}}
@@ -18,8 +19,11 @@ func walkCanonical(cfg Config, visit func(s *State) bool) {
 	for len(queue) > 0 {
 		st := DecodeState(cfg, queue[0])
 		queue = queue[1:]
+		if expand != nil && !expand(st) {
+			return
+		}
 		for _, sc := range Successors(cfg, st) {
-			if !visit(sc.State) {
+			if visit != nil && !visit(sc.State) {
 				return
 			}
 			k := string(canon.canonical(sc.State))
@@ -41,7 +45,7 @@ func checkAgainstReference(t *testing.T, cfg Config, limit int) int {
 	c := newCanonicalizer(cfg.Nodes, cfg.lines(), identity)
 	ref := newRefCanonicalizer(cfg.Nodes, cfg.lines(), identity)
 	n := 0
-	walkCanonical(cfg, func(s *State) bool {
+	walkCanonical(cfg, nil, func(s *State) bool {
 		got, want := c.canonical(s), ref.canonical(s)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("successor %d: canonical encoding differs from the reference\nstate %s\ngot  %x\nwant %x",
@@ -77,7 +81,7 @@ func TestCanonicalMatchesReference(t *testing.T) {
 func TestCanonicalKeyConcurrent(t *testing.T) {
 	cfg := DeepConfig()
 	var states []*State
-	walkCanonical(cfg, func(s *State) bool {
+	walkCanonical(cfg, nil, func(s *State) bool {
 		states = append(states, s)
 		return len(states) < 64
 	})
@@ -110,7 +114,7 @@ func TestCanonicalKeyConcurrent(t *testing.T) {
 func TestCanonicalZeroAlloc(t *testing.T) {
 	cfg := DeepConfig()
 	var states []*State
-	walkCanonical(cfg, func(s *State) bool {
+	walkCanonical(cfg, nil, func(s *State) bool {
 		states = append(states, s)
 		return len(states) < 256
 	})
@@ -164,7 +168,7 @@ func TestRuleLabels(t *testing.T) {
 // walk of DeepConfig: a realistic mix for the hot-path benchmarks.
 func recordedStates(n int) []*State {
 	var states []*State
-	walkCanonical(DeepConfig(), func(s *State) bool {
+	walkCanonical(DeepConfig(), nil, func(s *State) bool {
 		states = append(states, s)
 		return len(states) < n
 	})
