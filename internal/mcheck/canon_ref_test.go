@@ -6,15 +6,6 @@ package mcheck
 // encodes the state in full under each one, and keeps the smallest
 // encoding. Slow and allocation-heavy, but obviously correct.
 
-// identityPerm returns a fresh identity permutation of 0..n-1.
-func identityPerm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return p
-}
-
 // encodePerm appends the encoding of s under a node permutation p and line
 // permutation lp (both old-index → new-index; p[0] must be 0) to buf. The
 // encoding walks the state in *new* index order so that two states in the

@@ -142,19 +142,19 @@ func TestRecycledExpansionMatchesFresh(t *testing.T) {
 // successors come from its recycled pool, and the canonicalizer and the
 // batch scratch are reused. Every child of the recorded states is in the
 // visited table after the first pass, so the re-expansions enqueue
-// nothing and the arena is not touched.
+// nothing and the frontier is not touched.
 func TestExpandZeroAlloc(t *testing.T) {
 	cfg := DeepConfig()
 	e := newEngine(cfg, Options{Workers: 1})
 	w := e.workers[0]
 	var encs [][]byte
-	for _, s := range recordedStates(256) {
+	for _, s := range sampleWalk(256, 1) {
 		encs = append(encs, append([]byte(nil), w.canon.canonical(s)...))
 	}
 	for _, enc := range encs {
 		e.expand(w, enc)
 	}
-	w.q = nil
+	w.q = frontier{}
 	i := 0
 	if a := testing.AllocsPerRun(1000, func() {
 		e.expand(w, encs[i%len(encs)])
@@ -162,8 +162,8 @@ func TestExpandZeroAlloc(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("engine.expand: %.1f allocs per state, want 0", a)
 	}
-	if len(w.q) != 0 {
-		t.Errorf("re-expansion enqueued %d states; every child was already visited", len(w.q))
+	if w.q.len() != 0 {
+		t.Errorf("re-expansion enqueued %d states; every child was already visited", w.q.len())
 	}
 }
 
@@ -243,5 +243,14 @@ func TestFingerprint(t *testing.T) {
 			}
 			seen[h] = pad
 		}
+	}
+}
+
+// BenchmarkExploreDeep measures a one-worker exploration of DeepConfig to
+// its fixpoint; B/op is what the engine allocates per exploration.
+func BenchmarkExploreDeep(b *testing.B) {
+	b.ReportAllocs()
+	for range b.N {
+		ExploreOpts(DeepConfig(), Options{Workers: 1})
 	}
 }

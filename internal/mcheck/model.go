@@ -385,12 +385,8 @@ func (s *State) CanonicalKey() string {
 	}
 	size := encodedLen(s)
 	scratch := make([]byte, 2*size)
-	c := canonicalizer{
-		g:    symmetryGroup(s.nodes(), len(s.H), false),
-		best: scratch[:0:size],
-		buf:  scratch[size:size],
-	}
-	return string(c.canonical(s))
+	c := canonicalizer{g: symmetryGroup(s.nodes(), len(s.H), false), best: scratch[size:]}
+	return string(c.appendCanonical(scratch[:0:size], s))
 }
 
 // String renders the state for counterexample traces.

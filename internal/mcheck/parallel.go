@@ -62,7 +62,7 @@ func exploreFull(cfg Config, opt Options) (*Result, [][]byte) {
 	nw := len(e.workers)
 	init := NewState(cfg)
 	w0 := e.workers[0]
-	enc := append([]byte(nil), w0.canon.canonical(init)...)
+	enc := w0.canon.canonical(init)
 	fresh, seen := []bool{false}, []bool{false}
 	e.table.insertBatch([]uint64{fingerprint(enc)}, fresh, seen)
 	e.pending.Store(1)
@@ -171,19 +171,20 @@ type engine struct {
 	workers  []*eworker
 }
 
-// eworker is one exploration worker: a mutex-guarded frontier deque (owner
+// eworker is one exploration worker: a mutex-guarded frontier (owner
 // pops newest from the tail, thieves take a batch from the head), a
 // per-worker canonicalizer, decode state, successor generator and
 // scratch, and local stat counters merged after the run.
 type eworker struct {
 	mu sync.Mutex
-	q  [][]byte
+	q  frontier
 
 	id        int
 	canon     *canonicalizer
-	st        State // the popped state, decoded in place
-	gen       gen   // successor states live until the next pop
-	arena     []byte
+	cur       []byte   // the popped encoding
+	loot      frontier // a stolen batch on its way to q
+	st        State    // the popped state, decoded in place
+	gen       gen      // successor states live until the next pop
 	flat      []byte
 	offs      []int
 	fps       []uint64
@@ -202,92 +203,97 @@ type eworker struct {
 	terminals   [][]byte // litmus mode: terminal-state encodings
 }
 
+// frontier is a queue of encodings stored back to back in one buffer
+// that is reused as entries leave: entry i starts at offs[i] and ends
+// where the next one starts (the last at len(buf)).
+type frontier struct {
+	buf  []byte
+	offs []int
+}
+
+func (f *frontier) len() int { return len(f.offs) }
+
+// push appends a copy of enc as the newest entry.
+func (f *frontier) push(enc []byte) {
+	f.offs = append(f.offs, len(f.buf))
+	f.buf = append(f.buf, enc...)
+}
+
+// pop removes the newest entry and appends it to dst.
+func (f *frontier) pop(dst []byte) []byte {
+	k := len(f.offs) - 1
+	start := f.offs[k]
+	dst = append(dst, f.buf[start:]...)
+	f.buf, f.offs = f.buf[:start], f.offs[:k]
+	return dst
+}
+
+// moveOldest moves the k oldest entries, in order, to the new end of to.
+func (f *frontier) moveOldest(k int, to *frontier) {
+	cut := len(f.buf)
+	if k < len(f.offs) {
+		cut = f.offs[k]
+	}
+	for _, o := range f.offs[:k] {
+		to.offs = append(to.offs, len(to.buf)+o)
+	}
+	to.buf = append(to.buf, f.buf[:cut]...)
+	f.buf = f.buf[:copy(f.buf, f.buf[cut:])]
+	f.offs = f.offs[:copy(f.offs, f.offs[k:])]
+	for i := range f.offs {
+		f.offs[i] -= cut
+	}
+}
+
+// push copies enc onto the worker's frontier.
 func (w *eworker) push(enc []byte) {
 	w.mu.Lock()
-	w.q = append(w.q, enc)
-	if len(w.q) > w.peak {
-		w.peak = len(w.q)
-	}
+	w.q.push(enc)
+	w.peak = max(w.peak, w.q.len())
 	w.mu.Unlock()
 }
 
-func (w *eworker) pop() []byte {
+// pop moves the newest frontier entry into w.cur and reports whether there
+// was one.
+func (w *eworker) pop() bool {
 	w.mu.Lock()
-	n := len(w.q)
-	if n == 0 {
-		w.mu.Unlock()
-		return nil
+	defer w.mu.Unlock()
+	if w.q.len() == 0 {
+		return false
 	}
-	enc := w.q[n-1]
-	w.q[n-1] = nil
-	w.q = w.q[:n-1]
-	w.mu.Unlock()
-	return enc
+	w.cur = w.q.pop(w.cur[:0])
+	return true
 }
 
-// stealInto moves up to half of v's frontier (head end, oldest first) into
-// w and returns one encoding to expand, or nil.
-func (w *eworker) stealInto(v *eworker) []byte {
+// stealInto moves up to half of v's frontier (head end, oldest first, at
+// most 256 entries) to the end of w's and reports whether it took any. The
+// batch passes through w.loot, so neither worker's lock is held while the
+// other's is taken.
+func (w *eworker) stealInto(v *eworker) bool {
 	v.mu.Lock()
-	n := len(v.q)
-	if n == 0 {
-		v.mu.Unlock()
-		return nil
-	}
-	take := (n + 1) / 2
-	if take > 256 {
-		take = 256
-	}
-	batch := make([][]byte, take)
-	copy(batch, v.q[:take])
-	rest := copy(v.q, v.q[take:])
-	for i := rest; i < n; i++ {
-		v.q[i] = nil
-	}
-	v.q = v.q[:rest]
+	take := min((v.q.len()+1)/2, 256)
+	v.q.moveOldest(take, &w.loot)
 	v.mu.Unlock()
-
-	enc := batch[0]
-	if len(batch) > 1 {
-		w.mu.Lock()
-		w.q = append(w.q, batch[1:]...)
-		if len(w.q) > w.peak {
-			w.peak = len(w.q)
-		}
-		w.mu.Unlock()
+	if take == 0 {
+		return false
 	}
-	return enc
-}
-
-// arenaCopy copies enc into the worker's chunked arena: frontier
-// encodings are small and extremely numerous, so individual allocations
-// would dominate; the arena amortizes them to one per 64 KiB.
-func (w *eworker) arenaCopy(enc []byte) []byte {
-	if len(w.arena) < len(enc) {
-		sz := 1 << 16
-		if sz < len(enc) {
-			sz = len(enc)
-		}
-		w.arena = make([]byte, sz)
-	}
-	n := copy(w.arena, enc)
-	out := w.arena[:n:n]
-	w.arena = w.arena[n:]
-	return out
+	w.mu.Lock()
+	w.loot.moveOldest(take, &w.q)
+	w.peak = max(w.peak, w.q.len())
+	w.mu.Unlock()
+	return true
 }
 
 func (e *engine) run(w *eworker) {
 	nw := len(e.workers)
 	idleSpins := 0
 	for {
-		enc := w.pop()
-		if enc == nil {
-			// Steal from the next workers round-robin.
-			for k := 1; k < nw && enc == nil; k++ {
-				enc = w.stealInto(e.workers[(w.id+k)%nw])
-			}
+		ok := w.pop()
+		// Steal from the next workers round-robin.
+		for k := 1; k < nw && !ok; k++ {
+			ok = w.stealInto(e.workers[(w.id+k)%nw]) && w.pop()
 		}
-		if enc == nil {
+		if !ok {
 			if e.pending.Load() == 0 || e.exceeded.Load() {
 				e.states.Add(int64(w.unflushed))
 				w.unflushed = 0
@@ -302,14 +308,15 @@ func (e *engine) run(w *eworker) {
 			continue
 		}
 		idleSpins = 0
-		e.expand(w, enc)
+		e.expand(w, w.cur)
 	}
 }
 
 // expand checks and expands one popped state. In steady state it
 // allocates nothing: the state decodes into w.st, its successors come
-// from w.gen's pool, and only fresh children are copied out (into the
-// arena) before the next pop reuses both.
+// from w.gen's pool, and only fresh children are copied out (onto the
+// frontier) before the next pop reuses both. enc is not kept: the
+// records that outlive the expansion copy it.
 func (e *engine) expand(w *eworker, enc []byte) {
 	st := &w.st
 	decodeInto(e.cfg, enc, st)
@@ -324,7 +331,7 @@ func (e *engine) expand(w *eworker, enc []byte) {
 	}
 
 	if inv := CheckInvariants(e.cfg, st); inv != "" {
-		w.violations = append(w.violations, violationRec{inv, enc})
+		w.violations = append(w.violations, violationRec{inv, bytes.Clone(enc)})
 		e.pending.Add(-1)
 		return
 	}
@@ -343,10 +350,10 @@ func (e *engine) expand(w *eworker, enc []byte) {
 	w.transitions += len(succs)
 	if len(succs) == 0 {
 		if e.cfg.Scripts != nil {
-			w.terminals = append(w.terminals, enc)
+			w.terminals = append(w.terminals, bytes.Clone(enc))
 		}
 		if !quiescent(st) {
-			w.deadlocks = append(w.deadlocks, violationRec{"deadlock-freedom", enc})
+			w.deadlocks = append(w.deadlocks, violationRec{"deadlock-freedom", bytes.Clone(enc)})
 		}
 		e.pending.Add(-1)
 		return
@@ -358,10 +365,10 @@ func (e *engine) expand(w *eworker, enc []byte) {
 	w.offs = w.offs[:0]
 	w.fps = w.fps[:0]
 	for _, sc := range succs {
-		c := w.canon.canonical(sc.State)
-		w.offs = append(w.offs, len(w.flat))
-		w.flat = append(w.flat, c...)
-		w.fps = append(w.fps, fingerprint(c))
+		start := len(w.flat)
+		w.offs = append(w.offs, start)
+		w.flat = w.canon.appendCanonical(w.flat, sc.State)
+		w.fps = append(w.fps, fingerprint(w.flat[start:]))
 	}
 	w.offs = append(w.offs, len(w.flat))
 	for len(w.fresh) < len(w.fps) {
@@ -375,11 +382,10 @@ func (e *engine) expand(w *eworker, enc []byte) {
 			w.dedup++
 			continue
 		}
-		child := w.arenaCopy(w.flat[w.offs[i]:w.offs[i+1]])
 		// Increment before push: pending only reaches zero when every
 		// enqueued state has been fully expanded.
 		e.pending.Add(1)
-		w.push(child)
+		w.push(w.flat[w.offs[i]:w.offs[i+1]])
 	}
 	e.pending.Add(-1)
 }
