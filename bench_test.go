@@ -217,7 +217,7 @@ func BenchmarkVerifyReachability(b *testing.B) {
 	cfg.MaxIssues = 2
 	cfg.DetThresh = 1
 	for i := 0; i < b.N; i++ {
-		res := mcheck.Explore(cfg, 0)
+		res := mcheck.ExploreOpts(cfg, mcheck.Options{})
 		if !res.Ok() {
 			b.Fatal("verification failed")
 		}

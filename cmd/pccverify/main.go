@@ -35,7 +35,6 @@ func main() {
 	issues := flag.Int("issues", 3, "bound on per-node request issues")
 	workers := flag.Int("workers", 0, "exploration workers (0 = GOMAXPROCS)")
 	maxStates := flag.Int("max-states", 0, "state-budget safety net (0 = unbounded; exceeding it fails)")
-	serial := flag.Bool("serial", false, "use the serial map-based reference checker")
 	nocanon := flag.Bool("nocanon", false, "disable symmetry reduction")
 	nodes := flag.Int("nodes", 0, "custom config: node count (enables custom mode)")
 	lines := flag.Int("lines", 0, "custom config: cache lines")
@@ -58,12 +57,7 @@ func main() {
 
 	run := func(label string, cfg mcheck.Config) {
 		t0 := time.Now()
-		var res *mcheck.Result
-		if *serial {
-			res = mcheck.ExploreSerial(cfg, *maxStates)
-		} else {
-			res = mcheck.ExploreOpts(cfg, opt)
-		}
+		res := mcheck.ExploreOpts(cfg, opt)
 		el := time.Since(t0)
 		status := "ok"
 		if !res.Ok() {
@@ -78,6 +72,9 @@ func main() {
 		fmt.Printf("  %-28s %s in %v  %s\n", label, res, el.Round(time.Millisecond), status)
 		fmt.Printf("    workers=%d states/s=%.0f dedup=%.3f peak-frontier=%d\n",
 			res.Workers, rate, dedup, res.PeakFrontier)
+		if res.Err != nil {
+			fmt.Printf("    %v\n", res.Err)
+		}
 		for i, v := range res.Violations {
 			if i >= 3 {
 				break
@@ -135,7 +132,7 @@ func main() {
 	}
 
 	fmt.Println("== litmus tests (all interleavings, coherence ordering) ==")
-	for _, f := range mcheck.StandardLitmusTests() {
+	for _, f := range mcheck.StandardLitmusTests(opt) {
 		res := f()
 		status := "ok"
 		if res.Err != nil {

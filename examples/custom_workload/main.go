@@ -72,7 +72,7 @@ func main() {
 		{"baseline write-invalidate", cfg},
 		{"with delegation + updates", cfg.With(pccsim.WithRAC(32), pccsim.WithDelegation(32), pccsim.WithSpeculativeUpdates(0))},
 	} {
-		m, err := pccsim.NewMachine(mech.cfg)
+		m, err := pccsim.New(mech.cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

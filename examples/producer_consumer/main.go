@@ -43,7 +43,7 @@ func buildRounds(nodes, rounds int) *pccsim.Program {
 }
 
 func run(cfg pccsim.Config, rounds int) *pccsim.Stats {
-	m, err := pccsim.NewMachine(cfg)
+	m, err := pccsim.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestAccessZeroAlloc(t *testing.T) {
 			setup: func(t *testing.T, sys *System) { access(t, sys, 0, local, false) },
 			run: func(sys *System, d *doneCounter) {
 				sys.Access(0, local, false, d, 0)
-				sys.Run()
+				drain(sys)
 			},
 			ran: func(b, a *stats.Stats, d *doneCounter, runs uint64) bool { return a.L1Hits-b.L1Hits >= runs },
 		},
@@ -47,7 +47,7 @@ func TestAccessZeroAlloc(t *testing.T) {
 			run: func(sys *System, d *doneCounter) {
 				sys.Hubs[0].l1.InvalidateRange(local, 128)
 				sys.Access(0, local+32, false, d, 0)
-				sys.Run()
+				drain(sys)
 			},
 			ran: func(b, a *stats.Stats, d *doneCounter, runs uint64) bool { return a.L2Hits-b.L2Hits >= runs },
 		},
@@ -68,7 +68,7 @@ func TestAccessZeroAlloc(t *testing.T) {
 				rl, _, _ := h.rc.Insert(remote, cache.Shared)
 				rl.Version = v
 				sys.Access(1, remote, false, d, 0)
-				sys.Run()
+				drain(sys)
 			},
 			ran: func(b, a *stats.Stats, d *doneCounter, runs uint64) bool { return a.RACHits-b.RACHits >= runs },
 		},
@@ -87,7 +87,7 @@ func TestAccessZeroAlloc(t *testing.T) {
 				h.l2.Invalidate(remote)
 				sys.Access(1, remote, false, d, 0)
 				sys.Access(1, remote+32, false, d, 0)
-				sys.Run()
+				drain(sys)
 			},
 			ran: func(b, a *stats.Stats, d *doneCounter, runs uint64) bool {
 				return uint64(d.n) >= 2*runs && a.Misses[stats.MissRemote2Hop]-b.Misses[stats.MissRemote2Hop] >= runs
@@ -100,7 +100,7 @@ func TestAccessZeroAlloc(t *testing.T) {
 				for n := msg.NodeID(1); n <= 8; n++ {
 					sys.Access(n, hot, true, d, 0)
 				}
-				sys.Run()
+				drain(sys)
 			},
 			ran: func(b, a *stats.Stats, d *doneCounter, runs uint64) bool {
 				return uint64(d.n) >= 8*runs && a.Retries-b.Retries >= runs
@@ -114,10 +114,10 @@ func TestAccessZeroAlloc(t *testing.T) {
 			},
 			run: func(sys *System, d *doneCounter) {
 				sys.Access(0, pc, true, d, 0)
-				sys.Run() // the write, then its delayed intervention
+				drain(sys) // the write, then its delayed intervention
 				sys.Access(1, pc, false, d, 0)
 				sys.Access(2, pc, false, d, 0)
-				sys.Run()
+				drain(sys)
 			},
 			ran: func(b, a *stats.Stats, d *doneCounter, runs uint64) bool {
 				return a.Interventions-b.Interventions >= runs && a.RACHits-b.RACHits >= runs

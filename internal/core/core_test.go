@@ -28,13 +28,21 @@ func newTestSystem(t *testing.T, cfg Config) *System {
 	return sys
 }
 
+// drain runs sys until its queue is empty under the configured watchdog;
+// a runaway panics with the watchdog's diagnosis.
+func drain(sys *System) {
+	if _, err := sys.RunGuarded(); err != nil {
+		panic(err)
+	}
+}
+
 // access issues one operation and drains the system, failing the test if
 // the operation never completes.
 func access(t *testing.T, sys *System, n msg.NodeID, addr msg.Addr, write bool) {
 	t.Helper()
 	done := &simtest.Recorder{}
 	sys.Access(n, addr, write, done, 7)
-	sys.Run()
+	drain(sys)
 	if len(done.Ops) != 1 || done.Ops[0] != 7 {
 		t.Fatalf("node %d %s of %#x completed with events %v, want one op 7", n, rw(write), uint64(addr), done.Ops)
 	}
@@ -361,7 +369,7 @@ func TestNackRetryUnderContention(t *testing.T) {
 	for n := msg.NodeID(1); n <= 8; n++ {
 		sys.Access(n, 0xd000, true, done, 0)
 	}
-	sys.Run()
+	drain(sys)
 	if len(done.Ops) != 8 {
 		t.Fatalf("%d of 8 concurrent writes completed", len(done.Ops))
 	}
@@ -387,7 +395,7 @@ func TestReloadFlurry(t *testing.T) {
 	for n := msg.NodeID(1); n < 16; n++ {
 		sys.Access(n, 0xe000, false, simtest.Func(func() { done++ }), 0)
 	}
-	sys.Run()
+	drain(sys)
 	if done != 15 {
 		t.Fatalf("%d of 15 flurry reads completed", done)
 	}
@@ -495,10 +503,10 @@ func TestRandomStress(t *testing.T) {
 				issued++
 				sys.Access(n, addr, write, simtest.Func(func() { completed++ }), 0)
 				if rng.Intn(4) == 0 {
-					sys.Run() // drain sometimes; otherwise overlap
+					drain(sys) // drain sometimes; otherwise overlap
 				}
 			}
-			sys.Run()
+			drain(sys)
 			if completed != issued {
 				t.Fatalf("%d of %d accesses completed", completed, issued)
 			}
@@ -537,10 +545,10 @@ func TestRandomStressManyLines(t *testing.T) {
 				issued++
 				sys.Access(n, addr, write, simtest.Func(func() { completed++ }), 0)
 				if rng.Intn(3) == 0 {
-					sys.Run()
+					drain(sys)
 				}
 			}
-			sys.Run()
+			drain(sys)
 			if completed != issued {
 				t.Fatalf("%d of %d accesses completed", completed, issued)
 			}

@@ -125,7 +125,7 @@ func TestUpgradeRaceFallsBackToGetExcl(t *testing.T) {
 	done := 0
 	sys.Access(1, addr, true, simtest.Func(func() { done++ }), 0)
 	sys.Access(2, addr, true, simtest.Func(func() { done++ }), 0)
-	sys.Run()
+	drain(sys)
 	if done != 2 {
 		t.Fatalf("%d of 2 racing upgrades completed", done)
 	}
@@ -249,7 +249,7 @@ func TestReloadFlurryWithUpdates(t *testing.T) {
 				}
 				sys.Access(n, addr, false, simtest.Func(func() { done++ }), 0)
 			}
-			sys.Run()
+			drain(sys)
 			if done != 14 {
 				t.Fatalf("flurry incomplete: %d", done)
 			}

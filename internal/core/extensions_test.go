@@ -50,7 +50,7 @@ func TestAdaptiveDelayRecoversFromTooLong(t *testing.T) {
 			}), 0)
 		}
 		round(0)
-		sys.Run()
+		drain(sys)
 		if finished != rounds {
 			t.Fatal("round chain did not complete")
 		}
@@ -110,7 +110,7 @@ func TestAdaptiveDelayGrowsOnBurstInterruption(t *testing.T) {
 			}), 0)
 		}
 		round(0)
-		sys.Run()
+		drain(sys)
 		if !finished {
 			t.Fatal("round chain did not complete")
 		}
@@ -204,10 +204,10 @@ func TestAdaptiveDelayStress(t *testing.T) {
 		issued++
 		sys.Access(n, addr, write, simtest.Func(func() { completed++ }), 0)
 		if step%4 == 0 {
-			sys.Run()
+			drain(sys)
 		}
 	}
-	sys.Run()
+	drain(sys)
 	if completed != issued {
 		t.Fatalf("%d of %d accesses completed", completed, issued)
 	}

@@ -47,7 +47,7 @@ func TestSelfInvalidateConverts3HopTo2Hop(t *testing.T) {
 			}), 0)
 		}
 		round(0)
-		sys.Run()
+		drain(sys)
 		if !finished {
 			t.Fatal("round chain incomplete")
 		}
@@ -108,7 +108,7 @@ func TestSelfInvalidateCrossingRead(t *testing.T) {
 			sys.Access(1, addr, false, simtest.Func(func() { done++ }), 0)
 		})
 	}), 0)
-	sys.Run()
+	drain(sys)
 	if done != 1 {
 		t.Fatal("crossing read never completed")
 	}
@@ -140,7 +140,7 @@ func TestSelfInvalidateCrossingWrite(t *testing.T) {
 			sys.Access(5, addr, true, simtest.Func(func() { done++ }), 0)
 		})
 	}), 0)
-	sys.Run()
+	drain(sys)
 	if done != 1 {
 		t.Fatal("crossing write never completed")
 	}
@@ -167,10 +167,10 @@ func TestSelfInvalidateStress(t *testing.T) {
 		issued++
 		sys.Access(n, addr, write, simtest.Func(func() { completed++ }), 0)
 		if step%4 == 0 {
-			sys.Run()
+			drain(sys)
 		}
 	}
-	sys.Run()
+	drain(sys)
 	if completed != issued {
 		t.Fatalf("%d of %d accesses completed", completed, issued)
 	}

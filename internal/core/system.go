@@ -316,16 +316,6 @@ func (s *System) Access(n msg.NodeID, addr msg.Addr, write bool, done sim.MsgHan
 	s.Hubs[n].Access(addr, write, done, op)
 }
 
-// Run drains the event queue and returns the finishing time.
-func (s *System) Run() sim.Time {
-	if s.grp != nil {
-		t := s.grp.Run()
-		s.flushShardObs()
-		return t
-	}
-	return s.Eng.Run()
-}
-
 // RunGuarded drains the event queue under the configured watchdog budget
 // (Config.WatchdogSteps; 0 = unlimited), notifying the Observer around the
 // loop. On a runaway it returns the wrapped *sim.RunawayError with the

@@ -33,10 +33,10 @@ func TestWideFuzz(t *testing.T) {
 			write := rng.Intn(3) == 0
 			sys.Access(node, addr, write, simtest.Func(func() { n++ }), 0)
 			if rng.Intn(3) == 0 {
-				sys.Run()
+				drain(sys)
 			}
 		}
-		sys.Run()
+		drain(sys)
 		if n != 2500 {
 			t.Fatalf("seed %d: %d/2500 completed", seed, n)
 		}

@@ -1,21 +1,36 @@
 package mcheck
 
 import (
+	"errors"
 	"fmt"
-	"strings"
 )
 
-// Violation is one invariant failure with its counterexample trace.
+// Violation is one invariant failure: the invariant's name and the
+// violating state. The exploration stores no paths; TraceTo reconstructs
+// a counterexample's rule path from the initial state.
 type Violation struct {
 	Invariant string
 	State     *State
-	Trace     []string // rule labels from the initial state
 }
 
-func (v *Violation) Error() string {
-	return fmt.Sprintf("mcheck: %s violated in state %s (trace: %s)",
-		v.Invariant, v.State, strings.Join(v.Trace, " ; "))
+// ErrStateBound is the class sentinel of a search stopped by
+// Options.MaxStates: any *StateBoundError satisfies
+// errors.Is(err, ErrStateBound).
+var ErrStateBound = errors.New("mcheck: state bound exceeded")
+
+// StateBoundError reports a search that expanded more than Bound states
+// and stopped before its fixpoint. A truncated search proves nothing, so
+// the Result carrying it is never Ok.
+type StateBoundError struct {
+	Bound  int // Options.MaxStates
+	States int // states expanded before the workers stopped
 }
+
+func (e *StateBoundError) Error() string {
+	return fmt.Sprintf("%v: bound %d, stopped after %d states", ErrStateBound, e.Bound, e.States)
+}
+
+func (e *StateBoundError) Unwrap() error { return ErrStateBound }
 
 // Progress, when non-nil, receives periodic exploration progress
 // (states expanded, frontier size, visited size).
@@ -39,13 +54,19 @@ type Result struct {
 	// stats line and the benchmark's mcheck metrics.
 	DedupHits    int
 	PeakFrontier int
-	// Workers records how many exploration workers ran (1 for the serial
-	// reference checker).
+	// Workers records how many exploration workers ran.
 	Workers int
+	// Err is non-nil when the search stopped before its fixpoint: a
+	// *StateBoundError when Options.MaxStates cut it short. The counts
+	// then cover only the states expanded before the stop.
+	Err error
 }
 
-// Ok reports whether the analysis found no violations and no deadlocks.
-func (r *Result) Ok() bool { return len(r.Violations) == 0 && len(r.Deadlocks) == 0 }
+// Ok reports whether the analysis reached its fixpoint and found no
+// violations and no deadlocks.
+func (r *Result) Ok() bool {
+	return r.Err == nil && len(r.Violations) == 0 && len(r.Deadlocks) == 0
+}
 
 func (r *Result) String() string {
 	return fmt.Sprintf("states=%d transitions=%d violations=%d deadlocks=%d",
@@ -60,72 +81,6 @@ func delegatedAnywhere(s *State) bool {
 		}
 	}
 	return false
-}
-
-// ExploreSerial runs the reference breadth-first exhaustive reachability
-// analysis from the initial state: single-threaded, map-keyed visited set,
-// no symmetry reduction. It is the oracle the parallel engine is tested
-// against (Explore in parallel.go is the production path). maxStates
-// bounds the search as a safety net (0 = unbounded); exceeding it panics,
-// since a truncated verification proves nothing. To keep the search
-// memory-lean no traces are stored; a violation's counterexample path can
-// be reconstructed with TraceTo.
-func ExploreSerial(cfg Config, maxStates int) *Result {
-	res := &Result{Workers: 1}
-	init := NewState(cfg)
-	visited := map[string]struct{}{init.Key(): {}}
-	queue := []*State{init}
-
-	for len(queue) > 0 {
-		st := queue[0]
-		queue[0] = nil
-		queue = queue[1:]
-		res.States++
-		if len(queue) > res.PeakFrontier {
-			res.PeakFrontier = len(queue)
-		}
-		if Progress != nil && res.States%1_000_000 == 0 {
-			Progress(res.States, len(queue), len(visited))
-		}
-		if maxStates > 0 && res.States > maxStates {
-			panic(fmt.Sprintf("mcheck: state bound %d exceeded (%s)", maxStates, res))
-		}
-
-		if inv := CheckInvariants(cfg, st); inv != "" {
-			res.Violations = append(res.Violations, &Violation{inv, st, nil})
-			if len(res.Violations) >= 8 {
-				return res
-			}
-			continue
-		}
-		for _, q := range st.Ch {
-			if len(q) > res.MaxQueue {
-				res.MaxQueue = len(q)
-			}
-		}
-		if delegatedAnywhere(st) {
-			res.Delegated++
-		}
-
-		succs := Successors(cfg, st)
-		res.Transitions += len(succs)
-		if len(succs) == 0 {
-			if !quiescent(st) {
-				res.Deadlocks = append(res.Deadlocks, &Violation{"deadlock-freedom", st, nil})
-			}
-			continue
-		}
-		for _, sc := range succs {
-			k := sc.State.Key()
-			if _, ok := visited[k]; ok {
-				res.DedupHits++
-				continue
-			}
-			visited[k] = struct{}{}
-			queue = append(queue, sc.State)
-		}
-	}
-	return res
 }
 
 // TraceTo reconstructs a rule path from the initial state to target, for
@@ -274,30 +229,12 @@ func checkLineInvariants(s *State, l int) string {
 	if (h.Dir == DU || h.Dir == DS) && h.MemVal != latest {
 		return fmt.Sprintf("directory (home %s memory v%d, latest v%d)", h.Dir, h.MemVal, latest)
 	}
-	// An exclusive holder must be the directory's (or the delegated
-	// entry's) registered owner.
-	if owner >= 0 {
-		legit := false
-		if h.Dir == DE && int(h.Owner) == owner {
-			legit = true
-		}
-		if h.Dir == DBS || h.Dir == DBX { // transfer in progress away from owner
-			legit = true
-		}
-		if h.Dir == DD {
-			p := s.node(l, int(h.Owner))
-			if int(h.Owner) == owner {
-				legit = true
-			} else if p.HasProd && p.PDir == DE {
-				legit = false // delegated entry says producer owns it, someone else is E
-			}
-		}
-		if h.Dir == DD && int(h.Owner) == owner {
-			legit = true
-		}
-		if !legit && h.Dir != DD {
-			return fmt.Sprintf("directory (node %d exclusive, home %s owner %d)", owner, h.Dir, h.Owner)
-		}
+	// An exclusive holder must be the registered owner of an exclusive
+	// or delegated entry. A busy entry is mid-transfer away from its
+	// owner; a delegated producer never grants E to another node (a
+	// consumer's GetX undelegates first).
+	if owner >= 0 && (h.Dir == DE || h.Dir == DD) && int(h.Owner) != owner {
+		return fmt.Sprintf("directory (node %d exclusive, home %s owner %d)", owner, h.Dir, h.Owner)
 	}
 
 	// Invariant 4 — delegation consistency: while the home is in DELE,

@@ -2,6 +2,8 @@ package mcheck
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -168,21 +170,54 @@ func TestExpandZeroAlloc(t *testing.T) {
 }
 
 // TestDeepConfigCounts pins DeepConfig's exploration exactly at 1 and 2
-// workers: the symmetry-reduced fixpoint with no violation and no
-// deadlock. Under the race detector the CI's deep-only verification run
-// covers the same exploration, so the pin runs only without it.
+// workers: the symmetry-reduced fixpoint with no violation, no deadlock
+// and no error, down to Result.String, which the benchmark reports as the
+// run's digest. Under the race detector the CI's deep-only verification
+// run covers the same exploration, so the pin runs only without it.
 func TestDeepConfigCounts(t *testing.T) {
 	if raceEnabled {
 		t.Skip("covered by the race build's deep-only verification run")
 	}
+	const want = "states=404959 transitions=1140232 violations=0 deadlocks=0"
 	for _, workers := range []int{1, 2} {
 		r := ExploreOpts(DeepConfig(), Options{Workers: workers})
-		if r.States != 404_959 || r.Transitions != 1_140_232 ||
-			len(r.Violations) != 0 || len(r.Deadlocks) != 0 {
-			t.Errorf("workers=%d: %s; want states=404959 transitions=1140232 violations=0 deadlocks=0",
-				workers, r)
+		if r.String() != want || r.Err != nil || !r.Ok() {
+			t.Errorf("workers=%d: %s, err %v; want %s and no error", workers, r, r.Err, want)
 		}
 	}
+}
+
+// TestMaxStatesStopsSearch: a state bound far below DeepConfig's fixpoint
+// stops every worker within one 1,024-state flush of the crossing and
+// reports the truncation as an error, never as a verdict.
+func TestMaxStatesStopsSearch(t *testing.T) {
+	const bound = 50_000
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			r := ExploreOpts(DeepConfig(), Options{Workers: workers, MaxStates: bound})
+			if !errors.Is(r.Err, ErrStateBound) {
+				t.Fatalf("err %v, want ErrStateBound", r.Err)
+			}
+			var sb *StateBoundError
+			if !errors.As(r.Err, &sb) || sb.Bound != bound || sb.States != r.States {
+				t.Errorf("err %#v, want Bound %d and States %d", r.Err, bound, r.States)
+			}
+			if r.States <= bound || r.States > bound+1_024*workers {
+				t.Errorf("stopped after %d states, want (%d, %d]", r.States, bound, bound+1_024*workers)
+			}
+			if r.Ok() {
+				t.Error("a truncated search reports Ok")
+			}
+		})
+	}
+	t.Run("litmus", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.Scripts = StandardLitmusShapes()[2].Scripts // PC-rounds, far past the bound
+		r := Litmus("PC-rounds", cfg, monotonic, Options{Workers: 1, MaxStates: 1_000})
+		if !errors.Is(r.Err, ErrStateBound) || r.Outcomes != 0 {
+			t.Errorf("err %v, %d outcomes; want ErrStateBound and no outcome checked", r.Err, r.Outcomes)
+		}
+	})
 }
 
 // TestFingerprint: the hash never returns the visited table's empty-slot

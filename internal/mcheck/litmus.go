@@ -11,27 +11,27 @@ type LitmusResult struct {
 }
 
 // Litmus explores every interleaving of the scripted programs in
-// cfg.Scripts and calls check on the observation vector of each terminal
-// state (per node, the versions its reads returned in program order; a
-// script stalled by the issue bound contributes its prefix).
-func Litmus(name string, cfg Config, check func(obs [][]int8) error) *LitmusResult {
-	return LitmusOpts(name, cfg, check, Options{})
-}
-
-// LitmusOpts is Litmus on the parallel engine with explicit Options. The
-// verdict is deterministic at any worker count: the exploration runs to
-// its fixpoint, terminal states are visited in canonical-encoding order,
-// and an invariant violation is reported from the lexicographically
-// smallest violating state, so the error text — including the embedded
-// state — is identical at workers=1 and workers=N. (Litmus mode never
-// applies symmetry reduction; the scripts distinguish the nodes.)
-func LitmusOpts(name string, cfg Config, check func(obs [][]int8) error, opt Options) *LitmusResult {
+// cfg.Scripts on the parallel engine and calls check on the observation
+// vector of each terminal state (per node, the versions its reads returned
+// in program order; a script stalled by the issue bound contributes its
+// prefix). The verdict is deterministic at any worker count: the
+// exploration runs to its fixpoint, terminal states are visited in
+// canonical-encoding order, and an invariant violation is reported from
+// the lexicographically smallest violating state, so the error text —
+// including the embedded state — is identical at workers=1 and workers=N.
+// (Litmus mode never applies symmetry reduction; the scripts distinguish
+// the nodes.)
+func Litmus(name string, cfg Config, check func(obs [][]int8) error, opt Options) *LitmusResult {
 	if cfg.Scripts == nil {
 		panic("mcheck: Litmus needs cfg.Scripts")
 	}
 	res := &LitmusResult{Name: name}
 	r, terms := exploreFull(cfg, opt)
 	res.States = r.States
+	if r.Err != nil {
+		res.Err = fmt.Errorf("litmus %s: %w", name, r.Err)
+		return res
+	}
 	if len(r.Violations) > 0 {
 		v := r.Violations[0]
 		res.Err = fmt.Errorf("litmus %s: invariant %s in %s", name, v.Invariant, v.State)
@@ -111,9 +111,9 @@ func StandardLitmusShapes() []LitmusShape {
 }
 
 // StandardLitmusTests returns the suite run by cmd/pccverify: the standard
-// shapes, each explored under the full protocol with delegation and
-// updates enabled (and once disabled, as a control).
-func StandardLitmusTests() []func() *LitmusResult {
+// shapes, each explored with opt under the full protocol with delegation
+// and updates enabled (and once disabled, as a control).
+func StandardLitmusTests(opt Options) []func() *LitmusResult {
 	mk := func(name string, deleg bool, scripts [][]LitOp, check func([][]int8) error) func() *LitmusResult {
 		return func() *LitmusResult {
 			cfg := DefaultConfig()
@@ -121,7 +121,7 @@ func StandardLitmusTests() []func() *LitmusResult {
 			cfg.MaxIssues = 6
 			cfg.Delegation = deleg
 			cfg.Scripts = scripts
-			return Litmus(name, cfg, check)
+			return Litmus(name, cfg, check, opt)
 		}
 	}
 	var tests []func() *LitmusResult

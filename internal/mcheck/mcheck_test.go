@@ -1,6 +1,7 @@
 package mcheck
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -16,7 +17,7 @@ func small() Config {
 func TestExploreBaseProtocol(t *testing.T) {
 	cfg := small()
 	cfg.Delegation = false
-	res := Explore(cfg, 0)
+	res := ExploreOpts(cfg, Options{})
 	t.Logf("base: %s", res)
 	if !res.Ok() {
 		for _, v := range res.Violations {
@@ -38,7 +39,7 @@ func TestExploreWithDelegation(t *testing.T) {
 	cfg.MaxWrites = 2
 	cfg.MaxIssues = 2
 	cfg.DetThresh = 1
-	res := Explore(cfg, 0)
+	res := ExploreOpts(cfg, Options{})
 	t.Logf("delegation+updates: %s (delegated states: %d)", res, res.Delegated)
 	if res.Delegated == 0 {
 		t.Fatal("exploration never reached a delegated state")
@@ -67,7 +68,7 @@ func TestExploreTwoNodes(t *testing.T) {
 	cfg.Nodes = 2
 	cfg.MaxWrites = 3
 	cfg.MaxIssues = 4
-	res := Explore(cfg, 0)
+	res := ExploreOpts(cfg, Options{})
 	t.Logf("2 nodes: %s", res)
 	if !res.Ok() {
 		t.Fatalf("2-node exploration failed: %s", res)
@@ -78,7 +79,7 @@ func TestLitmusSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("litmus suite takes ~10s")
 	}
-	for _, f := range StandardLitmusTests() {
+	for _, f := range StandardLitmusTests(Options{}) {
 		res := f()
 		t.Logf("%s: states=%d outcomes=%d", res.Name, res.States, res.Outcomes)
 		if res.Err != nil {
@@ -113,6 +114,20 @@ func TestInvariantsDetectCorruption(t *testing.T) {
 	s.H[0].Dir = DS
 	if inv := CheckInvariants(cfg, s); !strings.Contains(inv, "directory") {
 		t.Fatalf("dir inconsistency not detected: %q", inv)
+	}
+
+	// An exclusive holder other than the owner the home records, with the
+	// line exclusive at the home or delegated to a producer.
+	for _, dir := range []DirState{DE, DD} {
+		s = NewState(cfg)
+		s.N[2].Cache = CE
+		s.H[0].Dir = dir
+		s.H[0].Owner = 1
+		s.N[1].HasProd = dir == DD
+		want := fmt.Sprintf("directory (node 2 exclusive, home %s owner 1)", dir)
+		if inv := CheckInvariants(cfg, s); inv != want {
+			t.Errorf("home %s: got %q, want %q", dir, inv, want)
+		}
 	}
 }
 
@@ -195,7 +210,7 @@ func TestTraceTo(t *testing.T) {
 func BenchmarkVerifyReachability(b *testing.B) {
 	cfg := small()
 	for i := 0; i < b.N; i++ {
-		res := Explore(cfg, 0)
+		res := ExploreOpts(cfg, Options{})
 		if !res.Ok() {
 			b.Fatal("verification failed")
 		}

@@ -256,8 +256,9 @@ func DefaultConfig() Config {
 // is reachable within the write bound, and a global issue budget that
 // keeps the space explorable to a fixpoint (404,959 canonical states)
 // inside the CI budget, race detector included. One step looser bounds
-// (MaxTotalIssues: 5) exceed 9M canonical states; without the global
-// budget the 3-node × 2-line space alone passes 26M.
+// (MaxTotalIssues: 5) reach a clean fixpoint of 9,073,482 canonical states
+// (29,878,735 transitions, ~20 s at 2 workers); without the global budget
+// the 3-node × 2-line space alone passes 26M.
 func DeepConfig() Config {
 	return Config{Nodes: 4, Lines: 2, MaxWrites: 2, QueueDepth: 2,
 		Delegation: true, DetThresh: 1, MaxIssues: 2, MaxTotalIssues: 4}

@@ -2,7 +2,6 @@ package mcheck
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -14,21 +13,16 @@ import (
 type Options struct {
 	// Workers is the exploration worker count; 0 means GOMAXPROCS.
 	Workers int
-	// MaxStates bounds the search as a safety net (0 = unbounded);
-	// exceeding it panics, since a truncated verification proves nothing.
+	// MaxStates bounds the search as a safety net (0 = unbounded). Once
+	// more states than this have been expanded every worker stops, each
+	// after at most 1,024 further states, and the Result carries a
+	// *StateBoundError: a truncated verification proves nothing.
 	MaxStates int
 	// NoCanon disables symmetry reduction so state counts are comparable
-	// with the serial reference checker (oracle tests, throughput
-	// baselines). Litmus mode always runs without reduction — scripts
-	// distinguish the nodes.
+	// with a plain breadth-first search over concrete states (oracle
+	// tests, throughput baselines). Litmus mode always runs without
+	// reduction — scripts distinguish the nodes.
 	NoCanon bool
-}
-
-// Explore runs the parallel reachability engine at GOMAXPROCS workers with
-// symmetry reduction on — the production entry point, same contract as the
-// old serial Explore.
-func Explore(cfg Config, maxStates int) *Result {
-	return ExploreOpts(cfg, Options{MaxStates: maxStates})
 }
 
 // maxReported bounds how many violations/deadlocks a Result carries (the
@@ -44,18 +38,19 @@ const maxReported = 8
 // verdict-bearing number (States, Transitions, Delegated, MaxQueue,
 // DedupHits, violation and deadlock sets), is a property of the state
 // graph, not of scheduling — any worker count reports identical values.
-// Unlike the serial checker, the engine does not stop at the first few
-// violations: violating states are not expanded, but the exploration runs
-// to its fixpoint and then reports the lexicographically smallest
-// canonical violations, so the chosen counterexample is stable across
-// worker counts too. Only PeakFrontier is schedule-dependent.
+// The engine does not stop at the first few violations: violating states
+// are not expanded, but the exploration runs to its fixpoint and then
+// reports the lexicographically smallest canonical violations, so the
+// chosen counterexample is stable across worker counts too. Only
+// PeakFrontier is schedule-dependent, and, under Options.MaxStates, the
+// counts of a search the bound stopped.
 func ExploreOpts(cfg Config, opt Options) *Result {
 	res, _ := exploreFull(cfg, opt)
 	return res
 }
 
 // exploreFull is ExploreOpts plus, in litmus mode, the sorted canonical
-// encodings of every terminal state (LitmusOpts checks their observation
+// encodings of every terminal state (Litmus checks their observation
 // vectors in deterministic order).
 func exploreFull(cfg Config, opt Options) (*Result, [][]byte) {
 	e := newEngine(cfg, opt)
@@ -106,7 +101,7 @@ func exploreFull(cfg Config, opt Options) (*Result, [][]byte) {
 		terms = append(terms, w.terminals...)
 	}
 	if e.exceeded.Load() {
-		panic(fmt.Sprintf("mcheck: state bound %d exceeded (states=%d)", opt.MaxStates, res.States))
+		res.Err = &StateBoundError{Bound: opt.MaxStates, States: res.States}
 	}
 	res.Violations = e.report(viols)
 	res.Deadlocks = e.report(dead)
@@ -284,19 +279,28 @@ func (w *eworker) stealInto(v *eworker) bool {
 	return true
 }
 
+// run pops, steals and expands until the frontier is empty everywhere or,
+// under a state bound, until some worker has counted past it. The bound
+// is checked before every pop, so a worker stops within one flush (1,024
+// states) of the crossing.
 func (e *engine) run(w *eworker) {
+	defer func() {
+		e.states.Add(int64(w.unflushed))
+		w.unflushed = 0
+	}()
 	nw := len(e.workers)
 	idleSpins := 0
 	for {
+		if e.opt.MaxStates > 0 && e.exceeded.Load() {
+			return
+		}
 		ok := w.pop()
 		// Steal from the next workers round-robin.
 		for k := 1; k < nw && !ok; k++ {
 			ok = w.stealInto(e.workers[(w.id+k)%nw]) && w.pop()
 		}
 		if !ok {
-			if e.pending.Load() == 0 || e.exceeded.Load() {
-				e.states.Add(int64(w.unflushed))
-				w.unflushed = 0
+			if e.pending.Load() == 0 {
 				return
 			}
 			idleSpins++

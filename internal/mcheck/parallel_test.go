@@ -90,7 +90,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		// 3 nodes × 2 lines: cross-line channel interleavings.
 		{Nodes: 3, Lines: 2, MaxWrites: 2, QueueDepth: 2, Delegation: true, DetThresh: 1, MaxIssues: 1},
 	} {
-		want := ExploreSerial(cfg, 0)
+		want := exploreSerial(cfg)
 		for _, workers := range []int{1, 2, 4} {
 			got := ExploreOpts(cfg, Options{Workers: workers, NoCanon: true})
 			if got.States != want.States || got.Transitions != want.Transitions ||
@@ -120,7 +120,7 @@ func TestBenchConfigCounts(t *testing.T) {
 	}
 	check("engine, 2 workers, no canon", ExploreOpts(cfg, Options{Workers: 2, NoCanon: true}), 1_140_851, 3_036_164)
 	if !raceEnabled {
-		check("serial", ExploreSerial(cfg, 0), 1_140_851, 3_036_164)
+		check("serial", exploreSerial(cfg), 1_140_851, 3_036_164)
 	}
 	check("engine, canonical", ExploreOpts(cfg, Options{Workers: 2}), 285_914, 761_537)
 }
@@ -188,7 +188,7 @@ func TestDeterministicLitmusFailureSelection(t *testing.T) {
 		cfg.MaxWrites = 3
 		cfg.MaxIssues = 6
 		cfg.Scripts = shape.Scripts
-		res := LitmusOpts("corr-reject", cfg, reject, Options{Workers: workers})
+		res := Litmus("corr-reject", cfg, reject, Options{Workers: workers})
 		if res.Err == nil {
 			t.Fatal("expected a rejected outcome")
 		}
@@ -211,8 +211,8 @@ func TestLitmusWorkersEquivalent(t *testing.T) {
 		cfg.MaxWrites = 2
 		cfg.MaxIssues = 4
 		cfg.Scripts = sh.Scripts
-		one := LitmusOpts(sh.Name, cfg, monotonic, Options{Workers: 1})
-		many := LitmusOpts(sh.Name, cfg, monotonic, Options{Workers: 4})
+		one := Litmus(sh.Name, cfg, monotonic, Options{Workers: 1})
+		many := Litmus(sh.Name, cfg, monotonic, Options{Workers: 4})
 		if one.States != many.States || one.Outcomes != many.Outcomes ||
 			(one.Err == nil) != (many.Err == nil) {
 			t.Fatalf("%s: workers=1 %+v != workers=4 %+v", sh.Name, one, many)
@@ -258,7 +258,7 @@ func TestVisitedTableBasics(t *testing.T) {
 func BenchmarkExploreSerialMap(b *testing.B) {
 	cfg := small()
 	for i := 0; i < b.N; i++ {
-		if r := ExploreSerial(cfg, 0); !r.Ok() {
+		if r := exploreSerial(cfg); !r.Ok() {
 			b.Fatal("verification failed")
 		}
 	}

@@ -40,7 +40,7 @@ func TestShardedCrossShardDelivery(t *testing.T) {
 	if f := n.InFlight(); f != 1 {
 		t.Fatalf("InFlight = %d before the barrier, want 1", f)
 	}
-	grp.Run()
+	grp.RunGuarded(0)
 	// The same pricing as TestDeliveryLatency on one engine.
 	if want := sim.Time(4 + 200 + 4); at != want {
 		t.Fatalf("delivered at %d, want %d", at, want)
@@ -86,7 +86,7 @@ func TestShardedChaosPerShard(t *testing.T) {
 	})
 	n.Register(8, func(m *msg.Message) { t.Fatalf("bounced request reached node 8: %s", m) })
 	n.Send(&msg.Message{Type: msg.GetShared, Src: 0, Dst: 8, Requester: 0})
-	grp.Run()
+	grp.RunGuarded(0)
 	// Jitter comes from the sender's shard and Verdict from the
 	// receiver's, for the request and for the NACK that bounces back.
 	if src.jitters != 1 || src.verdicts != 1 || dst.jitters != 1 || dst.verdicts != 1 {
@@ -118,7 +118,7 @@ func TestShardedObsPerShard(t *testing.T) {
 	for _, p := range [][2]msg.NodeID{{0, 8}, {3, 5}, {9, 1}, {12, 12}} {
 		n.Send(&msg.Message{Type: msg.GetShared, Src: p[0], Dst: p[1]})
 	}
-	grp.Run()
+	grp.RunGuarded(0)
 	for s, sink := range sinks {
 		if sink.Total() != 2 {
 			t.Fatalf("shard %d sink saw %d sends, want 2", s, sink.Total())

@@ -347,15 +347,6 @@ type MsgCount struct {
 	Count int
 }
 
-// ForEachPending visits every queued event in the wheel and the far heap,
-// in no particular order. m is nil for message-less events. The visit
-// callback must not schedule or run events. Intended for post-mortem
-// diagnostics (the watchdog census); it walks the live queue without
-// disturbing it.
-func (e *Engine) ForEachPending(visit func(at Time, m *msg.Message)) {
-	e.eachPending(func(at Time, ev *event) { visit(at, ev.m) })
-}
-
 // eachPending visits every queued event with its due cycle.
 func (e *Engine) eachPending(visit func(at Time, ev *event)) {
 	for i := range e.buckets {
@@ -512,24 +503,6 @@ func (e *Engine) RunWindow(deadline Time, budget uint64) uint64 {
 // barrier that delivers the work (see NewGroup). It changes no event's
 // order or timing.
 func (e *Engine) CutWindow() { e.cut = true }
-
-// RunUntil executes events with timestamps <= deadline. It reports whether
-// the queue drained (true) or the deadline cut the run short (false).
-func (e *Engine) RunUntil(deadline Time) bool {
-	for e.step(deadline) {
-	}
-	return e.Pending() == 0
-}
-
-// RunSteps executes at most n events, reporting whether the queue drained.
-func (e *Engine) RunSteps(n uint64) bool {
-	for i := uint64(0); i < n; i++ {
-		if !e.Step() {
-			return true
-		}
-	}
-	return e.Pending() == 0
-}
 
 // farHeap is the overflow queue for events beyond the wheel window: a plain
 // binary min-heap on (at, seq), value-typed so pushes and pops churn no

@@ -80,14 +80,14 @@ func TestRunUntil(t *testing.T) {
 		tm := tm
 		at(e, tm, func() { fired = append(fired, tm) })
 	}
-	if e.RunUntil(12) {
-		t.Fatal("RunUntil(12) reported drained with events pending")
+	if n := e.RunWindow(12, 0); n != 2 || e.Pending() != 2 {
+		t.Fatalf("RunWindow(12) ran %d events, %d pending; want 2 and 2", n, e.Pending())
 	}
-	if len(fired) != 2 {
-		t.Fatalf("fired %v, want events at 5 and 10 only", fired)
+	if len(fired) != 2 || e.Now() != 10 {
+		t.Fatalf("fired %v, now %d; want events at 5 and 10 only", fired, e.Now())
 	}
-	if !e.RunUntil(100) {
-		t.Fatal("RunUntil(100) should drain")
+	if n := e.RunWindow(100, 0); n != 2 || e.Pending() != 0 {
+		t.Fatalf("RunWindow(100) ran %d events, %d pending; want 2 and drained", n, e.Pending())
 	}
 	if len(fired) != 4 {
 		t.Fatalf("fired %v, want 4 events", fired)
@@ -100,14 +100,14 @@ func TestRunSteps(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		at(e, Time(i), func() { count++ })
 	}
-	if e.RunSteps(4) {
-		t.Fatal("RunSteps(4) reported drained")
+	if n := e.RunWindow(^Time(0), 4); n != 4 || e.Pending() != 6 {
+		t.Fatalf("budget 4 ran %d events, %d pending; want 4 and 6", n, e.Pending())
 	}
 	if count != 4 {
 		t.Fatalf("count = %d, want 4", count)
 	}
-	if !e.RunSteps(100) {
-		t.Fatal("RunSteps(100) should drain")
+	if n := e.RunWindow(^Time(0), 100); n != 6 || e.Pending() != 0 {
+		t.Fatalf("budget 100 ran %d events, %d pending; want 6 and drained", n, e.Pending())
 	}
 }
 

@@ -35,8 +35,6 @@ package sim
 import (
 	"sync"
 	"sync/atomic"
-
-	"pccsim/internal/msg"
 )
 
 // Group coordinates a set of shard Engines through conservative time
@@ -142,7 +140,7 @@ func (g *Group) OnBarrier(fn func()) { g.hooks = append(g.hooks, fn) }
 // PinWindows drops the growth cap to the lookahead, so every window is
 // the fixed conservative window. Results are unchanged; only the window
 // count grows back. It is the fixed-window reference that tests compare
-// grown windows against. Call before Run.
+// grown windows against. Call before RunGuarded.
 func (g *Group) PinWindows() { g.maxAllow = g.look }
 
 // SetInterrupt arms the group with a cancellation flag shared with other
@@ -198,15 +196,6 @@ func (g *Group) NextAt() (Time, bool) {
 	return best, ok
 }
 
-// ForEachPending visits every queued event on every shard, in shard
-// order (queue order within a shard, as Engine.ForEachPending). m is nil
-// for message-less events.
-func (g *Group) ForEachPending(visit func(at Time, m *msg.Message)) {
-	for _, e := range g.engs {
-		e.ForEachPending(visit)
-	}
-}
-
 // PendingCensus aggregates Engine.PendingCensus over all shards, most
 // frequent first (ties by name), matching the single-engine ordering.
 func (g *Group) PendingCensus() []MsgCount {
@@ -217,41 +206,6 @@ func (g *Group) PendingCensus() []MsgCount {
 		}
 	}
 	return sortCensus(merged)
-}
-
-// Run executes until every shard's queue is empty and returns the final
-// clock (max over shards).
-func (g *Group) Run() Time {
-	t, _ := g.RunGuarded(0)
-	return t
-}
-
-// RunUntil executes events with timestamps <= deadline across all
-// shards, honoring the window protocol (barrier hooks run between
-// windows so cross-shard traffic keeps flowing). It reports whether
-// every queue drained. RunUntil always executes serially — it is a
-// debugging/stepping interface, and serial execution keeps the pause
-// points deterministic.
-func (g *Group) RunUntil(deadline Time) bool {
-	for {
-		for _, fn := range g.hooks {
-			fn()
-		}
-		next, ok := g.NextAt()
-		if !ok {
-			return true
-		}
-		if next > deadline {
-			return false
-		}
-		end := next + g.look - 1
-		if end > deadline {
-			end = deadline
-		}
-		g.setDeadlines(end)
-		g.windows++
-		g.runWindowSerial(0)
-	}
 }
 
 // RunGuarded executes windows until every queue drains or maxSteps total

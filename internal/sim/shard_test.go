@@ -131,7 +131,7 @@ func TestGroupCrossShardPingPong(t *testing.T) {
 			}
 		}
 		at(g.Engine(0), 0, ping)
-		end := g.Run()
+		end, _ := g.RunGuarded(0)
 		if hops != 10 {
 			t.Fatalf("parallel=%v: %d hops, want 10", parallel, hops)
 		}
@@ -145,35 +145,7 @@ func TestGroupCrossShardPingPong(t *testing.T) {
 	}
 }
 
-func TestGroupRunUntilAcrossShards(t *testing.T) {
-	g := NewGroup(2, 50, 0, false)
-	mb := newMailbox(g)
-	var fired []string
-	at(g.Engine(0), 10, func() {
-		fired = append(fired, "a")
-		mb.sendFrom(0, 1, func() { fired = append(fired, "b@60") })
-	})
-	at(g.Engine(1), 200, func() { fired = append(fired, "c") })
-
-	if done := g.RunUntil(100); done {
-		t.Fatal("RunUntil(100) reported drained with work at 200 left")
-	}
-	// The cross-shard event at 60 must have run; the one at 200 not.
-	if want := []string{"a", "b@60"}; !reflect.DeepEqual(fired, want) {
-		t.Fatalf("after RunUntil(100): fired = %v, want %v", fired, want)
-	}
-	if at, ok := g.NextAt(); !ok || at != 200 {
-		t.Fatalf("NextAt = %d,%v, want 200,true", at, ok)
-	}
-	if done := g.RunUntil(1000); !done {
-		t.Fatal("RunUntil(1000) did not drain")
-	}
-	if want := []string{"a", "b@60", "c"}; !reflect.DeepEqual(fired, want) {
-		t.Fatalf("fired = %v, want %v", fired, want)
-	}
-}
-
-func TestGroupForEachPendingAndCensus(t *testing.T) {
+func TestGroupPendingCensus(t *testing.T) {
 	g := NewGroup(3, 10, 0, false)
 	h := &nullHandler{}
 	// Shard 0: two GetShared; shard 1: a Nack and a message-less event;
@@ -190,17 +162,6 @@ func TestGroupForEachPendingAndCensus(t *testing.T) {
 
 	if g.Pending() != 4 {
 		t.Fatalf("Pending = %d, want 4", g.Pending())
-	}
-	seen := 0
-	var bare int
-	g.ForEachPending(func(at Time, m *msg.Message) {
-		seen++
-		if m == nil {
-			bare++
-		}
-	})
-	if seen != 4 || bare != 1 {
-		t.Fatalf("ForEachPending visited %d (%d message-less), want 4 (1)", seen, bare)
 	}
 	census := g.PendingCensus()
 	want := map[string]int{"GetShared": 2, "Nack": 1, "*sim.nullHandler op 2": 1}
@@ -267,7 +228,7 @@ func TestGroupPanicPropagates(t *testing.T) {
 					t.Fatalf("parallel=%v: recovered %v, want shard1 boom", parallel, r)
 				}
 			}()
-			g.Run()
+			g.RunGuarded(0)
 		}()
 	}
 }
@@ -309,7 +270,7 @@ func TestGroupSerialParallelEquivalent(t *testing.T) {
 		for s := 0; s < shards; s++ {
 			at(g.Engine(s), Time(s), chain(s, 0))
 		}
-		now := g.Run()
+		now, _ := g.RunGuarded(0)
 		return result{logs: logs, now: now, steps: g.Steps(), windows: g.Windows()}
 	}
 	// The pinned serial run is the reference: grown windows, serial or
@@ -362,7 +323,7 @@ func TestGroupGrownWindowsStraggler(t *testing.T) {
 			}
 		}
 		at(e0, 0, chain(0))
-		g.Run()
+		g.RunGuarded(0)
 		return log, g.Windows()
 	}
 	refLog, refWin := run(false, true)
@@ -417,7 +378,7 @@ func TestGroupSingleShardMatchesEngine(t *testing.T) {
 	}
 	at(e, 0, chain(0))
 	at(e, 0, chain(100))
-	now := g.Run()
+	now, _ := g.RunGuarded(0)
 	if now != wantNow || g.Steps() != wantSteps {
 		t.Fatalf("group run (now %d, steps %d) != engine run (now %d, steps %d)",
 			now, g.Steps(), wantNow, wantSteps)

@@ -215,10 +215,6 @@ func New(cfg Config, opts ...Option) (*Machine, error) {
 	return &Machine{inner: m}, nil
 }
 
-// NewMachine builds a machine from cfg. It is New without options, kept
-// for existing callers.
-func NewMachine(cfg Config) (*Machine, error) { return New(cfg) }
-
 // Event is one structured protocol event; Kind says what happened and
 // which of the fields carry meaning (see the Kind constants).
 type Event = obs.Event

@@ -134,7 +134,7 @@ func TestProgramAPI(t *testing.T) {
 	cfg := pccsim.DefaultConfig()
 	cfg.Nodes = 4
 	cfg.CheckInvariants = true
-	m, err := pccsim.NewMachine(cfg)
+	m, err := pccsim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestProgramAPI(t *testing.T) {
 func TestProgramMachineMismatch(t *testing.T) {
 	cfg := pccsim.DefaultConfig()
 	cfg.Nodes = 4
-	m, err := pccsim.NewMachine(cfg)
+	m, err := pccsim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestCustomProducerConsumer(t *testing.T) {
 		pccsim.WithSpeculativeUpdates(0))
 	cfg.Nodes = 4
 	cfg.CheckInvariants = true
-	m, err := pccsim.NewMachine(cfg)
+	m, err := pccsim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestCustomProducerConsumer(t *testing.T) {
 func TestInvalidConfigRejected(t *testing.T) {
 	bad := pccsim.DefaultConfig()
 	bad.EnableUpdates = true // without RAC/delegation
-	if _, err := pccsim.NewMachine(bad); err == nil {
+	if _, err := pccsim.New(bad); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
