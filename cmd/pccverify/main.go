@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,6 +45,13 @@ func main() {
 	reproDir := flag.String("repro-dir", "", "write counterexamples as replayable JSON into this directory")
 	progress := flag.Bool("v", false, "print exploration progress")
 	flag.Parse()
+
+	// The base configuration the standard suite and custom mode start
+	// from; a flag the model cannot represent exits 2 before any run.
+	base := mcheck.DefaultConfig()
+	base.MaxWrites = *writes
+	base.MaxIssues = int8Flag("issues", *issues)
+	usageIf(base.Validate())
 
 	failed := false
 
@@ -94,9 +102,7 @@ func main() {
 
 	// Custom mode: explore exactly the flag-specified configuration.
 	if *nodes > 0 || *lines > 0 || *queue > 0 || *det > 0 || *tot > 0 {
-		cfg := mcheck.DefaultConfig()
-		cfg.MaxWrites = *writes
-		cfg.MaxIssues = int8(*issues)
+		cfg := base
 		if *nodes > 0 {
 			cfg.Nodes = *nodes
 		}
@@ -107,11 +113,12 @@ func main() {
 			cfg.QueueDepth = *queue
 		}
 		if *det > 0 {
-			cfg.DetThresh = int8(*det)
+			cfg.DetThresh = int8Flag("det", *det)
 		}
 		if *tot > 0 {
-			cfg.MaxTotalIssues = int8(*tot)
+			cfg.MaxTotalIssues = int8Flag("tot", *tot)
 		}
+		usageIf(cfg.Validate())
 		fmt.Println("== custom reachability ==")
 		run(fmt.Sprintf("%dn x %dl w=%d q=%d det=%d tot=%d", cfg.Nodes, cfg.Lines, cfg.MaxWrites, cfg.QueueDepth, cfg.DetThresh, cfg.MaxTotalIssues), cfg)
 		if failed {
@@ -143,9 +150,6 @@ func main() {
 	}
 
 	fmt.Println("== exhaustive reachability ==")
-	base := mcheck.DefaultConfig()
-	base.MaxWrites = *writes
-	base.MaxIssues = int8(*issues)
 
 	noDel := base
 	noDel.Delegation = false
@@ -173,6 +177,23 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("all checks passed")
+}
+
+// int8Flag returns the value of the int flag -name, which the model
+// stores as an int8, exiting 2 when it does not fit.
+func int8Flag(name string, v int) int8 {
+	if v < 0 || v > math.MaxInt8 {
+		usageIf(fmt.Errorf("invalid -%s %d: outside 0..%d", name, v, math.MaxInt8))
+	}
+	return int8(v)
+}
+
+// usageIf exits 2 with err's message when err is non-nil.
+func usageIf(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pccverify:", err)
+		os.Exit(2)
+	}
 }
 
 // emitRepros writes the result's counterexamples (already deterministically

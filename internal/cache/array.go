@@ -110,12 +110,6 @@ func NewArray[T any](sets, ways, lineBytes int) *Array[T] {
 	return a
 }
 
-// Sets returns the number of sets.
-func (a *Array[T]) Sets() int { return int(a.setMask) + 1 }
-
-// Ways returns the associativity.
-func (a *Array[T]) Ways() int { return a.ways }
-
 // LineBytes returns the line size.
 func (a *Array[T]) LineBytes() int { return 1 << a.lineShift }
 

@@ -72,12 +72,6 @@ func New(totalBytes, ways, lineBytes int) *Cache {
 // LineBytes returns the line size.
 func (c *Cache) LineBytes() int { return c.lines.LineBytes() }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.lines.Sets() }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.lines.Ways() }
-
 // Align returns the line-aligned address containing addr.
 func (c *Cache) Align(addr msg.Addr) msg.Addr {
 	return addr &^ msg.Addr(c.lines.LineBytes()-1)

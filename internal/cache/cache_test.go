@@ -167,7 +167,7 @@ func TestPropertyCacheInvariants(t *testing.T) {
 			case 2:
 				c.Touch(addr)
 			}
-			if c.Count() > c.Sets()*c.Ways() {
+			if c.Count() > int(c.lines.setMask+1)*c.lines.ways {
 				return false
 			}
 			seen := map[msg.Addr]bool{}

@@ -56,8 +56,9 @@ func BarrierOp(id int) Op {
 // Cycles returns a Compute op's duration.
 func (o Op) Cycles() sim.Time { return sim.Time(o.Addr) }
 
-// Stream supplies a core's operations lazily, so workloads need not
-// materialize multi-million-op traces.
+// Stream supplies a core's operations one at a time. A single-engine
+// machine runs any Stream; a sharded one needs every program up front and
+// takes only SliceStream.
 type Stream interface {
 	Next() (Op, bool)
 }
@@ -77,12 +78,6 @@ func (s *SliceStream) Next() (Op, bool) {
 	s.i++
 	return op, true
 }
-
-// FuncStream adapts a generator function to a Stream.
-type FuncStream func() (Op, bool)
-
-// Next calls the generator.
-func (f FuncStream) Next() (Op, bool) { return f() }
 
 // BarrierSet materializes barrier objects per identifier. A single-engine
 // set (NewBarrierSet) releases immediately in arrival order; a sharded

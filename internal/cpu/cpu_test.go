@@ -157,24 +157,6 @@ func TestBarrierReusable(t *testing.T) {
 	}
 }
 
-func TestFuncStream(t *testing.T) {
-	n := 0
-	s := FuncStream(func() (Op, bool) {
-		if n >= 3 {
-			return Op{}, false
-		}
-		n++
-		return ComputeOp(1), true
-	})
-	eng := sim.NewEngine()
-	c := New(eng, 0, &fakeHub{eng: eng, latency: 1}, s, NewBarrierSet(eng, 1, 0), 8)
-	c.Start()
-	eng.Run()
-	if !c.Done() || c.Finish() != 3 {
-		t.Fatalf("FuncStream run: done=%v finish=%d", c.Done(), c.Finish())
-	}
-}
-
 func TestEmptyProgram(t *testing.T) {
 	c, _, _ := run1(t, nil, 1, 8)
 	if c.Finish() != 0 {

@@ -159,9 +159,6 @@ func NewConsumerTable(entries int) *ConsumerTable {
 	}
 }
 
-// Entries returns the table capacity.
-func (t *ConsumerTable) Entries() int { return t.numSets * t.ways }
-
 func (t *ConsumerTable) setBase(addr msg.Addr) int {
 	return int((uint64(addr)>>7)&uint64(t.numSets-1)) * t.ways
 }

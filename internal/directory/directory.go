@@ -188,9 +188,6 @@ func (c *DirCache) SetPairMode(on bool) {
 	c.dets.ForEach(func(d *predictor.Detector) { d.SetPairMode(on) })
 }
 
-// Entries returns the total capacity in entries.
-func (c *DirCache) Entries() int { return c.dets.Sets() * c.dets.Ways() }
-
 // Detector returns the sharing detector for addr, allocating a
 // directory-cache entry (and possibly evicting another, losing its
 // history) if addr is not resident.

@@ -142,8 +142,9 @@ func TestDirCacheBadGeometry(t *testing.T) {
 // capacity, and a detector fetched twice in a row without interference is
 // the same storage.
 func TestPropertyDirCacheCapacity(t *testing.T) {
+	const entries = 16
 	f := func(lines []uint16) bool {
-		c := NewDirCache(16, 4)
+		c := NewDirCache(entries, 4)
 		resident := 0
 		seen := map[msg.Addr]bool{}
 		for _, ln := range lines {
@@ -156,7 +157,7 @@ func TestPropertyDirCacheCapacity(t *testing.T) {
 				resident++
 			}
 		}
-		return resident <= c.Entries()
+		return resident <= entries
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

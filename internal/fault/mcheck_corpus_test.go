@@ -1,7 +1,10 @@
 package fault
 
 import (
+	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -11,7 +14,7 @@ import (
 // written by `pccverify -repro-dir` and committed, so a checker finding
 // replays under `go test` forever.
 func TestMCheckCorpusReplays(t *testing.T) {
-	cases, names, err := LoadMCheckCorpus(filepath.Join("testdata", "corpus", "mcheck"))
+	cases, names, err := loadMCheckCorpus(filepath.Join("testdata", "corpus", "mcheck"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +34,7 @@ func TestMCheckCorpusReplays(t *testing.T) {
 // TestMCheckCaseRoundTrip pins the on-disk schema: write, read back with
 // unknown-field rejection, replay.
 func TestMCheckCaseRoundTrip(t *testing.T) {
-	cases, names, err := LoadMCheckCorpus(filepath.Join("testdata", "corpus", "mcheck"))
+	cases, names, err := loadMCheckCorpus(filepath.Join("testdata", "corpus", "mcheck"))
 	if err != nil || len(cases) == 0 {
 		t.Fatal("need a committed corpus case")
 	}
@@ -59,4 +62,32 @@ func TestInvariantCategory(t *testing.T) {
 			t.Fatalf("invariantCategory(%q) = %q, want %q", in, got, want)
 		}
 	}
+}
+
+// loadMCheckCorpus reads every *.json case under dir, sorted by name. A
+// missing directory is an empty corpus.
+func loadMCheckCorpus(dir string) ([]MCheckCase, []string, error) {
+	entries, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil, nil, nil
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
+			names = append(names, e.Name())
+		}
+	}
+	sort.Strings(names)
+	cases := make([]MCheckCase, 0, len(names))
+	for _, n := range names {
+		c, err := ReadMCheckCase(filepath.Join(dir, n))
+		if err != nil {
+			return nil, nil, err
+		}
+		cases = append(cases, c)
+	}
+	return cases, names, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"pccsim/internal/mcheck"
@@ -120,32 +119,4 @@ func ReadMCheckCase(path string) (MCheckCase, error) {
 		return c, fmt.Errorf("%s: %w", path, err)
 	}
 	return c, nil
-}
-
-// LoadMCheckCorpus reads every *.json case under dir, sorted by name. A
-// missing directory is an empty corpus.
-func LoadMCheckCorpus(dir string) ([]MCheckCase, []string, error) {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	cases := make([]MCheckCase, 0, len(names))
-	for _, n := range names {
-		c, err := ReadMCheckCase(filepath.Join(dir, n))
-		if err != nil {
-			return nil, nil, err
-		}
-		cases = append(cases, c)
-	}
-	return cases, names, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"text/tabwriter"
 
@@ -167,6 +168,6 @@ func PrintCompare(w io.Writer, rows []CompareRow) {
 			continue
 		}
 		fmt.Fprintf(w, "%-10s geo-mean speedup vs %s: %.3f\n",
-			p, CompareBaseline, pow(prod, 1/float64(n)))
+			p, CompareBaseline, math.Pow(prod, 1/float64(n)))
 	}
 }

@@ -100,7 +100,7 @@ func TestRelatedIsAViewOverCompareAndAblation(t *testing.T) {
 // base's. If this ever fails, the related numbers would change; the view
 // must then take its baseline counts from a base cell instead.
 func TestRelatedViewPremiseMesiIsBase(t *testing.T) {
-	s := NewSession(DefaultOptions())
+	s := NewSession(Options{Nodes: 16, Scale: 1})
 	base := core.DefaultConfig()
 	base.Nodes = s.Opts.Nodes
 	mesi, err := protocol.Lookup(CompareBaseline)

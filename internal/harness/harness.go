@@ -20,6 +20,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"pccsim/internal/core"
 	"pccsim/internal/cpu"
@@ -57,10 +58,6 @@ type Options struct {
 	// be called from multiple workers concurrently. Excluded from JSON.
 	Progress runner.ProgressFunc `json:"-"`
 }
-
-// DefaultOptions mirrors the paper's 16-processor system at the scaled
-// problem sizes of DESIGN.md.
-func DefaultOptions() Options { return Options{Nodes: 16, Scale: 1} }
 
 func (o Options) params() workload.Params {
 	return workload.Params{Nodes: o.Nodes, Scale: o.Scale, Iters: o.Iters}
@@ -275,7 +272,7 @@ func GeoMeanSpeedup(rows []Row, config string) float64 {
 	if n == 0 {
 		return 0
 	}
-	return pow(prod, 1/float64(n))
+	return math.Pow(prod, 1/float64(n))
 }
 
 // MeanRatio averages a ratio column for a config (arithmetic mean, as the
@@ -292,11 +289,6 @@ func MeanRatio(rows []Row, config string, f func(Row) float64) float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-func pow(x, y float64) float64 {
-	// math.Pow without importing math in several files; tiny wrapper.
-	return mathPow(x, y)
 }
 
 // Table3 measures the consumer-count distribution per application on the

@@ -3,15 +3,12 @@ package harness
 import (
 	"fmt"
 	"io"
-	"math"
 	"text/tabwriter"
 
 	"pccsim/internal/core"
 	"pccsim/internal/stats"
 	"pccsim/internal/workload"
 )
-
-func mathPow(x, y float64) float64 { return math.Pow(x, y) }
 
 // WriteRunReport renders the canonical single-run report: the header line
 // followed by the full stats dump. The pccsim CLI and the serve result

@@ -57,8 +57,9 @@ type Result struct {
 	// Workers records how many exploration workers ran.
 	Workers int
 	// Err is non-nil when the search stopped before its fixpoint: a
-	// *StateBoundError when Options.MaxStates cut it short. The counts
-	// then cover only the states expanded before the stop.
+	// *StateBoundError when Options.MaxStates cut it short (the counts
+	// then cover only the states expanded before the stop), or an
+	// ErrBadConfig from Config.Validate, when nothing was explored.
 	Err error
 }
 

@@ -172,17 +172,35 @@ func TestExpandZeroAlloc(t *testing.T) {
 // TestDeepConfigCounts pins DeepConfig's exploration exactly at 1 and 2
 // workers: the symmetry-reduced fixpoint with no violation, no deadlock
 // and no error, down to Result.String, which the benchmark reports as the
-// run's digest. Under the race detector the CI's deep-only verification
-// run covers the same exploration, so the pin runs only without it.
+// run's digest. A second row pins the one-step looser global issue budget
+// (MaxTotalIssues: 5) at 2 workers; it runs for tens of seconds, so -short
+// skips it. Under the race detector the CI's deep-only verification run
+// covers the same exploration, so the pins run only without it.
 func TestDeepConfigCounts(t *testing.T) {
 	if raceEnabled {
 		t.Skip("covered by the race build's deep-only verification run")
 	}
-	const want = "states=404959 transitions=1140232 violations=0 deadlocks=0"
-	for _, workers := range []int{1, 2} {
-		r := ExploreOpts(DeepConfig(), Options{Workers: workers})
-		if r.String() != want || r.Err != nil || !r.Ok() {
-			t.Errorf("workers=%d: %s, err %v; want %s and no error", workers, r, r.Err, want)
+	looser := DeepConfig()
+	looser.MaxTotalIssues = 5
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		workers []int
+		long    bool
+		want    string
+	}{
+		{"deep", DeepConfig(), []int{1, 2}, false, "states=404959 transitions=1140232 violations=0 deadlocks=0"},
+		{"deep/tot=5", looser, []int{2}, true, "states=9073482 transitions=29878735 violations=0 deadlocks=0"},
+	} {
+		if tc.long && testing.Short() {
+			t.Logf("%s: skipped under -short", tc.name)
+			continue
+		}
+		for _, workers := range tc.workers {
+			r := ExploreOpts(tc.cfg, Options{Workers: workers})
+			if r.String() != tc.want || r.Err != nil || !r.Ok() {
+				t.Errorf("%s workers=%d: %s, err %v; want %s and no error", tc.name, workers, r, r.Err, tc.want)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package mcheck
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -79,14 +80,64 @@ func TestLitmusSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("litmus suite takes ~10s")
 	}
+	// Pinned (states, outcomes) per test: any change to a litmus-mode
+	// rule body shows up here.
+	want := map[string][2]int{
+		"CoRR/base":                    {242, 10},
+		"CoWR/base":                    {482, 6},
+		"PC-rounds/base":               {184505, 438},
+		"CoRR/delegation+updates":      {242, 10},
+		"CoWR/delegation+updates":      {482, 6},
+		"PC-rounds/delegation+updates": {659286, 439},
+	}
 	for _, f := range StandardLitmusTests(Options{}) {
 		res := f()
 		t.Logf("%s: states=%d outcomes=%d", res.Name, res.States, res.Outcomes)
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
-		if res.Outcomes == 0 {
-			t.Fatalf("%s: no terminal outcomes reached", res.Name)
+		if got := [2]int{res.States, res.Outcomes}; got != want[res.Name] {
+			t.Errorf("%s: (states, outcomes) = %v, want %v", res.Name, got, want[res.Name])
+		}
+	}
+}
+
+// TestConfigValidate: the shipped configurations validate, and every value
+// the model cannot represent is rejected with ErrBadConfig — by Validate,
+// by ExploreOpts as Result.Err with nothing explored, and by ApplyTrace.
+func TestConfigValidate(t *testing.T) {
+	for name, cfg := range map[string]Config{"default": DefaultConfig(), "deep": DeepConfig(), "bench": BenchConfig()} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		bad  func(*Config)
+	}{
+		{"nodes=0", func(c *Config) { c.Nodes = 0 }},
+		{"nodes=9", func(c *Config) { c.Nodes = 9 }},
+		{"lines=-1", func(c *Config) { c.Lines = -1 }},
+		{"lines=40", func(c *Config) { c.Lines = 40 }},
+		{"queue=0", func(c *Config) { c.QueueDepth = 0 }},
+		{"queue=256", func(c *Config) { c.QueueDepth = 256 }},
+		{"writes=-1", func(c *Config) { c.MaxWrites = -1 }},
+		{"writes=128", func(c *Config) { c.MaxWrites = 128 }},
+		{"det=-56", func(c *Config) { c.DetThresh = -56 }},
+		{"issues=-1", func(c *Config) { c.MaxIssues = -1 }},
+		{"tot=-1", func(c *Config) { c.MaxTotalIssues = -1 }},
+		{"scripts", func(c *Config) { c.Scripts = [][]LitOp{{}, {}} }},
+	} {
+		cfg := DefaultConfig()
+		tc.bad(&cfg)
+		if err := cfg.Validate(); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: Validate = %v, want ErrBadConfig", tc.name, err)
+		}
+		if r := ExploreOpts(cfg, Options{Workers: 1}); !errors.Is(r.Err, ErrBadConfig) || r.Ok() || r.States != 0 {
+			t.Errorf("%s: ExploreOpts err %v after %d states, want ErrBadConfig before any", tc.name, r.Err, r.States)
+		}
+		if _, err := ApplyTrace(cfg, nil); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: ApplyTrace = %v, want ErrBadConfig", tc.name, err)
 		}
 	}
 }

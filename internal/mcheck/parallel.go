@@ -43,7 +43,8 @@ const maxReported = 8
 // reports the lexicographically smallest canonical violations, so the
 // chosen counterexample is stable across worker counts too. Only
 // PeakFrontier is schedule-dependent, and, under Options.MaxStates, the
-// counts of a search the bound stopped.
+// counts of a search the bound stopped. A cfg that fails Validate is
+// reported as Result.Err without exploring.
 func ExploreOpts(cfg Config, opt Options) *Result {
 	res, _ := exploreFull(cfg, opt)
 	return res
@@ -53,6 +54,9 @@ func ExploreOpts(cfg Config, opt Options) *Result {
 // encodings of every terminal state (Litmus checks their observation
 // vectors in deterministic order).
 func exploreFull(cfg Config, opt Options) (*Result, [][]byte) {
+	if err := cfg.Validate(); err != nil {
+		return &Result{Err: err}, nil
+	}
 	e := newEngine(cfg, opt)
 	nw := len(e.workers)
 	init := NewState(cfg)

@@ -140,108 +140,44 @@ func (g *gen) successors(cfg Config, s *State) {
 		}
 		for l := 0; l < lines; l++ {
 			node := s.node(l, i)
+			idle := node.Mshr == MNone
 
 			// Issue a read miss.
-			if node.Cache == CI && node.Mshr == MNone && !node.RACOk && canIssue(cfg, s, i) {
+			if node.Cache == CI && idle && !node.RACOk && canIssue(cfg, s, i) {
 				ns := g.clone(s)
-				nn := ns.node(l, i)
-				nn.Mshr = MWantS
-				nn.Inv = false
-				ns.Iss[i]++
-				nn.Txn = ns.Iss[i]
-				dst := home
-				if nn.Hint {
-					dst = int(nn.HintProd)
-				}
-				if ns.send(i, dst, Msg{Type: MGetS, Line: int8(l), Req: int8(i), RTxn: nn.Txn}, cfg.QueueDepth) {
-					g.add(issueRule(lines, l, i, dst, MGetS), ns)
+				if r, ok := readMiss(cfg, ns, l, i); ok {
+					g.add(r, ns)
 				}
 			}
 
 			// Read a locally available copy (cache or RAC): no transition
 			// needed for cache hits; a RAC hit promotes the copy, which is
 			// a state change worth exploring.
-			if node.Cache == CI && node.Mshr == MNone && node.RACOk {
+			if node.Cache == CI && idle && node.RACOk {
 				ns := g.clone(s)
-				nn := ns.node(l, i)
-				nn.Cache = CS
-				nn.Val = nn.RACVal
-				if !nn.HasProd {
-					nn.RACOk = false // victim-cache move; pinned master stays
-				}
+				racHit(ns, l, i)
 				g.add(nodeRule(RuleRACHit, lines, l, i), ns)
 			}
 
-			// Issue a write (GetX on invalid, Upgrade on shared), bounded.
-			if s.Writes < int8(cfg.MaxWrites) && node.Mshr == MNone && canIssue(cfg, s, i) {
+			// Issue a write, bounded: the producer's delegated write, or a
+			// write miss on a line it does not hold exclusively.
+			if s.Writes < int8(cfg.MaxWrites) && idle && canIssue(cfg, s, i) {
 				if node.HasProd && node.PDir == DS && node.PInFlt == 0 {
-					// Producer write on a delegated line (Figure 6).
 					ns := g.clone(s)
-					nn := ns.node(l, i)
-					ns.Iss[i]++
-					nn.Txn = ns.Iss[i]
-					cons := nn.PShr &^ bit(int8(i))
-					nn.PDir = DE
-					nn.PUpdSet = cons
-					nn.PArmed = false
-					nn.Mshr = MWaitAck
-					nn.MHave = true
-					nn.MVal = nn.val(i)
-					nn.Acks = int8(popcount(cons))
-					ok := true
-					for j := 0; j < n; j++ {
-						if cons&bit(int8(j)) != 0 {
-							if !ns.send(i, j, Msg{Type: MInval, Line: int8(l), Req: int8(i), RTxn: nn.Txn}, cfg.QueueDepth) {
-								ok = false
-							}
-						}
-					}
-					if ok {
-						if nn.Acks == 0 {
-							completeWrite(cfg, ns, l, i)
-						}
+					if delegatedWrite(cfg, ns, l, i) {
 						g.add(nodeRule(RuleDelegatedWrite, lines, l, i), ns)
 					}
-				} else if !node.HasProd {
-					switch node.Cache {
-					case CI:
-						ns := g.clone(s)
-						nn := ns.node(l, i)
-						nn.Mshr = MWantX
-						nn.Acks = 0
-						nn.MHave = false
-						ns.Iss[i]++
-						nn.Txn = ns.Iss[i]
-						dst := home
-						if nn.Hint {
-							dst = int(nn.HintProd)
-						}
-						if ns.send(i, dst, Msg{Type: MGetX, Line: int8(l), Req: int8(i), RTxn: nn.Txn}, cfg.QueueDepth) {
-							g.add(issueRule(lines, l, i, dst, MGetX), ns)
-						}
-					case CS:
-						ns := g.clone(s)
-						nn := ns.node(l, i)
-						nn.Mshr = MWantUpg
-						nn.Acks = 0
-						nn.MHave = false
-						nn.MVal = nn.Val // MSHR stashes the shared data
-						ns.Iss[i]++
-						nn.Txn = ns.Iss[i]
-						dst := home
-						if nn.Hint {
-							dst = int(nn.HintProd)
-						}
-						if ns.send(i, dst, Msg{Type: MUpg, Line: int8(l), Req: int8(i), RTxn: nn.Txn}, cfg.QueueDepth) {
-							g.add(issueRule(lines, l, i, dst, MUpg), ns)
-						}
+				} else if !node.HasProd && node.Cache != CE {
+					ns := g.clone(s)
+					if r, ok := writeMiss(cfg, ns, l, i); ok {
+						g.add(r, ns)
 					}
 				}
 			}
 
 			// Evict an exclusive line (writeback) — not while transacting
 			// and not for delegated lines (those fold into the RAC).
-			if node.Cache == CE && node.Mshr == MNone && !node.HasProd {
+			if node.Cache == CE && idle && !node.HasProd {
 				ns := g.clone(s)
 				nn := ns.node(l, i)
 				v := nn.Val
@@ -252,7 +188,7 @@ func (g *gen) successors(cfg Config, s *State) {
 			}
 
 			// Silently evict a shared line.
-			if node.Cache == CS && node.Mshr == MNone && !node.HasProd {
+			if node.Cache == CS && idle && !node.HasProd {
 				ns := g.clone(s)
 				ns.node(l, i).Cache = CI
 				g.add(nodeRule(RuleEvictS, lines, l, i), ns)
@@ -357,108 +293,129 @@ func scriptStep(cfg Config, s *State, i int, g *gen) {
 	if int(s.PC[i]) >= len(script) || node.Mshr != MNone || !canIssue(cfg, s, i) {
 		return
 	}
-	op := script[s.PC[i]]
-	if !op.Write {
-		// Read: cache hit, RAC hit, or a GetS transaction.
-		if node.Cache != CI {
-			ns := g.clone(s)
-			ns.PC[i]++
-			ns.Obs[i] = append(ns.Obs[i], ns.node(0, i).Val)
+	ns := g.clone(s)
+	ns.PC[i]++
+	if !script[s.PC[i]].Write {
+		// Read: cache hit, RAC hit, or a GetS transaction whose
+		// completion records the observation.
+		switch {
+		case node.Cache != CI:
+			ns.Obs[i] = append(ns.Obs[i], node.Val)
 			g.add(nodeRule(RuleReadHit, 1, 0, i), ns)
-			return
-		}
-		if node.RACOk {
-			ns := g.clone(s)
-			nn := ns.node(0, i)
-			nn.Cache = CS
-			nn.Val = nn.RACVal
-			if !nn.HasProd {
-				nn.RACOk = false
-			}
-			ns.PC[i]++
-			ns.Obs[i] = append(ns.Obs[i], nn.Val)
+		case node.RACOk:
+			racHit(ns, 0, i)
+			ns.Obs[i] = append(ns.Obs[i], node.RACVal)
 			g.add(nodeRule(RuleReadRAC, 1, 0, i), ns)
-			return
-		}
-		ns := g.clone(s)
-		nn := ns.node(0, i)
-		nn.Mshr = MWantS
-		nn.Inv = false
-		ns.Iss[i]++
-		nn.Txn = ns.Iss[i]
-		ns.PC[i]++ // the observation lands at completion
-		dst := home
-		if nn.Hint {
-			dst = int(nn.HintProd)
-		}
-		if ns.send(i, dst, Msg{Type: MGetS, Req: int8(i), RTxn: nn.Txn}, cfg.QueueDepth) {
-			g.add(issueRule(1, 0, i, dst, MGetS), ns)
+		default:
+			if r, ok := readMiss(cfg, ns, 0, i); ok {
+				g.add(r, ns)
+			}
 		}
 		return
 	}
 	// Write: silent on an exclusive copy, otherwise a transaction.
-	if node.Cache == CE {
-		ns := g.clone(s)
-		nn := ns.node(0, i)
+	switch {
+	case node.Cache == CE:
 		ns.Latest[0]++
 		ns.Writes++
-		nn.Val = ns.Latest[0]
-		ns.PC[i]++
+		ns.node(0, i).Val = ns.Latest[0]
 		g.add(nodeRule(RuleWriteHit, 1, 0, i), ns)
-		return
-	}
-	if node.HasProd && node.PDir == DS && node.PInFlt == 0 {
-		ns := g.clone(s)
-		nn := ns.node(0, i)
-		ns.Iss[i]++
-		nn.Txn = ns.Iss[i]
-		cons := nn.PShr &^ bit(int8(i))
-		nn.PDir = DE
-		nn.PUpdSet = cons
-		nn.PArmed = false
-		nn.Mshr = MWaitAck
-		nn.MHave = true
-		nn.MVal = nn.val(i)
-		nn.Acks = int8(popcount(cons))
-		ok := true
-		for j := 0; j < s.nodes(); j++ {
-			if cons&bit(int8(j)) != 0 {
-				if !ns.send(i, j, Msg{Type: MInval, Req: int8(i), RTxn: nn.Txn}, cfg.QueueDepth) {
-					ok = false
-				}
-			}
-		}
-		if ok {
-			ns.PC[i]++
-			if nn.Acks == 0 {
-				completeWrite(cfg, ns, 0, i)
-			}
+	case node.HasProd && node.PDir == DS && node.PInFlt == 0:
+		if delegatedWrite(cfg, ns, 0, i) {
 			g.add(nodeRule(RuleDelegatedWrite, 1, 0, i), ns)
 		}
-		return
+	default:
+		if r, ok := writeMiss(cfg, ns, 0, i); ok {
+			g.add(r, ns)
+		}
 	}
-	ns := g.clone(s)
-	nn := ns.node(0, i)
-	ns.Iss[i]++
-	nn.Txn = ns.Iss[i]
-	nn.Acks = 0
-	nn.MHave = false
-	t := MGetX
-	if nn.Cache == CS {
-		t = MUpg
-		nn.Mshr = MWantUpg
-		nn.MVal = nn.Val
-	} else {
-		nn.Mshr = MWantX
-	}
-	ns.PC[i]++
+}
+
+// The processor-side transitions both modes fire. Each mutates the
+// successor s it is given and reports false when a send would exceed its
+// channel bound; the caller then drops s.
+
+// sendRequest sends node i's request t on line l: it charges the issue
+// budget, stamps the transaction, and routes the request to the hinted
+// producer when the node holds a hint, to the home otherwise.
+func sendRequest(cfg Config, s *State, l, i int, t MsgType) (Rule, bool) {
+	nn := s.node(l, i)
+	s.Iss[i]++
+	nn.Txn = s.Iss[i]
 	dst := home
 	if nn.Hint {
 		dst = int(nn.HintProd)
 	}
-	if ns.send(i, dst, Msg{Type: t, Req: int8(i), RTxn: nn.Txn}, cfg.QueueDepth) {
-		g.add(issueRule(1, 0, i, dst, t), ns)
+	ok := s.send(i, dst, Msg{Type: t, Line: int8(l), Req: int8(i), RTxn: nn.Txn}, cfg.QueueDepth)
+	return issueRule(len(s.H), l, i, dst, t), ok
+}
+
+// readMiss issues node i's GetS on line l.
+func readMiss(cfg Config, s *State, l, i int) (Rule, bool) {
+	nn := s.node(l, i)
+	nn.Mshr = MWantS
+	nn.Inv = false
+	return sendRequest(cfg, s, l, i, MGetS)
+}
+
+// writeMiss issues node i's write on line l: a GetX from invalid, an
+// Upgrade from shared.
+func writeMiss(cfg Config, s *State, l, i int) (Rule, bool) {
+	nn := s.node(l, i)
+	nn.Acks = 0
+	nn.MHave = false
+	t := MGetX
+	nn.Mshr = MWantX
+	if nn.Cache == CS {
+		t = MUpg
+		nn.Mshr = MWantUpg
+		nn.MVal = nn.Val // MSHR stashes the shared data
 	}
+	return sendRequest(cfg, s, l, i, t)
+}
+
+// racHit promotes node i's RAC copy of line l into its cache.
+func racHit(s *State, l, i int) {
+	nn := s.node(l, i)
+	nn.Cache = CS
+	nn.Val = nn.RACVal
+	if !nn.HasProd {
+		nn.RACOk = false // victim-cache move; pinned master stays
+	}
+}
+
+// delegatedWrite is the producer's write on a delegated line (Figure 6):
+// it invalidates the consumers itself and records them as the next
+// update set.
+func delegatedWrite(cfg Config, s *State, l, i int) bool {
+	nn := s.node(l, i)
+	s.Iss[i]++
+	nn.Txn = s.Iss[i]
+	cons := nn.PShr &^ bit(int8(i))
+	nn.PDir = DE
+	nn.PUpdSet = cons
+	nn.PArmed = false
+	nn.Mshr = MWaitAck
+	nn.MHave = true
+	nn.MVal = nn.val(i)
+	nn.Acks = int8(popcount(cons))
+	if !sendAll(cfg, s, i, cons, Msg{Type: MInval, Line: int8(l), Req: int8(i), RTxn: nn.Txn}) {
+		return false
+	}
+	if nn.Acks == 0 {
+		completeWrite(cfg, s, l, i)
+	}
+	return true
+}
+
+// sendAll sends m from src to every node in targets.
+func sendAll(cfg Config, s *State, src int, targets uint8, m Msg) bool {
+	for j := 0; j < s.nodes(); j++ {
+		if targets&bit(int8(j)) != 0 && !s.send(src, j, m, cfg.QueueDepth) {
+			return false
+		}
+	}
+	return true
 }
 
 // genericTimerStep emits the delayed-intervention transitions for line l
@@ -468,33 +425,27 @@ func genericTimerStep(cfg Config, s *State, l, i int, g *gen) {
 	if !(node.HasProd && node.PArmed && node.Mshr == MNone) {
 		return
 	}
-	lines := len(s.H)
-	if node.PDir == DE {
-		ns := g.clone(s)
-		nn := ns.node(l, i)
-		nn.PArmed = false
-		v := nn.val(i)
+	ns := g.clone(s)
+	nn := ns.node(l, i)
+	nn.PArmed = false
+	v := nn.val(i)
+	kind := RuleLatePush // already shared: push to the consumers not yet holding it
+	if nn.PDir == DE {
+		// The intervention downgrades the producer to its pinned RAC
+		// copy; the whole update set is then pushed.
+		kind = RuleIntervention
 		if nn.Cache == CE {
 			nn.Cache = CS
 		}
 		nn.RACOk = true
 		nn.RACVal = v
-		targets := nn.PUpdSet &^ bit(int8(i))
 		nn.PDir = DS
-		nn.PShr = targets | bit(int8(i))
-		if pushAll(cfg, ns, l, i, targets, v) {
-			g.add(nodeRule(RuleIntervention, lines, l, i), ns)
-		}
-	} else {
-		ns := g.clone(s)
-		nn := ns.node(l, i)
-		nn.PArmed = false
-		v := nn.val(i)
-		targets := nn.PUpdSet &^ nn.PShr &^ bit(int8(i))
-		nn.PShr |= targets
-		if pushAll(cfg, ns, l, i, targets, v) {
-			g.add(nodeRule(RuleLatePush, lines, l, i), ns)
-		}
+		nn.PShr = bit(int8(i))
+	}
+	targets := nn.PUpdSet &^ nn.PShr &^ bit(int8(i))
+	nn.PShr |= targets
+	if pushAll(cfg, ns, l, i, targets, v) {
+		g.add(nodeRule(kind, len(s.H), l, i), ns)
 	}
 }
 
@@ -536,7 +487,7 @@ func deliver(cfg Config, s *State, src, dst int, m Msg) bool {
 		}
 		return true
 
-	case MXRep:
+	case MXRep, MXResp: // an owner's transfer (XResp) carries no acks
 		if nd.Mshr == MWantX && m.RTxn == nd.Txn {
 			nd.MHave = true
 			nd.MVal = m.Val
@@ -551,16 +502,6 @@ func deliver(cfg Config, s *State, src, dst int, m Msg) bool {
 		if nd.Mshr == MWantUpg && m.RTxn == nd.Txn {
 			nd.MHave = true
 			nd.Acks += m.Acks
-			if nd.Acks == 0 {
-				completeWrite(cfg, s, l, dst)
-			}
-		}
-		return true
-
-	case MXResp:
-		if nd.Mshr == MWantX && m.RTxn == nd.Txn {
-			nd.MHave = true
-			nd.MVal = m.Val
 			if nd.Acks == 0 {
 				completeWrite(cfg, s, l, dst)
 			}
@@ -622,26 +563,17 @@ func deliver(cfg Config, s *State, src, dst int, m Msg) bool {
 	case MWB:
 		return deliverWriteback(cfg, s, src, m)
 
-	case MNack:
+	case MNack, MNackNH:
+		if m.Type == MNackNH {
+			nd.Hint = false
+			nd.HintProd = -1
+		}
 		if nd.Mshr != MNone && nd.Mshr != MWaitAck && m.RTxn == nd.Txn {
 			nd.Mshr = MNone
 			nd.MHave = false
 			nd.Acks = 0
 			if s.PC != nil {
 				s.PC[dst]-- // litmus mode: retry the scripted op
-			}
-		}
-		return true
-
-	case MNackNH:
-		nd.Hint = false
-		nd.HintProd = -1
-		if nd.Mshr != MNone && nd.Mshr != MWaitAck && m.RTxn == nd.Txn {
-			nd.Mshr = MNone
-			nd.MHave = false
-			nd.Acks = 0
-			if s.PC != nil {
-				s.PC[dst]--
 			}
 		}
 		return true
@@ -857,12 +789,8 @@ func homeRequest(cfg Config, s *State, src int, m Msg) bool {
 				h.Dir = DD
 				h.Owner = int8(req)
 				h.OwnTxn = m.RTxn
-				for j := 0; j < s.nodes(); j++ {
-					if sharers&bit(int8(j)) != 0 {
-						if !s.send(home, j, Msg{Type: MInval, Line: m.Line, Req: m.Req, RTxn: m.RTxn}, cfg.QueueDepth) {
-							return false
-						}
-					}
+				if !sendAll(cfg, s, home, sharers, Msg{Type: MInval, Line: m.Line, Req: m.Req, RTxn: m.RTxn}) {
+					return false
 				}
 				return s.send(home, req, Msg{
 					Type: MDele, Line: m.Line, Val: h.MemVal, Acks: acks, Shr: sharers, RTxn: m.RTxn,
@@ -872,12 +800,8 @@ func homeRequest(cfg Config, s *State, src int, m Msg) bool {
 			h.Owner = int8(req)
 			h.OwnTxn = m.RTxn
 			h.Shr = sharers // §2.4.2: old sharing vector preserved
-			for j := 0; j < s.nodes(); j++ {
-				if sharers&bit(int8(j)) != 0 {
-					if !s.send(home, j, Msg{Type: MInval, Line: m.Line, Req: m.Req, RTxn: m.RTxn}, cfg.QueueDepth) {
-						return false
-					}
-				}
+			if !sendAll(cfg, s, home, sharers, Msg{Type: MInval, Line: m.Line, Req: m.Req, RTxn: m.RTxn}) {
+				return false
 			}
 			t := MXRep
 			if m.Type == MUpg {

@@ -9,6 +9,9 @@ import "fmt"
 // the way — a counterexample trace ends in a violating state by design;
 // the caller asserts whatever the repro recorded.
 func ApplyTrace(cfg Config, labels []string) (*State, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	st := NewState(cfg)
 	for i, want := range labels {
 		found := false

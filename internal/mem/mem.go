@@ -123,25 +123,3 @@ func (m *Memory) Place(addr msg.Addr, node msg.NodeID) {
 	}
 	m.pages[uint64(addr)/m.pageBytes] = node
 }
-
-// PlaceRange homes every page overlapping [addr, addr+n) at node.
-func (m *Memory) PlaceRange(addr msg.Addr, n int, node msg.NodeID) {
-	if m.shared {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
-	first := uint64(addr) / m.pageBytes
-	last := (uint64(addr) + uint64(n) - 1) / m.pageBytes
-	for p := first; p <= last; p++ {
-		m.pages[p] = node
-	}
-}
-
-// Pages returns how many pages have been placed.
-func (m *Memory) Pages() int {
-	if m.shared {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-	}
-	return len(m.pages)
-}

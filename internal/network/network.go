@@ -218,7 +218,7 @@ func (n *Network) HandleMsgEvent(op uint8, m *msg.Message) {
 		// time reflects actual arrival order.
 		eng := n.envAt(m.Dst).eng
 		ser := n.serTime(m)
-		at := maxTime(eng.Now(), n.ingress[m.Dst])
+		at := max(eng.Now(), n.ingress[m.Dst])
 		n.ingress[m.Dst] = at + ser
 		eng.ScheduleMsg(at+ser, n, opDeliver, m)
 	case opDeliver:
@@ -258,7 +258,7 @@ func (n *Network) Send(m *msg.Message) {
 		return
 	}
 	ser := n.serTime(m)
-	depart := maxTime(now, n.egress[m.Src])
+	depart := max(now, n.egress[m.Src])
 	n.egress[m.Src] = depart + ser
 	arrive := depart + ser + sim.Time(hops)*n.cfg.HopLatency
 	if e.chaos != nil {
@@ -303,11 +303,4 @@ func (n *Network) deliver(m *msg.Message) {
 		panic(fmt.Sprintf("network: no handler registered for node %d (msg %s)", m.Dst, m))
 	}
 	h(m)
-}
-
-func maxTime(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
 }

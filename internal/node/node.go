@@ -63,65 +63,6 @@ func New(cfg core.Config, opts ...Option) (*Machine, error) {
 	return m, nil
 }
 
-// prefetchOps is how many operations a lazy stream is pulled ahead at
-// machine setup so its first touches can be pre-resolved (see
-// preplaceFirstTouch). Prefilling happens before any event runs, so the
-// pull order — and therefore placement — is identical under every
-// scheduler.
-const prefetchOps = 4096
-
-// prefetchStream wraps a lazy Stream for a sharded run: construction
-// pulls up to prefetchOps operations into a replay buffer, which Next
-// serves back before delegating to the source again. The buffer is what
-// preplaceFirstTouch scans; a generator shorter than the buffer is
-// consumed whole and behaves exactly like a SliceStream.
-type prefetchStream struct {
-	src  cpu.Stream
-	buf  []cpu.Op
-	pos  int
-	done bool // src exhausted during prefill
-}
-
-func newPrefetchStream(src cpu.Stream, n int) *prefetchStream {
-	p := &prefetchStream{src: src}
-	for len(p.buf) < n {
-		op, ok := src.Next()
-		if !ok {
-			p.done = true
-			break
-		}
-		p.buf = append(p.buf, op)
-	}
-	return p
-}
-
-func (p *prefetchStream) Next() (cpu.Op, bool) {
-	if p.pos < len(p.buf) {
-		op := p.buf[p.pos]
-		p.pos++
-		return op, true
-	}
-	if p.done {
-		return cpu.Op{}, false
-	}
-	return p.src.Next()
-}
-
-// wrapLazyStreams returns streams with every non-SliceStream replaced by
-// a prefetchStream over it, so a sharded run can pre-scan at least a
-// bounded prefix of every program.
-func wrapLazyStreams(streams []cpu.Stream) []cpu.Stream {
-	out := make([]cpu.Stream, len(streams))
-	for i, s := range streams {
-		if _, ok := s.(*cpu.SliceStream); ok {
-			out[i] = s
-		} else {
-			out[i] = newPrefetchStream(s, prefetchOps)
-		}
-	}
-	return out
-}
-
 // preplaceFirstTouch resolves first-touch page placement ahead of a
 // sharded run. On one engine simulated time totally orders every access,
 // so dynamic first touch is well-defined; across shards two nodes can
@@ -131,15 +72,10 @@ func wrapLazyStreams(streams []cpu.Stream) []cpu.Stream {
 // winner would depend on which shard the scheduler ran first — breaking
 // serial/parallel equivalence. Pre-resolving with a scheduler-independent
 // rule — earliest barrier epoch wins, ties to the lowest node id — keeps
-// placement identical under every scheduler and shard count.
-//
-// Slice streams are scanned whole. Lazy streams contribute their
-// prefetched prefix (Run wraps them in prefetchStream first): pages
-// first touched beyond the prefix keep dynamic first touch, which stays
-// deterministic as long as those late first touches are barrier-
-// separated — the prefix exists to shrink that exposure to programs
-// thousands of operations in.
-func (m *Machine) preplaceFirstTouch(streams []cpu.Stream) {
+// placement identical under every scheduler and shard count. That needs
+// every program up front, which is why a sharded Run takes only slice
+// streams.
+func (m *Machine) preplaceFirstTouch(streams []*cpu.SliceStream) {
 	type claim struct {
 		epoch int
 		node  msg.NodeID
@@ -147,17 +83,8 @@ func (m *Machine) preplaceFirstTouch(streams []cpu.Stream) {
 	mask := ^msg.Addr(m.Sys.Mem.PageBytes() - 1)
 	best := make(map[msg.Addr]claim)
 	for i, s := range streams {
-		var ops []cpu.Op
-		switch st := s.(type) {
-		case *cpu.SliceStream:
-			ops = st.Ops
-		case *prefetchStream:
-			ops = st.buf
-		default:
-			return
-		}
 		epoch := 0
-		for _, op := range ops {
+		for _, op := range s.Ops {
 			switch op.Kind {
 			case cpu.Barrier:
 				epoch++
@@ -185,14 +112,22 @@ func (m *Machine) Interrupt() { m.Sys.Interrupt() }
 // core finishes). It returns an error if the program deadlocks (the event
 // queue drains with unfinished cores), livelocks (the configured watchdog
 // budget is exhausted before the queue drains) or leaves transient
-// protocol state.
+// protocol state. A sharded machine takes only *cpu.SliceStream programs
+// (see preplaceFirstTouch); a single engine takes any Stream.
 func (m *Machine) Run(streams []cpu.Stream) (*stats.Stats, error) {
 	if len(streams) != m.Sys.Cfg.Nodes {
 		return nil, fmt.Errorf("node: %d streams for %d nodes", len(streams), m.Sys.Cfg.Nodes)
 	}
 	if m.Sys.Sharded() {
-		streams = wrapLazyStreams(streams)
-		m.preplaceFirstTouch(streams)
+		progs := make([]*cpu.SliceStream, len(streams))
+		for i, s := range streams {
+			ss, ok := s.(*cpu.SliceStream)
+			if !ok {
+				return nil, fmt.Errorf("node: sharded run needs *cpu.SliceStream programs, stream %d is %T", i, s)
+			}
+			progs[i] = ss
+		}
+		m.preplaceFirstTouch(progs)
 	}
 	m.CPUs = make([]*cpu.CPU, len(streams))
 	for i, s := range streams {

@@ -59,6 +59,48 @@ func TestRunWrongStreamCount(t *testing.T) {
 	}
 }
 
+// genStream is a Stream that is not a *cpu.SliceStream.
+type genStream struct{ left int }
+
+func (g *genStream) Next() (cpu.Op, bool) {
+	if g.left == 0 {
+		return cpu.Op{}, false
+	}
+	g.left--
+	return cpu.ComputeOp(10), true
+}
+
+// TestShardedRunNeedsSliceStreams: a sharded machine rejects a stream it
+// cannot pre-scan, naming its type, while a single engine runs it.
+func TestShardedRunNeedsSliceStreams(t *testing.T) {
+	streams := func() []cpu.Stream {
+		s := make([]cpu.Stream, 4)
+		for i := range s {
+			s[i] = &cpu.SliceStream{Ops: []cpu.Op{cpu.ComputeOp(5)}}
+		}
+		s[2] = &genStream{left: 3}
+		return s
+	}
+	sharded, err := New(wideConfig(4, 2, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sharded.Run(streams()); err == nil || !strings.Contains(err.Error(), "*node.genStream") {
+		t.Fatalf("sharded run with a generator stream: err %v, want one naming *node.genStream", err)
+	}
+	single, err := New(cfg4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := single.Run(streams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ExecCycles != 30 {
+		t.Fatalf("single-engine makespan %d, want 30 (the generator's three 10-cycle ops)", st.ExecCycles)
+	}
+}
+
 func TestDeadlockDetected(t *testing.T) {
 	// One core waits at a barrier no other core reaches.
 	m, err := New(cfg4())

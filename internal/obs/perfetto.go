@@ -245,10 +245,3 @@ func metadata(m *Metrics) map[string]any {
 		"mshr_peak":            m.MSHRPeak,
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

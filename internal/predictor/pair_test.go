@@ -11,7 +11,7 @@ import (
 func TestPairModeAlternatingWritersMark(t *testing.T) {
 	var d Detector
 	d.SetPairMode(true)
-	if !d.PairMode() {
+	if !d.pairMode {
 		t.Fatal("pair mode not set")
 	}
 	// Writers 0 and 1 alternate, consumer 2 reads between writes.
@@ -78,7 +78,7 @@ func TestPairModeSurvivesReset(t *testing.T) {
 	d.SetPairMode(true)
 	d.OnWrite(0)
 	d.Reset()
-	if !d.PairMode() {
+	if !d.pairMode {
 		t.Fatal("Reset cleared the configured mode")
 	}
 	if d.WriteRepeat() != 0 {

@@ -46,9 +46,6 @@ func (d *Detector) Reset() { *d = Detector{pairMode: d.pairMode} }
 // producer-consumer, and delegation follows the most recent writer.
 func (d *Detector) SetPairMode(on bool) { d.pairMode = on }
 
-// PairMode reports whether the two-writer extension is enabled.
-func (d *Detector) PairMode() bool { return d.pairMode }
-
 // OnRead observes a read-type request (GetShared) from node n.
 func (d *Detector) OnRead(n msg.NodeID) {
 	if d.hasWriter && n == d.lastWriter {

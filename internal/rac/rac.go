@@ -60,9 +60,6 @@ func New(totalBytes, ways, lineBytes int) *RAC {
 	return &RAC{lines: cache.NewArray[Line](sets, ways, lineBytes)}
 }
 
-// Capacity returns total capacity in bytes.
-func (r *RAC) Capacity() int { return r.lines.Sets() * r.lines.Ways() * r.lines.LineBytes() }
-
 // Lookup returns the entry for addr, or nil.
 func (r *RAC) Lookup(addr msg.Addr) *Line { return r.lines.Lookup(uint64(addr)) }
 
@@ -98,13 +95,6 @@ func (r *RAC) Pin(addr msg.Addr) bool {
 	}
 	l.Pinned = true
 	return true
-}
-
-// Unpin clears the pin on addr, making it evictable again.
-func (r *RAC) Unpin(addr msg.Addr) {
-	if l := r.Lookup(addr); l != nil {
-		l.Pinned = false
-	}
 }
 
 // Invalidate removes addr, returning its prior contents.

@@ -76,7 +76,7 @@ func TestUnpinAllowsEviction(t *testing.T) {
 	if _, _, ok := r.Insert(0x1000, cache.Shared); ok {
 		t.Fatal("insert over pinned direct-mapped entry succeeded")
 	}
-	r.Unpin(0x0000)
+	r.Lookup(0x0000).Pinned = false
 	if _, _, ok := r.Insert(0x1000, cache.Shared); !ok {
 		t.Fatal("insert after unpin failed")
 	}
@@ -87,7 +87,6 @@ func TestPinAbsent(t *testing.T) {
 	if r.Pin(0x5000) {
 		t.Fatal("Pin of absent address reported success")
 	}
-	r.Unpin(0x5000) // must not panic
 }
 
 func TestInvalidate(t *testing.T) {
@@ -117,10 +116,20 @@ func TestLRUAmongUnpinned(t *testing.T) {
 	}
 }
 
+// TestCapacity: a 32 KB RAC of 128-byte lines holds 256 consecutive lines
+// without an eviction and evicts on the 257th.
 func TestCapacity(t *testing.T) {
 	r := New(32*1024, 4, 128)
-	if r.Capacity() != 32*1024 {
-		t.Fatalf("Capacity = %d", r.Capacity())
+	for a := msg.Addr(0); a < 32*1024; a += 128 {
+		if _, v, ok := r.Insert(a, cache.Shared); !ok || v.Valid {
+			t.Fatalf("insert %#x: ok=%v victim %+v", uint64(a), ok, v)
+		}
+	}
+	if r.Count() != 256 {
+		t.Fatalf("Count = %d, want 256", r.Count())
+	}
+	if _, v, _ := r.Insert(32*1024, cache.Shared); !v.Valid {
+		t.Fatal("insert past capacity evicted nothing")
 	}
 }
 

@@ -170,7 +170,9 @@ func diffRAC(t *testing.T, bytes, ways int, seed int64) {
 				rl.Pinned = true
 			}
 		case op < 10:
-			r.Unpin(addr)
+			if l := r.Lookup(addr); l != nil {
+				l.Pinned = false
+			}
 			if rl := ref.lookup(addr); rl != nil {
 				rl.Pinned = false
 			}

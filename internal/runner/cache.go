@@ -16,7 +16,7 @@ type cell struct {
 }
 
 // cache is the Runner's fingerprint-keyed result memo. It is shared by
-// every Run/RunOne/RunOneCtx on a Runner, so duplicate cells across
+// every Run/RunOneCtx on a Runner, so duplicate cells across
 // calls — and across concurrently served HTTP jobs — simulate once.
 type cache struct {
 	mu     sync.Mutex

@@ -50,7 +50,7 @@ func TestRunOneCtxCancelMidRun(t *testing.T) {
 		t.Fatalf("resubmit produced empty stats: %+v", st)
 	}
 	// And it must match an untouched runner bit-for-bit.
-	want, err := New(1, nil).RunOne(slowJob("ref"))
+	want, _, err := New(1, nil).RunOneCtx(context.Background(), slowJob("ref"))
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestRunOneCtxMemoAndStats(t *testing.T) {
 // machine (here: counting obs events), fires only on the owning
 // simulation, and changes nothing about the result.
 func TestAttachObserves(t *testing.T) {
-	plain, err := New(1, nil).RunOne(testJob("plain", baseCfg()))
+	plain, _, err := New(1, nil).RunOneCtx(context.Background(), testJob("plain", baseCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}

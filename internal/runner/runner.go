@@ -173,13 +173,6 @@ func (r *Runner) RunCtx(ctx context.Context, jobs []Job) ([]*stats.Stats, error)
 	return results, nil
 }
 
-// RunOne executes a single job through the memo (a convenience for
-// callers outside a batch).
-func (r *Runner) RunOne(job Job) (*stats.Stats, error) {
-	st, _, err := r.RunOneCtx(context.Background(), job)
-	return st, err
-}
-
 // RunOneCtx executes a single job through the memo under a context.
 // cached reports whether the result came from an existing cell rather
 // than a simulation owned by this call. Cancelling ctx stops the call:

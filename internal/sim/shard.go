@@ -124,9 +124,6 @@ func (g *Group) Shards() int { return len(g.engs) }
 // Engine returns shard i's private engine.
 func (g *Group) Engine(i int) *Engine { return g.engs[i] }
 
-// Lookahead returns the conservative window width.
-func (g *Group) Lookahead() Time { return g.look }
-
 // Parallel reports whether windows execute on worker goroutines.
 func (g *Group) Parallel() bool { return g.parallel }
 

@@ -64,7 +64,7 @@ type mailslot struct {
 }
 
 func newMailbox(g *Group) *mailbox {
-	mb := &mailbox{g: g, look: g.Lookahead(), lanes: make([][]mailslot, g.Shards())}
+	mb := &mailbox{g: g, look: g.look, lanes: make([][]mailslot, g.Shards())}
 	g.OnBarrier(mb.drain)
 	return mb
 }

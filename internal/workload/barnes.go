@@ -110,10 +110,3 @@ func buildBarnes(p Params) [][]cpu.Op {
 	}
 	return prog.Ops()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
