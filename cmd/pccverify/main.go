@@ -100,22 +100,26 @@ func main() {
 		}
 	}
 
-	// Custom mode: explore exactly the flag-specified configuration.
-	if *nodes > 0 || *lines > 0 || *queue > 0 || *det > 0 || *tot > 0 {
+	// Custom mode: explore exactly the flag-specified configuration. A
+	// flag counts as given when it is set at all, so a zero or negative
+	// value reaches the range checks instead of being ignored.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["nodes"] || set["lines"] || set["queue"] || set["det"] || set["tot"] {
 		cfg := base
-		if *nodes > 0 {
+		if set["nodes"] {
 			cfg.Nodes = *nodes
 		}
-		if *lines > 0 {
+		if set["lines"] {
 			cfg.Lines = *lines
 		}
-		if *queue > 0 {
+		if set["queue"] {
 			cfg.QueueDepth = *queue
 		}
-		if *det > 0 {
+		if set["det"] {
 			cfg.DetThresh = int8Flag("det", *det)
 		}
-		if *tot > 0 {
+		if set["tot"] {
 			cfg.MaxTotalIssues = int8Flag("tot", *tot)
 		}
 		usageIf(cfg.Validate())

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"pccsim/internal/cache"
 	"pccsim/internal/msg"
 	"pccsim/internal/sim/simtest"
 	"pccsim/internal/stats"
@@ -283,6 +284,88 @@ func TestVersionsAcrossUndelegation(t *testing.T) {
 	if v := sys.LatestVersion(addr); v != 7 {
 		t.Fatalf("version = %d, want 7", v)
 	}
+	sys.CheckAll()
+	if err := sys.QuiesceCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A producer that lost its L2 copy of a line delegated to it reads the
+// pinned RAC master. Hub.Access serves such a read from the RAC itself;
+// a miss issued for it anyway (here through startMiss) is served by the
+// local delegate cache from the same master copy, without a message.
+func TestDelegatedLocalReadFromRACMaster(t *testing.T) {
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32))
+	sys := newTestSystem(t, cfg)
+	addr := msg.Addr(0x90000)
+	pcRounds(t, sys, addr, 3, 0, []msg.NodeID{1, 2}, 5)
+	h := sys.Hubs[0]
+	rl := h.rc.Lookup(addr)
+	if h.prod.Peek(addr) == nil || rl == nil || !rl.Pinned {
+		t.Fatal("precondition: line not delegated to node 0 with a pinned RAC master")
+	}
+	// Drop the consumers' read-downgraded Shared copy, as a silent
+	// eviction would.
+	h.l1.InvalidateRange(addr, cfg.L2LineBytes)
+	h.l2.Invalidate(addr)
+	before := sys.Aggregate()
+	done := &simtest.Recorder{}
+	h.startMiss(addr, addr, false, done, 7)
+	drain(sys)
+	if len(done.Ops) != 1 || done.Ops[0] != 7 {
+		t.Fatalf("read completed with events %v, want one op 7", done.Ops)
+	}
+	after := sys.Aggregate()
+	if got := after.Misses[stats.MissLocalRAC] - before.Misses[stats.MissLocalRAC]; got != 1 {
+		t.Fatalf("%d local-RAC misses recorded, want 1", got)
+	}
+	if after.TotalMessages() != before.TotalMessages() {
+		t.Fatalf("local read sent %d messages", after.TotalMessages()-before.TotalMessages())
+	}
+	l2l := h.l2.Lookup(addr)
+	if l2l == nil || l2l.State != cache.Shared || l2l.Version != rl.Version || l2l.Version != sys.LatestVersion(addr) {
+		t.Fatalf("L2 copy %+v, want Shared at the master's version %d", l2l, rl.Version)
+	}
+	sys.CheckAll()
+}
+
+// A producer's write to its delegated line waits in the hub queue for
+// the local delegate cache. If the delegation ends meanwhile, the request
+// is re-routed to the home and still completes. No protocol path ends a
+// delegation while its producer has a miss outstanding on the line (each
+// trigger NACKs or defers), so the test ends it directly.
+func TestLocalRequestReroutedAfterUndelegation(t *testing.T) {
+	cfg := testConfig().With(WithRAC(32), WithDelegation(32))
+	sys := newTestSystem(t, cfg)
+	addr := msg.Addr(0xa0000)
+	pcRounds(t, sys, addr, 3, 0, []msg.NodeID{1, 2}, 5)
+	h := sys.Hubs[0]
+	pe := h.prod.Peek(addr)
+	if pe == nil {
+		t.Fatal("precondition: line not delegated to node 0")
+	}
+	done := &simtest.Recorder{}
+	sys.Access(0, addr, true, done, 7) // upgrade of the read-downgraded copy
+	if h.mshr(addr) == nil {
+		t.Fatal("precondition: the write did not miss")
+	}
+	h.undelegate(pe, stats.UndelCapacity, 0, nil)
+	drain(sys)
+	if len(done.Ops) != 1 || done.Ops[0] != 7 {
+		t.Fatalf("write completed with events %v, want one op 7", done.Ops)
+	}
+	st := sys.Aggregate()
+	if st.Undelegations[stats.UndelCapacity] != 1 || h.prod.Peek(addr) != nil {
+		t.Fatal("the delegation did not end exactly once")
+	}
+	if st.MsgCount[msg.Upgrade]+st.MsgCount[msg.GetExcl] == 0 {
+		t.Fatal("the re-routed write never reached the home")
+	}
+	l2l := h.l2.Lookup(addr)
+	if l2l == nil || l2l.State != cache.Excl || l2l.Version != sys.LatestVersion(addr) {
+		t.Fatalf("L2 copy %+v, want Excl at version %d", l2l, sys.LatestVersion(addr))
+	}
+	access(t, sys, 1, addr, false)
 	sys.CheckAll()
 	if err := sys.QuiesceCheck(); err != nil {
 		t.Fatal(err)

@@ -31,12 +31,8 @@ func (h *Hub) localDelegated(m *mshr, reqType msg.Type) {
 			panic(fmt.Sprintf("core: node %d delegated line %#x has no RAC master copy",
 				h.id, uint64(m.addr)))
 		}
-		m.dataReady = true
-		m.fillState = cache.Shared
-		m.version = rl.Version
 		m.viaRAC = true
-		m.acksNeeded = 0
-		h.tryComplete(m)
+		h.fill(m, cache.Shared, rl.Version, 0, false)
 		return
 	}
 
@@ -51,19 +47,11 @@ func (h *Hub) localDelegated(m *mshr, reqType msg.Type) {
 		h.adaptDelayUpIfRewrite(e)
 		consumers := e.Sharers.Clear(h.id)
 		h.st.RecordConsumers(consumers.Count())
-		e.State = directory.Excl
-		e.Owner = h.id
-		e.OwnerID = h.id
-		e.OwnerTxn = m.txn
-		e.Sharers = consumers // §2.4.2: preserve the old sharing vector
+		setOwner(e, h.id, m.txn, consumers) // §2.4.2: preserve the old sharing vector
 		e.UpdateSet = consumers
 		h.invalidateSharers(m.addr, consumers, h.id, m.txn)
-		m.dataReady = true
-		m.fillState = cache.Excl
-		m.version = h.producerVersion(m.addr, e, true)
-		m.acksNeeded = consumers.Count()
 		m.invalsRemote = !consumers.Empty()
-		h.tryComplete(m)
+		h.fill(m, cache.Excl, h.producerVersion(m.addr, e, true), consumers.Count(), false)
 
 	case e.State == directory.Excl && e.Owner == h.id:
 		// Still exclusive here (intervention has not fired, or the
@@ -73,12 +61,8 @@ func (h *Hub) localDelegated(m *mshr, reqType msg.Type) {
 			panic(fmt.Sprintf("core: node %d delegated EXCL line %#x lost its data",
 				h.id, uint64(m.addr)))
 		}
-		m.dataReady = true
-		m.fillState = cache.Excl
-		m.version = rl.Version
 		m.viaRAC = true
-		m.acksNeeded = 0
-		h.tryComplete(m)
+		h.fill(m, cache.Excl, rl.Version, 0, false)
 
 	default:
 		panic(fmt.Sprintf("core: delegated entry %#x in state %s owner=%d at node %d",
@@ -117,38 +101,31 @@ func (h *Hub) delegatedRequest(req *msg.Message, pe *delegate.ProducerEntry) {
 // path delegation exists to create.
 func (h *Hub) delegatedRead(req *msg.Message, pe *delegate.ProducerEntry) {
 	e := &pe.Dir
+	var v uint64
 	switch {
 	case e.State == directory.Shared:
 		e.Sharers = e.Sharers.Set(req.Requester)
-		v := h.producerVersion(req.Addr, e, true)
-		h.emitAfter(h.cfg.DirLatency, msg.Message{
-			Type: msg.SharedResponse, Src: h.id, Dst: req.Requester, Addr: req.Addr,
-			Requester: req.Requester, Version: v, Txn: req.Txn,
-		})
+		v = h.producerVersion(req.Addr, e, true)
 
 	case e.State == directory.Excl && e.Owner == h.id:
 		// Consumer read before the delayed intervention fired: the
 		// hub downgrades the processor's copy immediately. A pending
 		// intervention timer will still push updates to consumers
 		// that have not re-read (fireIntervention's Shared arm).
-		h.st.Interventions++
-		if o := h.obs; o != nil {
-			o.Emit(obs.Event{At: h.eng.Now(), Kind: obs.KindIntervention, Node: h.id,
-				Addr: req.Addr, Arg: uint64(h.id), Arg2: 2})
-		}
+		h.noteIntervention(req.Addr, h.id, 2)
 		h.adaptDelayDown(e) // the delay was too long for this line
-		v := h.downgradeLocal(req.Addr, e)
+		v = h.downgradeLocal(req.Addr, e)
 		e.State = directory.Shared
 		e.Sharers = msg.Vector{}.Set(h.id).Set(req.Requester)
-		h.emitAfter(h.cfg.DirLatency, msg.Message{
-			Type: msg.SharedResponse, Src: h.id, Dst: req.Requester, Addr: req.Addr,
-			Requester: req.Requester, Version: v, Txn: req.Txn,
-		})
 
 	default:
 		panic(fmt.Sprintf("core: delegatedRead %#x state %s owner=%d",
 			uint64(req.Addr), e.State, e.Owner))
 	}
+	h.emitAfter(h.cfg.DirLatency, msg.Message{
+		Type: msg.SharedResponse, Src: h.id, Dst: req.Requester, Addr: req.Addr,
+		Requester: req.Requester, Version: v, Txn: req.Txn,
+	})
 }
 
 // downgradeLocal moves the producer's exclusive copy to Shared and lands
@@ -248,14 +225,11 @@ func (h *Hub) installDelegation(m *msg.Message) {
 	// Complete as an exclusive reply. If we held a Shared copy (upgrade
 	// path) its version equals memory's: the home only delegates from
 	// the SHARED directory state, where memory is clean.
-	ms.dataReady = true
-	ms.fillState = cache.Excl
-	ms.version = m.Version
+	v := m.Version
 	if l2l := h.l2.Lookup(m.Addr); l2l != nil && l2l.State == cache.Shared {
-		ms.version = l2l.Version
+		v = l2l.Version
 	}
-	ms.acksNeeded = m.AckCount
-	h.tryComplete(ms)
+	h.fill(ms, cache.Excl, v, m.AckCount, false)
 }
 
 // undelegate hands a delegated line back to its home (§2.3.3). The

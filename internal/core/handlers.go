@@ -6,6 +6,7 @@ import (
 	"pccsim/internal/cache"
 	"pccsim/internal/msg"
 	"pccsim/internal/protocol"
+	"pccsim/internal/rac"
 )
 
 // dispatch is the hub's message handler: every packet delivered to this
@@ -37,11 +38,9 @@ func (h *Hub) handle(m *msg.Message) bool {
 			h.tryComplete(ms)
 		}
 	case msg.SharedReply, msg.SharedResponse:
-		h.replyData(m, cache.Shared, 0)
-	case msg.ExclReply:
-		h.replyData(m, cache.Excl, m.AckCount)
-	case msg.ExclResponse:
-		h.replyData(m, cache.Excl, 0)
+		h.replyData(m, cache.Shared)
+	case msg.ExclReply, msg.ExclResponse:
+		h.replyData(m, cache.Excl)
 	case msg.UpgradeAck:
 		h.upgradeAck(m)
 	case msg.SharedWriteback:
@@ -54,12 +53,8 @@ func (h *Hub) handle(m *msg.Message) bool {
 		h.homeEagerWriteback(m)
 	case msg.WBAck:
 		// Writebacks are fire-and-forget in this model.
-	case msg.Nack:
-		if ms := h.mshr(m.Addr); ms != nil && ms.txn == m.Txn {
-			h.retry(ms)
-		}
-	case msg.NackNotHome:
-		if h.cons != nil {
+	case msg.Nack, msg.NackNotHome:
+		if m.Type == msg.NackNotHome && h.cons != nil {
 			h.cons.Remove(m.Addr)
 		}
 		if ms := h.mshr(m.Addr); ms != nil && ms.txn == m.Txn {
@@ -110,38 +105,46 @@ func (h *Hub) request(m *msg.Message) {
 	h.nack(m, m.Src == m.Requester)
 }
 
+// ownedCopy starts serving an Intervention or TransferReq m. It parks m
+// in our MSHR when m refers to the very ownership our in-flight fill
+// establishes (the home serialized us first), to be serviced right after
+// the fill lands. Otherwise it finds our exclusive copy of epoch
+// m.GrantTxn in L2 or, failing that, in the unpinned RAC; with neither,
+// the epoch already ended with our crossing writeback and the home
+// completes the pending request from the written-back data.
+func (h *Hub) ownedCopy(m *msg.Message) (parked bool, l2l *cache.Line, rl *rac.Line) {
+	if ms := h.mshr(m.Addr); ms != nil && ms.wantExcl && ms.txn == m.GrantTxn {
+		ms.deferred = m
+		return true, nil, nil
+	}
+	if l2l := h.l2.Lookup(m.Addr); l2l != nil && l2l.State == cache.Excl && l2l.Grant == m.GrantTxn {
+		return false, l2l, nil
+	}
+	if h.rc != nil {
+		if rl := h.rc.Lookup(m.Addr); rl != nil && rl.State == cache.Excl && !rl.Pinned &&
+			rl.Grant == m.GrantTxn {
+			return false, nil, rl
+		}
+	}
+	return false, nil, nil
+}
+
 // ownerIntervention downgrades our exclusive copy for a 3-hop read: data
 // goes to the requester and, as a shared writeback, to the home (Figure 1).
 // It reports whether the message was retained (parked in an MSHR).
 func (h *Hub) ownerIntervention(m *msg.Message) bool {
-	if ms := h.mshr(m.Addr); ms != nil && ms.wantExcl && ms.txn == m.GrantTxn {
-		// The intervention refers to the very ownership our in-flight
-		// fill establishes (the home serialized us first): service it
-		// right after the fill lands.
-		ms.deferred = m
-		return true
-	}
+	parked, l2l, rl := h.ownedCopy(m)
 	var v uint64
-	have := false
-	if l2l := h.l2.Lookup(m.Addr); l2l != nil && l2l.State == cache.Excl && l2l.Grant == m.GrantTxn {
+	if l2l != nil {
 		l2l.State = cache.Shared
 		l2l.Dirty = false // the shared writeback cleans it
 		v = l2l.Version
-		have = true
-	} else if h.rc != nil {
-		if rl := h.rc.Lookup(m.Addr); rl != nil && rl.State == cache.Excl && !rl.Pinned &&
-			rl.Grant == m.GrantTxn {
-			rl.State = cache.Shared
-			rl.Dirty = false
-			v = rl.Version
-			have = true
-		}
-	}
-	if !have {
-		// The intervention refers to an ownership epoch already ended
-		// by our crossing writeback; the home completes the pending
-		// request from the written-back data.
-		return false
+	} else if rl != nil {
+		rl.State = cache.Shared
+		rl.Dirty = false
+		v = rl.Version
+	} else {
+		return parked
 	}
 	h.emit(msg.Message{
 		Type: msg.SharedResponse, Src: h.id, Dst: m.Requester, Addr: m.Addr,
@@ -157,27 +160,17 @@ func (h *Hub) ownerIntervention(m *msg.Message) bool {
 // ownerTransfer hands our exclusive copy to a new owner (3-hop write); it
 // reports whether the message was retained (parked in an MSHR).
 func (h *Hub) ownerTransfer(m *msg.Message) bool {
-	if ms := h.mshr(m.Addr); ms != nil && ms.wantExcl && ms.txn == m.GrantTxn {
-		ms.deferred = m
-		return true
-	}
+	parked, l2l, rl := h.ownedCopy(m)
 	var v uint64
-	have := false
-	if l2l := h.l2.Lookup(m.Addr); l2l != nil && l2l.State == cache.Excl && l2l.Grant == m.GrantTxn {
+	if l2l != nil {
 		v = l2l.Version
 		h.l1.InvalidateRange(m.Addr, h.cfg.L2LineBytes)
 		h.l2.Invalidate(m.Addr)
-		have = true
-	} else if h.rc != nil {
-		if rl := h.rc.Lookup(m.Addr); rl != nil && rl.State == cache.Excl && !rl.Pinned &&
-			rl.Grant == m.GrantTxn {
-			v = rl.Version
-			h.rc.Invalidate(m.Addr)
-			have = true
-		}
-	}
-	if !have {
-		return false // stale epoch: a writeback resolved it; home completes from that
+	} else if rl != nil {
+		v = rl.Version
+		h.rc.Invalidate(m.Addr)
+	} else {
+		return parked
 	}
 	h.emit(msg.Message{
 		Type: msg.ExclResponse, Src: h.id, Dst: m.Requester, Addr: m.Addr,
@@ -200,14 +193,7 @@ func (h *Hub) ownerInvalidate(m *msg.Message) {
 		h.l1.InvalidateRange(m.Addr, h.cfg.L2LineBytes)
 		h.l2.Invalidate(m.Addr)
 	}
-	if h.rc != nil {
-		if rl := h.rc.Lookup(m.Addr); rl != nil && !rl.Pinned {
-			v := h.rc.Invalidate(m.Addr)
-			if v.FromUpdate && !v.Consumed {
-				h.noteUpdateWasted(m.Addr)
-			}
-		}
-	}
+	h.dropRACCopy(m.Addr)
 	if ms := h.mshr(m.Addr); ms != nil {
 		// The data reply racing this invalidation may still be used
 		// once but must not be cached (see mshr.invalidated).
@@ -219,28 +205,35 @@ func (h *Hub) ownerInvalidate(m *msg.Message) {
 	})
 }
 
-// replyData lands a data reply in the waiting MSHR. A reply arriving from
-// somewhere other than where the request was sent means the (delegated)
-// home forwarded it to a third-party owner: one extra network leg.
-func (h *Hub) replyData(m *msg.Message, st cache.State, acks int) {
-	ms := h.mshr(m.Addr)
-	if ms == nil || ms.txn != m.Txn {
-		return // satisfied earlier (e.g. by a speculative update)
-	}
+// fill lands a transaction's data in its MSHR: version, to be cached in
+// state st, with acks invalidation acknowledgements to collect before the
+// access completes (pcHint: see mshr.pcHint).
+func (h *Hub) fill(ms *mshr, st cache.State, version uint64, acks int, pcHint bool) {
 	ms.dataReady = true
-	ms.version = m.Version
+	ms.version = version
 	ms.fillState = st
-	ms.pcHint = m.PCHint
+	ms.pcHint = pcHint
 	if ms.acksNeeded < 0 {
 		ms.acksNeeded = 0
 	}
 	if acks > 0 {
 		ms.acksNeeded = acks
 	}
+	h.tryComplete(ms)
+}
+
+// replyData lands a data reply in the waiting MSHR. A reply arriving from
+// somewhere other than where the request was sent means the (delegated)
+// home forwarded it to a third-party owner: one extra network leg.
+func (h *Hub) replyData(m *msg.Message, st cache.State) {
+	ms := h.mshr(m.Addr)
+	if ms == nil || ms.txn != m.Txn {
+		return // satisfied earlier (e.g. by a speculative update)
+	}
 	if m.Src != ms.target {
 		ms.ownerForwarded = true
 	}
-	h.tryComplete(ms)
+	h.fill(ms, st, m.Version, m.AckCount, m.PCHint)
 }
 
 // upgradeAck grants ownership over the Shared copy we already hold.
@@ -261,17 +254,7 @@ func (h *Hub) upgradeAck(m *msg.Message) {
 		}
 		ver = l2l.Version
 	}
-	ms.dataReady = true
-	ms.version = ver
-	ms.fillState = cache.Excl
-	ms.pcHint = m.PCHint
-	if ms.acksNeeded < 0 {
-		ms.acksNeeded = 0
-	}
-	if m.AckCount > 0 {
-		ms.acksNeeded = m.AckCount
-	}
-	h.tryComplete(ms)
+	h.fill(ms, cache.Excl, ver, m.AckCount, m.PCHint)
 }
 
 // consumerUpdate lands a speculative push in the local RAC (§2.4.3: "Upon
@@ -287,7 +270,7 @@ func (h *Hub) consumerUpdate(m *msg.Message) {
 	// lives on another shard the call is staged and injected at the next
 	// window barrier instead of mutating remote state mid-window.
 	if src := h.sys.Hubs[m.Src]; src.eng == h.eng {
-		defer src.updateDelivered(m)
+		defer src.updateDelivered(m.Addr)
 	} else {
 		h.sys.deferUpdateDelivered(h.id, m.Src, m.Addr)
 	}
@@ -295,13 +278,7 @@ func (h *Hub) consumerUpdate(m *msg.Message) {
 	if ms := h.mshr(m.Addr); ms != nil {
 		if !ms.wantExcl {
 			h.noteUpdateUseful(m.Addr, m.Version)
-			ms.dataReady = true
-			ms.version = m.Version
-			ms.fillState = cache.Shared
-			if ms.acksNeeded < 0 {
-				ms.acksNeeded = 0
-			}
-			h.tryComplete(ms)
+			h.fill(ms, cache.Shared, m.Version, 0, false)
 			return
 		}
 		// A pending write: the push refreshes the stashed copy an
@@ -342,14 +319,8 @@ func (h *Hub) hybridUpdateData(m *msg.Message) {
 			// freshest one — a data reply racing it carries an older
 			// version and is dropped by its transaction number.
 			h.noteUpdateUseful(m.Addr, m.Version)
-			ms.dataReady = true
-			ms.version = m.Version
-			ms.fillState = cache.Shared
-			if ms.acksNeeded < 0 {
-				ms.acksNeeded = 0
-			}
 			h.hybridAck(m, true)
-			h.tryComplete(ms)
+			h.fill(ms, cache.Shared, m.Version, 0, false)
 			return
 		}
 		// A pending write that lost the race to this round: refresh the
@@ -375,16 +346,11 @@ func (h *Hub) hybridUpdateData(m *msg.Message) {
 		} else {
 			kept = true
 		}
-	} else if h.rc != nil {
-		if rl := h.rc.Lookup(m.Addr); rl != nil && !rl.Pinned {
-			// A victim-cached copy: drop it with the presence bit
-			// rather than track streaks in the RAC — keeping it stale
-			// after the bit clears would orphan it.
-			rv := h.rc.Invalidate(m.Addr)
-			if rv.FromUpdate && !rv.Consumed {
-				h.noteUpdateWasted(m.Addr)
-			}
-		}
+	} else {
+		// A victim-cached copy: drop it with the presence bit rather
+		// than track streaks in the RAC — keeping it stale after the bit
+		// clears would orphan it.
+		h.dropRACCopy(m.Addr)
 	}
 	if ms := h.mshr(m.Addr); ms != nil && !kept {
 		// The home drops us from the sharers on this ack, so a grant
@@ -411,23 +377,14 @@ func (h *Hub) hybridUpdateGrant(m *msg.Message) {
 		return
 	}
 	ms.updateWrite = true
-	ms.dataReady = true
-	ms.version = m.Version
-	ms.fillState = cache.Shared
-	if ms.acksNeeded < 0 {
-		ms.acksNeeded = 0
-	}
-	h.tryComplete(ms)
+	h.fill(ms, cache.Shared, m.Version, 0, false)
 }
 
 // updateDelivered retires one in-flight update push (link-level, see
-// consumerUpdate).
-func (h *Hub) updateDelivered(m *msg.Message) { h.updateDeliveredLine(m.Addr) }
-
-// updateDeliveredLine is updateDelivered by line address — the form the
-// cross-shard barrier injection uses (the message itself is long since
-// back in its pool by then).
-func (h *Hub) updateDeliveredLine(addr msg.Addr) {
+// consumerUpdate). It takes the line, not the push: a cross-shard
+// notification runs at the next window barrier, when the message is long
+// since back in its pool.
+func (h *Hub) updateDelivered(addr msg.Addr) {
 	if h.prod != nil {
 		if pe := h.prod.Peek(addr); pe != nil {
 			if pe.Dir.UpdatesInFlight > 0 {

@@ -65,16 +65,10 @@ func (h *Hub) forwardToDelegated(req *msg.Message, e *directory.Entry) {
 // homeRead handles GetShared at the home.
 func (h *Hub) homeRead(req *msg.Message, e *directory.Entry, det *predictor.Detector) {
 	switch e.State {
-	case directory.Unowned:
-		det.OnRead(req.Requester)
-		e.State = directory.Shared
-		e.Sharers = msg.Vector{}.Set(req.Requester)
-		h.emitAfter(h.cfg.DirLatency+h.cfg.DRAMLatency, msg.Message{
-			Type: msg.SharedReply, Src: h.id, Dst: req.Requester, Addr: req.Addr,
-			Requester: req.Requester, Version: e.MemVersion, Txn: req.Txn,
-		})
-	case directory.Shared:
-		if h.mech == protocol.UpdatePush && e.UpdatesInFlight > 0 {
+	case directory.Unowned, directory.Shared:
+		if e.State == directory.Unowned {
+			e.Sharers = msg.Vector{} // a read overwrites the old sharing vector
+		} else if h.mech == protocol.UpdatePush && e.UpdatesInFlight > 0 {
 			// A hybrid update round is settling: an ack that drops a
 			// sharer must not cross a re-read installing a fresh copy
 			// (the cleared presence bit would orphan that copy), so
@@ -83,6 +77,7 @@ func (h *Hub) homeRead(req *msg.Message, e *directory.Entry, det *predictor.Dete
 			return
 		}
 		det.OnRead(req.Requester)
+		e.State = directory.Shared
 		e.Sharers = e.Sharers.Set(req.Requester)
 		h.emitAfter(h.cfg.DirLatency+h.cfg.DRAMLatency, msg.Message{
 			Type: msg.SharedReply, Src: h.id, Dst: req.Requester, Addr: req.Addr,
@@ -99,11 +94,7 @@ func (h *Hub) homeRead(req *msg.Message, e *directory.Entry, det *predictor.Dete
 		e.Pending = req.Requester
 		e.PendingExcl = false
 		e.PendingTxn = req.Txn
-		h.st.Interventions++
-		if o := h.obs; o != nil {
-			o.Emit(obs.Event{At: h.eng.Now(), Kind: obs.KindIntervention, Node: h.id,
-				Addr: req.Addr, Arg: uint64(e.Owner), Arg2: 0})
-		}
+		h.noteIntervention(req.Addr, e.Owner, 0)
 		h.emitAfter(h.cfg.DirLatency, msg.Message{
 			Type: msg.Intervention, Src: h.id, Dst: e.Owner, Addr: req.Addr,
 			Requester: req.Requester, Txn: req.Txn, GrantTxn: e.OwnerTxn,
@@ -125,11 +116,7 @@ func (h *Hub) homeWrite(req *msg.Message, e *directory.Entry, det *predictor.Det
 			return
 		}
 		det.OnWrite(req.Requester)
-		e.State = directory.Excl
-		e.Owner = req.Requester
-		e.OwnerID = req.Requester
-		e.OwnerTxn = req.Txn
-		e.Sharers = msg.Vector{}
+		setOwner(e, req.Requester, req.Txn, msg.Vector{})
 		h.emitAfter(h.cfg.DirLatency+h.cfg.DRAMLatency, msg.Message{
 			Type: msg.ExclReply, Src: h.id, Dst: req.Requester, Addr: req.Addr,
 			Requester: req.Requester, Version: e.MemVersion, AckCount: 0, Txn: req.Txn,
@@ -191,11 +178,7 @@ func (h *Hub) homeWrite(req *msg.Message, e *directory.Entry, det *predictor.Det
 		// vector is preserved (Sharers) and the writer recorded in
 		// OwnerID; UpdateSet snapshots the push targets for the
 		// home-is-producer update flow.
-		e.State = directory.Excl
-		e.Owner = req.Requester
-		e.OwnerID = req.Requester
-		e.OwnerTxn = req.Txn
-		e.Sharers = sharers
+		setOwner(e, req.Requester, req.Txn, sharers)
 		e.UpdateSet = sharers
 		h.invalidateSharers(req.Addr, sharers, req.Requester, req.Txn)
 		reply := h.newMsg()
@@ -237,6 +220,16 @@ func (h *Hub) homeWrite(req *msg.Message, e *directory.Entry, det *predictor.Det
 	}
 }
 
+// setOwner makes owner, under ownership epoch txn, the exclusive owner of
+// e, which keeps the sharing vector sharers.
+func setOwner(e *directory.Entry, owner msg.NodeID, txn uint64, sharers msg.Vector) {
+	e.State = directory.Excl
+	e.Owner = owner
+	e.OwnerID = owner
+	e.OwnerTxn = txn
+	e.Sharers = sharers
+}
+
 // invalidateSharers sends invalidations on behalf of requester; the acks
 // flow directly to the requester.
 func (h *Hub) invalidateSharers(addr msg.Addr, sharers msg.Vector, requester msg.NodeID, txn uint64) {
@@ -257,10 +250,7 @@ func (h *Hub) homeSharedWriteback(m *msg.Message) {
 		panic(fmt.Sprintf("core: SharedWriteback in state %s for %#x", e.State, uint64(m.Addr)))
 	}
 	e.MemVersion = m.Version
-	e.State = directory.Shared
-	// A new read arrived: overwrite the old sharing vector (§2.4.2).
-	e.Sharers = msg.Vector{}.Set(m.Src).Set(e.Pending)
-	e.Pending = msg.None
+	h.finishPendingRead(m.Addr, e, msg.Vector{}.Set(m.Src), false)
 }
 
 // homeTransferAck completes a 3-hop ownership transfer. A stale ack — the
@@ -273,12 +263,43 @@ func (h *Hub) homeTransferAck(m *msg.Message) {
 	if e.State != directory.BusyExcl || e.PendingTxn != m.Txn || e.Pending != m.Requester {
 		return
 	}
-	e.State = directory.Excl
-	e.Owner = e.Pending
-	e.OwnerID = e.Pending
-	e.OwnerTxn = e.PendingTxn
-	e.Sharers = msg.Vector{}
+	h.grantPendingWrite(m.Addr, e, msg.Vector{}, false)
+}
+
+// finishPendingRead completes a BusyShared entry's pending read once the
+// owner's data is home: the reader joins kept, the old owner if it still
+// holds a copy. With reply set the home sends the data from memory (the
+// owner's writeback crossed the intervention); otherwise the owner did.
+// A new read arrived, so the old sharing vector is overwritten (§2.4.2).
+func (h *Hub) finishPendingRead(addr msg.Addr, e *directory.Entry, kept msg.Vector, reply bool) {
+	reader := e.Pending
+	e.State = directory.Shared
+	e.Sharers = kept.Set(reader)
 	e.Pending = msg.None
+	if reply {
+		h.emitAfter(h.cfg.DirLatency+h.cfg.DRAMLatency, msg.Message{
+			Type: msg.SharedReply, Src: h.id, Dst: reader, Addr: addr,
+			Requester: reader, Version: e.MemVersion, Txn: e.PendingTxn,
+		})
+	}
+}
+
+// grantPendingWrite completes a BusyExcl entry's pending write once the
+// owner's data is home: the writer becomes the owner. With reply set the
+// home sends the data from memory, after invalidating kept, the old
+// owner if it still holds a copy (the acks go to the writer); otherwise
+// the old owner handed its copy over itself.
+func (h *Hub) grantPendingWrite(addr msg.Addr, e *directory.Entry, kept msg.Vector, reply bool) {
+	writer := e.Pending
+	setOwner(e, writer, e.PendingTxn, msg.Vector{})
+	e.Pending = msg.None
+	if reply {
+		h.invalidateSharers(addr, kept, writer, e.PendingTxn)
+		h.emitAfter(h.cfg.DirLatency+h.cfg.DRAMLatency, msg.Message{
+			Type: msg.ExclReply, Src: h.id, Dst: writer, Addr: addr,
+			Requester: writer, Version: e.MemVersion, AckCount: kept.Count(), Txn: e.PendingTxn,
+		})
+	}
 }
 
 // homeWriteback retires an owner's eviction, including the races where the
@@ -286,116 +307,61 @@ func (h *Hub) homeTransferAck(m *msg.Message) {
 // pending request itself from the written-back data.
 func (h *Hub) homeWriteback(m *msg.Message) {
 	e := h.dir.Entry(m.Addr)
-	ack := h.newMsg()
-	*ack = msg.Message{Type: msg.WBAck, Src: h.id, Dst: m.Src, Addr: m.Addr, Requester: m.Src}
+	if m.Dirty {
+		e.MemVersion = m.Version
+	}
 	switch {
 	case e.State == directory.Excl && e.Owner == m.Src:
-		if m.Dirty {
-			e.MemVersion = m.Version
-		}
 		e.State = directory.Unowned
 		e.Owner = msg.None
-		h.sendAfter(h.cfg.DirLatency, ack)
 
 	case e.State == directory.BusyShared && e.Owner == m.Src:
-		if m.Dirty {
-			e.MemVersion = m.Version
-		}
-		e.State = directory.Shared
-		e.Sharers = msg.Vector{}.Set(e.Pending)
-		pending := e.Pending
-		e.Pending = msg.None
-		h.emitAfter(h.cfg.DirLatency+h.cfg.DRAMLatency, msg.Message{
-			Type: msg.SharedReply, Src: h.id, Dst: pending, Addr: m.Addr,
-			Requester: pending, Version: e.MemVersion, Txn: e.PendingTxn,
-		})
-		h.sendAfter(h.cfg.DirLatency, ack)
+		h.finishPendingRead(m.Addr, e, msg.Vector{}, true)
 
 	case e.State == directory.BusyExcl && e.Owner == m.Src:
-		if m.Dirty {
-			e.MemVersion = m.Version
-		}
-		e.State = directory.Excl
-		e.Owner = e.Pending
-		e.OwnerID = e.Pending
-		e.OwnerTxn = e.PendingTxn
-		e.Sharers = msg.Vector{}
-		pending := e.Pending
-		e.Pending = msg.None
-		h.emitAfter(h.cfg.DirLatency+h.cfg.DRAMLatency, msg.Message{
-			Type: msg.ExclReply, Src: h.id, Dst: pending, Addr: m.Addr,
-			Requester: pending, Version: e.MemVersion, AckCount: 0, Txn: e.PendingTxn,
-		})
-		h.sendAfter(h.cfg.DirLatency, ack)
+		h.grantPendingWrite(m.Addr, e, msg.Vector{}, true)
 
 	case e.State == directory.BusyExcl && e.Pending == m.Src:
 		// The transfer's new owner evicted before the old owner's
 		// TransferAck reached us: ownership came and went. Fold the
 		// data home; the stale TransferAck is dropped by its txn.
-		if m.Dirty {
-			e.MemVersion = m.Version
-		}
 		e.State = directory.Unowned
 		e.Owner = msg.None
 		e.OwnerID = msg.None
 		e.Pending = msg.None
-		h.sendAfter(h.cfg.DirLatency, ack)
 
 	default:
 		panic(fmt.Sprintf("core: Writeback from %d in state %s owner=%d for %#x",
 			m.Src, e.State, e.Owner, uint64(m.Addr)))
 	}
+	h.emitAfter(h.cfg.DirLatency, msg.Message{
+		Type: msg.WBAck, Src: h.id, Dst: m.Src, Addr: m.Addr, Requester: m.Src,
+	})
 }
 
 // homeEagerWriteback retires a voluntary downgrade under dynamic
 // self-invalidation: the owner keeps a Shared copy and the home becomes
 // the fresh data source. Stale eager writebacks (an older ownership epoch)
-// are dropped; ones that cross an in-flight intervention or transfer
-// complete the pending request from the pushed data.
+// are dropped; ones that cross an in-flight intervention (which the owner
+// will drop) or transfer complete the pending request from the pushed
+// data, invalidating the downgraded owner's retained copy for a transfer.
 func (h *Hub) homeEagerWriteback(m *msg.Message) {
 	e := h.dir.Entry(m.Addr)
-	switch {
-	case e.State == directory.Excl && e.Owner == m.Src && e.OwnerTxn == m.GrantTxn:
+	if e.Owner != m.Src || e.OwnerTxn != m.GrantTxn {
+		return // stale epoch (the line moved on)
+	}
+	owner := msg.Vector{}.Set(m.Src)
+	switch e.State {
+	case directory.Excl:
 		e.MemVersion = m.Version
 		e.State = directory.Shared
-		e.Sharers = msg.Vector{}.Set(m.Src)
-
-	case e.State == directory.BusyShared && e.Owner == m.Src && e.OwnerTxn == m.GrantTxn:
-		// The downgrade crossed our intervention (which the owner will
-		// drop): complete the pending read from the pushed data.
+		e.Sharers = owner
+	case directory.BusyShared:
 		e.MemVersion = m.Version
-		e.State = directory.Shared
-		e.Sharers = msg.Vector{}.Set(m.Src).Set(e.Pending)
-		pending := e.Pending
-		e.Pending = msg.None
-		h.emitAfter(h.cfg.DirLatency+h.cfg.DRAMLatency, msg.Message{
-			Type: msg.SharedReply, Src: h.id, Dst: pending, Addr: m.Addr,
-			Requester: pending, Version: e.MemVersion, Txn: e.PendingTxn,
-		})
-
-	case e.State == directory.BusyExcl && e.Owner == m.Src && e.OwnerTxn == m.GrantTxn:
-		// Crossed a transfer: grant the pending writer from the pushed
-		// data, invalidating the downgraded owner's retained copy.
+		h.finishPendingRead(m.Addr, e, owner, true)
+	case directory.BusyExcl:
 		e.MemVersion = m.Version
-		pending := e.Pending
-		e.State = directory.Excl
-		e.Owner = pending
-		e.OwnerID = pending
-		e.OwnerTxn = e.PendingTxn
-		e.Sharers = msg.Vector{}
-		e.Pending = msg.None
-		h.emitAfter(h.cfg.DirLatency, msg.Message{
-			Type: msg.Invalidate, Src: h.id, Dst: m.Src, Addr: m.Addr,
-			Requester: pending, Txn: e.PendingTxn,
-		})
-		h.st.Invalidations++
-		h.emitAfter(h.cfg.DirLatency+h.cfg.DRAMLatency, msg.Message{
-			Type: msg.ExclReply, Src: h.id, Dst: pending, Addr: m.Addr,
-			Requester: pending, Version: e.MemVersion, AckCount: 1, Txn: e.PendingTxn,
-		})
-
-	default:
-		// Stale epoch (the line moved on): drop.
+		h.grantPendingWrite(m.Addr, e, owner, true)
 	}
 }
 
@@ -478,11 +444,7 @@ func (h *Hub) fireIntervention(addr msg.Addr, e *directory.Entry, seq uint64, de
 	var v uint64
 	switch {
 	case e.State == directory.Excl && e.Owner == h.id:
-		h.st.Interventions++
-		if o := h.obs; o != nil {
-			o.Emit(obs.Event{At: h.eng.Now(), Kind: obs.KindIntervention, Node: h.id,
-				Addr: addr, Arg: uint64(h.id), Arg2: 1})
-		}
+		h.noteIntervention(addr, h.id, 1)
 		if l2l := h.l2.Lookup(addr); l2l != nil && l2l.State == cache.Excl {
 			l2l.State = cache.Shared
 			v = l2l.Version

@@ -96,7 +96,7 @@ func (h *Hub) HandleMsgEvent(op uint8, m *msg.Message) {
 	case opSelfDowngrade:
 		h.selfDowngrade(m.Addr, m.GrantTxn)
 	case opUpdateDelivered:
-		h.updateDeliveredLine(m.Addr)
+		h.updateDelivered(m.Addr)
 	}
 	h.eng.FreeMsg(m)
 }
@@ -342,6 +342,17 @@ func (h *Hub) noteUpdateWasted(addr msg.Addr) {
 	}
 }
 
+// noteIntervention counts an intervention downgrading owner's copy of
+// line, in both the run statistics and the observability stream (flavour:
+// see obs.KindIntervention).
+func (h *Hub) noteIntervention(line msg.Addr, owner msg.NodeID, flavour uint64) {
+	h.st.Interventions++
+	if o := h.obs; o != nil {
+		o.Emit(obs.Event{At: h.eng.Now(), Kind: obs.KindIntervention, Node: h.id,
+			Addr: line, Arg: uint64(owner), Arg2: flavour})
+	}
+}
+
 // line returns the L2-line-aligned address of addr.
 func (h *Hub) line(addr msg.Addr) msg.Addr { return h.l2.Align(addr) }
 
@@ -445,12 +456,11 @@ func (h *Hub) serveFromRAC(addr, line msg.Addr, rl *rac.Line, write bool, done s
 			rl.Consumed = true
 			h.noteUpdateUseful(line, rl.Version)
 		}
+		// An unpinned copy moves into L2 (fillL2 drops it from the
+		// RAC). A pinned master copy stays authoritative in the RAC;
+		// the processor-side copy is a clean Shared one.
 		st, v, dirty, g := rl.State, rl.Version, rl.Dirty, rl.Grant
-		if !rl.Pinned {
-			h.rc.Invalidate(line) // victim-cache move into L2
-		} else {
-			// Pinned master copy stays authoritative in the RAC;
-			// the processor-side copy is a clean Shared one.
+		if rl.Pinned {
 			st = cache.Shared
 			dirty = false
 		}
@@ -466,7 +476,6 @@ func (h *Hub) serveFromRAC(addr, line msg.Addr, rl *rac.Line, write bool, done s
 	if rl.State == cache.Excl && !rl.Pinned {
 		// Victim-cached owner copy: silently re-acquire.
 		v, g := rl.Version, rl.Grant
-		h.rc.Invalidate(line)
 		l2l := h.fillL2(line, cache.Excl, v, true)
 		l2l.Grant = g
 		h.doStore(l2l)
@@ -477,14 +486,9 @@ func (h *Hub) serveFromRAC(addr, line msg.Addr, rl *rac.Line, write bool, done s
 		return true
 	}
 	if rl.State == cache.Shared && !rl.Pinned {
-		// Promote to L2 Shared, then upgrade for ownership.
-		if rl.FromUpdate && !rl.Consumed {
-			// The producer pushed data we are about to overwrite.
-			h.noteUpdateWasted(line)
-		}
-		v, dirty := rl.Version, rl.Dirty
-		h.rc.Invalidate(line)
-		h.fillL2(line, cache.Shared, v, dirty)
+		// Promote to L2 Shared (an unread push dies: we are about to
+		// overwrite it), then upgrade for ownership.
+		h.fillL2(line, cache.Shared, rl.Version, rl.Dirty)
 		h.startMiss(addr, line, true, done, op)
 		return true
 	}
@@ -510,14 +514,7 @@ func (h *Hub) fillL2(line msg.Addr, st cache.State, version uint64, dirty bool) 
 	// copy left behind would survive later invalidations and transfers
 	// that find and act on the L2 copy first. Pinned entries are the
 	// delegated master copies, maintained by the delegation flow.
-	if h.rc != nil {
-		if rl := h.rc.Lookup(line); rl != nil && !rl.Pinned {
-			v := h.rc.Invalidate(line)
-			if v.FromUpdate && !v.Consumed {
-				h.noteUpdateWasted(line)
-			}
-		}
-	}
+	h.dropRACCopy(line)
 	l, victim := h.l2.Insert(line, st)
 	l.Version = version
 	l.Dirty = dirty
@@ -527,11 +524,23 @@ func (h *Hub) fillL2(line msg.Addr, st cache.State, version uint64, dirty bool) 
 	return l
 }
 
+// dropRACCopy drops the line's unpinned RAC copy, if any, counting a
+// pushed update that dies unread as wasted.
+func (h *Hub) dropRACCopy(line msg.Addr) {
+	if h.rc == nil {
+		return
+	}
+	if rl := h.rc.Lookup(line); rl != nil && !rl.Pinned {
+		if v := h.rc.Invalidate(line); v.FromUpdate && !v.Consumed {
+			h.noteUpdateWasted(line)
+		}
+	}
+}
+
 // evictL2 disposes of an L2 victim line: back-invalidate L1 (inclusion),
 // victim-cache remote lines in the RAC, write dirty data home.
 func (h *Hub) evictL2(v cache.Victim) {
 	h.l1.InvalidateRange(v.Addr, h.cfg.L2LineBytes)
-	home := h.home(v.Addr)
 
 	// Delegated lines: the pinned RAC entry is the surrogate memory.
 	if h.prod != nil {
@@ -554,26 +563,10 @@ func (h *Hub) evictL2(v cache.Victim) {
 		}
 	}
 
-	if home == h.id {
-		// Locally homed: an exclusive victim retires exactly like a
-		// writeback message, including the races where the directory
-		// is busy with an intervention aimed at us.
-		if v.State == cache.Excl {
-			wb := h.newMsg()
-			*wb = msg.Message{
-				Type: msg.Writeback, Src: h.id, Dst: h.id, Addr: v.Addr,
-				Requester: h.id, Version: v.Version, Dirty: v.Dirty,
-			}
-			h.homeWriteback(wb)
-			h.eng.FreeMsg(wb)
-		}
-		// A Shared victim leaves a stale sharer bit; later
-		// invalidations to it are acknowledged without a copy.
-		return
-	}
-
-	// Remote line: prefer the RAC as a victim cache.
-	if h.rc != nil {
+	// A remote line prefers the RAC as a victim cache. A locally homed
+	// Shared victim leaves a stale sharer bit; later invalidations to it
+	// are acknowledged without a copy.
+	if h.rc != nil && h.home(v.Addr) != h.id {
 		if rl, rv, ok := h.rc.Insert(v.Addr, v.State); ok {
 			rl.Version = v.Version
 			rl.Dirty = v.Dirty
@@ -583,10 +576,7 @@ func (h *Hub) evictL2(v cache.Victim) {
 		}
 	}
 	if v.State == cache.Excl {
-		h.emit(msg.Message{
-			Type: msg.Writeback, Src: h.id, Dst: home, Addr: v.Addr,
-			Requester: h.id, Version: v.Version, Dirty: v.Dirty,
-		})
+		h.writeBack(v.Addr, v.Version, v.Dirty)
 	}
 	// Clean Shared victims drop silently.
 }
@@ -600,10 +590,24 @@ func (h *Hub) handleRACVictim(v rac.Victim) {
 		h.noteUpdateWasted(v.Addr)
 	}
 	if v.State == cache.Excl {
-		h.emit(msg.Message{
-			Type: msg.Writeback, Src: h.id, Dst: h.home(v.Addr), Addr: v.Addr,
-			Requester: h.id, Version: v.Version, Dirty: v.Dirty,
-		})
+		h.writeBack(v.Addr, v.Version, v.Dirty)
+	}
+}
+
+// writeBack returns an owned line's data to its home. A locally homed
+// line retires in place exactly like a writeback message, including the
+// races where the directory is busy with an intervention aimed at us.
+// (Exclusive RAC entries are victim-cached remote lines or delegated
+// lines, which are remote too, so only an L2 victim retires in place.)
+func (h *Hub) writeBack(line msg.Addr, version uint64, dirty bool) {
+	wb := msg.Message{
+		Type: msg.Writeback, Src: h.id, Dst: h.home(line), Addr: line,
+		Requester: h.id, Version: version, Dirty: dirty,
+	}
+	if wb.Dst == h.id {
+		h.homeWriteback(&wb)
+	} else {
+		h.emit(wb)
 	}
 }
 

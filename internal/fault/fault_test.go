@@ -42,23 +42,38 @@ func TestGenDeterminism(t *testing.T) {
 	}
 }
 
-// TestSmokeCampaign runs a quick seeded campaign; every case must pass,
-// and the campaign must actually be perturbing most runs (a chaos layer
-// that never fires tests nothing).
+// TestSmokeCampaign runs the three `make fuzz-smoke` campaigns; every
+// case must pass, and each campaign's perturbed-case and engine-event
+// totals are pinned. The totals are independent of the worker count, so
+// any change to them means the protocol or the chaos layer behaves
+// differently; fault-injected crossings are what reach the home's
+// pending-request completion arms.
 func TestSmokeCampaign(t *testing.T) {
-	n := 300
-	if testing.Short() {
-		n = 60
-	}
-	cr := RunCampaign(CampaignOpts{Seed: 1, Cases: n, Workers: 2, ShrinkRuns: 500})
-	if cr.Cases != n {
-		t.Fatalf("ran %d of %d cases", cr.Cases, n)
-	}
-	for _, f := range cr.Failures {
-		t.Errorf("seed %d: %s (shrunk to %d ops)", f.Seed, f.Result.Failure, f.ShrunkOps)
-	}
-	if cr.Perturbed < n/2 {
-		t.Fatalf("only %d/%d cases were perturbed; the chaos layer is not firing", cr.Perturbed, n)
+	for _, tc := range []struct {
+		name      string
+		seed      int64
+		cases     int
+		protocol  string
+		perturbed int
+		events    uint64
+	}{
+		{"mixed", 1, 500, "", 474, 433933},
+		{"hybrid", 2, 100, "hybrid", 97, 83007},
+		{"dsi", 3, 100, "dsi", 93, 83264},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cr := RunCampaign(CampaignOpts{Seed: tc.seed, Cases: tc.cases, Workers: 2, ShrinkRuns: 500,
+				Gen: GenOpts{Protocol: tc.protocol}})
+			if cr.Cases != tc.cases {
+				t.Fatalf("ran %d of %d cases", cr.Cases, tc.cases)
+			}
+			for _, f := range cr.Failures {
+				t.Errorf("seed %d: %s (shrunk to %d ops)", f.Seed, f.Result.Failure, f.ShrunkOps)
+			}
+			if cr.Perturbed != tc.perturbed || cr.Events != tc.events {
+				t.Errorf("perturbed=%d events=%d, want %d and %d", cr.Perturbed, cr.Events, tc.perturbed, tc.events)
+			}
+		})
 	}
 }
 

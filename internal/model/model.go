@@ -112,10 +112,3 @@ func RemoteFraction(cfg core.Config, base *stats.Stats) float64 {
 	}
 	return f
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
