@@ -30,7 +30,6 @@ import (
 	"pccsim/internal/cli"
 	"pccsim/internal/harness"
 	"pccsim/internal/runner"
-	"pccsim/internal/workload"
 )
 
 func main() {
@@ -50,7 +49,11 @@ func main() {
 	if err := cli.Parse(fs, os.Args[1:]); err != nil {
 		fail(err)
 	}
-	if err := (workload.Params{Scale: *scale, Iters: *iters}).Validate(); err != nil {
+	opts := harness.Options{
+		Nodes: *nodes, Scale: *scale, Iters: *iters, Parallel: *parallel,
+		Shards: *shards, Deterministic: *deterministic,
+	}
+	if err := opts.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "pccbench:", err)
 		os.Exit(2)
 	}
@@ -80,10 +83,6 @@ func main() {
 		}()
 	}
 
-	opts := harness.Options{
-		Nodes: *nodes, Scale: *scale, Iters: *iters, Parallel: *parallel,
-		Shards: *shards, Deterministic: *deterministic,
-	}
 	if *progress {
 		opts.Progress = progressPrinter()
 	}

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -29,6 +30,7 @@ import (
 	"pccsim/internal/cli"
 	"pccsim/internal/harness"
 	"pccsim/internal/protocol"
+	"pccsim/internal/workload"
 )
 
 func main() {
@@ -45,68 +47,60 @@ func main() {
 	os.Exit(runMain(os.Args[1:]))
 }
 
+// runFlags binds the root command's run flags onto a RunSpec, default
+// for default with a serve run job's body.
+func runFlags(fs *flag.FlagSet) *harness.RunSpec {
+	sp := &harness.RunSpec{}
+	fs.StringVar(&sp.Workload, "workload", "em3d", "benchmark: "+strings.Join(pccsim.Workloads(), "|"))
+	fs.StringVar(&sp.Protocol, "protocol", "", "coherence protocol: "+strings.Join(pccsim.Protocols(), "|")+" (default adaptive)")
+	fs.IntVar(&sp.Nodes, "nodes", 16, "processor count (0 = 16)")
+	fs.IntVar(&sp.Scale, "scale", 1, "problem-size multiplier (0 = 1)")
+	fs.IntVar(&sp.Iters, "iters", 0, "iteration override (0 = workload default)")
+	fs.IntVar(&sp.RAC, "rac", 0, "remote access cache size in bytes (0 = none)")
+	fs.IntVar(&sp.Deledc, "deledc", 0, "delegate cache entries (0 = delegation off)")
+	fs.BoolVar(&sp.Updates, "updates", false, "enable speculative updates")
+	fs.Uint64Var(&sp.Delay, "delay", 50, "intervention delay in cycles (0 = 50)")
+	sp.Hop = fs.Uint64("hop", 100, "network hop latency in cycles")
+	fs.BoolVar(&sp.Check, "check", false, "enable runtime coherence invariant checks")
+	fs.IntVar(&sp.Shards, "shards", 0, "engine shards (0 = single engine; >1 runs the parallel scheduler)")
+	fs.BoolVar(&sp.Deterministic, "deterministic", false, "with -shards: serial round-robin shard scheduler")
+	return sp
+}
+
 // runMain implements the root command: one run, one statistics report.
 func runMain(args []string) int {
 	fs := flag.NewFlagSet("pccsim", flag.ExitOnError)
-	wl := fs.String("workload", "em3d", "benchmark: "+strings.Join(pccsim.Workloads(), "|"))
-	proto := fs.String("protocol", "", "coherence protocol: "+strings.Join(pccsim.Protocols(), "|")+" (default adaptive)")
-	nodes := fs.Int("nodes", 16, "processor count")
-	scale := fs.Int("scale", 1, "problem-size multiplier")
-	iters := fs.Int("iters", 0, "iteration override (0 = workload default)")
-	racB := fs.Int("rac", 0, "remote access cache size in bytes (0 = none)")
-	deledc := fs.Int("deledc", 0, "delegate cache entries (0 = delegation off)")
-	updates := fs.Bool("updates", false, "enable speculative updates")
-	delay := fs.Uint64("delay", 50, "intervention delay in cycles")
-	hop := fs.Uint64("hop", 100, "network hop latency in cycles")
-	check := fs.Bool("check", false, "enable runtime coherence invariant checks")
-	shards := fs.Int("shards", 0, "engine shards (0 = single engine; >1 runs the parallel scheduler)")
-	deterministic := fs.Bool("deterministic", false, "with -shards: serial round-robin shard scheduler")
+	sp := runFlags(fs)
 	traceN := fs.Int("trace", 0, "dump the last N coherence messages after the run")
 	traceLine := fs.Uint64("trace-line", 0, "restrict tracing to one line address")
 	if err := cli.Parse(fs, args); err != nil {
 		fmt.Fprintln(os.Stderr, "pccsim:", err)
 		return 2
 	}
-	if err := (pccsim.WorkloadParams{Scale: *scale, Iters: *iters}).Validate(); err != nil {
+	cell, err := sp.Cell()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "pccsim:", err)
-		return 2
-	}
-
-	cfg := pccsim.DefaultConfig()
-	cfg.Nodes = *nodes
-	cfg.Protocol = *proto
-	cfg.RACBytes = *racB
-	cfg.DelegateEntries = *deledc
-	cfg.EnableUpdates = *updates && *racB > 0 && *deledc > 0
-	cfg.InterventionDelay = pccsim.Time(*delay)
-	cfg.Network.HopLatency = pccsim.Time(*hop)
-	cfg.CheckInvariants = *check
-	if *deterministic {
-		cfg = cfg.With(pccsim.WithDeterministicShards(*shards))
-	} else {
-		cfg = cfg.With(pccsim.WithShards(*shards))
+		if errors.Is(err, workload.ErrBadParams) {
+			return 2
+		}
+		return 1
 	}
 
 	var rec *pccsim.TraceRecorder
-	var st *pccsim.Stats
-	var err error
-	if *traceN > 0 {
-		var m *pccsim.Machine
-		m, err = pccsim.New(cfg)
-		if err == nil {
-			rec = m.Trace(*traceN, pccsim.Addr(*traceLine))
-			st, err = runOn(m, *wl, *nodes, *scale, *iters)
-		}
-	} else {
-		st, err = pccsim.RunWorkload(cfg, *wl, pccsim.WorkloadParams{
-			Nodes: *nodes, Scale: *scale, Iters: *iters,
-		})
-	}
+	m, err := pccsim.New(cell.Cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pccsim:", err)
 		return 1
 	}
-	harness.WriteRunReport(os.Stdout, *wl, *nodes, *scale, st)
+	if *traceN > 0 {
+		rec = m.Trace(*traceN, pccsim.Addr(*traceLine))
+	}
+	st, err := runOn(m, cell.Workload.Name, cell.Params)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pccsim:", err)
+		return 1
+	}
+	harness.WriteRunReport(os.Stdout, cell, st)
 	if rec != nil {
 		fmt.Printf("\n== last %d coherence messages (%d recorded) ==\n", *traceN, rec.Total())
 		rec.Dump(os.Stdout)
@@ -179,7 +173,7 @@ func traceMain(args []string) int {
 		return 1
 	}
 	es := m.Observe(*window)
-	st, err := runOn(m, *wl, *nodes, *scale, *iters)
+	st, err := runOn(m, *wl, pccsim.WorkloadParams{Nodes: *nodes, Scale: *scale, Iters: *iters})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pccsim trace:", err)
 		return 1
@@ -218,8 +212,8 @@ func traceMain(args []string) int {
 
 // runOn builds the workload and executes it on an existing machine (so an
 // observer or tracer can be attached first).
-func runOn(m *pccsim.Machine, wl string, nodes, scale, iters int) (*pccsim.Stats, error) {
-	prog, err := pccsim.BuildWorkload(wl, pccsim.WorkloadParams{Nodes: nodes, Scale: scale, Iters: iters})
+func runOn(m *pccsim.Machine, wl string, p pccsim.WorkloadParams) (*pccsim.Stats, error) {
+	prog, err := pccsim.BuildWorkload(wl, p)
 	if err != nil {
 		return nil, err
 	}

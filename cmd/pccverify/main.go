@@ -212,11 +212,8 @@ func emitRepros(cfg mcheck.Config, res *mcheck.Result, dir string) {
 		c := fault.MCheckCase{
 			Note: fmt.Sprintf("checker-emitted: %s under %dn x %dl (w=%d q=%d det=%d iss=%d tot=%d)",
 				v.Invariant, cfg.Nodes, cfg.Lines, cfg.MaxWrites, cfg.QueueDepth, cfg.DetThresh, cfg.MaxIssues, cfg.MaxTotalIssues),
-			Nodes: cfg.Nodes, Lines: cfg.Lines, MaxWrites: cfg.MaxWrites,
-			QueueDepth: cfg.QueueDepth, Delegation: cfg.Delegation,
-			DetThresh: cfg.DetThresh, MaxIssues: cfg.MaxIssues,
-			MaxTotalIssues: cfg.MaxTotalIssues,
-			Invariant:      v.Invariant, Trace: trace,
+			Config:    cfg,
+			Invariant: v.Invariant, Trace: trace,
 		}
 		cat := v.Invariant
 		if i := strings.IndexAny(cat, " ("); i > 0 {

@@ -35,21 +35,6 @@ type Line struct {
 	Streak uint8
 }
 
-// Victim describes a line evicted by Insert.
-type Victim struct {
-	Valid   bool
-	Addr    msg.Addr
-	State   State
-	Dirty   bool
-	Version uint64
-	Grant   uint64
-}
-
-func victimOf(l *Line) Victim {
-	return Victim{Valid: true, Addr: l.Addr, State: l.State, Dirty: l.Dirty,
-		Version: l.Version, Grant: l.Grant}
-}
-
 // Cache is a set-associative cache. It is a pure state container: timing
 // and protocol actions live in the controllers that use it. Its storage
 // is allocated on first touch (see Array).
@@ -85,27 +70,27 @@ func (c *Cache) Lookup(addr msg.Addr) *Line { return c.lines.Lookup(uint64(addr)
 func (c *Cache) Touch(addr msg.Addr) *Line { return c.lines.Touch(uint64(addr)) }
 
 // Insert places addr into the cache in the given state, evicting the LRU
-// line of the set if necessary, and returns the new line plus the victim
-// (Victim.Valid reports whether a valid line was displaced). If the address
-// is already present its line is reused in place.
-func (c *Cache) Insert(addr msg.Addr, st State) (*Line, Victim) {
+// line of the set if necessary, and returns the new line plus the
+// displaced one (State == Invalid when no valid line was displaced). If
+// the address is already present its line is reused in place.
+func (c *Cache) Insert(addr msg.Addr, st State) (*Line, Line) {
 	l, prior := c.lines.Fill(uint64(addr), nil)
-	var victim Victim
+	var victim Line
 	if prior == WasEvicted {
-		victim = victimOf(l)
+		victim = *l
 	}
 	*l = Line{Addr: c.Align(addr), State: st}
 	return l, victim
 }
 
 // Invalidate removes addr from the cache, returning the line's prior
-// contents as a Victim (Valid=false if it was not present).
-func (c *Cache) Invalidate(addr msg.Addr) Victim {
+// contents (State == Invalid if it was not present).
+func (c *Cache) Invalidate(addr msg.Addr) Line {
 	l := c.lines.Remove(uint64(addr))
 	if l == nil {
-		return Victim{}
+		return Line{}
 	}
-	v := victimOf(l)
+	v := *l
 	*l = Line{}
 	return v
 }

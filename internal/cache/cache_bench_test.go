@@ -59,7 +59,7 @@ func BenchmarkCacheInsertEvict(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, v := c.Insert(msg.Addr(lines+i)*128, Excl); !v.Valid {
+		if _, v := c.Insert(msg.Addr(lines+i)*128, Excl); v.State == Invalid {
 			b.Fatal("fill into a full set evicted nothing")
 		}
 	}

@@ -11,7 +11,7 @@ import (
 func TestInsertLookup(t *testing.T) {
 	c := New(4096, 4, 128) // 8 sets
 	l, v := c.Insert(0x1000, Shared)
-	if v.Valid {
+	if v.State != Invalid {
 		t.Fatal("insert into empty cache evicted something")
 	}
 	if l.State != Shared || l.Addr != 0x1000 {
@@ -41,7 +41,7 @@ func TestLRUEviction(t *testing.T) {
 	c.Insert(0x1000, Shared)
 	c.Touch(0x0000) // make 0x0000 most recent
 	_, v := c.Insert(0x2000, Excl)
-	if !v.Valid || v.Addr != 0x1000 {
+	if v.State == Invalid || v.Addr != 0x1000 {
 		t.Fatalf("victim = %+v, want eviction of 0x1000", v)
 	}
 	if c.Lookup(0x0000) == nil {
@@ -54,7 +54,7 @@ func TestInsertExistingReuses(t *testing.T) {
 	l1, _ := c.Insert(0x1000, Shared)
 	l1.Dirty = true
 	l2, v := c.Insert(0x1000, Excl)
-	if v.Valid {
+	if v.State != Invalid {
 		t.Fatal("reinserting existing line evicted something")
 	}
 	if l2.State != Excl {
@@ -73,8 +73,11 @@ func TestVictimCarriesState(t *testing.T) {
 	l, _ := c.Insert(0x0000, Excl)
 	l.Dirty = true
 	l.Version = 42
+	l.Grant = 7
+	// The displaced line is the resident one whole; its State (never
+	// Invalid for a resident line) is what marks it as displaced.
 	_, v := c.Insert(0x1000, Shared)
-	if !v.Valid || v.State != Excl || !v.Dirty || v.Version != 42 {
+	if v.State != Excl || !v.Dirty || v.Version != 42 || v.Grant != 7 || v.Addr != 0 {
 		t.Fatalf("victim = %+v", v)
 	}
 }
@@ -84,13 +87,13 @@ func TestInvalidate(t *testing.T) {
 	l, _ := c.Insert(0x3000, Excl)
 	l.Dirty = true
 	v := c.Invalidate(0x3000)
-	if !v.Valid || !v.Dirty || v.State != Excl {
+	if !v.Dirty || v.State != Excl {
 		t.Fatalf("invalidate victim = %+v", v)
 	}
 	if c.Lookup(0x3000) != nil {
 		t.Fatal("line still present after Invalidate")
 	}
-	if v2 := c.Invalidate(0x3000); v2.Valid {
+	if v2 := c.Invalidate(0x3000); v2.State != Invalid {
 		t.Fatal("double invalidate returned valid victim")
 	}
 }
@@ -197,12 +200,12 @@ func TestPropertyAssociativity(t *testing.T) {
 		c := New(ways*128, ways, 128) // single set
 		for i := 0; i < ways; i++ {
 			_, v := c.Insert(msg.Addr(i*128), Shared)
-			if v.Valid {
+			if v.State != Invalid {
 				return false
 			}
 		}
 		_, v := c.Insert(msg.Addr(ways*128), Shared)
-		return v.Valid && c.Count() == ways
+		return v.State != Invalid && c.Count() == ways
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -57,10 +57,11 @@ func (c *refCache) touch(addr msg.Addr) *refLine {
 	return l
 }
 
-func (c *refCache) insert(addr msg.Addr, st State) (*refLine, Victim) {
+// insert also reports whether it evicted a resident line.
+func (c *refCache) insert(addr msg.Addr, st State) (*refLine, Line, bool) {
 	addr = c.align(addr)
 	set := c.set(addr)
-	var victim Victim
+	var victim Line
 	slot := -1
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == addr {
@@ -71,26 +72,27 @@ func (c *refCache) insert(addr msg.Addr, st State) (*refLine, Victim) {
 			slot = i
 		}
 	}
-	if slot < 0 {
+	evicted := slot < 0
+	if evicted {
 		slot = 0
 		for i := 1; i < len(set); i++ {
 			if set[i].lastUse < set[slot].lastUse {
 				slot = i
 			}
 		}
-		victim = victimOf(&set[slot].Line)
+		victim = set[slot].Line
 	}
 	c.useClock++
 	set[slot] = refLine{Line: Line{Addr: addr, State: st}, lastUse: c.useClock}
-	return &set[slot], victim
+	return &set[slot], victim, evicted
 }
 
-func (c *refCache) invalidate(addr msg.Addr) Victim {
+func (c *refCache) invalidate(addr msg.Addr) Line {
 	l := c.lookup(addr)
 	if l == nil {
-		return Victim{}
+		return Line{}
 	}
-	v := victimOf(&l.Line)
+	v := l.Line
 	*l = refLine{}
 	return v
 }
@@ -145,9 +147,12 @@ func diffCache(t *testing.T, bytes, ways, lineBytes int, seed int64) {
 		case op < 3:
 			st := State(1 + rng.Intn(2))
 			l, v := c.Insert(addr, st)
-			rl, rv := ref.insert(addr, st)
+			rl, rv, evicted := ref.insert(addr, st)
 			if v != rv {
 				t.Fatalf("seed %d step %d: victim %+v, want %+v", seed, step, v, rv)
+			}
+			if evicted && v.State == Invalid {
+				t.Fatalf("seed %d step %d: evicted resident line %+v reads as nothing displaced", seed, step, v)
 			}
 			same(step, "insert", l, rl)
 			// Dirty the line identically so later victims carry state.

@@ -518,7 +518,7 @@ func (h *Hub) fillL2(line msg.Addr, st cache.State, version uint64, dirty bool) 
 	l, victim := h.l2.Insert(line, st)
 	l.Version = version
 	l.Dirty = dirty
-	if victim.Valid {
+	if victim.State != cache.Invalid {
 		h.evictL2(victim)
 	}
 	return l
@@ -539,7 +539,7 @@ func (h *Hub) dropRACCopy(line msg.Addr) {
 
 // evictL2 disposes of an L2 victim line: back-invalidate L1 (inclusion),
 // victim-cache remote lines in the RAC, write dirty data home.
-func (h *Hub) evictL2(v cache.Victim) {
+func (h *Hub) evictL2(v cache.Line) {
 	h.l1.InvalidateRange(v.Addr, h.cfg.L2LineBytes)
 
 	// Delegated lines: the pinned RAC entry is the surrogate memory.
@@ -581,11 +581,9 @@ func (h *Hub) evictL2(v cache.Victim) {
 	// Clean Shared victims drop silently.
 }
 
-// handleRACVictim disposes of an entry displaced from the RAC.
-func (h *Hub) handleRACVictim(v rac.Victim) {
-	if !v.Valid {
-		return
-	}
+// handleRACVictim disposes of an entry displaced from the RAC; the zero
+// Line (nothing displaced) needs nothing.
+func (h *Hub) handleRACVictim(v rac.Line) {
 	if v.FromUpdate && !v.Consumed {
 		h.noteUpdateWasted(v.Addr)
 	}

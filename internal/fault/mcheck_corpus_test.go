@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"sort"
@@ -31,23 +32,38 @@ func TestMCheckCorpusReplays(t *testing.T) {
 	}
 }
 
-// TestMCheckCaseRoundTrip pins the on-disk schema: write, read back with
-// unknown-field rejection, replay.
+// TestMCheckCaseRoundTrip pins the on-disk schema: every committed case,
+// read back with unknown-field rejection and written again, reproduces
+// its file byte for byte, and the rewritten file replays.
 func TestMCheckCaseRoundTrip(t *testing.T) {
-	cases, names, err := loadMCheckCorpus(filepath.Join("testdata", "corpus", "mcheck"))
+	dir := filepath.Join("testdata", "corpus", "mcheck")
+	cases, names, err := loadMCheckCorpus(dir)
 	if err != nil || len(cases) == 0 {
 		t.Fatal("need a committed corpus case")
 	}
-	path := filepath.Join(t.TempDir(), "rt.json")
-	if err := WriteMCheckCase(path, cases[0]); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadMCheckCase(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Invariant != cases[0].Invariant || len(got.Trace) != len(cases[0].Trace) {
-		t.Fatalf("round-trip changed %s: %+v vs %+v", names[0], got, cases[0])
+	for i, c := range cases {
+		path := filepath.Join(t.TempDir(), names[i])
+		if err := WriteMCheckCase(path, c); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(dir, names[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s re-encodes differently:\n%s\nwant:\n%s", names[i], got, want)
+		}
+		back, err := ReadMCheckCase(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ReplayMCheckCase(back); err != nil {
+			t.Fatalf("%s after a round trip: %v", names[i], err)
+		}
 	}
 }
 

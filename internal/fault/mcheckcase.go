@@ -19,16 +19,8 @@ import (
 type MCheckCase struct {
 	Note string `json:"note,omitempty"`
 
-	Nodes      int  `json:"nodes"`
-	Lines      int  `json:"lines,omitempty"`
-	MaxWrites  int  `json:"max_writes"`
-	QueueDepth int  `json:"queue_depth"`
-	Delegation bool `json:"delegation,omitempty"`
-	DetThresh  int8 `json:"det_thresh,omitempty"`
-	MaxIssues  int8 `json:"max_issues"`
-	// MaxTotalIssues mirrors Config.MaxTotalIssues (0 = unbounded); older
-	// corpus files omit it and replay with the bound off, as recorded.
-	MaxTotalIssues int8 `json:"max_total_issues,omitempty"`
+	// The bounded-model configuration; its JSON tags are the corpus keys.
+	mcheck.Config
 
 	// Invariant is the violated property as reported by the checker
 	// ("deadlock-freedom", "single-writer (…)", "L1:data-value (…)", …).
@@ -37,16 +29,6 @@ type MCheckCase struct {
 	// of the recorded state.
 	Invariant string   `json:"invariant"`
 	Trace     []string `json:"trace"`
-}
-
-// Config converts the case back to the model-checker configuration.
-func (c MCheckCase) Config() mcheck.Config {
-	return mcheck.Config{
-		Nodes: c.Nodes, Lines: c.Lines, MaxWrites: c.MaxWrites,
-		QueueDepth: c.QueueDepth, Delegation: c.Delegation,
-		DetThresh: c.DetThresh, MaxIssues: c.MaxIssues,
-		MaxTotalIssues: c.MaxTotalIssues,
-	}
 }
 
 // invariantCategory strips an "L<n>:" line prefix and any parenthetical
@@ -66,7 +48,7 @@ func invariantCategory(inv string) string {
 // and not quiescent; for invariants, CheckInvariants must report the same
 // category.
 func ReplayMCheckCase(c MCheckCase) error {
-	cfg := c.Config()
+	cfg := c.Config
 	st, err := mcheck.ApplyTrace(cfg, c.Trace)
 	if err != nil {
 		return err

@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 	"text/tabwriter"
 
 	"pccsim/internal/core"
@@ -71,7 +69,7 @@ func (s *Session) Compare() ([]CompareRow, error) {
 	var jobs []runner.Job
 	for _, wl := range apps {
 		for _, p := range protos {
-			jobs = append(jobs, s.job("compare/"+wl.Name+"/"+p.Name(), CompareConfig(base, p), wl))
+			jobs = append(jobs, s.Opts.job("compare/"+wl.Name+"/"+p.Name(), CompareConfig(base, p), wl))
 		}
 	}
 	res, err := s.run(jobs)
@@ -112,35 +110,14 @@ func (s *Session) Compare() ([]CompareRow, error) {
 
 // WriteCompareCSV renders the bake-off table.
 func WriteCompareCSV(w io.Writer, rows []CompareRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"app", "protocol", "cycles", "speedup_vs_mesi",
+	return writeCSV(w, []string{"app", "protocol", "cycles", "speedup_vs_mesi",
 		"messages", "bytes", "avg_hops",
 		"miss_local_rac", "miss_local_home", "miss_remote_2hop", "miss_remote_3hop",
-		"update_accuracy", "delegations", "nacks"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{
-			r.App, r.Protocol,
-			strconv.FormatUint(r.Cycles, 10),
-			f(r.Speedup),
-			strconv.FormatUint(r.Messages, 10),
-			strconv.FormatUint(r.Bytes, 10),
-			f(r.AvgHops),
-			strconv.FormatUint(r.MissRAC, 10),
-			strconv.FormatUint(r.MissLocalHome, 10),
-			strconv.FormatUint(r.MissRemote2, 10),
-			strconv.FormatUint(r.MissRemote3, 10),
-			f(r.UpdateAcc),
-			strconv.FormatUint(r.Delegations, 10),
-			strconv.FormatUint(r.NackCount, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+		"update_accuracy", "delegations", "nacks"}, rows, func(r CompareRow) []string {
+		return []string{r.App, r.Protocol, u(r.Cycles), f(r.Speedup), u(r.Messages), u(r.Bytes), f(r.AvgHops),
+			u(r.MissRAC), u(r.MissLocalHome), u(r.MissRemote2), u(r.MissRemote3),
+			f(r.UpdateAcc), u(r.Delegations), u(r.NackCount)}
+	})
 }
 
 // PrintCompare renders the bake-off: one per-application block plus a

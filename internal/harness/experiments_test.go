@@ -111,8 +111,8 @@ func TestRelatedViewPremiseMesiIsBase(t *testing.T) {
 	var jobs []runner.Job
 	for _, wl := range apps {
 		jobs = append(jobs,
-			s.job("premise/"+wl.Name+"/base", base, wl),
-			s.job("premise/"+wl.Name+"/mesi", CompareConfig(base, mesi), wl))
+			s.Opts.job("premise/"+wl.Name+"/base", base, wl),
+			s.Opts.job("premise/"+wl.Name+"/mesi", CompareConfig(base, mesi), wl))
 	}
 	res, err := s.run(jobs)
 	if err != nil {

@@ -13,148 +13,79 @@ import (
 // Exportable experiment results: every experiment's rows can be written as
 // CSV (for plotting the figures) or JSON (for downstream tooling).
 
-// WriteFig7CSV renders Figure 7's rows.
-func WriteFig7CSV(w io.Writer, rows []Row) error {
+// writeCSV writes header and then rec(r) for each row. A write error is
+// sticky in the csv.Writer, so the one check after Flush reports it.
+func writeCSV[R any](w io.Writer, header []string, rows []R, rec func(R) []string) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"app", "config", "cycles", "speedup",
-		"messages", "msg_ratio", "remote_misses", "miss_ratio",
-		"update_accuracy", "delegations", "undelegations", "nacks"}); err != nil {
-		return err
-	}
+	_ = cw.Write(header)
 	for _, r := range rows {
-		rec := []string{
-			r.App, r.Config,
-			strconv.FormatUint(r.Cycles, 10),
-			f(r.Speedup),
-			strconv.FormatUint(r.Messages, 10),
-			f(r.MsgRatio),
-			strconv.FormatUint(r.RemoteMisses, 10),
-			f(r.MissRatio),
-			f(r.UpdateAcc),
-			strconv.FormatUint(r.Delegs, 10),
-			strconv.FormatUint(r.Undelegs, 10),
-			strconv.FormatUint(r.NackCount, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
+		_ = cw.Write(rec(r))
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// WriteFig7CSV renders Figure 7's rows.
+func WriteFig7CSV(w io.Writer, rows []Row) error {
+	return writeCSV(w, []string{"app", "config", "cycles", "speedup",
+		"messages", "msg_ratio", "remote_misses", "miss_ratio",
+		"update_accuracy", "delegations", "undelegations", "nacks"}, rows, func(r Row) []string {
+		return []string{r.App, r.Config, u(r.Cycles), f(r.Speedup), u(r.Messages), f(r.MsgRatio),
+			u(r.RemoteMisses), f(r.MissRatio), f(r.UpdateAcc), u(r.Delegs), u(r.Undelegs), u(r.NackCount)}
+	})
 }
 
 // WriteSweepCSV renders a Figure 11/12 sweep.
 func WriteSweepCSV(w io.Writer, rows []SweepRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"config", "cycles", "messages", "speedup",
-		"msg_ratio", "undelegations", "update_accuracy"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{
-			r.Config,
-			strconv.FormatUint(r.Cycles, 10),
-			strconv.FormatUint(r.Messages, 10),
-			f(r.Speedup), f(r.MsgRatio),
-			strconv.FormatUint(r.Undelegs, 10),
-			f(r.UpdAcc),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"config", "cycles", "messages", "speedup",
+		"msg_ratio", "undelegations", "update_accuracy"}, rows, func(r SweepRow) []string {
+		return []string{r.Config, u(r.Cycles), u(r.Messages), f(r.Speedup), f(r.MsgRatio),
+			u(r.Undelegs), f(r.UpdAcc)}
+	})
 }
 
 // WriteFig8CSV renders the equal-silicon-area comparison.
 func WriteFig8CSV(w io.Writer, rows []Fig8Row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"app", "config", "cycles", "speedup"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := cw.Write([]string{r.App, r.Config,
-			strconv.FormatUint(r.Cycles, 10), f(r.Speedup)}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"app", "config", "cycles", "speedup"}, rows, func(r Fig8Row) []string {
+		return []string{r.App, r.Config, u(r.Cycles), f(r.Speedup)}
+	})
 }
 
 // WriteTable3CSV renders the consumer-count distribution, rows in the
 // paper's application order.
 func WriteTable3CSV(w io.Writer, dist map[string][5]float64) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"app", "pct_1", "pct_2", "pct_3", "pct_4", "pct_4plus"}); err != nil {
-		return err
-	}
+	var apps []string
 	for _, wl := range workload.All() {
-		d, ok := dist[wl.Name]
-		if !ok {
-			continue
-		}
-		if err := cw.Write([]string{wl.Name,
-			f(d[0]), f(d[1]), f(d[2]), f(d[3]), f(d[4])}); err != nil {
-			return err
+		if _, ok := dist[wl.Name]; ok {
+			apps = append(apps, wl.Name)
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"app", "pct_1", "pct_2", "pct_3", "pct_4", "pct_4plus"}, apps, func(app string) []string {
+		d := dist[app]
+		return []string{app, f(d[0]), f(d[1]), f(d[2]), f(d[3]), f(d[4])}
+	})
 }
 
 // WriteAblationCSV renders the §3.2 delegation-only comparison.
 func WriteAblationCSV(w io.Writer, rows []AblationRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"app", "base_cycles", "deleg_only_cycles",
-		"deleg_upd_cycles", "deleg_speedup", "full_speedup"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := cw.Write([]string{r.App,
-			strconv.FormatUint(r.BaseCycles, 10),
-			strconv.FormatUint(r.DelegOnly, 10),
-			strconv.FormatUint(r.DelegUpd, 10),
-			f(r.DelegSpeedup), f(r.FullSpeedup)}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"app", "base_cycles", "deleg_only_cycles",
+		"deleg_upd_cycles", "deleg_speedup", "full_speedup"}, rows, func(r AblationRow) []string {
+		return []string{r.App, u(r.BaseCycles), u(r.DelegOnly), u(r.DelegUpd), f(r.DelegSpeedup), f(r.FullSpeedup)}
+	})
 }
 
 // WriteFig9CSV renders the intervention-delay sweep.
 func WriteFig9CSV(w io.Writer, rows []Fig9Row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"app", "delay", "cycles", "normalized"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := cw.Write([]string{r.App, r.Delay,
-			strconv.FormatUint(r.Cycles, 10), f(r.Normalized)}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"app", "delay", "cycles", "normalized"}, rows, func(r Fig9Row) []string {
+		return []string{r.App, r.Delay, u(r.Cycles), f(r.Normalized)}
+	})
 }
 
 // WriteFig10CSV renders the hop-latency sweep.
 func WriteFig10CSV(w io.Writer, rows []Fig10Row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"hop_ns", "base_cycles", "mech_cycles", "speedup"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := cw.Write([]string{strconv.Itoa(r.HopNsec),
-			strconv.FormatUint(r.BaseCycles, 10),
-			strconv.FormatUint(r.MechCycles, 10), f(r.Speedup)}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"hop_ns", "base_cycles", "mech_cycles", "speedup"}, rows, func(r Fig10Row) []string {
+		return []string{strconv.Itoa(r.HopNsec), u(r.BaseCycles), u(r.MechCycles), f(r.Speedup)}
+	})
 }
 
 // Report bundles every experiment for one JSON document. The field order
@@ -203,3 +134,5 @@ func (r *Report) WriteJSON(w io.Writer) error {
 }
 
 func f(v float64) string { return fmt.Sprintf("%.4f", v) }
+
+func u(v uint64) string { return strconv.FormatUint(v, 10) }

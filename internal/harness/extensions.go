@@ -53,10 +53,10 @@ func (s *Session) Extensions() ([]ExtRow, error) {
 	var jobs []runner.Job
 	for _, wl := range apps {
 		jobs = append(jobs,
-			s.job("extensions/"+wl.Name+"/base", base, wl),
-			s.job("extensions/"+wl.Name+"/fixed", fixed, wl),
-			s.job("extensions/"+wl.Name+"/adaptive", adaptive, wl),
-			s.job("extensions/"+wl.Name+"/pair", pair, wl))
+			s.Opts.job("extensions/"+wl.Name+"/base", base, wl),
+			s.Opts.job("extensions/"+wl.Name+"/fixed", fixed, wl),
+			s.Opts.job("extensions/"+wl.Name+"/adaptive", adaptive, wl),
+			s.Opts.job("extensions/"+wl.Name+"/pair", pair, wl))
 	}
 	res, err := s.run(jobs)
 	if err != nil {

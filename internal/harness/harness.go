@@ -24,6 +24,7 @@ import (
 
 	"pccsim/internal/core"
 	"pccsim/internal/cpu"
+	"pccsim/internal/msg"
 	"pccsim/internal/node"
 	"pccsim/internal/runner"
 	"pccsim/internal/sim"
@@ -61,6 +62,32 @@ type Options struct {
 
 func (o Options) params() workload.Params {
 	return workload.Params{Nodes: o.Nodes, Scale: o.Scale, Iters: o.Iters}
+}
+
+// WithDefaults returns o with a zero Nodes or Scale replaced by its
+// default (16 nodes, scale 1): the rule of serve's job bodies and of
+// RunSpec.
+func (o Options) WithDefaults() Options {
+	if o.Nodes == 0 {
+		o.Nodes = 16
+	}
+	if o.Scale == 0 {
+		o.Scale = 1
+	}
+	return o
+}
+
+// Validate reports whether every cell of a session with these options can
+// run: Nodes in 1..msg.MaxNodes, Shards in 0..Nodes and no negative
+// workload size.
+func (o Options) Validate() error {
+	if o.Nodes < 1 || o.Nodes > msg.MaxNodes {
+		return fmt.Errorf("harness: invalid nodes %d: outside 1..%d", o.Nodes, msg.MaxNodes)
+	}
+	if o.Shards < 0 || o.Shards > o.Nodes {
+		return fmt.Errorf("harness: invalid shards %d: outside 0..%d", o.Shards, o.Nodes)
+	}
+	return o.params().Validate()
 }
 
 // Session runs experiments through one shared scheduler, so identical
@@ -177,13 +204,13 @@ func MustRun(cfg core.Config, wl *workload.Workload, p workload.Params) *stats.S
 	return st
 }
 
-// job builds one runner job for this session's parameters. Shard options
-// apply here, centrally, so every experiment cell of a sharded session
-// runs on the same engine partitioning.
-func (s *Session) job(label string, cfg core.Config, wl *workload.Workload) runner.Job {
-	cfg.Shards = s.Opts.Shards
-	cfg.ShardsParallel = s.Opts.Shards > 1 && !s.Opts.Deterministic
-	return runner.Job{Label: label, Cfg: cfg, Workload: wl, Params: s.Opts.params()}
+// job builds one runner job for these options. Shard options apply here,
+// centrally, so every experiment cell of a sharded session and every
+// RunSpec cell runs on the same engine partitioning.
+func (o Options) job(label string, cfg core.Config, wl *workload.Workload) runner.Job {
+	cfg.Shards = o.Shards
+	cfg.ShardsParallel = o.Shards > 1 && !o.Deterministic
+	return runner.Job{Label: label, Cfg: cfg, Workload: wl, Params: o.params()}
 }
 
 // Row is one (application, configuration) measurement normalized to that
@@ -216,7 +243,7 @@ func (s *Session) Fig7() ([]Row, error) {
 	var jobs []runner.Job
 	for _, wl := range apps {
 		for _, spec := range specs {
-			jobs = append(jobs, s.job("fig7/"+wl.Name+"/"+spec.Label, spec.Apply(base), wl))
+			jobs = append(jobs, s.Opts.job("fig7/"+wl.Name+"/"+spec.Label, spec.Apply(base), wl))
 		}
 	}
 	res, err := s.run(jobs)
@@ -302,7 +329,7 @@ func (s *Session) Table3() (map[string][5]float64, error) {
 
 	jobs := make([]runner.Job, len(apps))
 	for i, wl := range apps {
-		jobs[i] = s.job("table3/"+wl.Name, cfg, wl)
+		jobs[i] = s.Opts.job("table3/"+wl.Name, cfg, wl)
 	}
 	res, err := s.run(jobs)
 	if err != nil {
@@ -346,9 +373,9 @@ func (s *Session) Fig8() ([]Fig8Row, error) {
 	var jobs []runner.Job
 	for _, wl := range apps {
 		jobs = append(jobs,
-			s.job("fig8/"+wl.Name+"/base", mk(), wl),
-			s.job("fig8/"+wl.Name+"/smarter", mech(mk(), 32*1024, 32, true), wl),
-			s.job("fig8/"+wl.Name+"/larger", big, wl))
+			s.Opts.job("fig8/"+wl.Name+"/base", mk(), wl),
+			s.Opts.job("fig8/"+wl.Name+"/smarter", mech(mk(), 32*1024, 32, true), wl),
+			s.Opts.job("fig8/"+wl.Name+"/larger", big, wl))
 	}
 	res, err := s.run(jobs)
 	if err != nil {
@@ -407,7 +434,7 @@ func (s *Session) Fig9() ([]Fig9Row, error) {
 			cfg := mech(core.DefaultConfig(), 32*1024, 32, true)
 			cfg.Nodes = s.Opts.Nodes
 			cfg.InterventionDelay = d
-			jobs = append(jobs, s.job("fig9/"+wl.Name+"/"+delayLabel(d), cfg, wl))
+			jobs = append(jobs, s.Opts.job("fig9/"+wl.Name+"/"+delayLabel(d), cfg, wl))
 		}
 	}
 	res, err := s.run(jobs)
@@ -452,8 +479,8 @@ func (s *Session) Fig10() ([]Fig10Row, error) {
 		base.Network.HopLatency = hop
 		mcfg := mech(base, 1024*1024, 32, true)
 		jobs = append(jobs,
-			s.job(fmt.Sprintf("fig10/%dns/base", ns), base, wl),
-			s.job(fmt.Sprintf("fig10/%dns/mech", ns), mcfg, wl))
+			s.Opts.job(fmt.Sprintf("fig10/%dns/base", ns), base, wl),
+			s.Opts.job(fmt.Sprintf("fig10/%dns/mech", ns), mcfg, wl))
 	}
 	res, err := s.run(jobs)
 	if err != nil {
@@ -496,9 +523,9 @@ func (s *Session) sweep(figure, app string, pts []sweepPoint) ([]SweepRow, error
 	base := core.DefaultConfig()
 	base.Nodes = s.Opts.Nodes
 
-	jobs := []runner.Job{s.job(figure+"/"+app+"/base", base, wl)}
+	jobs := []runner.Job{s.Opts.job(figure+"/"+app+"/base", base, wl)}
 	for _, p := range pts {
-		jobs = append(jobs, s.job(figure+"/"+app+"/"+p.label,
+		jobs = append(jobs, s.Opts.job(figure+"/"+app+"/"+p.label,
 			mech(base, p.rac, p.entries, true), wl))
 	}
 	res, err := s.run(jobs)
@@ -568,9 +595,9 @@ func (s *Session) Ablation() ([]AblationRow, error) {
 	var jobs []runner.Job
 	for _, wl := range apps {
 		jobs = append(jobs,
-			s.job("ablation/"+wl.Name+"/base", base, wl),
-			s.job("ablation/"+wl.Name+"/deleg-only", mech(base, 32*1024, 32, false), wl),
-			s.job("ablation/"+wl.Name+"/deleg-upd", mech(base, 32*1024, 32, true), wl))
+			s.Opts.job("ablation/"+wl.Name+"/base", base, wl),
+			s.Opts.job("ablation/"+wl.Name+"/deleg-only", mech(base, 32*1024, 32, false), wl),
+			s.Opts.job("ablation/"+wl.Name+"/deleg-upd", mech(base, 32*1024, 32, true), wl))
 	}
 	res, err := s.run(jobs)
 	if err != nil {

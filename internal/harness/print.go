@@ -6,16 +6,74 @@ import (
 	"text/tabwriter"
 
 	"pccsim/internal/core"
+	"pccsim/internal/runner"
+	"pccsim/internal/sim"
 	"pccsim/internal/stats"
 	"pccsim/internal/workload"
 )
 
-// WriteRunReport renders the canonical single-run report: the header line
-// followed by the full stats dump. The pccsim CLI and the serve result
+// RunSpec describes one simulation run. The pccsim CLI binds its root
+// flags onto it and a serve run job's body decodes into it, so a command
+// line and a job body describe the same cell; the JSON keys are the flag
+// names. A zero Workload, Nodes or Scale takes its default (em3d, 16
+// nodes, scale 1), a zero Delay means 50 cycles, and a nil Hop means 100
+// cycles (0 is a zero-latency network).
+type RunSpec struct {
+	Workload      string  `json:"workload"`
+	Protocol      string  `json:"protocol"` // "" = adaptive
+	Nodes         int     `json:"nodes"`
+	Scale         int     `json:"scale"`
+	Iters         int     `json:"iters"`   // 0 = the workload's default
+	RAC           int     `json:"rac"`     // RAC bytes (0 = none)
+	Deledc        int     `json:"deledc"`  // delegate-cache entries (0 = delegation off)
+	Updates       bool    `json:"updates"` // speculative updates, with a RAC and delegation
+	Delay         uint64  `json:"delay"`   // intervention delay in cycles
+	Hop           *uint64 `json:"hop"`     // network hop latency in cycles
+	Check         bool    `json:"check"`   // runtime coherence invariant checks
+	Shards        int     `json:"shards"`
+	Deterministic bool    `json:"deterministic"`
+}
+
+// Cell applies the spec's defaults and returns the run as a runner job
+// without Label or Attach. Negative sizes (workload.ErrBadParams), an
+// unknown workload and a configuration core rejects fail here, before
+// anything simulates.
+func (sp RunSpec) Cell() (runner.Job, error) {
+	o := Options{Nodes: sp.Nodes, Scale: sp.Scale, Iters: sp.Iters,
+		Shards: sp.Shards, Deterministic: sp.Deterministic}.WithDefaults()
+	if err := o.params().Validate(); err != nil {
+		return runner.Job{}, err
+	}
+	if sp.Workload == "" {
+		sp.Workload = "em3d"
+	}
+	wl, err := workload.Lookup(sp.Workload)
+	if err != nil {
+		return runner.Job{}, err
+	}
+	cfg := mech(core.DefaultConfig(), sp.RAC, sp.Deledc, sp.Updates)
+	cfg.Nodes = o.Nodes
+	cfg.Protocol = sp.Protocol
+	if sp.Delay != 0 {
+		cfg.InterventionDelay = sim.Time(sp.Delay)
+	}
+	if sp.Hop != nil {
+		cfg.Network.HopLatency = sim.Time(*sp.Hop)
+	}
+	cfg.CheckInvariants = sp.Check
+	job := o.job("", cfg, wl)
+	if err := job.Cfg.Validate(); err != nil {
+		return runner.Job{}, err
+	}
+	return job, nil
+}
+
+// WriteRunReport renders the canonical report of one run cell: the header
+// line followed by the full stats dump. The pccsim CLI and the serve result
 // path both render through here, which is what makes an HTTP-submitted
 // run's body byte-identical to the equivalent CLI invocation's stdout.
-func WriteRunReport(w io.Writer, workload string, nodes, scale int, st *stats.Stats) {
-	fmt.Fprintf(w, "workload %s on %d nodes (scale %d)\n", workload, nodes, scale)
+func WriteRunReport(w io.Writer, cell runner.Job, st *stats.Stats) {
+	fmt.Fprintf(w, "workload %s on %d nodes (scale %d)\n", cell.Workload.Name, cell.Params.Nodes, cell.Params.Scale)
 	st.Dump(w)
 }
 

@@ -196,29 +196,31 @@ type Home struct {
 
 // Config parameterizes the model.
 type Config struct {
-	Nodes      int  // processors (the home directory lives beside node 0)
-	Lines      int  // modeled cache lines, all homed at node 0 (0 = 1)
-	MaxWrites  int  // bound on data versions, totaled across lines
-	QueueDepth int  // per src->dst channel bound (shared by all lines)
-	Delegation bool // enable the delegation + update extensions
-	DetThresh  int8 // write-repeat saturation threshold (paper: 3)
+	Nodes      int  `json:"nodes"`                // processors (the home directory lives beside node 0)
+	Lines      int  `json:"lines,omitempty"`      // modeled cache lines, all homed at node 0 (0 = 1)
+	MaxWrites  int  `json:"max_writes"`           // bound on data versions, totaled across lines
+	QueueDepth int  `json:"queue_depth"`          // per src->dst channel bound (shared by all lines)
+	Delegation bool `json:"delegation,omitempty"` // enable the delegation + update extensions
+	DetThresh  int8 `json:"det_thresh,omitempty"` // write-repeat saturation threshold (paper: 3)
 	// MaxIssues bounds each node's total request issues across all lines
 	// (including NACK-forced retries), which bounds transaction
 	// numbers — the usual bounded-model-checking compromise for retry
 	// protocols.
-	MaxIssues int8
+	MaxIssues int8 `json:"max_issues"`
 	// MaxTotalIssues, when positive, additionally bounds the sum of
 	// issues across all nodes. The per-node bound alone multiplies the
 	// interleaving space per extra line; the global bound keeps
 	// multi-line configurations tractable while still letting any node
 	// (and in particular a repeat producer) spend the shared budget.
-	MaxTotalIssues int8
+	// Older corpus files omit it and replay with the bound off.
+	MaxTotalIssues int8 `json:"max_total_issues,omitempty"`
 
 	// Scripts, when non-nil, switches the model to litmus mode: instead
 	// of free processor actions, node i executes Scripts[i] in program
 	// order on line 0 (reads record the observed version) and
-	// spontaneous cache evictions are disabled. Used by Litmus.
-	Scripts [][]LitOp
+	// spontaneous cache evictions are disabled. Used by Litmus; never
+	// part of a corpus case.
+	Scripts [][]LitOp `json:"-"`
 }
 
 // LitOp is one scripted litmus operation.

@@ -27,23 +27,6 @@ type Line struct {
 	Consumed   bool
 }
 
-// Victim describes an entry displaced by Insert.
-type Victim struct {
-	Valid      bool
-	Addr       msg.Addr
-	State      cache.State
-	Dirty      bool
-	Version    uint64
-	Grant      uint64
-	FromUpdate bool
-	Consumed   bool
-}
-
-func victimOf(l *Line) Victim {
-	return Victim{Valid: true, Addr: l.Addr, State: l.State, Dirty: l.Dirty, Version: l.Version,
-		Grant: l.Grant, FromUpdate: l.FromUpdate, Consumed: l.Consumed}
-}
-
 // RAC is a set-associative remote access cache with entry pinning. Its
 // storage is allocated on first touch (see cache.Array).
 type RAC struct {
@@ -69,17 +52,19 @@ func (r *RAC) Touch(addr msg.Addr) *Line { return r.lines.Touch(uint64(addr)) }
 func pinned(l *Line) bool { return l.Pinned }
 
 // Insert places addr in the RAC, evicting the LRU unpinned entry of the set
-// if needed. It reports ok=false — without modifying the cache — when every
-// way of the set is pinned, which is the signal that a delegation must be
-// dropped before more delegated lines can be pinned here.
-func (r *RAC) Insert(addr msg.Addr, st cache.State) (*Line, Victim, bool) {
+// if needed, and returns the new entry plus the displaced one (State ==
+// cache.Invalid when no valid entry was displaced). It reports ok=false —
+// without modifying the cache — when every way of the set is pinned,
+// which is the signal that a delegation must be dropped before more
+// delegated lines can be pinned here.
+func (r *RAC) Insert(addr msg.Addr, st cache.State) (*Line, Line, bool) {
 	l, prior := r.lines.Fill(uint64(addr), pinned)
-	var victim Victim
+	var victim Line
 	switch prior {
 	case cache.AllPinned:
-		return nil, Victim{}, false
+		return nil, Line{}, false
 	case cache.WasEvicted:
-		victim = victimOf(l)
+		victim = *l
 	}
 	keep := prior == cache.WasPresent && l.Pinned
 	*l = Line{Addr: addr &^ msg.Addr(r.lines.LineBytes()-1), State: st, Pinned: keep}
@@ -97,13 +82,14 @@ func (r *RAC) Pin(addr msg.Addr) bool {
 	return true
 }
 
-// Invalidate removes addr, returning its prior contents.
-func (r *RAC) Invalidate(addr msg.Addr) Victim {
+// Invalidate removes addr, returning its prior contents (State ==
+// cache.Invalid if it was not present).
+func (r *RAC) Invalidate(addr msg.Addr) Line {
 	l := r.lines.Remove(uint64(addr))
 	if l == nil {
-		return Victim{}
+		return Line{}
 	}
-	v := victimOf(l)
+	v := *l
 	*l = Line{}
 	return v
 }

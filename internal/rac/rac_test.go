@@ -11,7 +11,7 @@ import (
 func TestInsertLookup(t *testing.T) {
 	r := New(32*1024, 4, 128)
 	l, v, ok := r.Insert(0x4000, cache.Shared)
-	if !ok || v.Valid {
+	if !ok || v.State != cache.Invalid {
 		t.Fatalf("insert: ok=%v victim=%+v", ok, v)
 	}
 	l.Version = 7
@@ -33,7 +33,7 @@ func TestPinnedNotEvicted(t *testing.T) {
 	if !ok {
 		t.Fatal("insert with one unpinned way failed")
 	}
-	if !v.Valid || v.Addr != 0x1000 {
+	if v.State == cache.Invalid || v.Addr != 0x1000 {
 		t.Fatalf("victim = %+v, want 0x1000", v)
 	}
 	if r.Lookup(0x0000) == nil {
@@ -95,7 +95,7 @@ func TestInvalidate(t *testing.T) {
 	l.Dirty = true
 	l.Version = 3
 	v := r.Invalidate(0x100)
-	if !v.Valid || !v.Dirty || v.Version != 3 {
+	if v.State == cache.Invalid || !v.Dirty || v.Version != 3 {
 		t.Fatalf("victim = %+v", v)
 	}
 	if r.Lookup(0x100) != nil {
@@ -121,14 +121,14 @@ func TestLRUAmongUnpinned(t *testing.T) {
 func TestCapacity(t *testing.T) {
 	r := New(32*1024, 4, 128)
 	for a := msg.Addr(0); a < 32*1024; a += 128 {
-		if _, v, ok := r.Insert(a, cache.Shared); !ok || v.Valid {
+		if _, v, ok := r.Insert(a, cache.Shared); !ok || v.State != cache.Invalid {
 			t.Fatalf("insert %#x: ok=%v victim %+v", uint64(a), ok, v)
 		}
 	}
 	if r.Count() != 256 {
 		t.Fatalf("Count = %d, want 256", r.Count())
 	}
-	if _, v, _ := r.Insert(32*1024, cache.Shared); !v.Valid {
+	if _, v, _ := r.Insert(32*1024, cache.Shared); v.State == cache.Invalid {
 		t.Fatal("insert past capacity evicted nothing")
 	}
 }

@@ -57,7 +57,9 @@ func (r *refRAC) touch(addr msg.Addr) *refLine {
 	return l
 }
 
-func (r *refRAC) insert(addr msg.Addr, st cache.State) (*refLine, Victim, bool) {
+// insert returns the evicted way whole: its valid bit reports whether a
+// resident entry was displaced.
+func (r *refRAC) insert(addr msg.Addr, st cache.State) (*refLine, refLine, bool) {
 	addr = r.align(addr)
 	set := r.set(addr)
 	slot := -1
@@ -70,7 +72,7 @@ func (r *refRAC) insert(addr msg.Addr, st cache.State) (*refLine, Victim, bool) 
 			slot = i
 		}
 	}
-	var victim Victim
+	var victim refLine
 	if slot < 0 {
 		for i := range set {
 			if set[i].Pinned {
@@ -81,9 +83,9 @@ func (r *refRAC) insert(addr msg.Addr, st cache.State) (*refLine, Victim, bool) 
 			}
 		}
 		if slot < 0 {
-			return nil, Victim{}, false
+			return nil, refLine{}, false
 		}
-		victim = victimOf(&set[slot].Line)
+		victim = set[slot]
 	}
 	r.useClock++
 	pinned := set[slot].valid && set[slot].Addr == addr && set[slot].Pinned
@@ -91,12 +93,12 @@ func (r *refRAC) insert(addr msg.Addr, st cache.State) (*refLine, Victim, bool) 
 	return &set[slot], victim, true
 }
 
-func (r *refRAC) invalidate(addr msg.Addr) Victim {
+func (r *refRAC) invalidate(addr msg.Addr) Line {
 	l := r.lookup(addr)
 	if l == nil {
-		return Victim{}
+		return Line{}
 	}
-	v := victimOf(&l.Line)
+	v := l.Line
 	*l = refLine{}
 	return v
 }
@@ -147,8 +149,11 @@ func diffRAC(t *testing.T, bytes, ways int, seed int64) {
 			st := cache.State(1 + rng.Intn(2))
 			l, v, ok := r.Insert(addr, st)
 			rl, rv, rok := ref.insert(addr, st)
-			if ok != rok || v != rv {
-				t.Fatalf("seed %d step %d: insert (%+v, %v), want (%+v, %v)", seed, step, v, ok, rv, rok)
+			if ok != rok || v != rv.Line {
+				t.Fatalf("seed %d step %d: insert (%+v, %v), want (%+v, %v)", seed, step, v, ok, rv.Line, rok)
+			}
+			if rv.valid && v.State == cache.Invalid {
+				t.Fatalf("seed %d step %d: evicted resident entry %+v reads as nothing displaced", seed, step, v)
 			}
 			if !ok {
 				refused++

@@ -5,21 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"pccsim/internal/core"
 	"pccsim/internal/fault"
 	"pccsim/internal/harness"
 	"pccsim/internal/node"
 	"pccsim/internal/obs"
 	"pccsim/internal/runner"
-	"pccsim/internal/sim"
-	"pccsim/internal/stats"
-	"pccsim/internal/workload"
 )
 
 // Job states. A job moves queued → running → one of the terminal states;
@@ -53,7 +48,7 @@ type Job struct {
 	simTime   atomic.Uint64
 
 	// run-job cell, kept for the trace endpoint's deterministic re-run.
-	cell *runCell
+	cell runner.Job
 
 	mu       sync.Mutex
 	specv    any // decoded kind-specific spec, set before enqueue
@@ -65,12 +60,6 @@ type Job struct {
 	body     []byte
 	ctype    string
 	released bool // tenant quota slot given back
-}
-
-type runCell struct {
-	cfg    core.Config
-	wl     *workload.Workload
-	params workload.Params
 }
 
 func (j *Job) setState(s string) {
@@ -110,107 +99,41 @@ func (j *Job) status() Status {
 	}
 }
 
-// runSpec mirrors the pccsim CLI's root flags, default for default, so a
-// job body and a command line describe the same cell. Delay and Hop are
-// pointers because 0 is a meaningful override (nil = the CLI default).
+// runSpec is a run job's body: the pccsim CLI's root flags, as the one
+// harness.RunSpec both decode into.
 type runSpec struct {
-	Kind          string  `json:"kind"`
-	Workload      string  `json:"workload"`
-	Protocol      string  `json:"protocol"`
-	Nodes         int     `json:"nodes"`
-	Scale         int     `json:"scale"`
-	Iters         int     `json:"iters"`
-	RAC           int     `json:"rac"`
-	Deledc        int     `json:"deledc"`
-	Updates       bool    `json:"updates"`
-	Delay         *uint64 `json:"delay"`
-	Hop           *uint64 `json:"hop"`
-	Check         bool    `json:"check"`
-	Shards        int     `json:"shards"`
-	Deterministic bool    `json:"deterministic"`
-}
-
-// build produces exactly the configuration the pccsim CLI would build for
-// the equivalent flags — the first half of the CLI/HTTP byte-identity
-// contract (the second half is rendering through WriteRunReport).
-func (sp *runSpec) build() (*runCell, error) {
-	if sp.Workload == "" {
-		sp.Workload = "em3d"
-	}
-	if sp.Nodes == 0 {
-		sp.Nodes = 16
-	}
-	if sp.Scale == 0 {
-		sp.Scale = 1
-	}
-	params := workload.Params{Nodes: sp.Nodes, Scale: sp.Scale, Iters: sp.Iters}
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	delay, hop := uint64(50), uint64(100)
-	if sp.Delay != nil {
-		delay = *sp.Delay
-	}
-	if sp.Hop != nil {
-		hop = *sp.Hop
-	}
-	wl, err := workload.Lookup(sp.Workload)
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.DefaultConfig()
-	cfg.Nodes = sp.Nodes
-	cfg.Protocol = sp.Protocol
-	cfg.RACBytes = sp.RAC
-	cfg.DelegateEntries = sp.Deledc
-	cfg.EnableUpdates = sp.Updates && sp.RAC > 0 && sp.Deledc > 0
-	cfg.InterventionDelay = sim.Time(delay)
-	cfg.Network.HopLatency = sim.Time(hop)
-	cfg.CheckInvariants = sp.Check
-	if sp.Deterministic {
-		cfg = cfg.With(core.WithDeterministicShards(sp.Shards))
-	} else {
-		cfg = cfg.With(core.WithShards(sp.Shards))
-	}
-	// Full config validation here means an unknown protocol name or a
-	// mechanism the protocol can't honor is a 400 at submission, not a
-	// failed job later.
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &runCell{cfg: cfg, wl: wl, params: params}, nil
+	Kind string `json:"kind"`
+	harness.RunSpec
 }
 
 // execRun simulates one cell through the shared runner (so duplicates —
 // within this server's lifetime, across tenants — are served from the
 // memo) and renders the canonical run report.
 func (s *Server) execRun(j *Job, sp *runSpec) error {
-	cell, err := sp.build()
+	cell, err := sp.Cell()
 	if err != nil {
 		return err
 	}
 	j.cell = cell
-	rj := runner.Job{
-		Label: "serve/" + j.ID, Cfg: cell.cfg, Workload: cell.wl, Params: cell.params,
-		Attach: func(m *node.Machine) {
-			// Progress rides the obs stream: a metrics-only sink whose tap
-			// counts protocol events and tracks the simulation clock. The
-			// sink never feeds back into the simulation, so attaching it
-			// keeps the run bit-identical to an unobserved one.
-			sink := obs.NewSink(0)
-			sink.Tap = func(e obs.Event) {
-				j.obsEvents.Add(1)
-				j.simTime.Store(uint64(e.At))
-			}
-			m.Sys.AttachObs(sink)
-		},
+	cell.Label = "serve/" + j.ID
+	cell.Attach = func(m *node.Machine) {
+		// Progress rides the obs stream: a metrics-only sink whose tap
+		// counts protocol events and tracks the simulation clock. The
+		// sink never feeds back into the simulation, so attaching it
+		// keeps the run bit-identical to an unobserved one.
+		sink := obs.NewSink(0)
+		sink.Tap = func(e obs.Event) {
+			j.obsEvents.Add(1)
+			j.simTime.Store(uint64(e.At))
+		}
+		m.Sys.AttachObs(sink)
 	}
-	st, cached, err := s.runner.RunOneCtx(j.ctx, rj)
+	st, cached, err := s.runner.RunOneCtx(j.ctx, cell)
 	if err != nil {
 		return err
 	}
 	var buf bytes.Buffer
-	writeRunReport(&buf, cell, st)
+	harness.WriteRunReport(&buf, cell, st)
 	j.mu.Lock()
 	j.body, j.ctype, j.cached = buf.Bytes(), "text/plain; charset=utf-8", cached
 	j.mu.Unlock()
@@ -229,19 +152,23 @@ type experimentSpec struct {
 	Deterministic bool   `json:"deterministic"`
 }
 
-// experiment validates the spec's sizes and looks its name up in the
-// harness experiment list; only experiments with a CSV writer can be
-// served.
-func (sp *experimentSpec) experiment() (harness.Experiment, error) {
-	if err := (workload.Params{Scale: sp.Scale, Iters: sp.Iters}).Validate(); err != nil {
-		return harness.Experiment{}, err
+// experiment applies the zero-means-default rule to the spec's sizes,
+// validates them and looks its name up in the harness experiment list;
+// only experiments with a CSV writer can be served.
+func (sp *experimentSpec) experiment() (harness.Experiment, harness.Options, error) {
+	opts := harness.Options{
+		Nodes: sp.Nodes, Scale: sp.Scale, Iters: sp.Iters,
+		Shards: sp.Shards, Deterministic: sp.Deterministic,
+	}.WithDefaults()
+	if err := opts.Validate(); err != nil {
+		return harness.Experiment{}, opts, err
 	}
 	e, ok := harness.LookupExperiment(sp.Exp)
 	if !ok || !e.HasCSV() {
-		return harness.Experiment{}, fmt.Errorf("unknown experiment %q (%s)", sp.Exp,
+		return harness.Experiment{}, opts, fmt.Errorf("unknown experiment %q (%s)", sp.Exp,
 			strings.Join(harness.ExperimentNames(true), "|"))
 	}
-	return e, nil
+	return e, opts, nil
 }
 
 // execExperiment runs one figure/table through a throwaway Session on the
@@ -250,20 +177,11 @@ func (sp *experimentSpec) experiment() (harness.Experiment, error) {
 // timeout) interrupts the cells currently simulating and skips the rest
 // of the batch instead of letting it run to completion.
 func (s *Server) execExperiment(j *Job, sp *experimentSpec) error {
-	e, err := sp.experiment()
+	e, opts, err := sp.experiment()
 	if err != nil {
 		return err
 	}
-	if sp.Nodes == 0 {
-		sp.Nodes = 16
-	}
-	if sp.Scale == 0 {
-		sp.Scale = 1
-	}
-	sess := harness.NewSessionOn(s.runner, harness.Options{
-		Nodes: sp.Nodes, Scale: sp.Scale, Iters: sp.Iters,
-		Shards: sp.Shards, Deterministic: sp.Deterministic,
-	}).WithContext(j.ctx)
+	sess := harness.NewSessionOn(s.runner, opts).WithContext(j.ctx)
 	var buf bytes.Buffer
 	if err := e.WriteCSV(&buf, sess); err != nil {
 		return err
@@ -351,12 +269,6 @@ func (s *Server) execFuzz(j *Job, sp *fuzzSpec) error {
 	j.body, j.ctype = enc, "application/json"
 	j.mu.Unlock()
 	return nil
-}
-
-// writeRunReport renders a run cell's canonical report — one call site
-// for execRun and the trace cross-check so they cannot drift apart.
-func writeRunReport(w io.Writer, cell *runCell, st *stats.Stats) {
-	harness.WriteRunReport(w, cell.wl.Name, cell.params.Nodes, cell.params.Scale, st)
 }
 
 // jobLog adapts a job's progress counter into the campaign's io.Writer

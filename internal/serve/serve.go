@@ -9,8 +9,9 @@
 //
 // Determinism is the API contract: a run job's result body is
 // byte-identical to the equivalent pccsim CLI invocation's stdout,
-// including under -shards, because both paths build the same
-// core.Config and render through the same harness.WriteRunReport.
+// including under -shards, because both paths fill one harness.RunSpec,
+// build the cell with its Cell method and render through
+// harness.WriteRunReport.
 package serve
 
 import (
@@ -26,6 +27,7 @@ import (
 	"time"
 
 	"pccsim/internal/cpu"
+	"pccsim/internal/harness"
 	"pccsim/internal/node"
 	"pccsim/internal/obs"
 	"pccsim/internal/protocol"
@@ -192,12 +194,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// submission, not a failed job minutes later.
 	switch sp := spec.(type) {
 	case *runSpec:
-		if _, err := sp.build(); err != nil {
+		if _, err := sp.Cell(); err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	case *experimentSpec:
-		if _, err := sp.experiment(); err != nil {
+		if _, _, err := sp.experiment(); err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
@@ -446,14 +448,14 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "job is %s; trace needs a finished run", state)
 		return
 	}
-	m, err := node.New(cell.cfg)
+	m, err := node.New(cell.Cfg)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	sink := obs.NewSink(-1)
 	m.Sys.AttachObs(sink)
-	ops := cell.wl.Build(cell.params)
+	ops := cell.Workload.Build(cell.Params)
 	streams := make([]cpu.Stream, len(ops))
 	for i := range ops {
 		streams[i] = &cpu.SliceStream{Ops: ops[i]}
@@ -464,8 +466,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var got bytes.Buffer
-	// Imported here from job.go's exec path: identical rendering.
-	writeRunReport(&got, cell, st)
+	harness.WriteRunReport(&got, cell, st)
 	if !bytes.Equal(got.Bytes(), want) {
 		httpError(w, http.StatusInternalServerError,
 			"trace re-run diverged from stored result (%d vs %d bytes) — determinism bug", got.Len(), len(want))

@@ -154,6 +154,12 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		"retired bench kind":    `{"kind":"bench"}`,
 		"negative scale":        `{"workload":"em3d","scale":-1}`,
 		"negative iters":        `{"kind":"experiment","exp":"fig9","iters":-3}`,
+		"negative exp nodes":    `{"kind":"experiment","exp":"fig9","nodes":-3}`,
+		"too many exp nodes":    `{"kind":"experiment","exp":"table3","nodes":1000}`,
+		"exp shards over nodes": `{"kind":"experiment","exp":"fig10","nodes":4,"shards":9}`,
+		"negative exp shards":   `{"kind":"experiment","exp":"fig9","shards":-1}`,
+		"negative run nodes":    `{"workload":"em3d","nodes":-3}`,
+		"run shards over nodes": `{"workload":"em3d","nodes":4,"shards":9}`,
 	} {
 		rr := do(s.Handler(), "POST", "/v1/jobs", "", body)
 		if rr.Code != http.StatusBadRequest {
