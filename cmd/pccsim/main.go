@@ -28,8 +28,13 @@ import (
 
 	"pccsim"
 	"pccsim/internal/cli"
+	"pccsim/internal/core"
 	"pccsim/internal/harness"
+	"pccsim/internal/msg"
+	"pccsim/internal/node"
+	"pccsim/internal/obs"
 	"pccsim/internal/protocol"
+	"pccsim/internal/runner"
 	"pccsim/internal/workload"
 )
 
@@ -79,125 +84,85 @@ func runMain(args []string) int {
 	}
 	cell, err := sp.Cell()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pccsim:", err)
-		if errors.Is(err, workload.ErrBadParams) {
-			return 2
-		}
-		return 1
+		return fail("pccsim", err)
 	}
 
-	var rec *pccsim.TraceRecorder
-	m, err := pccsim.New(cell.Cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pccsim:", err)
-		return 1
-	}
+	var opts []node.Option
+	var rec *obs.Sink
 	if *traceN > 0 {
-		rec = m.Trace(*traceN, pccsim.Addr(*traceLine))
+		sink := obs.NewSink(0)
+		rec = sink.Recorder(*traceN, msg.Addr(*traceLine))
+		opts = append(opts, node.WithSink(sink))
 	}
-	st, err := runOn(m, cell.Workload.Name, cell.Params)
+	st, err := cell.Simulate(opts...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pccsim:", err)
-		return 1
+		return fail("pccsim", err)
 	}
 	harness.WriteRunReport(os.Stdout, cell, st)
 	if rec != nil {
 		fmt.Printf("\n== last %d coherence messages (%d recorded) ==\n", *traceN, rec.Total())
-		rec.Dump(os.Stdout)
+		obs.DumpTimeline(os.Stdout, rec.Events())
 		fmt.Println("\n== per-line stories ==")
-		rec.DumpStories(os.Stdout)
+		obs.DumpStories(os.Stdout, rec.Events())
 	}
 	return 0
 }
 
 // traceMain implements `pccsim trace`: one observed run, exported as
-// Perfetto JSON. Unlike the root command, the machine defaults to the
-// protocol's bake-off configuration (harness.CompareConfig), so under the
-// default "adaptive" the mechanisms are ON — the trace exists to show the
-// delegation lifecycle — and every other protocol runs the base machine.
-// Mechanism flags given explicitly (on the command line or in -config)
-// override that provisioning; delegation sizing under a protocol that
-// does not delegate fails validation.
+// Perfetto JSON. It takes the root command's run flags, but a mechanism
+// flag (-rac, -deledc, -updates) not given on the command line or in
+// -config takes the protocol's bake-off configuration
+// (harness.CompareConfig): under the default "adaptive" the mechanisms
+// are on — the trace exists to show the delegation lifecycle — and every
+// other protocol runs the base machine. Delegation sizing given
+// explicitly under a protocol that does not delegate fails validation.
 func traceMain(args []string) int {
 	fs := flag.NewFlagSet("pccsim trace", flag.ExitOnError)
-	wl := fs.String("workload", "em3d", "benchmark: "+strings.Join(pccsim.Workloads(), "|"))
-	proto := fs.String("protocol", "", "coherence protocol: "+strings.Join(pccsim.Protocols(), "|")+" (default adaptive)")
+	sp := runFlags(fs)
 	out := fs.String("out", "-", "output file (- = stdout)")
-	nodes := fs.Int("nodes", 16, "processor count")
-	scale := fs.Int("scale", 1, "problem-size multiplier")
-	iters := fs.Int("iters", 0, "iteration override (0 = workload default)")
-	racKB := fs.Int("rac-kb", 32, "remote access cache size in KB (0 = none; unset = the protocol's bake-off configuration)")
-	deledc := fs.Int("deledc", 32, "delegate cache entries (0 = delegation off; unset = the protocol's bake-off configuration)")
-	updates := fs.Bool("updates", true, "enable speculative updates (unset = the protocol's bake-off configuration)")
-	delay := fs.Uint64("delay", 50, "intervention delay in cycles")
 	window := fs.Int("window", 1<<18, "event-window capacity (-1 = retain everything)")
-	shards := fs.Int("shards", 0, "engine shards (0 = single engine; >1 runs the parallel scheduler)")
-	deterministic := fs.Bool("deterministic", false, "with -shards: serial round-robin shard scheduler")
+	fs.Usage = func() {
+		fmt.Fprint(fs.Output(), `usage: pccsim trace [run flags] [-out FILE] [-window N]
+
+Runs one observed simulation and writes its protocol event stream as
+Perfetto JSON. The run flags are the root command's (-rac is in bytes).
+-rac, -deledc and -updates left unset take the protocol's bake-off
+configuration, the machine pccbench -exp compare runs.
+
+`)
+		fs.PrintDefaults()
+	}
 	if err := cli.Parse(fs, args); err != nil {
 		fmt.Fprintln(os.Stderr, "pccsim trace:", err)
 		return 2
 	}
-	if err := (pccsim.WorkloadParams{Scale: *scale, Iters: *iters}).Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "pccsim trace:", err)
-		return 2
-	}
-
-	p, err := protocol.Lookup(*proto)
+	cell, err := traceCell(fs, sp)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pccsim trace:", err)
-		return 1
+		return fail("pccsim trace", err)
 	}
-	cfg := harness.CompareConfig(pccsim.DefaultConfig(), p)
-	cfg.Nodes = *nodes
-	cfg.InterventionDelay = pccsim.Time(*delay)
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "rac-kb":
-			cfg.RACBytes = *racKB * 1024
-		case "deledc":
-			cfg.DelegateEntries = *deledc
-		case "updates":
-			cfg.EnableUpdates = *updates
-		}
-	})
-	cfg.EnableUpdates = cfg.EnableUpdates && cfg.RACBytes > 0 && cfg.DelegateEntries > 0
-	if *deterministic {
-		cfg = cfg.With(pccsim.WithDeterministicShards(*shards))
-	} else {
-		cfg = cfg.With(pccsim.WithShards(*shards))
-	}
-
-	m, err := pccsim.New(cfg)
+	sink := obs.NewSink(*window)
+	st, err := cell.Simulate(node.WithSink(sink))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pccsim trace:", err)
-		return 1
-	}
-	es := m.Observe(*window)
-	st, err := runOn(m, *wl, pccsim.WorkloadParams{Nodes: *nodes, Scale: *scale, Iters: *iters})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pccsim trace:", err)
-		return 1
+		return fail("pccsim trace", err)
 	}
 
 	w := os.Stdout
 	if *out != "-" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pccsim trace:", err)
-			return 1
+			return fail("pccsim trace", err)
 		}
 		defer f.Close()
 		w = f
 	}
-	if err := es.WritePerfetto(w); err != nil {
-		fmt.Fprintln(os.Stderr, "pccsim trace:", err)
-		return 1
+	if err := obs.WritePerfetto(w, sink); err != nil {
+		return fail("pccsim trace", err)
 	}
 
 	// Cross-check: the observer's per-class byte accounting must equal
 	// the run's Stats traffic counters exactly — both count every packet
 	// at network injection.
-	met := es.Metrics()
+	met := &sink.M
 	if met.TotalMessages() != st.TotalMessages() || met.TotalBytes() != st.TotalBytes() {
 		fmt.Fprintf(os.Stderr, "pccsim trace: BUG: observer saw %d msgs / %d bytes, stats %d / %d\n",
 			met.TotalMessages(), met.TotalBytes(), st.TotalMessages(), st.TotalBytes())
@@ -205,17 +170,42 @@ func traceMain(args []string) int {
 	}
 	fmt.Fprintf(os.Stderr,
 		"pccsim trace: %s: %d events (%d retained), %d msgs / %d bytes (matches stats), %d delegations (%d complete), avg %.2f hops\n",
-		*wl, es.Total(), len(es.Events()), met.TotalMessages(), met.TotalBytes(),
+		cell.Workload.Name, sink.Total(), len(sink.Events()), met.TotalMessages(), met.TotalBytes(),
 		met.Delegations, met.CompleteDelegations(), met.AvgHops())
 	return 0
 }
 
-// runOn builds the workload and executes it on an existing machine (so an
-// observer or tracer can be attached first).
-func runOn(m *pccsim.Machine, wl string, p pccsim.WorkloadParams) (*pccsim.Stats, error) {
-	prog, err := pccsim.BuildWorkload(wl, p)
+// traceCell resolves `pccsim trace`'s cell: the spec's protocol is looked
+// up and named, and every mechanism flag fs did not see is filled from
+// that protocol's bake-off configuration before RunSpec.Cell applies the
+// remaining defaults.
+func traceCell(fs *flag.FlagSet, sp *harness.RunSpec) (runner.Job, error) {
+	p, err := protocol.Lookup(sp.Protocol)
 	if err != nil {
-		return nil, err
+		return runner.Job{}, err
 	}
-	return m.Run(prog)
+	sp.Protocol = p.Name()
+	bake := harness.CompareConfig(core.DefaultConfig(), p)
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if !set["rac"] {
+		sp.RAC = bake.RACBytes
+	}
+	if !set["deledc"] {
+		sp.Deledc = bake.DelegateEntries
+	}
+	if !set["updates"] {
+		sp.Updates = bake.EnableUpdates
+	}
+	return sp.Cell()
+}
+
+// fail reports err under the command's name and returns its exit code:
+// 2 for bad workload sizes, a usage error, and 1 for anything else.
+func fail(cmd string, err error) int {
+	fmt.Fprintln(os.Stderr, cmd+":", err)
+	if errors.Is(err, workload.ErrBadParams) {
+		return 2
+	}
+	return 1
 }

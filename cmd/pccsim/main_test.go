@@ -1,16 +1,22 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"pccsim"
+	"pccsim/internal/core"
 	"pccsim/internal/harness"
+	"pccsim/internal/protocol"
 	"pccsim/internal/runner"
 )
 
@@ -57,10 +63,80 @@ func TestNegativeSizesAreUsageErrors(t *testing.T) {
 func TestTraceExplicitDelegationNeedsDelegatingProtocol(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "t.json")
 	for _, p := range []string{"mesi", "dsi", "hybrid"} {
-		args := []string{"-protocol", p, "-rac-kb", "32", "-deledc", "32", "-nodes", "4", "-iters", "1", "-out", out}
+		args := []string{"-protocol", p, "-rac", "32768", "-deledc", "32", "-nodes", "4", "-iters", "1", "-out", out}
 		if code := traceMain(args); code != 1 {
 			t.Errorf("pccsim trace -protocol %s -deledc 32: exit %d, want 1", p, code)
 		}
+	}
+}
+
+// TestTraceRunsBakeoffCell: with no mechanism flag given, `pccsim trace`
+// runs each protocol's bake-off cell, and zero sizes take the root
+// command's defaults.
+func TestTraceRunsBakeoffCell(t *testing.T) {
+	resolve := func(args ...string) runner.Job {
+		t.Helper()
+		fs := flag.NewFlagSet("pccsim trace", flag.ContinueOnError)
+		sp := runFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		cell, err := traceCell(fs, sp)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		return cell
+	}
+	for _, name := range pccsim.Protocols() {
+		p, err := protocol.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := core.DefaultConfig()
+		base.Nodes = 4
+		if got, want := resolve("-protocol", name, "-nodes", "4").Cfg, harness.CompareConfig(base, p); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: trace runs %+v, bake-off cell is %+v", name, got, want)
+		}
+	}
+	if cell := resolve("-nodes", "0", "-scale", "0"); cell.Cfg.Nodes != 16 || cell.Params.Nodes != 16 || cell.Params.Scale != 1 {
+		t.Errorf("-nodes 0 -scale 0: %d nodes, params %+v; want 16 nodes at scale 1", cell.Cfg.Nodes, cell.Params)
+	}
+	out := filepath.Join(t.TempDir(), "t.json")
+	if code := traceMain([]string{"-nodes", "0", "-iters", "1", "-out", out}); code != 0 {
+		t.Errorf("pccsim trace -nodes 0: exit %d, want 0", code)
+	}
+}
+
+// TestTraceMatchesServeTrace pins the single trace path: `pccsim trace`
+// with every event retained writes the same bytes as serve's trace
+// endpoint for the equivalent run job.
+func TestTraceMatchesServeTrace(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "t.json")
+	if code := traceMain([]string{"-window", "-1", "-rac", "32768", "-deledc", "32", "-updates",
+		"-nodes", "4", "-iters", "1", "-out", out}); code != 0 {
+		t.Fatalf("pccsim trace: exit %d", code)
+	}
+	want, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ts := testServer(t, nil)
+	st := postJob(t, ts.URL, `{"rac":32768,"deledc":32,"updates":true,"nodes":4,"iters":1}`)
+	if st, err = followTerminal(ts.URL, st.ID, 60*time.Second, false); err != nil || st.State != "done" {
+		t.Fatalf("run job ended %q: %v", st.State, err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace: %s: %s", resp.Status, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("serve's trace (%d bytes) differs from pccsim trace's (%d bytes)", len(got), len(want))
 	}
 }
 
@@ -125,11 +201,6 @@ func TestRunFlagsMatchServeBody(t *testing.T) {
 		if !c.want(fromFlags) {
 			t.Errorf("%s: cell %+v", c.name, fromFlags)
 		}
-		// Lookup builds a fresh Workload each time: compare it by name.
-		if fromFlags.Workload.Name != fromBody.Workload.Name {
-			t.Errorf("%s: workload %s vs %s", c.name, fromFlags.Workload.Name, fromBody.Workload.Name)
-		}
-		fromFlags.Workload, fromBody.Workload = nil, nil
 		if !reflect.DeepEqual(fromFlags, fromBody) {
 			t.Errorf("%s: flags give %+v, body gives %+v", c.name, fromFlags, fromBody)
 		}

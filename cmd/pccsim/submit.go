@@ -20,19 +20,17 @@ import (
 
 // submitMain implements `pccsim submit`, the thin HTTP client the nightly
 // workflow (and anyone else) uses to run simulations through a `pccsim
-// serve` instance: post a job spec, optionally wait for the terminal
-// state, and write the result body to stdout or a file. Exit codes: 0 on
-// success, 1 when the job fails, is cancelled, or a fuzz result
-// reports ok=false, 2 on usage or transport errors.
+// serve` instance: post a job spec, optionally wait on its event stream
+// for the terminal state, and write the result body to stdout or a file.
+// Exit codes: 0 on success, 1 when the job fails, is cancelled, or a fuzz
+// result reports ok=false, 2 on usage or transport errors.
 func submitMain(args []string) int {
 	fs := flag.NewFlagSet("pccsim submit", flag.ContinueOnError)
 	server := fs.String("server", "http://127.0.0.1:8344", "base URL of a pccsim serve instance")
 	tenant := fs.String("tenant", "", "tenant name sent as the X-Tenant header")
 	spec := fs.String("spec", "", "job spec JSON file (- = stdin)")
 	inline := fs.String("json", "", "job spec JSON given inline (alternative to -spec)")
-	wait := fs.Bool("wait", true, "poll until the job is terminal and fetch its result")
-	follow := fs.Bool("follow", false, "wait via the server's live event stream (SSE) instead of polling")
-	poll := fs.Duration("poll", 500*time.Millisecond, "status poll interval while waiting")
+	wait := fs.Bool("wait", true, "follow the job's event stream until it is terminal and fetch its result")
 	timeout := fs.Duration("timeout", 0, "overall wait budget (0 = no limit)")
 	out := fs.String("o", "-", "result destination (- = stdout)")
 	reproDir := fs.String("repro-dir", "", "write shrunk fuzz-failure cases into this directory as replayable corpus files")
@@ -75,16 +73,12 @@ func submitMain(args []string) int {
 		return 2
 	}
 	fmt.Fprintf(os.Stderr, "pccsim submit: job %s (%s) accepted\n", st.ID, st.Kind)
-	if !*wait && !*follow {
+	if !*wait {
 		fmt.Println(st.ID)
 		return 0
 	}
 
-	if *follow {
-		st, err = followTerminal(base, st.ID, *timeout, *progress)
-	} else {
-		st, err = waitTerminal(base, st.ID, *poll, *timeout, *progress)
-	}
+	st, err = followTerminal(base, st.ID, *timeout, *progress)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pccsim submit:", err)
 		return 2
@@ -140,46 +134,11 @@ func terminal(state string) bool {
 	return state == "done" || state == "failed" || state == "cancelled"
 }
 
-func waitTerminal(base, id string, poll, timeout time.Duration, progress bool) (jobStatus, error) {
-	deadline := time.Time{}
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	var last jobStatus
-	for {
-		resp, err := http.Get(base + "/v1/jobs/" + id)
-		if err != nil {
-			return last, err
-		}
-		payload, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return last, fmt.Errorf("status poll: %s: %s", resp.Status, strings.TrimSpace(string(payload)))
-		}
-		var st jobStatus
-		if err := json.Unmarshal(payload, &st); err != nil {
-			return last, fmt.Errorf("bad status response: %v", err)
-		}
-		if progress && st != last {
-			fmt.Fprintf(os.Stderr, "pccsim submit: job %s %s (events=%d simtime=%d)\n", st.ID, st.State, st.ObsEvents, st.SimTime)
-		}
-		last = st
-		if terminal(st.State) {
-			return st, nil
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return st, fmt.Errorf("job %s still %s after %s", id, st.State, timeout)
-		}
-		time.Sleep(poll)
-	}
-}
-
-// followTerminal consumes the server's SSE stream (GET /v1/jobs/{id}/events)
-// instead of polling: the server pushes a `progress` event on every status
-// change and one final `done` event when the job is terminal, so a single
-// long-lived request replaces poll-interval-bounded latency and the
-// per-poll request overhead. The stream closing before a `done` event is
-// an error unless the last status seen was already terminal.
+// followTerminal waits on the server's SSE stream (GET
+// /v1/jobs/{id}/events): the server pushes a `progress` event on every
+// status change and one final `done` event when the job is terminal. The
+// stream closing before a `done` event is an error unless the last
+// status seen was already terminal.
 func followTerminal(base, id string, timeout time.Duration, progress bool) (jobStatus, error) {
 	ctx := context.Background()
 	if timeout > 0 {

@@ -193,13 +193,7 @@ func (s *System) Group() *sim.Group { return s.grp }
 // under the serial and parallel schedulers.
 func (s *System) AttachObs(sink *obs.Sink) {
 	if prev := s.Obs; prev != nil && prev.Tap != nil && prev != sink {
-		pt := prev.Tap
-		if sink.Tap == nil {
-			sink.Tap = pt
-		} else {
-			nt := sink.Tap
-			sink.Tap = func(e obs.Event) { nt(e); pt(e) }
-		}
+		sink.OnEvent(prev.Tap)
 	}
 	s.Obs = sink
 	if s.grp == nil {

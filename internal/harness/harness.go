@@ -23,9 +23,7 @@ import (
 	"math"
 
 	"pccsim/internal/core"
-	"pccsim/internal/cpu"
 	"pccsim/internal/msg"
-	"pccsim/internal/node"
 	"pccsim/internal/runner"
 	"pccsim/internal/sim"
 	"pccsim/internal/stats"
@@ -179,25 +177,12 @@ func Fig7Configs() []ConfigSpec {
 	}
 }
 
-// Run executes one workload on one configuration and returns its stats.
-func Run(cfg core.Config, wl *workload.Workload, p workload.Params) (*stats.Stats, error) {
-	m, err := node.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ops := wl.Build(p)
-	streams := make([]cpu.Stream, len(ops))
-	for i := range ops {
-		streams[i] = &cpu.SliceStream{Ops: ops[i]}
-	}
-	return m.Run(streams)
-}
-
-// MustRun is Run for callers with static known-good configurations
+// MustRun runs one workload on one configuration through the runner's
+// cell body, for callers with static known-good configurations
 // (benchmarks and tests). The experiment paths below never panic; they
 // propagate errors through the runner instead.
 func MustRun(cfg core.Config, wl *workload.Workload, p workload.Params) *stats.Stats {
-	st, err := Run(cfg, wl, p)
+	st, err := runner.Job{Cfg: cfg, Workload: wl, Params: p}.Simulate()
 	if err != nil {
 		panic(fmt.Sprintf("harness: %s on %d nodes: %v", wl.Name, cfg.Nodes, err))
 	}

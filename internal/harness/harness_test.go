@@ -37,10 +37,7 @@ func TestRunOneWorkload(t *testing.T) {
 	wl, _ := workload.ByName("ocean")
 	cfg := core.DefaultConfig()
 	cfg.Nodes = 8
-	st, err := Run(cfg, wl, workload.Params{Nodes: 8, Iters: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := MustRun(cfg, wl, workload.Params{Nodes: 8, Iters: 2})
 	if st.ExecCycles == 0 || st.Loads == 0 {
 		t.Fatal("empty run")
 	}

@@ -205,6 +205,33 @@ func (s *Sink) Emit(e Event) {
 	}
 }
 
+// OnEvent chains fn onto the Tap, after any function already there.
+func (s *Sink) OnEvent(fn func(Event)) {
+	prev := s.Tap
+	if prev == nil {
+		s.Tap = fn
+		return
+	}
+	s.Tap = func(e Event) { prev(e); fn(e) }
+}
+
+// Recorder returns a sink that keeps the most recent capacity message
+// sends s sees (capacity <= 0 keeps 4096), only those for line unless
+// line is 0. It rides s's Tap: the plain-text message timeline behind
+// pccsim.Machine.Trace and `pccsim -trace N`.
+func (s *Sink) Recorder(capacity int, line msg.Addr) *Sink {
+	if capacity <= 0 {
+		capacity = 4096
+	}
+	rec := NewSink(capacity)
+	s.OnEvent(func(e Event) {
+		if e.Kind == KindSend && (line == 0 || e.Msg.Addr == line) {
+			rec.Emit(e)
+		}
+	})
+	return rec
+}
+
 // Total reports how many events were emitted (including ones the ring has
 // since overwritten).
 func (s *Sink) Total() uint64 { return s.total }

@@ -204,14 +204,34 @@ func (r *Runner) RunOneCtx(ctx context.Context, job Job) (st *stats.Stats, cache
 	return c.st, false, c.err
 }
 
-// simulate runs one cell on a private machine, threading the progress
-// hook through node.New into the core.System event loop. A cancellable
-// ctx gets a watcher goroutine that interrupts the machine when it
-// fires; the interrupt is cooperative and never perturbs event order,
-// so a run that finishes first is identical to an unwatched one.
+// Simulate runs the cell once on a fresh machine: node.New with opts,
+// then Attach, then the workload build, then the run. Every path that
+// turns a cell into statistics — the runner, the CLI, serve's trace
+// re-run, MustRun — goes through here.
+func (j Job) Simulate(opts ...node.Option) (*stats.Stats, error) {
+	m, err := node.New(j.Cfg, opts...)
+	if err != nil {
+		return nil, err
+	}
+	if j.Attach != nil {
+		j.Attach(m)
+	}
+	ops := j.Workload.Build(j.Params)
+	streams := make([]cpu.Stream, len(ops))
+	for i := range ops {
+		streams[i] = &cpu.SliceStream{Ops: ops[i]}
+	}
+	return m.Run(streams)
+}
+
+// simulate runs one cell, threading the progress hook through node.New
+// into the core.System event loop. A cancellable ctx gets a watcher
+// goroutine that interrupts the machine when it fires; the interrupt is
+// cooperative and never perturbs event order, so a run that finishes
+// first is identical to an unwatched one.
 func (r *Runner) simulate(ctx context.Context, job Job, key string) (*stats.Stats, uint64, error) {
 	var steps uint64
-	obs := core.Observer{
+	opts := []node.Option{node.WithObserver(core.Observer{
 		Start: func(*core.System) {
 			r.notify(Event{Label: job.Label, Fingerprint: key})
 		},
@@ -220,31 +240,21 @@ func (r *Runner) simulate(ctx context.Context, job Job, key string) (*stats.Stat
 			r.notify(Event{Label: job.Label, Fingerprint: key, Done: true,
 				Events: n, Wall: wall})
 		},
-	}
-	m, err := node.New(job.Cfg, node.WithObserver(obs))
-	if err != nil {
-		return nil, 0, err
-	}
-	if job.Attach != nil {
-		job.Attach(m)
-	}
+	})}
 	if ctx.Done() != nil {
 		stop := make(chan struct{})
 		defer close(stop)
-		go func() {
-			select {
-			case <-ctx.Done():
-				m.Interrupt()
-			case <-stop:
-			}
-		}()
+		opts = append(opts, func(m *node.Machine) {
+			go func() {
+				select {
+				case <-ctx.Done():
+					m.Interrupt()
+				case <-stop:
+				}
+			}()
+		})
 	}
-	ops := job.Workload.Build(job.Params)
-	streams := make([]cpu.Stream, len(ops))
-	for i := range ops {
-		streams[i] = &cpu.SliceStream{Ops: ops[i]}
-	}
-	st, err := m.Run(streams)
+	st, err := job.Simulate(opts...)
 	if err != nil {
 		r.notify(Event{Label: job.Label, Fingerprint: key, Done: true, Err: err})
 		return nil, steps, err

@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"pccsim/internal/cpu"
 	"pccsim/internal/harness"
 	"pccsim/internal/node"
 	"pccsim/internal/obs"
@@ -448,19 +447,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "job is %s; trace needs a finished run", state)
 		return
 	}
-	m, err := node.New(cell.Cfg)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
 	sink := obs.NewSink(-1)
-	m.Sys.AttachObs(sink)
-	ops := cell.Workload.Build(cell.Params)
-	streams := make([]cpu.Stream, len(ops))
-	for i := range ops {
-		streams[i] = &cpu.SliceStream{Ops: ops[i]}
-	}
-	st, err := m.Run(streams)
+	st, err := cell.Simulate(node.WithSink(sink))
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "trace re-run: %v", err)
 		return

@@ -67,16 +67,17 @@ type Workload struct {
 	Build     func(p Params) [][]cpu.Op
 }
 
-// All returns the seven benchmarks in the paper's order.
-func All() []*Workload {
-	return []*Workload{
-		Barnes(), Ocean(), Em3D(), LU(), CG(), MG(), Appbt(),
-	}
-}
+// all is the registry, built once: every lookup of one name returns the
+// same *Workload.
+var all = []*Workload{Barnes(), Ocean(), Em3D(), LU(), CG(), MG(), Appbt()}
+
+// All returns the seven benchmarks in the paper's order. The slice and
+// its workloads are shared; callers must not modify them.
+func All() []*Workload { return all }
 
 // ByName finds a workload by (case-sensitive) name.
 func ByName(name string) (*Workload, bool) {
-	for _, w := range All() {
+	for _, w := range all {
 		if w.Name == name {
 			return w, true
 		}
@@ -94,8 +95,8 @@ func Lookup(name string) (*Workload, error) {
 	if w, ok := ByName(name); ok {
 		return w, nil
 	}
-	names := make([]string, 0, 7)
-	for _, w := range All() {
+	names := make([]string, 0, len(all))
+	for _, w := range all {
 		names = append(names, w.Name)
 	}
 	return nil, fmt.Errorf("%w: %q (have %v)", ErrUnknown, name, names)

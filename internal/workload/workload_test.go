@@ -38,6 +38,22 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestLookupSharesOneWorkload: the registry is built once, so every
+// lookup of a name — serve looks a run job's workload up at submission
+// and again at execution — returns the same *Workload.
+func TestLookupSharesOneWorkload(t *testing.T) {
+	for _, w := range All() {
+		a, err := Lookup(w.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := ByName(w.Name)
+		if a != w || b != w {
+			t.Errorf("%s: Lookup, ByName and All give %p, %p, %p", w.Name, a, b, w)
+		}
+	}
+}
+
 func TestParamsValidate(t *testing.T) {
 	for _, p := range []Params{{}, {Scale: 2, Iters: 3}} {
 		if err := p.Validate(); err != nil {

@@ -88,6 +88,7 @@ import (
 	"pccsim/internal/node"
 	"pccsim/internal/obs"
 	"pccsim/internal/protocol"
+	"pccsim/internal/runner"
 	"pccsim/internal/sim"
 	"pccsim/internal/stats"
 	"pccsim/internal/workload"
@@ -263,14 +264,7 @@ func (e *EventStream) Total() uint64 { return e.sink.Total() }
 // OnEvent registers fn to run on every event as it is emitted, after any
 // previously registered function. The callback runs inside the simulation
 // hot path: keep it allocation-light.
-func (e *EventStream) OnEvent(fn func(Event)) {
-	prev := e.sink.Tap
-	if prev == nil {
-		e.sink.Tap = fn
-		return
-	}
-	e.sink.Tap = func(ev Event) { prev(ev); fn(ev) }
-}
+func (e *EventStream) OnEvent(fn func(Event)) { e.sink.OnEvent(fn) }
 
 // WritePerfetto exports the stream as Chrome trace-event JSON, loadable
 // in ui.perfetto.dev or chrome://tracing: one track per node (messages,
@@ -313,21 +307,12 @@ func (t *TraceRecorder) Total() uint64 { return t.sink.Total() }
 // machine's event stream — Observe's, or a metrics-only one it attaches
 // — so Trace and Observe compose in either order.
 func (m *Machine) Trace(capacity int, line Addr) *TraceRecorder {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	rec := obs.NewSink(capacity)
 	stream := m.inner.Sys.Obs
 	if stream == nil {
 		stream = obs.NewSink(0)
 		m.inner.Sys.AttachObs(stream)
 	}
-	(&EventStream{sink: stream}).OnEvent(func(e Event) {
-		if e.Kind == obs.KindSend && (line == 0 || e.Msg.Addr == line) {
-			rec.Emit(e)
-		}
-	})
-	return &TraceRecorder{sink: rec}
+	return &TraceRecorder{sink: stream.Recorder(capacity, line)}
 }
 
 // Run executes the program to completion and returns its statistics.
@@ -390,11 +375,7 @@ func RunWorkload(cfg Config, name string, p WorkloadParams) (*Stats, error) {
 	if p.Nodes != cfg.Nodes {
 		return nil, fmt.Errorf("pccsim: workload sized for %d nodes, config has %d", p.Nodes, cfg.Nodes)
 	}
-	m, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run(&Program{b: workload.BuilderOf(w.Build(p))})
+	return runner.Job{Cfg: cfg, Workload: w, Params: p}.Simulate()
 }
 
 // Program is a per-node sequence of memory operations, compute delays and
