@@ -56,9 +56,9 @@ func BarrierOp(id int) Op {
 // Cycles returns a Compute op's duration.
 func (o Op) Cycles() sim.Time { return sim.Time(o.Addr) }
 
-// Stream supplies a core's operations one at a time. A single-engine
-// machine runs any Stream; a sharded one needs every program up front and
-// takes only SliceStream.
+// Stream supplies a core's operations one at a time. node.Machine places
+// every page before a run, so it needs every program up front and takes
+// only SliceStream.
 type Stream interface {
 	Next() (Op, bool)
 }

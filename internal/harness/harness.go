@@ -37,9 +37,10 @@ type Options struct {
 	Iters int // workload iteration override (0 = per-workload default)
 
 	// Shards partitions each simulated machine into engine shards (0 =
-	// the legacy single engine). Sharded timings differ slightly from
-	// unsharded ones (conservative-window barrier release, pre-resolved
-	// first-touch), so the count is part of the report identity.
+	// the legacy single engine). Page placement and delegations do not
+	// depend on it, but timings differ slightly (window-quantised barrier
+	// releases, deferred cross-shard calls), so the count is part of the
+	// report identity.
 	Shards int `json:",omitempty"`
 	// Deterministic forces the serial round-robin shard scheduler even
 	// for Shards > 1. It never changes results — the parallel scheduler

@@ -8,7 +8,7 @@ import (
 )
 
 func TestFirstTouch(t *testing.T) {
-	m := New(FirstTouch, 16, 4096)
+	m := New(16, 4096)
 	if h := m.Home(0x1000, 3); h != 3 {
 		t.Fatalf("first touch home = %d, want 3", h)
 	}
@@ -22,22 +22,8 @@ func TestFirstTouch(t *testing.T) {
 	}
 }
 
-func TestRoundRobin(t *testing.T) {
-	m := New(RoundRobin, 4, 4096)
-	homes := make(map[msg.NodeID]int)
-	for i := 0; i < 8; i++ {
-		h := m.Home(msg.Addr(i*4096), 0)
-		homes[h]++
-	}
-	for n := msg.NodeID(0); n < 4; n++ {
-		if homes[n] != 2 {
-			t.Fatalf("node %d homed %d pages, want 2", n, homes[n])
-		}
-	}
-}
-
 func TestHomeIfPlaced(t *testing.T) {
-	m := New(FirstTouch, 16, 4096)
+	m := New(16, 4096)
 	if _, ok := m.HomeIfPlaced(0x1000); ok {
 		t.Fatal("unplaced page reported placed")
 	}
@@ -51,7 +37,7 @@ func TestHomeIfPlaced(t *testing.T) {
 // TestPlaceRange: placing one address per page of 0x1000..0x3fff homes
 // every byte of those three pages, and nothing else.
 func TestPlaceRange(t *testing.T) {
-	m := New(FirstTouch, 16, 4096)
+	m := New(16, 4096)
 	for a := msg.Addr(0x1800); a < 0x4000; a += 4096 {
 		m.Place(a, 7)
 	}
@@ -66,7 +52,7 @@ func TestPlaceRange(t *testing.T) {
 }
 
 func TestPlaceOverrides(t *testing.T) {
-	m := New(FirstTouch, 16, 4096)
+	m := New(16, 4096)
 	m.Place(0x1000, 5)
 	if h := m.Home(0x1000, 0); h != 5 {
 		t.Fatalf("explicit placement ignored: home = %d", h)
@@ -75,9 +61,9 @@ func TestPlaceOverrides(t *testing.T) {
 
 func TestBadConfigPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { New(FirstTouch, 0, 4096) },
-		func() { New(FirstTouch, 4, 0) },
-		func() { New(FirstTouch, 4, 3000) },
+		func() { New(0, 4096) },
+		func() { New(4, 0) },
+		func() { New(4, 3000) },
 	} {
 		func() {
 			defer func() {
@@ -91,13 +77,13 @@ func TestBadConfigPanics(t *testing.T) {
 }
 
 // Property: homes are stable — once assigned, any toucher sees the same
-// home forever; round-robin homes are always valid node IDs.
+// home forever, and an unplaced page is homed at its first toucher.
 func TestPropertyStableHomes(t *testing.T) {
 	f := func(addrs []uint32, touchers []uint8) bool {
 		if len(touchers) == 0 {
 			return true
 		}
-		m := New(FirstTouch, 16, 4096)
+		m := New(16, 4096)
 		first := map[uint64]msg.NodeID{}
 		for i, a := range addrs {
 			toucher := msg.NodeID(touchers[i%len(touchers)] % 16)
@@ -117,22 +103,6 @@ func TestPropertyStableHomes(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyRoundRobinValid(t *testing.T) {
-	f := func(addrs []uint32) bool {
-		m := New(RoundRobin, 5, 4096)
-		for _, a := range addrs {
-			h := m.Home(msg.Addr(a), 0)
-			if h < 0 || int(h) >= 5 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -63,18 +63,15 @@ func New(cfg core.Config, opts ...Option) (*Machine, error) {
 	return m, nil
 }
 
-// preplaceFirstTouch resolves first-touch page placement ahead of a
-// sharded run. On one engine simulated time totally orders every access,
-// so dynamic first touch is well-defined; across shards two nodes can
-// first-touch the same page inside one conservative time window (barnes'
-// octree build does exactly that: a cell array's pages are stored by both
-// the owner and a remote builder before the first barrier), and the
-// winner would depend on which shard the scheduler ran first — breaking
-// serial/parallel equivalence. Pre-resolving with a scheduler-independent
-// rule — earliest barrier epoch wins, ties to the lowest node id — keeps
-// placement identical under every scheduler and shard count. That needs
-// every program up front, which is why a sharded Run takes only slice
-// streams.
+// preplaceFirstTouch homes every page the programs touch before the
+// first event, by a scheduler-independent first-touch rule: the earliest
+// barrier epoch wins, ties to the lowest node id. Resolving first touch
+// during the run would let the winner depend on the shard count: barnes'
+// octree build has a cell array's pages stored by both the owner and a
+// remote builder before the first barrier, and across shards both stores
+// can fall in one conservative window. One static rule gives every
+// scheduler and shard count the same placement. That needs every program
+// up front, which is why Run takes only slice streams.
 func (m *Machine) preplaceFirstTouch(streams []*cpu.SliceStream) {
 	type claim struct {
 		epoch int
@@ -112,23 +109,21 @@ func (m *Machine) Interrupt() { m.Sys.Interrupt() }
 // core finishes). It returns an error if the program deadlocks (the event
 // queue drains with unfinished cores), livelocks (the configured watchdog
 // budget is exhausted before the queue drains) or leaves transient
-// protocol state. A sharded machine takes only *cpu.SliceStream programs
-// (see preplaceFirstTouch); a single engine takes any Stream.
+// protocol state. Every stream must be a *cpu.SliceStream: Run places
+// every page before the first event (see preplaceFirstTouch).
 func (m *Machine) Run(streams []cpu.Stream) (*stats.Stats, error) {
 	if len(streams) != m.Sys.Cfg.Nodes {
 		return nil, fmt.Errorf("node: %d streams for %d nodes", len(streams), m.Sys.Cfg.Nodes)
 	}
-	if m.Sys.Sharded() {
-		progs := make([]*cpu.SliceStream, len(streams))
-		for i, s := range streams {
-			ss, ok := s.(*cpu.SliceStream)
-			if !ok {
-				return nil, fmt.Errorf("node: sharded run needs *cpu.SliceStream programs, stream %d is %T", i, s)
-			}
-			progs[i] = ss
+	progs := make([]*cpu.SliceStream, len(streams))
+	for i, s := range streams {
+		ss, ok := s.(*cpu.SliceStream)
+		if !ok {
+			return nil, fmt.Errorf("node: run needs *cpu.SliceStream programs, stream %d is %T", i, s)
 		}
-		m.preplaceFirstTouch(progs)
+		progs[i] = ss
 	}
+	m.preplaceFirstTouch(progs)
 	m.CPUs = make([]*cpu.CPU, len(streams))
 	for i, s := range streams {
 		m.CPUs[i] = cpu.New(m.Sys.EngFor(msg.NodeID(i)), msg.NodeID(i), m.Sys.Hubs[i], s, m.Bars, m.Sys.Cfg.MaxStores)

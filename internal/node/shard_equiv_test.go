@@ -1,11 +1,13 @@
 package node
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"pccsim/internal/core"
 	"pccsim/internal/cpu"
+	"pccsim/internal/msg"
 	"pccsim/internal/sim/simtest"
 	"pccsim/internal/stats"
 	"pccsim/internal/workload"
@@ -18,11 +20,18 @@ import (
 // window policy is checked against.
 func runMachine(t *testing.T, wl *workload.Workload, cfg core.Config, pinned bool) (*stats.Stats, uint64) {
 	t.Helper()
-	return runProgram(t, wl, cfg, workload.Params{Nodes: cfg.Nodes, Iters: 1}, pinned)
+	st, m := runProgram(t, wl, cfg, workload.Params{Nodes: cfg.Nodes, Iters: 1}, pinned)
+	var windows uint64
+	if m.Sys.Sharded() {
+		windows = m.Sys.Group().Windows()
+	}
+	return st, windows
 }
 
-// runProgram is runMachine with explicit workload parameters.
-func runProgram(t *testing.T, wl *workload.Workload, cfg core.Config, p workload.Params, pinned bool) (*stats.Stats, uint64) {
+// runProgram executes one workload with explicit parameters on a fresh
+// machine built from cfg and returns the aggregated stats and the
+// machine it ran on.
+func runProgram(t *testing.T, wl *workload.Workload, cfg core.Config, p workload.Params, pinned bool) (*stats.Stats, *Machine) {
 	t.Helper()
 	m, err := New(cfg)
 	if err != nil {
@@ -40,25 +49,95 @@ func runProgram(t *testing.T, wl *workload.Workload, cfg core.Config, p workload
 	if err != nil {
 		t.Fatalf("%s nodes=%d shards=%d parallel=%v: %v", wl.Name, cfg.Nodes, cfg.Shards, cfg.ShardsParallel, err)
 	}
-	var windows uint64
-	if m.Sys.Sharded() {
-		windows = m.Sys.Group().Windows()
-	}
-	return st, windows
+	return st, m
 }
 
-// runSharded executes one workload on a fresh machine with the given
-// shard configuration and returns the aggregated stats.
-func runSharded(t *testing.T, wl *workload.Workload, shards int, parallel bool) *stats.Stats {
-	t.Helper()
+// smallConfig is the paper's small configuration (32 KB RAC, 32-entry
+// delegate cache, speculative updates) on 16 nodes with the given shard
+// configuration, invariant-checked.
+func smallConfig(shards int, parallel bool) core.Config {
 	cfg := core.DefaultConfig().With(
 		core.WithRAC(32), core.WithDelegation(32), core.WithSpeculativeUpdates(0))
 	cfg.CheckInvariants = true
 	cfg.WatchdogSteps = 50_000_000
 	cfg.Shards = shards
 	cfg.ShardsParallel = parallel
-	st, _ := runMachine(t, wl, cfg, false)
+	return cfg
+}
+
+// runSharded executes one workload on a fresh machine with the given
+// shard configuration and returns the aggregated stats.
+func runSharded(t *testing.T, wl *workload.Workload, shards int, parallel bool) *stats.Stats {
+	t.Helper()
+	st, _ := runMachine(t, wl, smallConfig(shards, parallel), false)
 	return st
+}
+
+// TestShardCountAgreement asserts that the shard count does not change
+// a run's answer: every workload's default run on the small config, at
+// 2, 4 and 8 shards, homes every page exactly where the single engine
+// does and makes exactly its delegations and undelegations. Cycles stay
+// within 0.25% and messages within 1% of the single engine's; the rest
+// of the gap comes from window-quantised barrier releases, deferred
+// cross-shard calls and same-cycle tie-breaks within each shard.
+func TestShardCountAgreement(t *testing.T) {
+	shardCounts := []int{2, 4, 8}
+	if testing.Short() {
+		shardCounts = []int{4}
+	}
+	const cycleTol, msgTol = 0.0025, 0.01
+	within := func(got, want uint64, tol float64) bool {
+		return math.Abs(float64(got)-float64(want)) <= tol*float64(want)
+	}
+	for _, wl := range workload.All() {
+		wl := wl
+		t.Run(wl.Name, func(t *testing.T) {
+			t.Parallel()
+			p := workload.Params{Nodes: 16}
+			var pages []msg.Addr
+			seen := make(map[msg.Addr]bool)
+			for _, ops := range wl.Build(p) {
+				for _, op := range ops {
+					page := op.Addr &^ 4095
+					if (op.Kind == cpu.Load || op.Kind == cpu.Store) && !seen[page] {
+						seen[page] = true
+						pages = append(pages, page)
+					}
+				}
+			}
+			homes := func(m *Machine) []msg.NodeID {
+				h := make([]msg.NodeID, len(pages))
+				for i, page := range pages {
+					home, ok := m.Sys.Mem.HomeIfPlaced(page)
+					if !ok {
+						t.Fatalf("page %#x unplaced after the run", uint64(page))
+					}
+					h[i] = home
+				}
+				return h
+			}
+			ref, refM := runProgram(t, wl, smallConfig(0, false), p, false)
+			refHomes := homes(refM)
+			for _, shards := range shardCounts {
+				st, m := runProgram(t, wl, smallConfig(shards, true), p, false)
+				if !reflect.DeepEqual(homes(m), refHomes) {
+					t.Errorf("%d shards: page homes differ from the single engine's", shards)
+				}
+				if st.Delegations != ref.Delegations || st.Undelegations != ref.Undelegations {
+					t.Errorf("%d shards: delegations %d, undelegations %v; single engine %d, %v",
+						shards, st.Delegations, st.Undelegations, ref.Delegations, ref.Undelegations)
+				}
+				if !within(st.ExecCycles, ref.ExecCycles, cycleTol) {
+					t.Errorf("%d shards: %d cycles, single engine %d (bound %.2f%%)",
+						shards, st.ExecCycles, ref.ExecCycles, 100*cycleTol)
+				}
+				if !within(st.TotalMessages(), ref.TotalMessages(), msgTol) {
+					t.Errorf("%d shards: %d messages, single engine %d (bound %.0f%%)",
+						shards, st.TotalMessages(), ref.TotalMessages(), 100*msgTol)
+				}
+			}
+		})
+	}
 }
 
 // TestShardEquivalenceAllWorkloads asserts the acceptance property of the
