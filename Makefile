@@ -47,14 +47,16 @@ bench:
 # hit, merge, retry and timer paths after an 8-run warm-up, the op
 # builder's appends, the model checker's canonicalizer and its engine's
 # state expansion (TestExpandZeroAlloc) at 0 allocs/op; the Size pins
-# hold the engine's wheel entry at <= 32 bytes and cpu.Op at 16.
+# hold the engine's wheel entry at <= 32 bytes, cpu.Op at 16, the
+# directory cache's detector at <= 40 and cache.Line and rac.Line at
+# <= 32.
 bench-smoke: compare-smoke
 	$(GO) test -bench=. -benchtime=1x ./internal/sim/... ./internal/network/... ./internal/obs/... \
 		./internal/cache/...
 	$(GO) test -run '^$$' -bench 'Canonical|Successors' -benchtime=1x ./internal/mcheck/
 	$(GO) test -run 'ZeroAlloc|Size$$' -count=1 ./internal/sim/... ./internal/network/... \
 		./internal/addrtab/... ./internal/obs/... ./internal/mcheck/... ./internal/cache/... \
-		./internal/core/... ./internal/workload/...
+		./internal/core/... ./internal/workload/... ./internal/predictor/... ./internal/rac/...
 
 # The performance gate: perfbench built from the committed tree of BASE
 # (the parent) and from this checkout (the change), every workload run

@@ -5,9 +5,9 @@ import (
 	"math/bits"
 )
 
-// chunkSets is the number of sets allocated together on first touch.
-// Smaller chunks track a sparse footprint more closely; larger ones
-// shrink the per-array chunk directory.
+// chunkSets is the number of set blocks in one storage page. Smaller
+// pages track a sparse footprint more closely; larger ones shrink the
+// per-array page list.
 const chunkSets = 16
 
 // SetCount returns the set count of an array holding capacity bytes in ways
@@ -48,11 +48,12 @@ const (
 	AllPinned
 )
 
-// chunk is chunkSets consecutive sets (or all sets, if fewer): a tag
-// word per way followed by an LRU stamp per way, and the payloads.
-// Until a chunk is filled, its words are the array's shared all-invalid
-// slice and it has no payloads.
-type chunk[T any] struct {
+// page is chunkSets set blocks (or all sets, if fewer): a tag word per
+// way of every block followed by an LRU stamp per way, and the
+// payloads. Blocks are handed out in first-fill order, so a page holds
+// whichever sets were filled together, not neighbouring ones. The
+// sentinel page 0 has only its first block's tags, all zero.
+type page[T any] struct {
 	words []uint64
 	vals  []T
 }
@@ -63,28 +64,33 @@ type chunk[T any] struct {
 // sizes every node's structures in full); what Array decides is how much
 // host memory that geometry costs.
 //
-// Storage is allocated on first touch. Sets live in fixed-size chunks,
-// and a chunk is allocated the first time one of its ways is filled; a
-// lookup in a chunk that was never filled is a miss and allocates
-// nothing. Each chunk keeps one tag word per way, the line number plus
-// one, so the zero word is the invalid way, beside a dense array of LRU
-// stamps and apart from the payloads. A lookup reads only tags (a 4-way
-// set's tags are 32 bytes, within one host cache line), and the set index
-// is a shift and a mask.
+// Storage follows the sets a run fills. Each set has one index word
+// naming its set block. A set's first fill hands it the next free
+// block; blocks come from fixed-size pages allocated as they run out.
+// Until then the word is 0, which names the sentinel block of page 0:
+// its tags stay zero, so a lookup in a set that was never filled is an
+// ordinary miss and allocates nothing. Each block keeps one tag word
+// per way, the line number plus one, so the zero word is the invalid
+// way, beside a dense array of LRU stamps and apart from the payloads.
+// A lookup reads one index word and then only tags (a 4-way set's tags
+// are 32 bytes, within one host cache line), and the set index is a
+// shift and a mask.
 //
 // Replacement is least recently used: every fill and touch stamps its
 // way with a fresh clock value. A caller that must keep some entries
 // resident (the RAC's pinned surrogate-memory lines) passes a predicate
 // that Fill consults on the eviction path.
 type Array[T any] struct {
-	lineShift  uint
-	chunkShift uint
-	setMask    uint64
-	chunkMask  uint64
-	ways       int
-	span       int // ways per chunk
-	chunks     []chunk[T]
-	clock      uint64
+	lineShift uint
+	pageShift uint
+	setMask   uint64
+	blockMask uint32
+	ways      int
+	span      int       // ways per page
+	index     []uint32  // per set: its block, page-major; 0 until filled
+	pages     []page[T] // page 0 is the sentinel block alone
+	next      uint32    // the block the next first fill receives
+	clock     uint64
 }
 
 // NewArray returns an array of sets × ways lines of lineBytes bytes. The
@@ -94,44 +100,35 @@ func NewArray[T any](sets, ways, lineBytes int) *Array[T] {
 		panic("cache: " + err.Error())
 	}
 	per := min(sets, chunkSets)
-	a := &Array[T]{
-		lineShift:  uint(bits.TrailingZeros(uint(lineBytes))),
-		chunkShift: uint(bits.TrailingZeros(uint(per))),
-		setMask:    uint64(sets - 1),
-		chunkMask:  uint64(per - 1),
-		ways:       ways,
-		span:       per * ways,
-		chunks:     make([]chunk[T], sets/per),
+	return &Array[T]{
+		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
+		pageShift: uint(bits.TrailingZeros(uint(per))),
+		setMask:   uint64(sets - 1),
+		blockMask: uint32(per - 1),
+		ways:      ways,
+		span:      per * ways,
+		index:     make([]uint32, sets),
+		pages:     []page[T]{{words: make([]uint64, ways)}},
+		next:      uint32(per),
 	}
-	untouched := make([]uint64, a.span)
-	for c := range a.chunks {
-		a.chunks[c].words = untouched
-	}
-	return a
 }
 
 // LineBytes returns the line size.
 func (a *Array[T]) LineBytes() int { return 1 << a.lineShift }
 
-// locate returns addr's tag word, its chunk and the set's first way
-// within the chunk. Shift counts are masked so they compile to bare
-// shifts.
-func (a *Array[T]) locate(addr uint64) (tag uint64, ch *chunk[T], base int) {
-	line := addr >> (a.lineShift & 63)
-	set := line & a.setMask
-	return line + 1, &a.chunks[set>>(a.chunkShift&63)], int(set&a.chunkMask) * a.ways
+// block returns set block b's page and the block's first way within it.
+// Shift counts are masked so they compile to bare shifts.
+func (a *Array[T]) block(b uint32) (*page[T], int) {
+	return &a.pages[b>>(a.pageShift&31)], int(b&a.blockMask) * a.ways
 }
 
-// find returns the chunk and way holding addr, or a nil chunk. It
-// spells out locate so that it stays within the inliner's budget.
-func (a *Array[T]) find(addr uint64) (*chunk[T], int) {
+// find returns the page and way holding addr, or a nil page.
+func (a *Array[T]) find(addr uint64) (*page[T], int) {
 	line := addr >> (a.lineShift & 63)
-	set := line & a.setMask
-	ch := &a.chunks[set>>(a.chunkShift&63)]
-	base := int(set&a.chunkMask) * a.ways
-	for i, t := range ch.words[base : base+a.ways] {
+	pg, base := a.block(a.index[line&a.setMask])
+	for i, t := range pg.words[base : base+a.ways] {
 		if t == line+1 {
-			return ch, base + i
+			return pg, base + i
 		}
 	}
 	return nil, 0
@@ -140,39 +137,45 @@ func (a *Array[T]) find(addr uint64) (*chunk[T], int) {
 // Lookup returns the payload of addr's line, or nil. It does not refresh
 // recency.
 func (a *Array[T]) Lookup(addr uint64) *T {
-	ch, i := a.find(addr)
-	if ch == nil {
+	pg, i := a.find(addr)
+	if pg == nil {
 		return nil
 	}
-	return &ch.vals[i]
+	return &pg.vals[i]
 }
 
 // Touch returns the payload of addr's line, or nil, and marks the line
 // most recently used.
 func (a *Array[T]) Touch(addr uint64) *T {
-	ch, i := a.find(addr)
-	if ch == nil {
+	pg, i := a.find(addr)
+	if pg == nil {
 		return nil
 	}
 	a.clock++
-	ch.words[a.span+i] = a.clock
-	return &ch.vals[i]
+	pg.words[a.span+i] = a.clock
+	return &pg.vals[i]
 }
 
 // Fill claims a way for addr and marks it most recently used: the way
 // already holding addr, else the set's first invalid way, else its least
 // recently used way that pinned (if non-nil) does not report. It returns
 // the way's payload, untouched, and what the way held before; when every
-// way is pinned
-// (AllPinned) the payload is nil and nothing changed.
+// way is pinned (AllPinned) the payload is nil and nothing changed. A
+// set's first fill hands it the next free block.
 func (a *Array[T]) Fill(addr uint64, pinned func(*T) bool) (*T, Prior) {
-	tag, ch, base := a.locate(addr)
-	if ch.vals == nil {
-		ch.words = make([]uint64, 2*a.span)
-		ch.vals = make([]T, a.span)
+	line := addr >> (a.lineShift & 63)
+	tag, set := line+1, line&a.setMask
+	b := a.index[set]
+	if b == 0 {
+		if a.next&a.blockMask == 0 {
+			a.pages = append(a.pages, page[T]{words: make([]uint64, 2*a.span), vals: make([]T, a.span)})
+		}
+		b, a.next = a.next, a.next+1
+		a.index[set] = b
 	}
-	tags, uses := ch.words[base:base+a.ways], ch.words[a.span+base:a.span+base+a.ways]
-	vals := ch.vals[base : base+a.ways]
+	pg, base := a.block(b)
+	tags, uses := pg.words[base:base+a.ways], pg.words[a.span+base:a.span+base+a.ways]
+	vals := pg.vals[base : base+a.ways]
 	slot, prior := -1, WasEmpty
 	for i, t := range tags {
 		if t == tag {
@@ -206,23 +209,24 @@ func (a *Array[T]) Fill(addr uint64, pinned func(*T) bool) (*T, Prior) {
 // Remove invalidates addr's way and returns its payload, untouched, or
 // nil if addr is not present.
 func (a *Array[T]) Remove(addr uint64) *T {
-	ch, i := a.find(addr)
-	if ch == nil {
+	pg, i := a.find(addr)
+	if pg == nil {
 		return nil
 	}
-	ch.words[i] = 0
-	ch.words[a.span+i] = 0
-	return &ch.vals[i]
+	pg.words[i] = 0
+	pg.words[a.span+i] = 0
+	return &pg.vals[i]
 }
 
 // ForEach calls fn on the payload of every valid way, in set order and
-// way order within a set.
+// way order within a set. A never-filled set names the sentinel block,
+// whose ways are all invalid.
 func (a *Array[T]) ForEach(fn func(*T)) {
-	for c := range a.chunks {
-		ch := &a.chunks[c]
-		for i, t := range ch.words[:a.span] {
+	for _, b := range a.index {
+		pg, base := a.block(b)
+		for i, t := range pg.words[base : base+a.ways] {
 			if t != 0 {
-				fn(&ch.vals[i])
+				fn(&pg.vals[base+i])
 			}
 		}
 	}

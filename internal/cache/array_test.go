@@ -35,20 +35,15 @@ func TestSetCount(t *testing.T) {
 	NewArray[int](3, 1, 128)
 }
 
-// filledChunks counts the chunks that own storage.
-func (a *Array[T]) filledChunks() int {
-	n := 0
-	for _, ch := range a.chunks {
-		if ch.vals != nil {
-			n++
-		}
-	}
-	return n
-}
+// filledBlocks counts the set blocks handed out.
+func (a *Array[T]) filledBlocks() int { return int(a.next-a.blockMask) - 1 }
 
-// TestArrayFirstTouch pins the storage rule: lookups, touches and
-// removals in untouched chunks allocate nothing, and a fill allocates
-// exactly the chunk holding its set.
+// TestArrayFirstTouch pins the storage rule: misses, touches and
+// removals in never-filled sets allocate nothing, each set's first fill
+// takes exactly one set block (so k sets that share one 16-set span of
+// address space take k blocks, not the span), refills of a filled set
+// take nothing more, and a page is allocated only when the blocks run
+// out.
 func TestArrayFirstTouch(t *testing.T) {
 	a := NewArray[Line](4096, 4, 128)
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -57,17 +52,36 @@ func TestArrayFirstTouch(t *testing.T) {
 				t.Fatal("hit in an empty array")
 			}
 		}
-	}); allocs != 0 || a.filledChunks() != 0 {
-		t.Fatalf("misses in untouched chunks made %.0f allocations and %d chunks", allocs, a.filledChunks())
+	}); allocs != 0 || a.filledBlocks() != 0 {
+		t.Fatalf("misses in never-filled sets made %.0f allocations and %d blocks", allocs, a.filledBlocks())
 	}
-	a.Fill(5*128, nil)
-	a.Fill(4095*128, nil)
-	a.Fill((5+4096)*128, nil) // same set as the first fill
-	if got := a.filledChunks(); got != 2 {
-		t.Fatalf("three fills in two chunks allocated %d chunks", got)
+	for k := 1; k <= 5; k++ {
+		a.Fill(uint64(3*k)*128, nil) // sets 3, 6, ..., 15: one 16-set span
+		if got := a.filledBlocks(); got != k {
+			t.Fatalf("%d fills in %d sets allocated %d blocks", k, k, got)
+		}
 	}
-	if a.Count() != 3 {
-		t.Fatalf("Count = %d, want 3", a.Count())
+	if allocs := testing.AllocsPerRun(100, func() {
+		for w := uint64(0); w < 6; w++ { // more lines than ways: evictions
+			a.Fill((6+w*4096)*128, nil)
+		}
+		a.Touch(6 * 128)
+		a.Remove(6 * 128)
+	}); allocs != 0 || a.filledBlocks() != 5 {
+		t.Fatalf("refills of a filled set made %.0f allocations and %d blocks", allocs, a.filledBlocks())
+	}
+	if got := len(a.pages); got != 2 {
+		t.Fatalf("5 blocks took %d pages with the sentinel, want 2", got)
+	}
+	for s := uint64(16); s < 16+chunkSets; s++ {
+		a.Fill(s*128, nil)
+	}
+	if a.filledBlocks() != 5+chunkSets || len(a.pages) != 3 {
+		t.Fatalf("%d blocks took %d pages with the sentinel, want %d and 3",
+			a.filledBlocks(), len(a.pages), 5+chunkSets)
+	}
+	if a.Count() != 4+4+chunkSets {
+		t.Fatalf("Count = %d, want %d", a.Count(), 4+4+chunkSets)
 	}
 }
 
@@ -97,7 +111,8 @@ func TestArrayAllPinned(t *testing.T) {
 }
 
 // TestArrayForEachSetOrder checks that ForEach walks sets in index order
-// across chunk boundaries, ways in order within a set.
+// across page boundaries, ways in order within a set, when sets were
+// first filled last to first (so their blocks sit in reverse order).
 func TestArrayForEachSetOrder(t *testing.T) {
 	const sets = 4 * chunkSets
 	a := NewArray[uint64](sets, 2, 128)

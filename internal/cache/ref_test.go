@@ -113,25 +113,40 @@ func (c *refCache) forEach(fn func(*Line)) {
 
 // TestMatchesReference drives the first-touch cache and the dense
 // reference through the same random operation sequences — on one set,
-// fewer sets than one storage chunk, and several chunks — and requires
-// identical lines, victims and ForEach order after every step.
+// fewer sets than one storage page, and several pages, one of them with
+// every set first filled last to first so that no page holds its sets
+// in address order — and requires identical lines, victims and ForEach
+// order after every step.
 func TestMatchesReference(t *testing.T) {
-	for _, g := range []struct{ bytes, ways, line int }{
-		{128, 1, 128},          // one set, direct-mapped
-		{4 * 32, 4, 32},        // one set, 4 ways
-		{4 * 2 * 128, 2, 128},  // 4 sets: under one chunk
-		{64 * 4 * 128, 4, 128}, // 64 sets: several chunks
-		{256 * 2 * 32, 2, 32},  // L1-shaped
+	for _, g := range []struct {
+		bytes, ways, line int
+		reversed          bool
+	}{
+		{128, 1, 128, false},          // one set, direct-mapped
+		{4 * 32, 4, 32, false},        // one set, 4 ways
+		{4 * 2 * 128, 2, 128, false},  // 4 sets: under one page
+		{64 * 4 * 128, 4, 128, false}, // 64 sets: several pages
+		{64 * 4 * 128, 4, 128, true},  // the same, blocks in reverse set order
+		{256 * 2 * 32, 2, 32, false},  // L1-shaped
 	} {
 		for seed := int64(1); seed <= 10; seed++ {
-			diffCache(t, g.bytes, g.ways, g.line, seed)
+			diffCache(t, g.bytes, g.ways, g.line, g.reversed, seed)
 		}
 	}
 }
 
-func diffCache(t *testing.T, bytes, ways, lineBytes int, seed int64) {
+// diffCache runs one random sequence; reversed first fills every set,
+// last set first, on both sides.
+func diffCache(t *testing.T, bytes, ways, lineBytes int, reversed bool, seed int64) {
 	t.Helper()
 	c, ref := New(bytes, ways, lineBytes), newRef(bytes, ways, lineBytes)
+	if reversed {
+		for s := ref.numSets - 1; s >= 0; s-- {
+			addr := msg.Addr(s * lineBytes)
+			c.Insert(addr, Shared)
+			ref.insert(addr, Shared)
+		}
+	}
 	rng := rand.New(rand.NewSource(seed))
 	span := 3 * bytes // addresses alias every set about three times over
 	same := func(step int, what string, got *Line, want *refLine) {

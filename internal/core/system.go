@@ -105,7 +105,7 @@ func NewSystem(cfg Config) (*System, error) {
 	cfg.Network.Nodes = cfg.Nodes
 	sys := &System{
 		Cfg:       cfg,
-		Mem:       mem.New(cfg.Nodes, 4096),
+		Mem:       mem.New(4096),
 		glob:      newGlobal(cfg.CheckInvariants),
 		NodeStats: make([]*stats.Stats, cfg.Nodes),
 	}

@@ -2,6 +2,7 @@ package directory
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pccsim/internal/msg"
@@ -69,6 +70,16 @@ func (c *refDirCache) detector(addr msg.Addr) *predictor.Detector {
 	return &c.dets[slot]
 }
 
+// forEach calls fn on every resident detector in set order, ways in
+// order within a set.
+func (c *refDirCache) forEach(fn func(*predictor.Detector)) {
+	for i := range c.dets {
+		if c.valid[i] {
+			fn(&c.dets[i])
+		}
+	}
+}
+
 func (c *refDirCache) resident(addr msg.Addr) bool {
 	base := c.setBase(addr)
 	for i := base; i < base+c.ways; i++ {
@@ -83,17 +94,29 @@ func (c *refDirCache) resident(addr msg.Addr) bool {
 // and the dense reference through the same random Detector/Resident
 // sequences, feeding every returned detector the same reads and writes
 // and toggling pair mode mid-run, and requires identical detectors,
-// residency and Evicts after every step.
+// residency and Evicts after every step, and identical resident
+// detectors in ForEach order at the end. One geometry first fills every
+// set last to first, so no storage page holds its sets in address order.
 func TestDirCacheMatchesReference(t *testing.T) {
-	for _, g := range []struct{ entries, ways int }{
-		{1, 1},       // one set, one way
-		{4, 4},       // one set
-		{16, 4},      // 4 sets: under one chunk
-		{8192, 4},    // Table 1's 2,048 sets
-		{256 * 2, 2}, // several chunks
+	for _, g := range []struct {
+		entries, ways int
+		reversed      bool
+	}{
+		{1, 1, false},       // one set, one way
+		{4, 4, false},       // one set
+		{16, 4, false},      // 4 sets: under one page
+		{8192, 4, false},    // Table 1's 2,048 sets
+		{256 * 2, 2, false}, // several pages
+		{256 * 2, 2, true},  // the same, blocks in reverse set order
 	} {
 		for seed := int64(1); seed <= 10; seed++ {
 			c, ref := NewDirCache(g.entries, g.ways), newRefDirCache(g.entries, g.ways)
+			if g.reversed {
+				for s := ref.numSets - 1; s >= 0; s-- {
+					c.Detector(msg.Addr(s) << 7).OnWrite(msg.NodeID(s % 4))
+					ref.detector(msg.Addr(s) << 7).OnWrite(msg.NodeID(s % 4))
+				}
+			}
 			rng := rand.New(rand.NewSource(seed))
 			for step := 0; step < 2000; step++ {
 				addr := msg.Addr(rng.Intn(3*g.entries)) << 7
@@ -126,6 +149,13 @@ func TestDirCacheMatchesReference(t *testing.T) {
 					t.Fatalf("%d/%d seed %d step %d: Evicts %d, want %d",
 						g.entries, g.ways, seed, step, c.Evicts, ref.Evicts)
 				}
+			}
+			var got, want []predictor.Detector
+			c.dets.ForEach(func(d *predictor.Detector) { got = append(got, *d) })
+			ref.forEach(func(d *predictor.Detector) { want = append(want, *d) })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d/%d seed %d: ForEach visits %d detectors, want %d, or in another order",
+					g.entries, g.ways, seed, len(got), len(want))
 			}
 		}
 	}

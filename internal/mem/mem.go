@@ -22,11 +22,8 @@ type Memory struct {
 	pages     map[uint64]msg.NodeID
 }
 
-// New creates a first-touch memory over nodes nodes.
-func New(nodes, pageBytes int) *Memory {
-	if nodes <= 0 {
-		panic("mem: need at least one node")
-	}
+// New creates a first-touch memory placed in pageBytes pages.
+func New(pageBytes int) *Memory {
 	if pageBytes <= 0 || pageBytes&(pageBytes-1) != 0 {
 		panic("mem: page size must be a positive power of two")
 	}

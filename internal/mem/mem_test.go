@@ -8,7 +8,7 @@ import (
 )
 
 func TestFirstTouch(t *testing.T) {
-	m := New(16, 4096)
+	m := New(4096)
 	if h := m.Home(0x1000, 3); h != 3 {
 		t.Fatalf("first touch home = %d, want 3", h)
 	}
@@ -23,7 +23,7 @@ func TestFirstTouch(t *testing.T) {
 }
 
 func TestHomeIfPlaced(t *testing.T) {
-	m := New(16, 4096)
+	m := New(4096)
 	if _, ok := m.HomeIfPlaced(0x1000); ok {
 		t.Fatal("unplaced page reported placed")
 	}
@@ -37,7 +37,7 @@ func TestHomeIfPlaced(t *testing.T) {
 // TestPlaceRange: placing one address per page of 0x1000..0x3fff homes
 // every byte of those three pages, and nothing else.
 func TestPlaceRange(t *testing.T) {
-	m := New(16, 4096)
+	m := New(4096)
 	for a := msg.Addr(0x1800); a < 0x4000; a += 4096 {
 		m.Place(a, 7)
 	}
@@ -52,7 +52,7 @@ func TestPlaceRange(t *testing.T) {
 }
 
 func TestPlaceOverrides(t *testing.T) {
-	m := New(16, 4096)
+	m := New(4096)
 	m.Place(0x1000, 5)
 	if h := m.Home(0x1000, 0); h != 5 {
 		t.Fatalf("explicit placement ignored: home = %d", h)
@@ -61,9 +61,8 @@ func TestPlaceOverrides(t *testing.T) {
 
 func TestBadConfigPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { New(0, 4096) },
-		func() { New(4, 0) },
-		func() { New(4, 3000) },
+		func() { New(0) },
+		func() { New(3000) },
 	} {
 		func() {
 			defer func() {
@@ -83,7 +82,7 @@ func TestPropertyStableHomes(t *testing.T) {
 		if len(touchers) == 0 {
 			return true
 		}
-		m := New(16, 4096)
+		m := New(4096)
 		first := map[uint64]msg.NodeID{}
 		for i, a := range addrs {
 			toucher := msg.NodeID(touchers[i%len(touchers)] % 16)

@@ -19,21 +19,23 @@ const (
 )
 
 // Detector is the per-directory-cache-entry sharing pattern detector.
-// The zero value is the reset state.
+// The zero value is the reset state. Every directory-cache entry of
+// every node holds one, so its byte fields come first and it packs
+// into 40 bytes: a writer id fits a byte because msg.MaxNodes is 256.
 type Detector struct {
-	lastWriter  msg.NodeID // 4-bit field in hardware; -1 encodes "none yet"
-	prevWriter  msg.NodeID // pair mode only: the previous distinct writer
+	lastWriter  uint8 // 4-bit field in hardware; valid only when hasWriter
+	prevWriter  uint8 // pair mode only: the previous distinct writer
 	hasWriter   bool
 	hasPrev     bool
 	readerCount uint8 // 2-bit saturating count of unique readers since last write
 	writeRepeat uint8 // 2-bit saturating counter of producer-consumer rounds
-	readers     msg.Vector
 	marked      bool
 	// pairMode is the §5 extension: tolerate a stable *pair* of writers
 	// instead of resetting on every writer change (4 more bits of
 	// storage per entry in hardware). It survives Reset — the mode is a
 	// configuration property, not per-line history.
 	pairMode bool
+	readers  msg.Vector
 }
 
 // Reset clears the detector (used when a directory-cache entry is
@@ -48,7 +50,7 @@ func (d *Detector) SetPairMode(on bool) { d.pairMode = on }
 
 // OnRead observes a read-type request (GetShared) from node n.
 func (d *Detector) OnRead(n msg.NodeID) {
-	if d.hasWriter && n == d.lastWriter {
+	if d.hasWriter && n == msg.NodeID(d.lastWriter) {
 		// The producer re-reading its own line is not consumption.
 		return
 	}
@@ -64,9 +66,9 @@ func (d *Detector) OnRead(n msg.NodeID) {
 // reports whether this write causes the block to be marked
 // producer-consumer (i.e. the write-repeat counter just saturated).
 func (d *Detector) OnWrite(n msg.NodeID) (nowMarked bool) {
-	known := d.hasWriter && n == d.lastWriter
+	known := d.hasWriter && n == msg.NodeID(d.lastWriter)
 	if d.pairMode && !known {
-		known = d.hasPrev && n == d.prevWriter
+		known = d.hasPrev && n == msg.NodeID(d.prevWriter)
 	}
 	if known && d.readerCount > 0 {
 		if d.writeRepeat < writeRepeatMax {
@@ -82,11 +84,11 @@ func (d *Detector) OnWrite(n msg.NodeID) (nowMarked bool) {
 		d.marked = false
 		d.hasPrev = false
 	}
-	if d.hasWriter && n != d.lastWriter {
+	if d.hasWriter && n != msg.NodeID(d.lastWriter) {
 		d.prevWriter = d.lastWriter
 		d.hasPrev = true
 	}
-	d.lastWriter = n
+	d.lastWriter = uint8(n)
 	d.hasWriter = true
 	d.readerCount = 0
 	d.readers = msg.Vector{}
@@ -98,7 +100,7 @@ func (d *Detector) IsProducerConsumer() bool { return d.marked }
 
 // Producer returns the predicted producer (the last writer) and whether one
 // has been observed.
-func (d *Detector) Producer() (msg.NodeID, bool) { return d.lastWriter, d.hasWriter }
+func (d *Detector) Producer() (msg.NodeID, bool) { return msg.NodeID(d.lastWriter), d.hasWriter }
 
 // ReaderCount returns the saturating unique-reader count since the last
 // write (exported for the Table 3 measurement).

@@ -4,9 +4,18 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"pccsim/internal/msg"
 )
+
+// TestDetectorSize pins the directory cache's payload at 40 bytes: every
+// directory-cache way of every node holds one.
+func TestDetectorSize(t *testing.T) {
+	if n := unsafe.Sizeof(Detector{}); n > 40 {
+		t.Fatalf("Detector is %d bytes, want <= 40", n)
+	}
+}
 
 // The canonical pattern of equation (1): (Wi (Rj)+)* marks the block after
 // the write-repeat counter saturates at 3.

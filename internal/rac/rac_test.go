@@ -3,10 +3,22 @@ package rac
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"pccsim/internal/cache"
 	"pccsim/internal/msg"
 )
+
+// TestLineSize pins the L1/L2 and RAC payloads at 32 bytes: every way a
+// run fills holds one.
+func TestLineSize(t *testing.T) {
+	if n := unsafe.Sizeof(cache.Line{}); n > 32 {
+		t.Fatalf("cache.Line is %d bytes, want <= 32", n)
+	}
+	if n := unsafe.Sizeof(Line{}); n > 32 {
+		t.Fatalf("rac.Line is %d bytes, want <= 32", n)
+	}
+}
 
 func TestInsertLookup(t *testing.T) {
 	r := New(32*1024, 4, 128)

@@ -120,8 +120,8 @@ func TestMatchesReference(t *testing.T) {
 	for _, g := range []struct{ bytes, ways int }{
 		{128, 1},          // one set, direct-mapped
 		{4 * 128, 4},      // one set, 4 ways
-		{4 * 2 * 128, 2},  // 4 sets: under one chunk
-		{64 * 4 * 128, 4}, // 64 sets: several chunks
+		{4 * 2 * 128, 2},  // 4 sets: under one page
+		{64 * 4 * 128, 4}, // 64 sets: several pages
 	} {
 		for seed := int64(1); seed <= 10; seed++ {
 			diffRAC(t, g.bytes, g.ways, seed)
