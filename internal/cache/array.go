@@ -89,7 +89,7 @@ type Array[T any] struct {
 	span      int       // ways per page
 	index     []uint32  // per set: its block, page-major; 0 until filled
 	pages     []page[T] // page 0 is the sentinel block alone
-	next      uint32    // the block the next first fill receives
+	next      uint32    // the block the next first fill receives; page 1 starts it
 	clock     uint64
 }
 
