@@ -48,15 +48,16 @@ bench:
 # builder's appends, the model checker's canonicalizer and its engine's
 # state expansion (TestExpandZeroAlloc) at 0 allocs/op; the Size pins
 # hold the engine's wheel entry at <= 32 bytes, cpu.Op at 16, the
-# directory cache's detector at <= 40 and cache.Line and rac.Line at
-# <= 32.
+# directory cache's detector at <= 40, cache.Line and rac.Line at
+# <= 32 and the directory entry at <= 152.
 bench-smoke: compare-smoke
 	$(GO) test -bench=. -benchtime=1x ./internal/sim/... ./internal/network/... ./internal/obs/... \
 		./internal/cache/...
 	$(GO) test -run '^$$' -bench 'Canonical|Successors' -benchtime=1x ./internal/mcheck/
 	$(GO) test -run 'ZeroAlloc|Size$$' -count=1 ./internal/sim/... ./internal/network/... \
 		./internal/addrtab/... ./internal/obs/... ./internal/mcheck/... ./internal/cache/... \
-		./internal/core/... ./internal/workload/... ./internal/predictor/... ./internal/rac/...
+		./internal/core/... ./internal/workload/... ./internal/predictor/... ./internal/rac/... \
+		./internal/directory/...
 
 # The performance gate: perfbench built from the committed tree of BASE
 # (the parent) and from this checkout (the change), every workload run

@@ -106,7 +106,10 @@ type Config struct {
 	// CheckInvariants enables the runtime coherence checks of §2.5
 	// ("single writer exists" and "consistency within the directory",
 	// checked at the completion of every transaction that incurs an L2
-	// miss). Tests enable it; benchmark sweeps disable it for speed.
+	// miss), plus the data-version oracle behind them, which
+	// LatestVersion, VerifyValue and VerifyValues read. Tests enable it;
+	// benchmark sweeps disable it for speed, and then keep no per-line
+	// version table at all. Checks never change the simulated result.
 	CheckInvariants bool
 
 	// Shards partitions the machine into contiguous node groups, each

@@ -16,6 +16,12 @@ import (
 // ever observes versions moving backwards and that a writer always holds
 // the latest version when it writes (the simulator-side checks of §2.5).
 //
+// The oracle exists only under CheckInvariants. Without it a store's new
+// version is the writer's held version plus one and no table is kept: a
+// checked run proves held == latest at every store, and checks never
+// change which events run, so both runs carry the same versions
+// (TestCheckedRunMatchesUnchecked in internal/node).
+//
 // On a sharded system whose shards run on worker goroutines, hubs on
 // different shards write concurrently, so the oracle takes a mutex — but
 // only when sharing is enabled, keeping single-goroutine runs lock-free.
@@ -47,12 +53,15 @@ func (g *global) enableSharing() { g.shared = true }
 // held, returning the new version. Under SWMR the writer must hold the
 // latest version; a mismatch is a coherence bug.
 func (g *global) write(node msg.NodeID, addr msg.Addr, held uint64) uint64 {
+	if !g.check {
+		return held + 1
+	}
 	if g.shared {
 		g.mu.Lock()
 		defer g.mu.Unlock()
 	}
 	v, _ := g.latest.Slot(uint64(addr))
-	if g.check && held != *v {
+	if held != *v {
 		panic(fmt.Sprintf("core: node %d writes %#x holding version %d, latest is %d (stale-write coherence violation)",
 			node, uint64(addr), held, *v))
 	}
@@ -79,8 +88,9 @@ func (g *global) observe(node msg.NodeID, addr msg.Addr, v uint64) {
 }
 
 // latestVersion reports the newest written version of addr (0 if never
-// written).
+// written). It needs CheckInvariants.
 func (g *global) latestVersion(addr msg.Addr) uint64 {
+	g.mustCheck()
 	if g.shared {
 		g.mu.Lock()
 		defer g.mu.Unlock()
@@ -90,8 +100,9 @@ func (g *global) latestVersion(addr msg.Addr) uint64 {
 }
 
 // writtenLines returns every line the oracle has seen written, in address
-// order (deterministic for error reporting).
+// order (deterministic for error reporting). It needs CheckInvariants.
 func (g *global) writtenLines() []msg.Addr {
+	g.mustCheck()
 	if g.shared {
 		g.mu.Lock()
 		defer g.mu.Unlock()
@@ -103,4 +114,12 @@ func (g *global) writtenLines() []msg.Addr {
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// mustCheck panics when the oracle keeps no table: an unchecked run would
+// otherwise report every line as never written.
+func (g *global) mustCheck() {
+	if !g.check {
+		panic("core: the data-version oracle needs Config.CheckInvariants")
+	}
 }

@@ -120,7 +120,8 @@ func (s *System) CheckAll() {
 // memory image, or a delegated producer-table entry. Call it only on a
 // quiesced system (after the event queue drains); transients legitimately
 // keep the latest data in flight. A failure means the protocol lost an
-// update — the end-state analogue of the stale-write runtime check.
+// update — the end-state analogue of the stale-write runtime check. Like
+// LatestVersion it needs CheckInvariants.
 func (s *System) VerifyValue(line msg.Addr) error {
 	latest := s.glob.latestVersion(line)
 	if latest == 0 {
@@ -152,7 +153,7 @@ func (s *System) VerifyValue(line msg.Addr) error {
 
 // VerifyValues runs VerifyValue over every line the data-version oracle has
 // seen written. The fuzzer calls it at the end of every case; a clean run
-// proves no store was silently dropped by a race.
+// proves no store was silently dropped by a race. It needs CheckInvariants.
 func (s *System) VerifyValues() error {
 	for _, line := range s.glob.writtenLines() {
 		if err := s.VerifyValue(line); err != nil {

@@ -355,8 +355,9 @@ func (s *System) RunGuarded() (sim.Time, error) {
 // is bit-identical to an uninterrupted one.
 func (s *System) Interrupt() { s.intr.Store(true) }
 
-// LatestVersion exposes the data-version oracle (tests and the workload
-// validators use it to confirm consumers saw produced values).
+// LatestVersion exposes the data-version oracle (tests use it to confirm
+// consumers saw produced values). It panics unless the system was built
+// with CheckInvariants: only a checked run keeps the oracle's table.
 func (s *System) LatestVersion(addr msg.Addr) uint64 {
 	return s.glob.latestVersion(s.Hubs[0].line(addr))
 }

@@ -125,14 +125,17 @@ func (t *ProducerTable) ForEach(fn func(*ProducerEntry)) {
 }
 
 // ConsumerTable caches new-home hints: addr -> delegated home node. 4-way
-// set associative with (deterministically seeded) random replacement.
+// set associative with (deterministically seeded) random replacement. The
+// replacement source is seeded at the first full-set insert, not at
+// construction: seeding costs a few KB and microseconds per hub, and most
+// hubs of a wide machine never overflow a set.
 type ConsumerTable struct {
 	numSets int
 	ways    int
 	addrs   []msg.Addr
 	homes   []msg.NodeID
 	valid   []bool
-	rng     *rand.Rand
+	rng     *rand.Rand // nil until the first random replacement
 }
 
 // ConsumerWays is the consumer table's associativity.
@@ -155,7 +158,6 @@ func NewConsumerTable(entries int) *ConsumerTable {
 		addrs:   make([]msg.Addr, entries),
 		homes:   make([]msg.NodeID, entries),
 		valid:   make([]bool, entries),
-		rng:     rand.New(rand.NewSource(0x5eed)),
 	}
 }
 
@@ -189,6 +191,9 @@ func (t *ConsumerTable) Insert(addr msg.Addr, home msg.NodeID) {
 		}
 	}
 	if slot < 0 {
+		if t.rng == nil {
+			t.rng = rand.New(rand.NewSource(0x5eed))
+		}
 		slot = base + t.rng.Intn(t.ways)
 	}
 	t.addrs[slot] = addr

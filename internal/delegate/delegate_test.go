@@ -1,6 +1,7 @@
 package delegate
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -127,6 +128,31 @@ func TestConsumerRandomReplacementBounded(t *testing.T) {
 	}
 	if ct.Count() > 16 {
 		t.Fatalf("Count = %d exceeds capacity", ct.Count())
+	}
+}
+
+// TestConsumerVictimsFollowSeed: once a set is full, each new hint
+// replaces the way drawn by one shared source seeded 0x5eed, whichever
+// set overflows, so seeding that source lazily moves no victim.
+func TestConsumerVictimsFollowSeed(t *testing.T) {
+	ct := NewConsumerTable(16) // 4 sets x 4 ways
+	ref := rand.New(rand.NewSource(0x5eed))
+	var model [2][ConsumerWays]msg.Addr // sets 0 and 1
+	for i := 0; i < 200; i++ {
+		set := i % 2
+		addr := msg.Addr(i)*4*128 + msg.Addr(set)*128
+		way := i / 2
+		if way >= ConsumerWays { // the set is full: a random victim
+			way = ref.Intn(ConsumerWays)
+		}
+		model[set][way] = addr
+		ct.Insert(addr, msg.NodeID(i%8))
+		for s := range model {
+			base := s * ConsumerWays
+			if got := ct.addrs[base : base+ConsumerWays]; [ConsumerWays]msg.Addr(got) != model[s] {
+				t.Fatalf("insert %d: set %d holds %#x, want %#x", i, s, got, model[s])
+			}
+		}
 	}
 }
 

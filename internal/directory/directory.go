@@ -49,9 +49,20 @@ func (s State) String() string { return stateNames[s] }
 // Busy reports whether the state is one of the transient busy states.
 func (s State) Busy() bool { return s == BusyShared || s == BusyExcl }
 
-// Entry is the directory record for one line.
+// Entry is the directory record for one line. The four one-byte fields
+// lead so that they share one word (TestEntrySize pins 152 bytes).
 type Entry struct {
-	State   State
+	State State
+	// PendingExcl records whether the busy transaction grants exclusivity.
+	PendingExcl bool
+	// PC marks the line as detected producer-consumer. It survives
+	// directory-cache eviction (in hardware it would be rediscovered;
+	// keeping it models the "stable pattern" the paper requires).
+	PC bool
+	// UpdatePending is set between a producer's write and the delayed
+	// intervention (see the speculative-update fields below).
+	UpdatePending bool
+
 	Sharers msg.Vector // read-only copy holders (Shared) or last consumer set
 	Owner   msg.NodeID // exclusive owner (Excl/Busy) or delegated home (Dele)
 	// OwnerID is the paper's §2.4.2 extension: when a producer-consumer
@@ -61,8 +72,6 @@ type Entry struct {
 	OwnerID msg.NodeID
 	// Pending is the requester being served while the entry is busy.
 	Pending msg.NodeID
-	// PendingExcl records whether the busy transaction grants exclusivity.
-	PendingExcl bool
 	// PendingTxn is the pending requester's transaction number, echoed
 	// in the reply if the home completes the request itself after a
 	// writeback race.
@@ -74,10 +83,6 @@ type Entry struct {
 	// MemVersion is the abstract version of the line held in home memory
 	// (runtime invariant checking).
 	MemVersion uint64
-	// PC marks the line as detected producer-consumer. It survives
-	// directory-cache eviction (in hardware it would be rediscovered;
-	// keeping it models the "stable pattern" the paper requires).
-	PC bool
 
 	// Speculative-update machinery (§2.4). While the producer holds the
 	// line EXCL, Sharers preserves the old sharing vector and UpdateSet
@@ -87,7 +92,6 @@ type Entry struct {
 	// — further writes to the line are deferred until it drains, which
 	// keeps updates ordered behind invalidations.
 	UpdateSet       msg.Vector
-	UpdatePending   bool
 	WriteSeq        uint64
 	UpdatesInFlight int
 

@@ -3,9 +3,18 @@ package directory
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"pccsim/internal/msg"
 )
+
+// TestEntrySize pins the directory record at 152 bytes: State and the
+// three flags share one word instead of padding four.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(Entry{}); n > 152 {
+		t.Fatalf("Entry is %d bytes, want <= 152", n)
+	}
+}
 
 func TestEntryCreation(t *testing.T) {
 	d := New()

@@ -17,7 +17,10 @@ import (
 // RAC, 8,192-entry directory cache): caches, RAC and directory cache
 // allocate storage on first touch, so building a machine costs a small
 // fraction of the simulated capacity. Dense storage allocated ~24 MB for
-// 16 nodes and ~390 MB for the 256-node, 2-shard em3d machine.
+// 16 nodes and ~390 MB for the 256-node, 2-shard em3d machine. Seeding
+// each hub's consumer-table replacement source at construction took the
+// 256-node machine to 9.2 MB; seeded at its first use it takes 7.9 MB,
+// and the bound is their midpoint.
 func TestNewFootprint(t *testing.T) {
 	adaptive, err := protocol.Lookup(protocol.Default)
 	if err != nil {
@@ -28,7 +31,7 @@ func TestNewFootprint(t *testing.T) {
 		maxMB         float64
 	}{
 		{16, 0, 2},
-		{256, 2, 16},
+		{256, 2, 8.6},
 	} {
 		base := core.DefaultConfig()
 		base.Nodes = tc.nodes
@@ -45,7 +48,7 @@ func TestNewFootprint(t *testing.T) {
 		mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 		t.Logf("%d nodes, %d shards: node.New allocated %.1f MB", tc.nodes, tc.shards, mb)
 		if mb > tc.maxMB {
-			t.Errorf("%d nodes: node.New allocated %.1f MB, want <= %.0f MB", tc.nodes, mb, tc.maxMB)
+			t.Errorf("%d nodes: node.New allocated %.1f MB, want <= %.1f MB", tc.nodes, mb, tc.maxMB)
 		}
 	}
 }

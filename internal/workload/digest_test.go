@@ -44,28 +44,32 @@ func opDigest(ops [][]cpu.Op) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestOpStreamDigests pins every app's op stream on 16 nodes, as built
-// by the 32-byte ops and append-grown streams before the 16-byte
-// encoding and the chunked builder: neither may change an op.
+// TestOpStreamDigests pins every app's op stream on 16 nodes (and
+// em3d's on 256), as built by the 32-byte ops and append-grown streams
+// before the 16-byte encoding and the chunked builder: neither may
+// change an op.
 func TestOpStreamDigests(t *testing.T) {
 	for _, c := range []struct {
 		app    string
+		nodes  int
 		scale  int
 		digest string
 	}{
-		{"barnes", 1, "04556f490a30aa850f17bb7bb34f3bea73c30b79070f14a3af45564a3462c3a2"},
-		{"ocean", 1, "3bef7458dcd1f4dcc112bfcd5e71aef680938d50e7a9a9408d978b153ebb1602"},
-		{"em3d", 1, "504660d479ffc42582a8fe72a764f8a0fe22ceef4f7b1cbcbabba5503e045b4c"},
-		{"lu", 1, "5c667e4d54005136165ad5ba2b2e8ae37b97ddf12e648b8c85f1e2a6adcaca3a"},
-		{"cg", 1, "ca4a31b105fe1e4d4c185c54a388b6b79040a400e48145539ecd8d55d079fcaf"},
-		{"mg", 1, "c4d736a43875dea38c5985a0dc3a2dad41da57da5759858cd80e33bae85e3ba5"},
-		{"appbt", 1, "c0268a0f80163322b2789e70455a11a82c8dd5ae08a186a8ab1dacc769a962c6"},
-		{"barnes", 16, "f4966fe492dd6328f298f3568a4124f54dc7f96c05b33eaa8936898d2b12e70b"},
+		{"barnes", 16, 1, "04556f490a30aa850f17bb7bb34f3bea73c30b79070f14a3af45564a3462c3a2"},
+		{"ocean", 16, 1, "3bef7458dcd1f4dcc112bfcd5e71aef680938d50e7a9a9408d978b153ebb1602"},
+		{"em3d", 16, 1, "504660d479ffc42582a8fe72a764f8a0fe22ceef4f7b1cbcbabba5503e045b4c"},
+		{"lu", 16, 1, "5c667e4d54005136165ad5ba2b2e8ae37b97ddf12e648b8c85f1e2a6adcaca3a"},
+		{"cg", 16, 1, "ca4a31b105fe1e4d4c185c54a388b6b79040a400e48145539ecd8d55d079fcaf"},
+		{"mg", 16, 1, "c4d736a43875dea38c5985a0dc3a2dad41da57da5759858cd80e33bae85e3ba5"},
+		{"appbt", 16, 1, "c0268a0f80163322b2789e70455a11a82c8dd5ae08a186a8ab1dacc769a962c6"},
+		{"barnes", 16, 16, "f4966fe492dd6328f298f3568a4124f54dc7f96c05b33eaa8936898d2b12e70b"},
+		// The wide-256 benchmark's program.
+		{"em3d", 256, 2, "2d41fbbfc96f0cf389fbb2f1e0b46a0332f7268cf3f96aae4b888103d1ee491c"},
 	} {
 		w, _ := ByName(c.app)
-		ops := w.Build(Params{Nodes: 16, Scale: c.scale})
+		ops := w.Build(Params{Nodes: c.nodes, Scale: c.scale})
 		if got := opDigest(ops); got != c.digest {
-			t.Errorf("%s scale %d: op digest %s, want %s", c.app, c.scale, got, c.digest)
+			t.Errorf("%s %d nodes scale %d: op digest %s, want %s", c.app, c.nodes, c.scale, got, c.digest)
 		}
 		for n, s := range ops {
 			if len(s) != cap(s) {

@@ -45,10 +45,11 @@ func buildEm3D(p Params) [][]cpu.Op {
 	hField := ownedArray(r, nodes, linesPerNode)
 
 	// Remote links: 15% of lines are consumed remotely, by 1 (67.8%) or
-	// 2 (32.2%) stable neighbours.
-	type link struct{ owner, line int }
-	consumersOf := func() map[link][]int {
-		m := make(map[link][]int)
+	// 2 (32.2%) stable neighbours. A line's consumers are always the next
+	// count nodes after its owner (consumersFor), so only the count is
+	// kept, indexed by owner*linesPerNode+line; 0 means no remote reader.
+	consumerCounts := func() []uint8 {
+		counts := make([]uint8, nodes*linesPerNode)
 		for n := 0; n < nodes; n++ {
 			for i := 0; i < linesPerNode; i++ {
 				if rng.Float64() >= 0.15 {
@@ -58,13 +59,13 @@ func buildEm3D(p Params) [][]cpu.Op {
 				if rng.Float64() < 0.322 {
 					count = 2
 				}
-				m[link{n, i}] = consumersFor(n, count, nodes)
+				counts[n*linesPerNode+i] = uint8(min(count, nodes-1))
 			}
 		}
-		return m
+		return counts
 	}
-	eCons := consumersOf()
-	hCons := consumersOf()
+	eCons := consumerCounts()
+	hCons := consumerCounts()
 
 	prog := NewBuilder(nodes)
 	firstTouch(prog, nodes, eField, linesPerNode)
@@ -88,7 +89,8 @@ func buildEm3D(p Params) [][]cpu.Op {
 		prog.Barrier()
 		for n := 0; n < nodes; n++ {
 			for i := 0; i < linesPerNode; i++ {
-				for _, c := range eCons[link{n, i}] {
+				for j := 1; j <= int(eCons[n*linesPerNode+i]); j++ {
+					c := (n + j) % nodes
 					prog.Load(c, eField(n, i))
 					prog.Compute(c, 6)
 				}
@@ -105,7 +107,8 @@ func buildEm3D(p Params) [][]cpu.Op {
 		prog.Barrier()
 		for n := 0; n < nodes; n++ {
 			for i := 0; i < linesPerNode; i++ {
-				for _, c := range hCons[link{n, i}] {
+				for j := 1; j <= int(hCons[n*linesPerNode+i]); j++ {
+					c := (n + j) % nodes
 					prog.Load(c, hField(n, i))
 					prog.Compute(c, 6)
 				}
