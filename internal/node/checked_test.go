@@ -17,8 +17,9 @@ import (
 // unchecked run keeps no version table and derives each store's version
 // from the writer's copy, so its answer must equal the checked run's,
 // which proves at every store that the copy was the latest. It covers
-// every app on every protocol at the bake-off size, plus em3d on 256
-// nodes across two deterministic shards.
+// every app on every protocol at the bake-off size, em3d on 64 nodes
+// across two parallel shards and, without -short, em3d on 256 nodes
+// across two deterministic shards.
 func TestCheckedRunMatchesUnchecked(t *testing.T) {
 	run := func(t *testing.T, wl *workload.Workload, cfg core.Config, p workload.Params, check bool) *stats.Stats {
 		t.Helper()
@@ -56,10 +57,17 @@ func TestCheckedRunMatchesUnchecked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := core.DefaultConfig()
-	base.Nodes = 256
-	cfg := harness.CompareConfig(base, adaptive)
-	cfg.Shards = 2
 	em3d, _ := workload.ByName("em3d")
-	agree(t, em3d, cfg, workload.Params{Nodes: 256, Iters: 1})
+	sharded := func(nodes int, parallel bool) core.Config {
+		base := core.DefaultConfig()
+		base.Nodes = nodes
+		cfg := harness.CompareConfig(base, adaptive)
+		cfg.Shards = 2
+		cfg.ShardsParallel = parallel
+		return cfg
+	}
+	agree(t, em3d, sharded(64, true), workload.Params{Nodes: 64, Scale: 2})
+	if !testing.Short() {
+		agree(t, em3d, sharded(256, false), workload.Params{Nodes: 256, Iters: 1})
+	}
 }

@@ -81,19 +81,12 @@ func (m *Machine) preplaceFirstTouch(streams []*cpu.SliceStream) {
 	best := make(map[msg.Addr]claim)
 	for i, s := range streams {
 		epoch := 0
-		// A stream's claim on its previous page can only be older than
-		// one it would make now, so a repeat of that page skips the map.
-		prev := ^msg.Addr(0) // not page-aligned: no page yet
 		for _, op := range s.Ops {
 			switch op.Kind {
 			case cpu.Barrier:
 				epoch++
 			case cpu.Load, cpu.Store:
 				page := op.Addr & mask
-				if page == prev {
-					continue
-				}
-				prev = page
 				c, seen := best[page]
 				if !seen || epoch < c.epoch || (epoch == c.epoch && msg.NodeID(i) < c.node) {
 					best[page] = claim{epoch: epoch, node: msg.NodeID(i)}
