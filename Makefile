@@ -49,7 +49,7 @@ bench:
 # state expansion (TestExpandZeroAlloc) at 0 allocs/op; the Size pins
 # hold the engine's wheel entry at <= 32 bytes, cpu.Op at 16, the
 # directory cache's detector at <= 40, cache.Line and rac.Line at
-# <= 32 and the directory entry at <= 152.
+# <= 32, the directory entry at <= 136 and msg.Message at <= 88.
 bench-smoke: compare-smoke
 	$(GO) test -bench=. -benchtime=1x ./internal/sim/... ./internal/network/... ./internal/obs/... \
 		./internal/cache/...
@@ -57,7 +57,7 @@ bench-smoke: compare-smoke
 	$(GO) test -run 'ZeroAlloc|Size$$' -count=1 ./internal/sim/... ./internal/network/... \
 		./internal/addrtab/... ./internal/obs/... ./internal/mcheck/... ./internal/cache/... \
 		./internal/core/... ./internal/workload/... ./internal/predictor/... ./internal/rac/... \
-		./internal/directory/...
+		./internal/directory/... ./internal/msg/...
 
 # The performance gate: perfbench built from the committed tree of BASE
 # (the parent) and from this checkout (the change), every workload run

@@ -11,8 +11,11 @@
 // change's median is worse than the parent's by more than the bound, and
 // ok otherwise. A workload also fails when a side has no runs, when any
 // run reports correct: false, or when the change fails a larger share of
-// its attempted operations. Exit status: 1 on a failed check, 2 on
-// unreadable input.
+// its attempted operations. Runs with the same <n> on both sides form a
+// pair; per metric the report also says in how many pairs the change was
+// better and gives the median change/parent ratio over the pairs, noting
+// "too few pairs" under 10. Pairs inform the reader; they decide no
+// verdict. Exit status: 1 on a failed check, 2 on unreadable input.
 package main
 
 import (
@@ -24,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 func main() {
@@ -53,8 +57,9 @@ type spec struct {
 	} `json:"end_to_end"`
 }
 
-// run is perfbench's final JSON line.
+// run is perfbench's final JSON line, and the <n> of its file name.
 type run struct {
+	pair      string
 	Correct   bool `json:"correct"`
 	Attempted int  `json:"attempted"`
 	Failed    int  `json:"failed"`
@@ -90,7 +95,7 @@ func load(specPath, parentDir, changeDir string) (*spec, map[string][]run, map[s
 				if err != nil {
 					return nil, nil, nil, err
 				}
-				var r run
+				r := run{pair: strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), w.Name+"."), ".out")}
 				out = bytes.TrimSpace(out)
 				if err := json.Unmarshal(out[bytes.LastIndexByte(out, '\n')+1:], &r); err != nil {
 					return nil, nil, nil, fmt.Errorf("%s: last line: %w", f, err)
@@ -141,8 +146,8 @@ func compare(sp *spec, parent, change map[string][]run) []verdict {
 				worse = -worse
 			}
 			spread := (quantile(pv, 0.75) - quantile(pv, 0.25)) / pmed
-			detail := fmt.Sprintf("parent %.4g, change %.4g, worse by %+.1f%%, parent spread %.1f%%, bound %.0f%%",
-				pmed, cmed, 100*worse, 100*spread, 100*m.Bound)
+			detail := fmt.Sprintf("parent %.4g, change %.4g, worse by %+.1f%%, parent spread %.1f%%, bound %.0f%%; %s",
+				pmed, cmed, 100*worse, 100*spread, 100*m.Bound, pairs(p, c, m.Name, m.Better == "higher"))
 			if spread > m.Bound {
 				vs = append(vs, verdict{w.Name, m.Name, "unresolved", detail})
 				continue
@@ -181,6 +186,41 @@ func values(rs []run, name string) ([]float64, bool) {
 	}
 	sort.Float64s(vs)
 	return vs, true
+}
+
+// minPairs is the pair count below which pairs reads "too few pairs".
+const minPairs = 10
+
+// pairs summarizes the runs of p and c that share their <n> on metric
+// name: in how many the change was better, and the median change/parent
+// ratio. values has vetted every value as positive.
+func pairs(p, c []run, name string, higher bool) string {
+	parent := map[string]float64{}
+	for _, r := range p {
+		parent[r.pair] = r.Metrics[name].Value
+	}
+	var ratios []float64
+	better := 0
+	for _, r := range c {
+		pv, ok := parent[r.pair]
+		if !ok {
+			continue
+		}
+		cv := r.Metrics[name].Value
+		if (cv < pv) != higher && cv != pv {
+			better++
+		}
+		ratios = append(ratios, cv/pv)
+	}
+	if len(ratios) == 0 {
+		return "no pairs"
+	}
+	sort.Float64s(ratios)
+	out := fmt.Sprintf("change better in %d of %d pairs, median pair ratio %.3f", better, len(ratios), quantile(ratios, 0.5))
+	if len(ratios) < minPairs {
+		out += " (too few pairs)"
+	}
+	return out
 }
 
 // quantile interpolates linearly between the closest ranks of sorted vs.

@@ -141,3 +141,45 @@ func TestLoadRejectsBadInput(t *testing.T) {
 		}
 	}
 }
+
+// TestPairs: runs pair by their <n>, a pair counts as won when the change
+// is better in the metric's direction, the median is taken over per-pair
+// ratios, and fewer than 10 pairs read "too few pairs".
+func TestPairs(t *testing.T) {
+	var parent, change []string
+	for i := 0; i < 10; i++ {
+		wall := 1.0 + 0.01*float64(i)
+		cwall := 0.9 * wall
+		if i == 4 {
+			cwall = 1.2 * wall // the one pair the change loses
+		}
+		parent = append(parent, line(true, 10, 0, wall, 100))
+		change = append(change, line(true, 10, 0, cwall, 100))
+	}
+	sp, p, c, err := load(setup(t, testSpec, parent, change))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		higher bool
+		p, c   []run
+		want   string
+	}{
+		{"wall_s", false, p["w"], c["w"], "change better in 9 of 10 pairs, median pair ratio 0.900"},
+		// Equal values win no pair.
+		{"work_per_s", true, p["w"], c["w"], "change better in 0 of 10 pairs, median pair ratio 1.000"},
+		{"wall_s", false, p["w"][:9], c["w"], "change better in 8 of 9 pairs, median pair ratio 0.900 (too few pairs)"},
+		// Runs pair by <n>, not by position: no parent run shares an <n>.
+		{"wall_s", false, []run{{pair: "11"}}, c["w"], "no pairs"},
+	} {
+		if got := pairs(tc.p, tc.c, tc.name, tc.higher); got != tc.want {
+			t.Errorf("pairs(%s, %d parent runs) = %q, want %q", tc.name, len(tc.p), got, tc.want)
+		}
+	}
+	for _, v := range compare(sp, p, c) {
+		if v.check == "wall_s" && !strings.HasSuffix(v.detail, "change better in 9 of 10 pairs, median pair ratio 0.900") {
+			t.Errorf("wall_s detail %q does not end with its pairs", v.detail)
+		}
+	}
+}

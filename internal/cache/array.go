@@ -48,11 +48,21 @@ const (
 	AllPinned
 )
 
-// page is chunkSets set blocks (or all sets, if fewer): a tag word per
-// way of every block followed by an LRU stamp per way, and the
-// payloads. Blocks are handed out in first-fill order, so a page holds
-// whichever sets were filled together, not neighbouring ones. The
-// sentinel page 0 has only its first block's tags, all zero.
+// Way names one way of an array: its set block and its position in the
+// block. It is what FillWay, TouchWay and LookupWay return, and it keeps
+// naming the same line for as long as that line stays resident: lines
+// never move between ways. The zero Way names the sentinel block.
+type Way uint64
+
+func way(b uint32, i int) Way { return Way(b)<<32 | Way(uint32(i)) }
+
+// page is chunkSets set blocks (or all sets, if fewer). Each block is a
+// tag word per way followed by an LRU stamp per way, so a 4-way set's
+// eight words fill one 64-byte host cache line; the payloads sit apart,
+// a block's ways side by side. Blocks are handed out in first-fill
+// order, so a page holds whichever sets were filled together, not
+// neighbouring ones. The sentinel page 0 has only its first block's
+// tags, all zero.
 type page[T any] struct {
 	words []uint64
 	vals  []T
@@ -71,15 +81,15 @@ type page[T any] struct {
 // its tags stay zero, so a lookup in a set that was never filled is an
 // ordinary miss and allocates nothing. Each block keeps one tag word
 // per way, the line number plus one, so the zero word is the invalid
-// way, beside a dense array of LRU stamps and apart from the payloads.
-// A lookup reads one index word and then only tags (a 4-way set's tags
-// are 32 bytes, within one host cache line), and the set index is a
-// shift and a mask.
+// way, and beside the tags an LRU stamp per way. A lookup reads one
+// index word and then only the set block, and the set index is a shift
+// and a mask. A caller that keeps the Way of a resident line reaches it
+// again with no search at all (TouchAt, RemoveAt).
 //
 // Replacement is least recently used: every fill and touch stamps its
 // way with a fresh clock value. A caller that must keep some entries
 // resident (the RAC's pinned surrogate-memory lines) passes a predicate
-// that Fill consults on the eviction path.
+// that FillWay consults on the eviction path.
 type Array[T any] struct {
 	lineShift uint
 	pageShift uint
@@ -116,53 +126,84 @@ func NewArray[T any](sets, ways, lineBytes int) *Array[T] {
 // LineBytes returns the line size.
 func (a *Array[T]) LineBytes() int { return 1 << a.lineShift }
 
-// block returns set block b's page and the block's first way within it.
-// Shift counts are masked so they compile to bare shifts.
+// block returns set block b's page and the index of the block's first
+// payload within it; its tags start at twice that index, its stamps one
+// way count later. Shift counts are masked so they compile to bare
+// shifts.
 func (a *Array[T]) block(b uint32) (*page[T], int) {
 	return &a.pages[b>>(a.pageShift&31)], int(b&a.blockMask) * a.ways
 }
 
-// find returns the page and way holding addr, or a nil page.
-func (a *Array[T]) find(addr uint64) (*page[T], int) {
+// find returns addr's way, its page and the index of its payload in the
+// page (its tag is at v+base, its stamp at v+base+ways), or a nil page.
+func (a *Array[T]) find(addr uint64) (w Way, pg *page[T], v, base int) {
 	line := addr >> (a.lineShift & 63)
-	pg, base := a.block(a.index[line&a.setMask])
-	for i, t := range pg.words[base : base+a.ways] {
+	b := a.index[line&a.setMask]
+	pg, base = a.block(b)
+	for i, t := range pg.words[2*base : 2*base+a.ways] {
 		if t == line+1 {
-			return pg, base + i
+			return way(b, i), pg, base + i, base
 		}
 	}
-	return nil, 0
+	return 0, nil, 0, 0
+}
+
+// at returns way w's page, payload index and block base (see find).
+func (a *Array[T]) at(w Way) (pg *page[T], v, base int) {
+	pg, base = a.block(uint32(w >> 32))
+	return pg, base + int(uint32(w)), base
 }
 
 // Lookup returns the payload of addr's line, or nil. It does not refresh
 // recency.
 func (a *Array[T]) Lookup(addr uint64) *T {
-	pg, i := a.find(addr)
+	v, _ := a.LookupWay(addr)
+	return v
+}
+
+// LookupWay is Lookup that also returns the line's way.
+func (a *Array[T]) LookupWay(addr uint64) (*T, Way) {
+	w, pg, v, _ := a.find(addr)
 	if pg == nil {
-		return nil
+		return nil, 0
 	}
-	return &pg.vals[i]
+	return &pg.vals[v], w
 }
 
 // Touch returns the payload of addr's line, or nil, and marks the line
 // most recently used.
 func (a *Array[T]) Touch(addr uint64) *T {
-	pg, i := a.find(addr)
-	if pg == nil {
-		return nil
-	}
-	a.clock++
-	pg.words[a.span+i] = a.clock
-	return &pg.vals[i]
+	v, _ := a.TouchWay(addr)
+	return v
 }
 
-// Fill claims a way for addr and marks it most recently used: the way
+// TouchWay is Touch that also returns the line's way.
+func (a *Array[T]) TouchWay(addr uint64) (*T, Way) {
+	w, pg, v, base := a.find(addr)
+	if pg == nil {
+		return nil, 0
+	}
+	a.clock++
+	pg.words[v+base+a.ways] = a.clock
+	return &pg.vals[v], w
+}
+
+// TouchAt marks way w most recently used and returns its payload. w must
+// name a resident line; TouchAt(w) is then Touch of that line's address.
+func (a *Array[T]) TouchAt(w Way) *T {
+	pg, v, base := a.at(w)
+	a.clock++
+	pg.words[v+base+a.ways] = a.clock
+	return &pg.vals[v]
+}
+
+// FillWay claims a way for addr and marks it most recently used: the way
 // already holding addr, else the set's first invalid way, else its least
 // recently used way that pinned (if non-nil) does not report. It returns
-// the way's payload, untouched, and what the way held before; when every
-// way is pinned (AllPinned) the payload is nil and nothing changed. A
-// set's first fill hands it the next free block.
-func (a *Array[T]) Fill(addr uint64, pinned func(*T) bool) (*T, Prior) {
+// the way's payload, untouched, the way, and what the way held before;
+// when every way is pinned (AllPinned) the payload is nil and nothing
+// changed. A set's first fill hands it the next free block.
+func (a *Array[T]) FillWay(addr uint64, pinned func(*T) bool) (*T, Way, Prior) {
 	line := addr >> (a.lineShift & 63)
 	tag, set := line+1, line&a.setMask
 	b := a.index[set]
@@ -174,7 +215,8 @@ func (a *Array[T]) Fill(addr uint64, pinned func(*T) bool) (*T, Prior) {
 		a.index[set] = b
 	}
 	pg, base := a.block(b)
-	tags, uses := pg.words[base:base+a.ways], pg.words[a.span+base:a.span+base+a.ways]
+	words := pg.words[2*base : 2*base+2*a.ways]
+	tags, uses := words[:a.ways], words[a.ways:]
 	vals := pg.vals[base : base+a.ways]
 	slot, prior := -1, WasEmpty
 	for i, t := range tags {
@@ -196,26 +238,33 @@ func (a *Array[T]) Fill(addr uint64, pinned func(*T) bool) (*T, Prior) {
 			}
 		}
 		if slot < 0 {
-			return nil, AllPinned
+			return nil, 0, AllPinned
 		}
 		prior = WasEvicted
 	}
 	a.clock++
 	tags[slot] = tag
 	uses[slot] = a.clock
-	return &vals[slot], prior
+	return &vals[slot], way(b, slot), prior
 }
 
 // Remove invalidates addr's way and returns its payload, untouched, or
 // nil if addr is not present.
 func (a *Array[T]) Remove(addr uint64) *T {
-	pg, i := a.find(addr)
+	w, pg, _, _ := a.find(addr)
 	if pg == nil {
 		return nil
 	}
-	pg.words[i] = 0
-	pg.words[a.span+i] = 0
-	return &pg.vals[i]
+	return a.RemoveAt(w)
+}
+
+// RemoveAt invalidates way w, which must name a resident line, and
+// returns its payload, untouched.
+func (a *Array[T]) RemoveAt(w Way) *T {
+	pg, v, base := a.at(w)
+	pg.words[v+base] = 0
+	pg.words[v+base+a.ways] = 0
+	return &pg.vals[v]
 }
 
 // ForEach calls fn on the payload of every valid way, in set order and
@@ -224,7 +273,7 @@ func (a *Array[T]) Remove(addr uint64) *T {
 func (a *Array[T]) ForEach(fn func(*T)) {
 	for _, b := range a.index {
 		pg, base := a.block(b)
-		for i, t := range pg.words[base : base+a.ways] {
+		for i, t := range pg.words[2*base : 2*base+a.ways] {
 			if t != 0 {
 				fn(&pg.vals[base+i])
 			}

@@ -56,14 +56,14 @@ func TestArrayFirstTouch(t *testing.T) {
 		t.Fatalf("misses in never-filled sets made %.0f allocations and %d blocks", allocs, a.filledBlocks())
 	}
 	for k := 1; k <= 5; k++ {
-		a.Fill(uint64(3*k)*128, nil) // sets 3, 6, ..., 15: one 16-set span
+		a.FillWay(uint64(3*k)*128, nil) // sets 3, 6, ..., 15: one 16-set span
 		if got := a.filledBlocks(); got != k {
 			t.Fatalf("%d fills in %d sets allocated %d blocks", k, k, got)
 		}
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		for w := uint64(0); w < 6; w++ { // more lines than ways: evictions
-			a.Fill((6+w*4096)*128, nil)
+			a.FillWay((6+w*4096)*128, nil)
 		}
 		a.Touch(6 * 128)
 		a.Remove(6 * 128)
@@ -74,7 +74,7 @@ func TestArrayFirstTouch(t *testing.T) {
 		t.Fatalf("5 blocks took %d pages with the sentinel, want 2", got)
 	}
 	for s := uint64(16); s < 16+chunkSets; s++ {
-		a.Fill(s*128, nil)
+		a.FillWay(s*128, nil)
 	}
 	if a.filledBlocks() != 5+chunkSets || len(a.pages) != 3 {
 		t.Fatalf("%d blocks took %d pages with the sentinel, want %d and 3",
@@ -91,21 +91,21 @@ func TestArrayAllPinned(t *testing.T) {
 	a := NewArray[int](1, 2, 128)
 	pinned := func(v *int) bool { return *v < 0 }
 	for i, addr := range []uint64{0, 128} {
-		v, prior := a.Fill(addr, pinned)
+		v, _, prior := a.FillWay(addr, pinned)
 		if prior != WasEmpty {
 			t.Fatalf("fill %d: prior %d, want WasEmpty", i, prior)
 		}
 		*v = -1
 	}
 	clock := a.clock
-	if v, prior := a.Fill(256, pinned); v != nil || prior != AllPinned {
+	if v, _, prior := a.FillWay(256, pinned); v != nil || prior != AllPinned {
 		t.Fatalf("fill into a pinned set = %v, %d; want nil, AllPinned", v, prior)
 	}
 	if a.clock != clock || a.Lookup(0) == nil || a.Lookup(128) == nil {
 		t.Fatal("a refused fill changed the set")
 	}
 	*a.Lookup(128) = 1 // unpin the second way
-	if v, prior := a.Fill(256, pinned); v == nil || prior != WasEvicted || *v != 1 {
+	if v, _, prior := a.FillWay(256, pinned); v == nil || prior != WasEvicted || *v != 1 {
 		t.Fatalf("fill = %v, %d; want the unpinned way, WasEvicted", v, prior)
 	}
 }
@@ -119,7 +119,7 @@ func TestArrayForEachSetOrder(t *testing.T) {
 	for s := sets - 1; s >= 0; s-- {
 		for w := uint64(0); w < 2; w++ {
 			addr := (uint64(s) + w*sets) * 128
-			v, _ := a.Fill(addr, nil)
+			v, _, _ := a.FillWay(addr, nil)
 			*v = addr
 		}
 	}

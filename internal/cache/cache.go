@@ -1,7 +1,8 @@
-// Package cache implements the set-associative caches of the modeled node:
-// L1 data cache and L2 unified cache (Table 1), with MESI-style line states
-// at L2 coherence granularity, LRU replacement, and back-invalidation
-// support for inclusion.
+// Package cache implements the set-associative caches of the modeled node
+// (Table 1): the L2 unified cache, with MESI-style line states at the
+// coherence granularity and LRU replacement, and the Array every other
+// set-associative structure is built from, the L1 data cache among them
+// (a presence array of L2 ways; see Line.L1).
 package cache
 
 import "pccsim/internal/msg"
@@ -33,6 +34,13 @@ type Line struct {
 	// protocol's sharer-stability test; always 0 elsewhere). Insert
 	// resets it: a fresh fill starts a fresh streak.
 	Streak uint8
+	// L1 marks the L1 sublines filled from this line: the i-th
+	// L1-line-sized subline sets bit i mod 8. Back-invalidation for
+	// inclusion removes only the marked sublines. A bit stays set after
+	// the L1 evicts its subline, so a marked subline may be absent;
+	// every present one is marked. Insert keeps the mask when it
+	// refills the line in place.
+	L1 uint8
 }
 
 // Cache is a set-associative cache. It is a pure state container: timing
@@ -66,21 +74,36 @@ func (c *Cache) Align(addr msg.Addr) msg.Addr {
 // state; use Touch for accesses that should refresh recency.
 func (c *Cache) Lookup(addr msg.Addr) *Line { return c.lines.Lookup(uint64(addr)) }
 
+// LookupWay is Lookup that also returns the line's way.
+func (c *Cache) LookupWay(addr msg.Addr) (*Line, Way) { return c.lines.LookupWay(uint64(addr)) }
+
 // Touch marks addr most recently used if present and returns its line.
 func (c *Cache) Touch(addr msg.Addr) *Line { return c.lines.Touch(uint64(addr)) }
 
+// TouchWay is Touch that also returns the line's way.
+func (c *Cache) TouchWay(addr msg.Addr) (*Line, Way) { return c.lines.TouchWay(uint64(addr)) }
+
+// TouchAt marks the resident line in way w most recently used and
+// returns it, with no search (see Array.TouchAt).
+func (c *Cache) TouchAt(w Way) *Line { return c.lines.TouchAt(w) }
+
 // Insert places addr into the cache in the given state, evicting the LRU
-// line of the set if necessary, and returns the new line plus the
-// displaced one (State == Invalid when no valid line was displaced). If
-// the address is already present its line is reused in place.
-func (c *Cache) Insert(addr msg.Addr, st State) (*Line, Line) {
-	l, prior := c.lines.Fill(uint64(addr), nil)
+// line of the set if necessary, and returns the new line, its way and
+// the displaced line (State == Invalid when no valid line was
+// displaced). If the address is already present its line is reused in
+// place, keeping its L1 mask.
+func (c *Cache) Insert(addr msg.Addr, st State) (*Line, Way, Line) {
+	l, w, prior := c.lines.FillWay(uint64(addr), nil)
 	var victim Line
-	if prior == WasEvicted {
+	var mask uint8
+	switch prior {
+	case WasEvicted:
 		victim = *l
+	case WasPresent:
+		mask = l.L1
 	}
-	*l = Line{Addr: c.Align(addr), State: st}
-	return l, victim
+	*l = Line{Addr: c.Align(addr), State: st, L1: mask}
+	return l, w, victim
 }
 
 // Invalidate removes addr from the cache, returning the line's prior
@@ -95,12 +118,13 @@ func (c *Cache) Invalidate(addr msg.Addr) Line {
 	return v
 }
 
-// InvalidateRange removes every line overlapping [addr, addr+n) — used for
-// back-invalidating L1 lines when their containing L2 line leaves.
-func (c *Cache) InvalidateRange(addr msg.Addr, n int) {
-	for a := c.Align(addr); a < addr+msg.Addr(n); a += msg.Addr(c.lines.LineBytes()) {
-		c.Invalidate(a)
-	}
+// InvalidateAt removes the resident line in way w with no search and
+// returns its prior contents.
+func (c *Cache) InvalidateAt(w Way) Line {
+	l := c.lines.RemoveAt(w)
+	v := *l
+	*l = Line{}
+	return v
 }
 
 // Count returns the number of valid lines (test and debugging aid).

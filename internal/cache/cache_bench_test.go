@@ -59,7 +59,7 @@ func BenchmarkCacheInsertEvict(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, v := c.Insert(msg.Addr(lines+i)*128, Excl); v.State == Invalid {
+		if _, _, v := c.Insert(msg.Addr(lines+i)*128, Excl); v.State == Invalid {
 			b.Fatal("fill into a full set evicted nothing")
 		}
 	}
@@ -67,7 +67,7 @@ func BenchmarkCacheInsertEvict(b *testing.B) {
 
 // TestCacheZeroAlloc pins the steady-state access path at zero
 // allocations once a set's storage exists: Lookup, Touch, Insert with
-// eviction, and Invalidate.
+// eviction, Invalidate, and the way-handle calls.
 func TestCacheZeroAlloc(t *testing.T) {
 	c := l2(4 * 4096)
 	var i msg.Addr
@@ -75,7 +75,9 @@ func TestCacheZeroAlloc(t *testing.T) {
 		i++
 		c.Lookup(i * 128)
 		c.Touch(i * 512)
-		c.Insert(i*128+1<<30, Excl)
+		_, w, _ := c.Insert(i*128+1<<30, Excl)
+		c.TouchAt(w)
+		c.InvalidateAt(w)
 		c.Invalidate(i * 128)
 	})
 	if allocs != 0 {

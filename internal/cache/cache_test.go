@@ -10,7 +10,7 @@ import (
 
 func TestInsertLookup(t *testing.T) {
 	c := New(4096, 4, 128) // 8 sets
-	l, v := c.Insert(0x1000, Shared)
+	l, _, v := c.Insert(0x1000, Shared)
 	if v.State != Invalid {
 		t.Fatal("insert into empty cache evicted something")
 	}
@@ -40,7 +40,7 @@ func TestLRUEviction(t *testing.T) {
 	c.Insert(0x0000, Shared)
 	c.Insert(0x1000, Shared)
 	c.Touch(0x0000) // make 0x0000 most recent
-	_, v := c.Insert(0x2000, Excl)
+	_, _, v := c.Insert(0x2000, Excl)
 	if v.State == Invalid || v.Addr != 0x1000 {
 		t.Fatalf("victim = %+v, want eviction of 0x1000", v)
 	}
@@ -51,17 +51,23 @@ func TestLRUEviction(t *testing.T) {
 
 func TestInsertExistingReuses(t *testing.T) {
 	c := New(2*128, 2, 128)
-	l1, _ := c.Insert(0x1000, Shared)
-	l1.Dirty = true
-	l2, v := c.Insert(0x1000, Excl)
+	l1, w1, _ := c.Insert(0x1000, Shared)
+	l1.Dirty, l1.L1 = true, 0b101
+	l2, w2, v := c.Insert(0x1000, Excl)
 	if v.State != Invalid {
 		t.Fatal("reinserting existing line evicted something")
+	}
+	if l2 != l1 || w2 != w1 {
+		t.Fatal("reinserting existing line moved it to another way")
 	}
 	if l2.State != Excl {
 		t.Fatalf("state = %v, want Excl", l2.State)
 	}
 	if l2.Dirty {
 		t.Fatal("Insert must reset line metadata")
+	}
+	if l2.L1 != 0b101 {
+		t.Fatalf("L1 mask = %#b after an in-place refill, want it kept (0b101)", l2.L1)
 	}
 	if c.Count() != 1 {
 		t.Fatalf("Count = %d, want 1", c.Count())
@@ -70,13 +76,13 @@ func TestInsertExistingReuses(t *testing.T) {
 
 func TestVictimCarriesState(t *testing.T) {
 	c := New(128, 1, 128) // direct-mapped, 1 set
-	l, _ := c.Insert(0x0000, Excl)
+	l, _, _ := c.Insert(0x0000, Excl)
 	l.Dirty = true
 	l.Version = 42
 	l.Grant = 7
 	// The displaced line is the resident one whole; its State (never
 	// Invalid for a resident line) is what marks it as displaced.
-	_, v := c.Insert(0x1000, Shared)
+	_, _, v := c.Insert(0x1000, Shared)
 	if v.State != Excl || !v.Dirty || v.Version != 42 || v.Grant != 7 || v.Addr != 0 {
 		t.Fatalf("victim = %+v", v)
 	}
@@ -84,7 +90,7 @@ func TestVictimCarriesState(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	c := New(4096, 4, 128)
-	l, _ := c.Insert(0x3000, Excl)
+	l, _, _ := c.Insert(0x3000, Excl)
 	l.Dirty = true
 	v := c.Invalidate(0x3000)
 	if !v.Dirty || v.State != Excl {
@@ -95,22 +101,6 @@ func TestInvalidate(t *testing.T) {
 	}
 	if v2 := c.Invalidate(0x3000); v2.State != Invalid {
 		t.Fatal("double invalidate returned valid victim")
-	}
-}
-
-func TestInvalidateRange(t *testing.T) {
-	// 32-byte L1 lines; invalidate one 128-byte L2 line's worth.
-	c := New(4096, 2, 32)
-	for a := msg.Addr(0x1000); a < 0x1080; a += 32 {
-		c.Insert(a, Shared)
-	}
-	c.Insert(0x1080, Shared) // outside the range
-	c.InvalidateRange(0x1000, 128)
-	if c.Count() != 1 {
-		t.Fatalf("Count = %d after range invalidate, want 1", c.Count())
-	}
-	if c.Lookup(0x1080) == nil {
-		t.Fatal("line outside range was invalidated")
 	}
 }
 
@@ -199,12 +189,12 @@ func TestPropertyAssociativity(t *testing.T) {
 		ways := int(wayCount%8) + 1
 		c := New(ways*128, ways, 128) // single set
 		for i := 0; i < ways; i++ {
-			_, v := c.Insert(msg.Addr(i*128), Shared)
+			_, _, v := c.Insert(msg.Addr(i*128), Shared)
 			if v.State != Invalid {
 				return false
 			}
 		}
-		_, v := c.Insert(msg.Addr(ways*128), Shared)
+		_, _, v := c.Insert(msg.Addr(ways*128), Shared)
 		return v.State != Invalid && c.Count() == ways
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -62,10 +62,11 @@ func (c *refCache) insert(addr msg.Addr, st State) (*refLine, Line, bool) {
 	addr = c.align(addr)
 	set := c.set(addr)
 	var victim Line
+	var mask uint8
 	slot := -1
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == addr {
-			slot = i
+			slot, mask = i, set[i].L1
 			break
 		}
 		if slot < 0 && set[i].State == Invalid {
@@ -83,7 +84,7 @@ func (c *refCache) insert(addr msg.Addr, st State) (*refLine, Line, bool) {
 		victim = set[slot].Line
 	}
 	c.useClock++
-	set[slot] = refLine{Line: Line{Addr: addr, State: st}, lastUse: c.useClock}
+	set[slot] = refLine{Line: Line{Addr: addr, State: st, L1: mask}, lastUse: c.useClock}
 	return &set[slot], victim, evicted
 }
 
@@ -95,12 +96,6 @@ func (c *refCache) invalidate(addr msg.Addr) Line {
 	v := l.Line
 	*l = refLine{}
 	return v
-}
-
-func (c *refCache) invalidateRange(addr msg.Addr, n int) {
-	for a := c.align(addr); a < addr+msg.Addr(n); a += msg.Addr(c.lineBytes) {
-		c.invalidate(a)
-	}
 }
 
 func (c *refCache) forEach(fn func(*Line)) {
@@ -116,7 +111,9 @@ func (c *refCache) forEach(fn func(*Line)) {
 // fewer sets than one storage page, and several pages, one of them with
 // every set first filled last to first so that no page holds its sets
 // in address order — and requires identical lines, victims and ForEach
-// order after every step.
+// order after every step. The way a line was last filled or found in
+// must reach it again: while the line is resident, TouchAt and
+// InvalidateAt of that way act as Touch and Invalidate of its address.
 func TestMatchesReference(t *testing.T) {
 	for _, g := range []struct {
 		bytes, ways, line int
@@ -140,10 +137,11 @@ func TestMatchesReference(t *testing.T) {
 func diffCache(t *testing.T, bytes, ways, lineBytes int, reversed bool, seed int64) {
 	t.Helper()
 	c, ref := New(bytes, ways, lineBytes), newRef(bytes, ways, lineBytes)
+	wayOf := map[msg.Addr]Way{} // the way each line was filled into
 	if reversed {
 		for s := ref.numSets - 1; s >= 0; s-- {
 			addr := msg.Addr(s * lineBytes)
-			c.Insert(addr, Shared)
+			_, wayOf[addr], _ = c.Insert(addr, Shared)
 			ref.insert(addr, Shared)
 		}
 	}
@@ -158,11 +156,12 @@ func diffCache(t *testing.T, bytes, ways, lineBytes int, reversed bool, seed int
 	}
 	for step := 0; step < 2000; step++ {
 		addr := msg.Addr(rng.Intn(span))
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(12); {
 		case op < 3:
 			st := State(1 + rng.Intn(2))
-			l, v := c.Insert(addr, st)
+			l, w, v := c.Insert(addr, st)
 			rl, rv, evicted := ref.insert(addr, st)
+			wayOf[ref.align(addr)] = w
 			if v != rv {
 				t.Fatalf("seed %d step %d: victim %+v, want %+v", seed, step, v, rv)
 			}
@@ -170,21 +169,37 @@ func diffCache(t *testing.T, bytes, ways, lineBytes int, reversed bool, seed int
 				t.Fatalf("seed %d step %d: evicted resident line %+v reads as nothing displaced", seed, step, v)
 			}
 			same(step, "insert", l, rl)
-			// Dirty the line identically so later victims carry state.
-			l.Dirty, l.Version, l.Grant = true, uint64(step), uint64(seed)
-			rl.Dirty, rl.Version, rl.Grant = true, uint64(step), uint64(seed)
+			// Dirty the line identically so later victims carry state,
+			// and mark an L1 subline so refills show they keep the mask.
+			bit := uint8(1) << (step % 8)
+			l.Dirty, l.Version, l.Grant, l.L1 = true, uint64(step), uint64(seed), l.L1|bit
+			rl.Dirty, rl.Version, rl.Grant, rl.L1 = true, uint64(step), uint64(seed), rl.L1|bit
 		case op < 5:
-			same(step, "lookup", c.Lookup(addr), ref.lookup(addr))
+			l, w := c.LookupWay(addr)
+			same(step, "lookup", l, ref.lookup(addr))
+			if l != nil && w != wayOf[l.Addr] {
+				t.Fatalf("seed %d step %d: lookup found way %#x, filled into %#x", seed, step, w, wayOf[l.Addr])
+			}
 		case op < 7:
-			same(step, "touch", c.Touch(addr), ref.touch(addr))
+			l, w := c.TouchWay(addr)
+			same(step, "touch", l, ref.touch(addr))
+			if l != nil && w != wayOf[l.Addr] {
+				t.Fatalf("seed %d step %d: touch found way %#x, filled into %#x", seed, step, w, wayOf[l.Addr])
+			}
 		case op < 9:
 			if v, rv := c.Invalidate(addr), ref.invalidate(addr); v != rv {
 				t.Fatalf("seed %d step %d: invalidate %+v, want %+v", seed, step, v, rv)
 			}
+		case op < 11:
+			if ref.lookup(addr) != nil {
+				same(step, "touch at way", c.TouchAt(wayOf[ref.align(addr)]), ref.touch(addr))
+			}
 		default:
-			n := 1 + rng.Intn(4*lineBytes)
-			c.InvalidateRange(addr, n)
-			ref.invalidateRange(addr, n)
+			if ref.lookup(addr) != nil {
+				if v, rv := c.InvalidateAt(wayOf[ref.align(addr)]), ref.invalidate(addr); v != rv {
+					t.Fatalf("seed %d step %d: invalidate at way %+v, want %+v", seed, step, v, rv)
+				}
+			}
 		}
 		var got, want []Line
 		c.ForEach(func(l *Line) { got = append(got, *l) })

@@ -45,7 +45,8 @@ func TestAccessZeroAlloc(t *testing.T) {
 			name:  "L2 hit",
 			setup: func(t *testing.T, sys *System) { access(t, sys, 0, local, false) },
 			run: func(sys *System, d *doneCounter) {
-				sys.Hubs[0].l1.InvalidateRange(local, 128)
+				h := sys.Hubs[0]
+				h.dropL1(*h.l2.Lookup(local))
 				sys.Access(0, local+32, false, d, 0)
 				drain(sys)
 			},
@@ -63,8 +64,7 @@ func TestAccessZeroAlloc(t *testing.T) {
 				// would, then read it back from there.
 				h := sys.Hubs[1]
 				v := h.l2.Lookup(remote).Version
-				h.l1.InvalidateRange(remote, 128)
-				h.l2.Invalidate(remote)
+				h.dropL1(h.l2.Invalidate(remote))
 				rl, _, _ := h.rc.Insert(remote, cache.Shared)
 				rl.Version = v
 				sys.Access(1, remote, false, d, 0)
@@ -83,8 +83,7 @@ func TestAccessZeroAlloc(t *testing.T) {
 				// then miss twice on the line: the second access
 				// merges into the first one's MSHR.
 				h := sys.Hubs[1]
-				h.l1.InvalidateRange(remote, 128)
-				h.l2.Invalidate(remote)
+				h.dropL1(h.l2.Invalidate(remote))
 				sys.Access(1, remote, false, d, 0)
 				sys.Access(1, remote+32, false, d, 0)
 				drain(sys)

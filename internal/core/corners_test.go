@@ -306,8 +306,7 @@ func TestDelegatedLocalReadFromRACMaster(t *testing.T) {
 	}
 	// Drop the consumers' read-downgraded Shared copy, as a silent
 	// eviction would.
-	h.l1.InvalidateRange(addr, cfg.L2LineBytes)
-	h.l2.Invalidate(addr)
+	h.dropL1(h.l2.Invalidate(addr))
 	before := sys.Aggregate()
 	done := &simtest.Recorder{}
 	h.startMiss(addr, addr, false, done, 7)

@@ -111,29 +111,30 @@ func (h *Hub) request(m *msg.Message) {
 // the fill lands. Otherwise it finds our exclusive copy of epoch
 // m.GrantTxn in L2 or, failing that, in the unpinned RAC; with neither,
 // the epoch already ended with our crossing writeback and the home
-// completes the pending request from the written-back data.
-func (h *Hub) ownedCopy(m *msg.Message) (parked bool, l2l *cache.Line, rl *rac.Line) {
+// completes the pending request from the written-back data. w is the
+// way of the copy it found, in L2 or in the RAC.
+func (h *Hub) ownedCopy(m *msg.Message) (parked bool, l2l *cache.Line, rl *rac.Line, w cache.Way) {
 	if ms := h.mshr(m.Addr); ms != nil && ms.wantExcl && ms.txn == m.GrantTxn {
 		ms.deferred = m
-		return true, nil, nil
+		return true, nil, nil, 0
 	}
-	if l2l := h.l2.Lookup(m.Addr); l2l != nil && l2l.State == cache.Excl && l2l.Grant == m.GrantTxn {
-		return false, l2l, nil
+	if l2l, w := h.l2.LookupWay(m.Addr); l2l != nil && l2l.State == cache.Excl && l2l.Grant == m.GrantTxn {
+		return false, l2l, nil, w
 	}
 	if h.rc != nil {
-		if rl := h.rc.Lookup(m.Addr); rl != nil && rl.State == cache.Excl && !rl.Pinned &&
+		if rl, w := h.rc.LookupWay(m.Addr); rl != nil && rl.State == cache.Excl && !rl.Pinned &&
 			rl.Grant == m.GrantTxn {
-			return false, nil, rl
+			return false, nil, rl, w
 		}
 	}
-	return false, nil, nil
+	return false, nil, nil, 0
 }
 
 // ownerIntervention downgrades our exclusive copy for a 3-hop read: data
 // goes to the requester and, as a shared writeback, to the home (Figure 1).
 // It reports whether the message was retained (parked in an MSHR).
 func (h *Hub) ownerIntervention(m *msg.Message) bool {
-	parked, l2l, rl := h.ownedCopy(m)
+	parked, l2l, rl, _ := h.ownedCopy(m)
 	var v uint64
 	if l2l != nil {
 		l2l.State = cache.Shared
@@ -160,15 +161,14 @@ func (h *Hub) ownerIntervention(m *msg.Message) bool {
 // ownerTransfer hands our exclusive copy to a new owner (3-hop write); it
 // reports whether the message was retained (parked in an MSHR).
 func (h *Hub) ownerTransfer(m *msg.Message) bool {
-	parked, l2l, rl := h.ownedCopy(m)
+	parked, l2l, rl, w := h.ownedCopy(m)
 	var v uint64
 	if l2l != nil {
 		v = l2l.Version
-		h.l1.InvalidateRange(m.Addr, h.cfg.L2LineBytes)
-		h.l2.Invalidate(m.Addr)
+		h.dropL1(h.l2.InvalidateAt(w))
 	} else if rl != nil {
 		v = rl.Version
-		h.rc.Invalidate(m.Addr)
+		h.rc.InvalidateAt(w)
 	} else {
 		return parked
 	}
@@ -186,12 +186,11 @@ func (h *Hub) ownerTransfer(m *msg.Message) bool {
 // ownerInvalidate drops our shared copy and acknowledges directly to the
 // writer collecting the acks.
 func (h *Hub) ownerInvalidate(m *msg.Message) {
-	if l2l := h.l2.Lookup(m.Addr); l2l != nil {
-		if l2l.State == cache.Excl && h.cfg.CheckInvariants {
+	if v := h.l2.Invalidate(m.Addr); v.State != cache.Invalid {
+		if v.State == cache.Excl && h.cfg.CheckInvariants {
 			panic(fmt.Sprintf("core: node %d got Invalidate for EXCL line %#x", h.id, uint64(m.Addr)))
 		}
-		h.l1.InvalidateRange(m.Addr, h.cfg.L2LineBytes)
-		h.l2.Invalidate(m.Addr)
+		h.dropL1(v)
 	}
 	h.dropRACCopy(m.Addr)
 	if ms := h.mshr(m.Addr); ms != nil {
@@ -330,7 +329,7 @@ func (h *Hub) hybridUpdateData(m *msg.Message) {
 		}
 	}
 	kept := false
-	if l2l := h.l2.Lookup(m.Addr); l2l != nil && l2l.State == cache.Shared {
+	if l2l, w := h.l2.LookupWay(m.Addr); l2l != nil && l2l.State == cache.Shared {
 		if m.Version > l2l.Version {
 			l2l.Version = m.Version
 			l2l.Streak++
@@ -341,8 +340,7 @@ func (h *Hub) hybridUpdateData(m *msg.Message) {
 			// update set, degrading the line back toward
 			// write-invalidate for us.
 			h.st.UpdatesWasted += uint64(l2l.Streak)
-			h.l1.InvalidateRange(m.Addr, h.cfg.L2LineBytes)
-			h.l2.Invalidate(m.Addr)
+			h.dropL1(h.l2.InvalidateAt(w))
 		} else {
 			kept = true
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pccsim/internal/addrtab"
 	"pccsim/internal/cache"
@@ -37,7 +38,12 @@ type Hub struct {
 	// when observability is off (AttachObs wires it either way).
 	obs *obs.Sink
 
-	l1   *cache.Cache
+	// l1 is presence only: each L1 subline holds the L2 way of its
+	// line, so a hit reaches the L2 copy without a second search (see
+	// cache.Line.L1 for the way back).
+	l1      *cache.Array[cache.Way]
+	l1Shift uint // log2 of the L1 line size
+
 	l2   *cache.Cache
 	rc   *rac.RAC // nil when the RAC is disabled
 	dir  *directory.Directory
@@ -265,11 +271,12 @@ func newHub(sys *System, id msg.NodeID, st *stats.Stats) *Hub {
 		mm:   sys.Mem,
 		st:   st,
 		gl:   sys.glob,
-		l1:   cache.New(cfg.L1Bytes, cfg.L1Ways, cfg.L1LineBytes),
 		l2:   cache.New(cfg.L2Bytes, cfg.L2Ways, cfg.L2LineBytes),
 		dir:  directory.New(),
 		dirc: directory.NewDirCache(cfg.DirCacheEntries, dirCacheWays),
 	}
+	h.l1 = cache.NewArray[cache.Way](cfg.L1Bytes/(cfg.L1Ways*cfg.L1LineBytes), cfg.L1Ways, cfg.L1LineBytes)
+	h.l1Shift = uint(bits.TrailingZeros(uint(cfg.L1LineBytes)))
 	p, _ := protocol.Lookup(cfg.Protocol) // Validate resolved the name
 	h.mech = p.Mechanism()
 	if cfg.RACBytes > 0 {
@@ -371,55 +378,48 @@ func (h *Hub) Access(addr msg.Addr, write bool, done sim.MsgHandler, op uint8) {
 	}
 	line := h.line(addr)
 
-	// L1 hit path. Writes additionally require L2 exclusivity (write
+	// An L1 hit names the L2 way of its line: inclusion back-invalidates
+	// the subline before the line can leave that way.
+	l1l, hit := h.l1.Touch(uint64(addr)), false
+	var l2l *cache.Line
+	var w cache.Way
+	if l1l != nil {
+		w, hit = *l1l, true
+		l2l = h.l2.TouchAt(w)
+		if h.cfg.CheckInvariants && (l2l.State == cache.Invalid || l2l.Addr != line) {
+			panic(fmt.Sprintf("core: node %d L1 hit without L2 line %#x", h.id, uint64(line)))
+		}
+	} else {
+		l2l, w = h.l2.TouchWay(line)
+	}
+
+	// Hit path. Writes additionally require L2 exclusivity (write
 	// permission is held at the coherence granularity).
-	if h.l1.Touch(addr) != nil {
-		if !write {
-			l2l := h.l2.Touch(line)
-			if l2l == nil {
-				// Inclusion violation would be a bug; L1 valid
-				// implies L2 valid.
-				panic(fmt.Sprintf("core: node %d L1 hit without L2 line %#x", h.id, uint64(line)))
+	if l2l != nil {
+		if !write || l2l.State == cache.Excl {
+			lat := h.cfg.L2Latency
+			if hit {
+				h.st.L1Hits++
+				lat = h.cfg.L1Latency
+			} else {
+				h.st.L2Hits++
 			}
-			h.st.L1Hits++
-			if h.mech == protocol.UpdatePush && l2l.Streak > 0 {
+			if write {
+				h.doStore(l2l)
+			} else if h.mech == protocol.UpdatePush && l2l.Streak > 0 {
 				// A pushed update is being read: the hybrid protocol's
 				// win case (the read would have missed under
 				// write-invalidate).
 				h.noteUpdateUseful(line, l2l.Version)
 				l2l.Streak = 0
 			}
-			h.gl.observe(h.id, line, l2l.Version)
-			h.eng.AfterMsg(h.cfg.L1Latency, done, op, nil)
-			return
-		}
-		if l2l := h.l2.Touch(line); l2l != nil && l2l.State == cache.Excl {
-			h.st.L1Hits++
-			h.doStore(l2l)
-			h.eng.AfterMsg(h.cfg.L1Latency, done, op, nil)
-			return
-		}
-		// Write to a Shared line: fall through to the upgrade path.
-	}
-
-	// L2 hit path.
-	if l2l := h.l2.Touch(line); l2l != nil {
-		if !write {
-			h.st.L2Hits++
-			if h.mech == protocol.UpdatePush && l2l.Streak > 0 {
-				h.noteUpdateUseful(line, l2l.Version)
-				l2l.Streak = 0
+			if !hit {
+				h.fillL1(addr, w, l2l)
 			}
-			h.fillL1(addr)
-			h.gl.observe(h.id, line, l2l.Version)
-			h.eng.AfterMsg(h.cfg.L2Latency, done, op, nil)
-			return
-		}
-		if l2l.State == cache.Excl {
-			h.st.L2Hits++
-			h.doStore(l2l)
-			h.fillL1(addr)
-			h.eng.AfterMsg(h.cfg.L2Latency, done, op, nil)
+			if !write {
+				h.gl.observe(h.id, line, l2l.Version)
+			}
+			h.eng.AfterMsg(lat, done, op, nil)
 			return
 		}
 		// Shared: upgrade transaction. Updates pushed to this copy and
@@ -464,9 +464,9 @@ func (h *Hub) serveFromRAC(addr, line msg.Addr, rl *rac.Line, write bool, done s
 			st = cache.Shared
 			dirty = false
 		}
-		l2l := h.fillL2(line, st, v, dirty)
+		l2l, w := h.fillL2(line, st, v, dirty)
 		l2l.Grant = g
-		h.fillL1(addr)
+		h.fillL1(addr, w, l2l)
 		h.st.RACHits++
 		h.st.RecordMiss(stats.MissLocalRAC)
 		h.gl.observe(h.id, line, v)
@@ -476,10 +476,10 @@ func (h *Hub) serveFromRAC(addr, line msg.Addr, rl *rac.Line, write bool, done s
 	if rl.State == cache.Excl && !rl.Pinned {
 		// Victim-cached owner copy: silently re-acquire.
 		v, g := rl.Version, rl.Grant
-		l2l := h.fillL2(line, cache.Excl, v, true)
+		l2l, w := h.fillL2(line, cache.Excl, v, true)
 		l2l.Grant = g
 		h.doStore(l2l)
-		h.fillL1(addr)
+		h.fillL1(addr, w, l2l)
 		h.st.RACHits++
 		h.st.RecordMiss(stats.MissLocalRAC)
 		h.eng.AfterMsg(h.cfg.L2Latency+h.cfg.DirLatency, done, op, nil)
@@ -501,27 +501,49 @@ func (h *Hub) doStore(l2l *cache.Line) {
 	l2l.Dirty = true
 }
 
-// fillL1 installs the 32-byte L1 line containing addr.
-func (h *Hub) fillL1(addr msg.Addr) {
-	h.l1.Insert(addr, cache.Shared) // L1 victims are clean copies; drop silently
+// fillL1 installs the L1 subline containing addr, naming way w of L2,
+// which holds its line l2l, and marks the subline in l2l's L1 mask. L1
+// victims are clean copies; they drop silently.
+func (h *Hub) fillL1(addr msg.Addr, w cache.Way, l2l *cache.Line) {
+	sub, _, _ := h.l1.FillWay(uint64(addr), nil)
+	*sub = w
+	l2l.L1 |= h.l1Bit(addr - l2l.Addr)
 }
 
-// fillL2 installs a line into L2 and handles the displaced victim. dirty
-// marks data newer than the home's memory copy (e.g. a dirty owner line
-// moving back from the RAC) so a later eviction writes it back.
-func (h *Hub) fillL2(line msg.Addr, st cache.State, version uint64, dirty bool) *cache.Line {
+// l1Bit returns the L1 mask bit of the subline at byte offset off of its
+// L2 line (see cache.Line.L1).
+func (h *Hub) l1Bit(off msg.Addr) uint8 { return 1 << (uint64(off) >> (h.l1Shift & 63) & 7) }
+
+// dropL1 back-invalidates the L1 sublines of the L2 line v (inclusion)
+// that its mask marks.
+func (h *Hub) dropL1(v cache.Line) {
+	if v.L1 == 0 {
+		return
+	}
+	for off := msg.Addr(0); off < msg.Addr(h.cfg.L2LineBytes); off += msg.Addr(h.cfg.L1LineBytes) {
+		if v.L1&h.l1Bit(off) != 0 {
+			h.l1.Remove(uint64(v.Addr + off))
+		}
+	}
+}
+
+// fillL2 installs a line into L2 and handles the displaced victim,
+// returning the line and its way. dirty marks data newer than the home's
+// memory copy (e.g. a dirty owner line moving back from the RAC) so a
+// later eviction writes it back.
+func (h *Hub) fillL2(line msg.Addr, st cache.State, version uint64, dirty bool) (*cache.Line, cache.Way) {
 	// L2 and (unpinned) RAC never hold the same line: a stale victim
 	// copy left behind would survive later invalidations and transfers
 	// that find and act on the L2 copy first. Pinned entries are the
 	// delegated master copies, maintained by the delegation flow.
 	h.dropRACCopy(line)
-	l, victim := h.l2.Insert(line, st)
+	l, w, victim := h.l2.Insert(line, st)
 	l.Version = version
 	l.Dirty = dirty
 	if victim.State != cache.Invalid {
 		h.evictL2(victim)
 	}
-	return l
+	return l, w
 }
 
 // dropRACCopy drops the line's unpinned RAC copy, if any, counting a
@@ -530,8 +552,8 @@ func (h *Hub) dropRACCopy(line msg.Addr) {
 	if h.rc == nil {
 		return
 	}
-	if rl := h.rc.Lookup(line); rl != nil && !rl.Pinned {
-		if v := h.rc.Invalidate(line); v.FromUpdate && !v.Consumed {
+	if rl, w := h.rc.LookupWay(line); rl != nil && !rl.Pinned {
+		if v := h.rc.InvalidateAt(w); v.FromUpdate && !v.Consumed {
 			h.noteUpdateWasted(line)
 		}
 	}
@@ -540,7 +562,7 @@ func (h *Hub) dropRACCopy(line msg.Addr) {
 // evictL2 disposes of an L2 victim line: back-invalidate L1 (inclusion),
 // victim-cache remote lines in the RAC, write dirty data home.
 func (h *Hub) evictL2(v cache.Line) {
-	h.l1.InvalidateRange(v.Addr, h.cfg.L2LineBytes)
+	h.dropL1(v)
 
 	// Delegated lines: the pinned RAC entry is the surrogate memory.
 	if h.prod != nil {
@@ -716,12 +738,12 @@ func (h *Hub) tryComplete(m *mshr) {
 		return
 	}
 
-	l2l := h.fillL2(m.addr, m.fillState, m.version, false)
+	l2l, w := h.fillL2(m.addr, m.fillState, m.version, false)
 	if m.wantExcl && !m.updateWrite {
 		l2l.Grant = m.txn // ownership epoch (see msg.Message.GrantTxn)
 		h.doStore(l2l)
 	}
-	h.fillL1(m.addr)
+	h.fillL1(m.addr, w, l2l)
 	h.gl.observe(h.id, m.addr, l2l.Version)
 
 	// A freshly written producer-consumer line arms the delayed

@@ -8,11 +8,12 @@ import (
 	"pccsim/internal/msg"
 )
 
-// TestEntrySize pins the directory record at 152 bytes: State and the
-// three flags share one word instead of padding four.
+// TestEntrySize pins the directory record at 136 bytes: State and the
+// three flags share one word instead of padding four, and the three
+// two-byte node ids share another.
 func TestEntrySize(t *testing.T) {
-	if n := unsafe.Sizeof(Entry{}); n > 152 {
-		t.Fatalf("Entry is %d bytes, want <= 152", n)
+	if n := unsafe.Sizeof(Entry{}); n > 136 {
+		t.Fatalf("Entry is %d bytes, want <= 136", n)
 	}
 }
 

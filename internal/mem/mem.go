@@ -5,21 +5,23 @@
 package mem
 
 import (
-	"sync"
+	"fmt"
+	"math/bits"
 
+	"pccsim/internal/addrtab"
 	"pccsim/internal/msg"
 )
 
 // Memory is the global page table, shared by all nodes of a simulated
-// system. On a sharded system whose shards run on worker goroutines the
-// page table is consulted concurrently, so lookups take a read-lock once
-// sharing is enabled (EnableSharedAccess); a system that runs on one
-// goroutine stays lock-free.
+// system: an open-addressed table keyed by page number (programs may
+// place pages anywhere in the address space). A sharded system whose
+// shards run on worker goroutines reads it concurrently, so it must be
+// placed in full before such a run (EnableSharedAccess); from then on it
+// is only read and needs no lock.
 type Memory struct {
-	mu        sync.RWMutex
 	shared    bool
-	pageBytes uint64
-	pages     map[uint64]msg.NodeID
+	pageShift uint
+	pages     addrtab.Table[msg.NodeID]
 }
 
 // New creates a first-touch memory placed in pageBytes pages.
@@ -27,59 +29,46 @@ func New(pageBytes int) *Memory {
 	if pageBytes <= 0 || pageBytes&(pageBytes-1) != 0 {
 		panic("mem: page size must be a positive power of two")
 	}
-	return &Memory{
-		pageBytes: uint64(pageBytes),
-		pages:     make(map[uint64]msg.NodeID),
-	}
+	return &Memory{pageShift: uint(bits.TrailingZeros(uint(pageBytes)))}
 }
 
 // PageBytes returns the placement granularity.
-func (m *Memory) PageBytes() int { return int(m.pageBytes) }
+func (m *Memory) PageBytes() int { return 1 << m.pageShift }
 
-// EnableSharedAccess arms the page-table lock; call before any
-// concurrent use. node.Machine and fault.Case place every page before a
-// run, so concurrent lookups only read; a page nobody placed is still
-// homed at its first toucher.
+// EnableSharedAccess marks the table as read concurrently: from then on
+// Home no longer places a page at its first toucher but panics on an
+// unplaced one. node.Machine and fault.Case place every page before a
+// run, so no run reaches that panic.
 func (m *Memory) EnableSharedAccess() { m.shared = true }
 
+func (m *Memory) page(addr msg.Addr) uint64 { return uint64(addr) >> (m.pageShift & 63) }
+
 // Home returns the home node of addr, homing an unplaced page at toucher
-// (first touch).
+// (first touch). On a shared table an unplaced page panics.
 func (m *Memory) Home(addr msg.Addr, toucher msg.NodeID) msg.NodeID {
-	page := uint64(addr) / m.pageBytes
 	if m.shared {
-		m.mu.RLock()
-		h, ok := m.pages[page]
-		m.mu.RUnlock()
-		if ok {
-			return h
+		h, ok := m.pages.Get(m.page(addr))
+		if !ok {
+			panic(fmt.Sprintf("mem: page of %#x was not placed before a shared run", uint64(addr)))
 		}
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
-	if h, ok := m.pages[page]; ok {
 		return h
 	}
-	m.pages[page] = toucher
-	return toucher
+	h, ok := m.pages.Slot(m.page(addr))
+	if !ok {
+		*h = toucher
+	}
+	return *h
 }
 
 // HomeIfPlaced returns the home of addr without assigning one.
 func (m *Memory) HomeIfPlaced(addr msg.Addr) (msg.NodeID, bool) {
-	if m.shared {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-	}
-	h, ok := m.pages[uint64(addr)/m.pageBytes]
-	return h, ok
+	return m.pages.Get(m.page(addr))
 }
 
 // Place homes the page containing addr at node. node.Machine.Run places
 // every page its programs touch before the first event, and fault.Case
-// stripes its address pool the same way.
+// stripes its address pool the same way. It must not run concurrently
+// with lookups.
 func (m *Memory) Place(addr msg.Addr, node msg.NodeID) {
-	if m.shared {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
-	m.pages[uint64(addr)/m.pageBytes] = node
+	m.pages.Put(m.page(addr), node)
 }

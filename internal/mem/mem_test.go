@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -46,8 +48,8 @@ func TestPlaceRange(t *testing.T) {
 			t.Fatalf("addr %#x homed at %d, want 7", uint64(a), h)
 		}
 	}
-	if len(m.pages) != 3 {
-		t.Fatalf("%d pages placed, want 3 (0x1000..0x3fff spans pages 1,2,3)", len(m.pages))
+	if n := m.pages.Len(); n != 3 {
+		t.Fatalf("%d pages placed, want 3 (0x1000..0x3fff spans pages 1,2,3)", n)
 	}
 }
 
@@ -57,6 +59,31 @@ func TestPlaceOverrides(t *testing.T) {
 	if h := m.Home(0x1000, 0); h != 5 {
 		t.Fatalf("explicit placement ignored: home = %d", h)
 	}
+}
+
+// TestSharedHomeNeedsPlacement: once shared, the table only reads. A
+// placed page keeps its home whoever asks, and an unplaced one panics
+// naming the address instead of being homed at its first toucher.
+func TestSharedHomeNeedsPlacement(t *testing.T) {
+	m := New(4096)
+	m.Place(0x1000, 5)
+	m.EnableSharedAccess()
+	if h := m.Home(0x1fff, 2); h != 5 {
+		t.Fatalf("placed page homed at %d, want 5", h)
+	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Home of an unplaced page on a shared table did not panic")
+		}
+		if s := fmt.Sprint(r); !strings.Contains(s, "0x2040") {
+			t.Fatalf("panic %q does not name the address 0x2040", s)
+		}
+		if _, ok := m.HomeIfPlaced(0x2040); ok {
+			t.Fatal("the panicking lookup placed the page")
+		}
+	}()
+	m.Home(0x2040, 2)
 }
 
 func TestBadConfigPanics(t *testing.T) {

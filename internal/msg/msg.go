@@ -13,8 +13,9 @@ import (
 	"math/bits"
 )
 
-// NodeID identifies a node (hub) in the system. Nodes are numbered from 0.
-type NodeID int
+// NodeID identifies a node (hub) in the system. Nodes are numbered from 0;
+// two bytes hold every legal id (MaxNodes) and None.
+type NodeID int16
 
 // HomeMem is a pseudo-node used as the source of messages that originate in
 // a home node's memory/directory rather than a cache.
@@ -299,33 +300,20 @@ func (t Type) IsRequest() bool {
 // HeaderBytes is the minimum NUMALink packet size (Table 1 / §3.1).
 const HeaderBytes = 32
 
-// Message is one coherence packet in flight.
+// Message is one coherence packet in flight. The small fields come
+// first, so they pack into two words ahead of the 8-byte ones.
 type Message struct {
 	Type Type
 	Src  NodeID // sending hub
 	Dst  NodeID // receiving hub
-	Addr Addr   // line-aligned address
 
 	// Requester is the node on whose behalf a forwarded message travels
 	// (interventions, transfers) or that a reply ultimately serves.
 	Requester NodeID
 
-	// AckCount is the number of InvAcks the requester must collect
-	// (ExclReply, UpgradeAck, Delegate).
-	AckCount int
-
-	// Sharers carries directory state in Delegate/Undelegate messages.
-	Sharers Vector
-
 	// Owner carries the owner field of a directory entry in
 	// Delegate/Undelegate messages, and the new home in NewHomeHint.
 	Owner NodeID
-
-	// Version is the abstract data value carried by data-bearing
-	// messages: every store to a line increments the line's version.
-	// The simulator uses versions to check coherence invariants at
-	// runtime (§2.5's "invariant checking applied to the simulator").
-	Version uint64
 
 	// Dirty marks Undelegate/Writeback payloads that must be written to
 	// memory.
@@ -342,6 +330,26 @@ type Message struct {
 	// self-invalidation the owner arms an eager downgrade for it.
 	PCHint bool
 
+	// Kept reports, in a hybrid UpdateAck, whether the sharer retained
+	// its copy after applying (or dropping) the pushed update; the home
+	// clears the sharer's presence bit when false.
+	Kept bool
+
+	Addr Addr // line-aligned address
+
+	// AckCount is the number of InvAcks the requester must collect
+	// (ExclReply, UpgradeAck, Delegate).
+	AckCount int
+
+	// Sharers carries directory state in Delegate/Undelegate messages.
+	Sharers Vector
+
+	// Version is the abstract data value carried by data-bearing
+	// messages: every store to a line increments the line's version.
+	// The simulator uses versions to check coherence invariants at
+	// runtime (§2.5's "invariant checking applied to the simulator").
+	Version uint64
+
 	// GrantTxn is the ownership epoch an Intervention or TransferReq
 	// refers to: the Txn of the request that made the current owner
 	// exclusive. Owners act only on interventions matching the epoch of
@@ -349,11 +357,6 @@ type Message struct {
 	// those belong to an ownership already ended by a crossing
 	// writeback, which the home completes from instead.
 	GrantTxn uint64
-
-	// Kept reports, in a hybrid UpdateAck, whether the sharer retained
-	// its copy after applying (or dropping) the pushed update; the home
-	// clears the sharer's presence bit when false.
-	Kept bool
 
 	// Txn is the requester's transaction number (the hardware analogue
 	// is the CRB/TNUM of SGI hubs). Replies, NACKs and invalidation

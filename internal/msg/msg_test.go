@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestVectorSetClearHas(t *testing.T) {
@@ -257,6 +258,15 @@ func TestPropertySetClearIdentity(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMessageSize pins the pooled message at 88 bytes: two-byte node ids
+// and the small fields packed ahead of the 8-byte ones. Every emit copies
+// one.
+func TestMessageSize(t *testing.T) {
+	if n := unsafe.Sizeof(Message{}); n > 88 {
+		t.Fatalf("Message is %d bytes, want <= 88", n)
 	}
 }
 

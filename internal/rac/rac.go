@@ -46,6 +46,9 @@ func New(totalBytes, ways, lineBytes int) *RAC {
 // Lookup returns the entry for addr, or nil.
 func (r *RAC) Lookup(addr msg.Addr) *Line { return r.lines.Lookup(uint64(addr)) }
 
+// LookupWay is Lookup that also returns the entry's way.
+func (r *RAC) LookupWay(addr msg.Addr) (*Line, cache.Way) { return r.lines.LookupWay(uint64(addr)) }
+
 // Touch refreshes recency for addr and returns its entry.
 func (r *RAC) Touch(addr msg.Addr) *Line { return r.lines.Touch(uint64(addr)) }
 
@@ -58,7 +61,7 @@ func pinned(l *Line) bool { return l.Pinned }
 // which is the signal that a delegation must be dropped before more
 // delegated lines can be pinned here.
 func (r *RAC) Insert(addr msg.Addr, st cache.State) (*Line, Line, bool) {
-	l, prior := r.lines.Fill(uint64(addr), pinned)
+	l, _, prior := r.lines.FillWay(uint64(addr), pinned)
 	var victim Line
 	switch prior {
 	case cache.AllPinned:
@@ -89,6 +92,15 @@ func (r *RAC) Invalidate(addr msg.Addr) Line {
 	if l == nil {
 		return Line{}
 	}
+	v := *l
+	*l = Line{}
+	return v
+}
+
+// InvalidateAt removes the resident entry in way w with no search and
+// returns its prior contents.
+func (r *RAC) InvalidateAt(w cache.Way) Line {
+	l := r.lines.RemoveAt(w)
 	v := *l
 	*l = Line{}
 	return v

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"pccsim/internal/cpu"
 	"pccsim/internal/msg"
 )
 
@@ -25,11 +24,11 @@ func Appbt() *Workload {
 			return fmt.Sprintf("3x%d face lines/processor, 8 neighbours, %d timesteps",
 				40*p.scale(), p.iters(4))
 		},
-		Build: buildAppbt,
+		Build: build(genAppbt),
 	}
 }
 
-func buildAppbt(p Params) [][]cpu.Op {
+func genAppbt(p Params, prog *Builder) {
 	scale := p.scale()
 	iters := p.iters(4)
 	nodes := p.Nodes
@@ -54,7 +53,6 @@ func buildAppbt(p Params) [][]cpu.Op {
 	}
 	inner := ownedArray(r, nodes, interior)
 
-	prog := NewBuilder(nodes)
 	// Face data is initialized during the setup sweep whose layout
 	// follows a different dimension than the steady-state solve, so
 	// face lines are homed away from their producer.
@@ -96,5 +94,4 @@ func buildAppbt(p Params) [][]cpu.Op {
 			prog.Barrier()
 		}
 	}
-	return prog.Ops()
 }

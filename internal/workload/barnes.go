@@ -3,8 +3,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-
-	"pccsim/internal/cpu"
 )
 
 // Barnes models the SPLASH-2 Barnes-Hut N-body simulation (16384 bodies in
@@ -21,11 +19,11 @@ func Barnes() *Workload {
 			return fmt.Sprintf("%d bodies, %d octree cells, seed 123",
 				32*p.scale()*p.Nodes, 40*p.Nodes*p.scale())
 		},
-		Build: buildBarnes,
+		Build: build(genBarnes),
 	}
 }
 
-func buildBarnes(p Params) [][]cpu.Op {
+func genBarnes(p Params, prog *Builder) {
 	seed := p.Seed
 	if seed == 0 {
 		seed = 123
@@ -53,7 +51,6 @@ func buildBarnes(p Params) [][]cpu.Op {
 		}
 	}
 
-	prog := NewBuilder(nodes)
 	// First touch: the initial octree is built before the bodies settle
 	// into their steady-state owners, so most cells are homed away from
 	// the processor that rebuilds them each iteration (bodies move; the
@@ -108,5 +105,4 @@ func buildBarnes(p Params) [][]cpu.Op {
 		}
 		prog.Barrier()
 	}
-	return prog.Ops()
 }

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"fmt"
-
-	"pccsim/internal/cpu"
-)
+import "fmt"
 
 // CG models the NAS conjugate-gradient kernel. Three paper-documented
 // properties shape it (§3.2): producer-consumer sharing appears only in
@@ -23,11 +19,11 @@ func CG() *Workload {
 			return fmt.Sprintf("%d vector lines/processor, %d CG iterations",
 				4*p.scale(), p.iters(8))
 		},
-		Build: buildCG,
+		Build: build(genCG),
 	}
 }
 
-func buildCG(p Params) [][]cpu.Op {
+func genCG(p Params, prog *Builder) {
 	scale := p.scale()
 	iters := p.iters(8)
 	nodes := p.Nodes
@@ -40,7 +36,6 @@ func buildCG(p Params) [][]cpu.Op {
 	vec := ownedArray(r, nodes, vecLines)
 	fsBase := r.array(fsLines)
 
-	prog := NewBuilder(nodes)
 	firstTouch(prog, nodes, vec, vecLines)
 	for i := 0; i < fsLines; i++ {
 		prog.Store(i%nodes, lineAddr(fsBase, i))
@@ -89,5 +84,4 @@ func buildCG(p Params) [][]cpu.Op {
 		}
 		prog.Barrier()
 	}
-	return prog.Ops()
 }

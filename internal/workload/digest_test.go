@@ -46,8 +46,8 @@ func opDigest(ops [][]cpu.Op) string {
 
 // TestOpStreamDigests pins every app's op stream on 16 nodes (and
 // em3d's on 256), as built by the 32-byte ops and append-grown streams
-// before the 16-byte encoding and the chunked builder: neither may
-// change an op.
+// before the 16-byte encoding and the counting-then-filling build: neither
+// may change an op, and every stream comes out at exact size.
 func TestOpStreamDigests(t *testing.T) {
 	for _, c := range []struct {
 		app    string
@@ -120,8 +120,10 @@ func TestOpSize(t *testing.T) {
 	}
 }
 
-// TestBuilderAppendZeroAlloc: an append into a chunk with room allocates
-// nothing, and Ops hands back a stream already at exact size uncopied.
+// TestBuilderAppendZeroAlloc: an incremental builder's appends allocate
+// only as a stream grows (amortized to nothing per op), and Ops hands
+// back each stream uncopied, trimmed so a later append cannot write into
+// it.
 func TestBuilderAppendZeroAlloc(t *testing.T) {
 	b := NewBuilder(1)
 	b.Load(0, 0)

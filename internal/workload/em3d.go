@@ -3,8 +3,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-
-	"pccsim/internal/cpu"
 )
 
 // Em3D models the Split-C electromagnetic-wave kernel: a bipartite graph
@@ -24,11 +22,11 @@ func Em3D() *Workload {
 			return fmt.Sprintf("%d graph nodes/processor, span 5, 15%% remote",
 				2*64*p.scale())
 		},
-		Build: buildEm3D,
+		Build: build(genEm3D),
 	}
 }
 
-func buildEm3D(p Params) [][]cpu.Op {
+func genEm3D(p Params, prog *Builder) {
 	seed := p.Seed
 	if seed == 0 {
 		seed = 38400
@@ -67,7 +65,6 @@ func buildEm3D(p Params) [][]cpu.Op {
 	eCons := consumerCounts()
 	hCons := consumerCounts()
 
-	prog := NewBuilder(nodes)
 	firstTouch(prog, nodes, eField, linesPerNode)
 	firstTouch(prog, nodes, hField, linesPerNode)
 
@@ -116,5 +113,4 @@ func buildEm3D(p Params) [][]cpu.Op {
 		}
 		prog.Barrier()
 	}
-	return prog.Ops()
 }

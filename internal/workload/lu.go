@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"fmt"
-
-	"pccsim/internal/cpu"
-)
+import "fmt"
 
 // LU models the NAS LU benchmark: an SSOR solve of the 3D Navier-Stokes
 // equations with a 2D partitioning that assigns vertical columns of the
@@ -20,11 +16,11 @@ func LU() *Workload {
 			return fmt.Sprintf("%d boundary lines/processor, %d SSOR sweeps",
 				8*p.scale(), p.iters(10))
 		},
-		Build: buildLU,
+		Build: build(genLU),
 	}
 }
 
-func buildLU(p Params) [][]cpu.Op {
+func genLU(p Params, prog *Builder) {
 	scale := p.scale()
 	iters := p.iters(10)
 	nodes := p.Nodes
@@ -39,7 +35,6 @@ func buildLU(p Params) [][]cpu.Op {
 	upper := ownedArray(r, nodes, boundaryLines)
 	interior := ownedArray(r, nodes, interiorLines)
 
-	prog := NewBuilder(nodes)
 	firstTouch(prog, nodes, lower, boundaryLines)
 	firstTouch(prog, nodes, upper, boundaryLines)
 	firstTouch(prog, nodes, interior, interiorLines)
@@ -93,5 +88,4 @@ func buildLU(p Params) [][]cpu.Op {
 		}
 		prog.Barrier()
 	}
-	return prog.Ops()
 }

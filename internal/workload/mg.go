@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"pccsim/internal/cpu"
 	"pccsim/internal/msg"
 )
 
@@ -23,11 +22,11 @@ func MG() *Workload {
 			return fmt.Sprintf("4-level V-cycle, %d boundary lines/processor at the finest level",
 				48*p.scale())
 		},
-		Build: buildMG,
+		Build: build(genMG),
 	}
 }
 
-func buildMG(p Params) [][]cpu.Op {
+func genMG(p Params, prog *Builder) {
 	scale := p.scale()
 	iters := p.iters(4)
 	nodes := p.Nodes
@@ -48,7 +47,6 @@ func buildMG(p Params) [][]cpu.Op {
 		grids[l] = ownedArray(r, nodes, levelLines[l])
 	}
 
-	prog := NewBuilder(nodes)
 	// The finest grid is first-touched by its owners (boundary rows stay
 	// home); the coarser grids are produced by restriction from finer
 	// data, and their pages were first touched under the finer levels'
@@ -99,5 +97,4 @@ func buildMG(p Params) [][]cpu.Op {
 			exchange(l)
 		}
 	}
-	return prog.Ops()
 }

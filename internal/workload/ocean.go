@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"pccsim/internal/cpu"
 	"pccsim/internal/msg"
 )
 
@@ -20,11 +19,11 @@ func Ocean() *Workload {
 			return fmt.Sprintf("%d rows x %d line-columns per processor, %d processors",
 				4*p.scale(), 8*p.scale(), p.Nodes)
 		},
-		Build: buildOcean,
+		Build: build(genOcean),
 	}
 }
 
-func buildOcean(p Params) [][]cpu.Op {
+func genOcean(p Params, prog *Builder) {
 	scale := p.scale()
 	iters := p.iters(8)
 	nodes := p.Nodes
@@ -36,7 +35,6 @@ func buildOcean(p Params) [][]cpu.Op {
 	grid := ownedArray(r, nodes, rowsPerNode*lineCols)
 	at := func(owner, row, col int) msg.Addr { return grid(owner, row*lineCols+col) }
 
-	prog := NewBuilder(nodes)
 	firstTouch(prog, nodes, grid, rowsPerNode*lineCols)
 
 	for it := 0; it < iters; it++ {
@@ -72,5 +70,4 @@ func buildOcean(p Params) [][]cpu.Op {
 		}
 		prog.Barrier()
 	}
-	return prog.Ops()
 }

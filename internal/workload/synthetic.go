@@ -67,10 +67,13 @@ func Synthetic(p SynthParams) ([][]cpu.Op, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	return buildOps(p.Nodes, func(prog *Builder) { genSynthetic(p, prog) }), nil
+}
+
+func genSynthetic(p SynthParams, prog *Builder) {
 	r := newRegion()
 	lines := ownedArray(r, p.Nodes, p.LinesPerProducer)
 
-	prog := NewBuilder(p.Nodes)
 	// First touch: a deterministic slice of each producer's lines is
 	// placed at the next node over (the remote-home fraction).
 	remote := int(p.RemoteHomeFraction * float64(p.LinesPerProducer))
@@ -110,5 +113,4 @@ func Synthetic(p SynthParams) ([][]cpu.Op, error) {
 		}
 		prog.Barrier()
 	}
-	return prog.Ops(), nil
 }
